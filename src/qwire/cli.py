@@ -95,8 +95,8 @@ def parse_log_grid(text: str) -> list:
         npoints = int(parts[2])
     except ValueError as exc:
         raise CliError(f"bad log grid {text!r}: {exc}") from None
-    if start <= 0 or stop <= 0:
-        raise CliError("log grid endpoints must be positive")
+    if not (0.0 < start < math.inf and 0.0 < stop < math.inf):
+        raise CliError("log grid endpoints must be positive and finite")
     if npoints < 1:
         raise CliError("log grid needs at least one point")
     return [float(v) for v in

@@ -26,7 +26,6 @@ class NonPhysicalStateError(ValueError):
 def symplectic_form(n_modes: int = 2) -> np.ndarray:
     """Block-diagonal J with 2x2 blocks [[0, 1], [-1, 0]]."""
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    blocks = [j2] * n_modes
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for i in range(n_modes):
         out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = j2
@@ -121,13 +120,6 @@ def fidelity(gamma1: np.ndarray, gamma2: np.ndarray) -> float:
 
 def _clamp_roundoff(value: float, tol: float) -> float:
     return 0.0 if -tol <= value < 0.0 else value
-
-
-def _measurement_seed(s: float, phi: float) -> np.ndarray:
-    """Covariance of a pure squeezed single-mode measurement seed."""
-    co, si = math.cos(phi), math.sin(phi)
-    r = np.array([[co, -si], [si, co]])
-    return 0.5 * r @ np.diag([s, 1.0 / s]) @ r.T
 
 
 def _blocks(gamma: np.ndarray, measured_node: str):

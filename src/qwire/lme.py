@@ -127,18 +127,22 @@ def covariance_from_lme_vector(y: np.ndarray) -> np.ndarray:
 def lme_heat_currents(y: np.ndarray, params: WireParams) -> tuple:
     """Incoming currents per bath from the stationary covariances.
 
-    Qdot_a = (Delta~_a/2)[w_a^2 <X_a^2> + <P_a^2> + k(<X_a^2> - <X_a X_abar>)]
-             + (Sigma~_a/2)(w_a + k/(2 w_a)).
+    The bath-a current is the energy its dissipator injects,
+    h . (M_a y + c_a) with h the coefficients of <H_S>.  Written that way
+    it is a sum of O(1) terms that cancel down to O(k^2).  Stationarity
+    of the node energy <P_a^2 + (w_a^2 + k) X_a^2>/2, which only bath a
+    and the bond change, turns it into the bond form
+
+        Qdot_h = -k (<X_c P_h> + Delta~_h/2 <X_c X_h>),
+        Qdot_c = -k (<X_h P_c> + Delta~_c/2 <X_c X_h>),
+
+    which has no cancellation and vanishes exactly at k = 0.
     """
-    out = []
-    for alpha, om, ix, ip in (("c", params.omega_c, 0, 1),
-                              ("h", params.omega_h, 3, 4)):
-        delta, sigma = _local_rates(params, alpha)
-        q = (delta / 2.0 * (om**2 * y[ix] + y[ip]
-                            + params.k * (y[ix] - y[6]))
-             + sigma / 2.0 * (om + params.k / (2.0 * om)))
-        out.append(q)
-    return tuple(out)
+    delta_c, _ = _local_rates(params, "c")
+    delta_h, _ = _local_rates(params, "h")
+    xcxh, xcph, xhpc = y[6], y[8], y[9]
+    return (-params.k * (xhpc + delta_c / 2.0 * xcxh),
+            -params.k * (xcph + delta_h / 2.0 * xcxh))
 
 
 def lme_steady_state(params: WireParams) -> SteadyStateResult:

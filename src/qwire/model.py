@@ -8,7 +8,7 @@ squared and the dissipation strength lambda_sq is dimensionless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,10 @@ class WireParams:
     cutoff: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.omega_c <= 0 or self.omega_h <= 0:
             raise ValueError("node frequencies must be positive")
         if self.k < 0:

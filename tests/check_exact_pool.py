@@ -1,0 +1,44 @@
+"""Compare the exact solver with the benchmark's frozen covariances.
+
+perfbench/data/points.json freezes the exact covariance at 306 parameter
+points.  At some of them the frozen heat current is quadrature noise, so
+the benchmark accepts only output that is bit-identical to the frozen
+one.  This script recomputes every point and lists those that differ in
+any bit.  From the repository root:
+
+    PYTHONPATH=src python3 tests/check_exact_pool.py
+
+It exits with status 1 if any point differs.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import sys
+
+from qwire import WireParams, exact_covariance
+
+POOL = (pathlib.Path(__file__).resolve().parent.parent
+        / "perfbench" / "data" / "points.json")
+_UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
+
+
+def pool_mismatches(ids=None) -> list:
+    """Ids of the pool points (all, or those in ids) whose recomputed
+    covariance is not bit-identical to the frozen one."""
+    points = json.loads(POOL.read_text(encoding="utf-8"))["points"]
+    out = []
+    for point in points:
+        if ids is not None and point["id"] not in ids:
+            continue
+        gamma, _ = exact_covariance(WireParams(**point["params"]))
+        if [float(gamma[i, j]) for i, j in _UPPER] != point["exact"]:
+            out.append(point["id"])
+    return out
+
+
+if __name__ == "__main__":
+    bad = pool_mismatches()
+    print(json.dumps({"mismatched_ids": bad}))
+    sys.exit(1 if bad else 0)

@@ -1,8 +1,10 @@
 """Independent reference implementations used only by the tests.
 
-Everything here works on truncated Fock-space matrices and deliberately
-avoids the covariance-level formulas of the package, so agreement between
-the two is meaningful evidence of correctness.
+Almost everything here works on truncated Fock-space matrices and
+deliberately avoids the covariance-level formulas of the package, so
+agreement between the two is meaningful evidence of correctness.  The
+exception is the per-node quadrature at the end, the reference of the
+exact solver's batched integrand evaluation.
 """
 
 from __future__ import annotations
@@ -218,3 +220,21 @@ def thermal_product_gibbs(n_c: float, n_h: float) -> np.ndarray:
         nu = n + 0.5
         return math.log((nu + 0.5) / (nu - 0.5))
     return np.diag([beta(n_c), beta(n_c), beta(n_h), beta(n_h)])
+
+
+# ---------------------------------------------------------------------------
+# exact solver
+
+def per_node_exact_integral(params, spec) -> tuple:
+    """quad_vec of the exact solver's ten integrands, one call per node.
+
+    This is how quad_vec evaluates an integrand by itself; the batched
+    solver must reproduce its (values, error, info) bit for bit.
+    """
+    from scipy.integrate import quad_vec
+    from qwire.exact import _breakpoints, _integrand_matrix
+    max_omega = spec.max_omega_factor * params.cutoff
+    return quad_vec(lambda w: _integrand_matrix(float(w), params),
+                    0.0, max_omega, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                    limit=spec.limit, points=_breakpoints(params, max_omega),
+                    norm="max", full_output=True)

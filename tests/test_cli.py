@@ -100,7 +100,7 @@ class TestLogGrid:
         assert grid == pytest.approx([1e-2, 1e-1, 1.0])
 
     def test_errors(self):
-        for bad in ("1:2", "a:b:c", "0:1:5", "1:2:0"):
+        for bad in ("1:2", "a:b:c", "0:1:5", "1:2:0", "nan:1:5", "1:inf:5"):
             with pytest.raises(CliError):
                 parse_log_grid(bad)
 
@@ -131,6 +131,14 @@ class TestSteady:
         assert code == 1
         assert json.loads(err.strip().splitlines()[-1])["error"] == \
             "invalid_arguments"
+
+    def test_non_finite_parameter_is_exit_1(self, capsys):
+        for flag, value in (("--k", "nan"), ("--t-h", "inf")):
+            code, _, err = run(capsys, "steady", "--scenario", "fig1a",
+                               flag, value)
+            assert code == 1
+            assert json.loads(err.strip().splitlines()[-1])["error"] == \
+                "invalid_arguments"
 
     def test_unknown_scenario_is_exit_1(self, capsys):
         code, *_ = run(capsys, "steady", "--scenario", "fig9z", "--k", "1")

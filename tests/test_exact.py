@@ -1,6 +1,8 @@
-"""Exact Langevin solver: kernel identities, tails, cross-method checks
-and an independent time-domain oracle with explicitly discretized baths."""
+"""Exact Langevin solver: kernel identities, tails, cross-method checks,
+an independent time-domain oracle with explicitly discretized baths, and
+the batched quadrature against node-by-node evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +12,27 @@ from scipy.integrate import quad
 from qwire import (WireParams, exact_covariance, exact_heat_current,
                    exact_steady_state, redfield_steady_state,
                    spectral_density)
-from qwire.exact import (QuadratureSpec, chi_hat, integrand_probe,
-                         shifted_frequency_sq)
+from qwire.exact import (QuadratureSpec, _BatchedIntegrand, _integrate,
+                         chi_hat, integrand_probe, shifted_frequency_sq)
 from qwire import gaussian
-from conftest import NEAR_DEGENERATE, WIDE_GAP, with_k
+from check_exact_pool import pool_mismatches
+from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
+from oracles import per_node_exact_integral
+
+#: a low-temperature benchmark pool point whose breakpoints
+#: 1.1521177586249618 and 1.152117758624962 nearly coincide, so that
+#: quad_vec asks for some nodes more than once
+POOL_POINT_2 = WireParams(omega_c=1.0, omega_h=2.0, k=1.5576718272687372e-08,
+                          t_c=0.013685095221867246, t_h=0.026062900051957733,
+                          lambda_sq=0.0003273753141622878, cutoff=1000.0)
+
+BATCH_CASES = {
+    "fig1a k=0.01": with_k(WIDE_GAP, 0.01),
+    "fig1b k=1e-4": with_k(NEAR_DEGENERATE, 1e-4),
+    "fig1a t_c=0.01": dataclasses.replace(with_k(WIDE_GAP, 0.01), t_c=0.01),
+    "fig2c k=1e5": with_k(RESONANT_STRONG, 1e5),
+    "pool point 2": POOL_POINT_2,
+}
 
 
 class TestDissipationKernel:
@@ -129,6 +148,55 @@ class TestSteadyState:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_omega_factor=0.5)
+        for field in ("rel_tol", "abs_tol", "max_omega_factor", "limit"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    QuadratureSpec(**{field: bad})
+
+
+class TestBatchedQuadrature:
+    """quad_vec with the batched integrand against quad_vec calling the
+    integrand one node at a time."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_matches_per_node_oracle_bit_for_bit(self, name):
+        p = BATCH_CASES[name]
+        values, err, info, integrand = _integrate(p, QuadratureSpec())
+        ref_values, ref_err, ref_info = per_node_exact_integral(
+            p, QuadratureSpec())
+        assert np.array_equal(values, ref_values)
+        assert err == ref_err
+        assert np.array_equal(info.intervals, ref_info.intervals)
+        assert info.neval == ref_info.neval
+        assert integrand.misses == 0
+
+    def test_probe_work(self):
+        """The benchmark's probe point: 2352 nodes on 60 subintervals,
+        every one of them from a batch."""
+        _, _, info, integrand = _integrate(with_k(WIDE_GAP, 0.01),
+                                           QuadratureSpec())
+        assert (info.neval, len(info.intervals)) == (2352, 60)
+        assert len(integrand.memo) == 2352
+        assert integrand.misses == 0
+
+    def test_without_batches_every_node_falls_back(self, monkeypatch):
+        p = with_k(WIDE_GAP, 0.01)
+        batched, _, _, _ = _integrate(p, QuadratureSpec())
+        monkeypatch.setattr(_BatchedIntegrand, "prefill",
+                            lambda self, intervals: None)
+        values, _, info, integrand = _integrate(p, QuadratureSpec())
+        assert integrand.misses == info.neval
+        assert np.array_equal(values, batched)
+
+    def test_unknown_work_items_are_passed_through(self):
+        integrand = _BatchedIntegrand(WIDE_GAP)
+        assert list(integrand.map(str, [1, (2, 3)])) == ["1", "(2, 3)"]
+        assert integrand.memo == {}
+
+    def test_frozen_benchmark_covariances_reproduced(self):
+        """Every exact covariance frozen in perfbench/data/points.json,
+        bit for bit."""
+        assert pool_mismatches() == []
 
 
 @pytest.mark.slow

@@ -108,6 +108,16 @@ class TestHeatCurrents:
         res = lme_steady_state(with_k(WIDE_GAP, 0.5))
         assert res.qdot_h < 0.0
 
+    def test_k_squared_scaling_at_weak_coupling(self):
+        """The currents keep their k^2 law and their balance down to
+        k = 1e-12, far below where the dissipator-sum form loses them."""
+        ref = lme_steady_state(with_k(WIDE_GAP, 1e-12)).qdot_h / 1e-24
+        assert ref < 0.0
+        for k in (1e-8, 1e-9, 1e-10, 1e-11):
+            res = lme_steady_state(with_k(WIDE_GAP, k))
+            assert res.qdot_h / k**2 == pytest.approx(ref, rel=1e-7)
+            assert abs(res.qdot_c + res.qdot_h) <= 1e-14 * abs(res.qdot_h)
+
     def test_balance(self):
         res = lme_steady_state(OFF_RESONANT)
         assert res.qdot_c + res.qdot_h == pytest.approx(

@@ -38,6 +38,16 @@ class TestValidation:
             with pytest.raises(ValueError):
                 WireParams(**kwargs)
 
+    def test_rejects_non_finite_values(self):
+        for field in ("omega_c", "omega_h", "k", "t_c", "t_h", "lambda_sq",
+                      "cutoff"):
+            for bad in (math.nan, math.inf, -math.inf):
+                kwargs = dict(omega_c=1.0, omega_h=2.0, k=0.1, t_c=2.0,
+                              t_h=3.0, lambda_sq=1e-3, cutoff=1e3)
+                kwargs[field] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    WireParams(**kwargs)
+
     def test_swapped_exchanges_labels(self):
         p = wire()
         q = p.swapped()
