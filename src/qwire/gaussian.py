@@ -11,12 +11,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import WireParams
 
 # nu may sit this far below 1/2 from round-off and still be clamped
 PHYSICALITY_TOL = 1e-9
+#: the discord search's grid spans squeezings in [1/_S_MAX, _S_MAX]
+_S_MAX = 1e3
+#: the polisher may approach the homodyne (s -> inf) limit well beyond
+#: the grid range; cap ln s where float64 is still comfortable
+_LOG_S_CAP = max(math.log(_S_MAX), math.log(1e9))
 
 
 class NonPhysicalStateError(ValueError):
@@ -35,31 +39,34 @@ def symplectic_form(n_modes: int = 2) -> np.ndarray:
 def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a 2x2 or 4x4 covariance matrix, descending.
 
-    Uses the closed form in the symplectic invariants: for one mode
-    nu = sqrt(det G); for two modes nu^2 = (D +- sqrt(D^2 - 4 det G))/2
-    with D = det A + det B + 2 det C.
+    With the Cholesky factor 2G = L L^T, the Hermitian matrix i L^T J L
+    has eigenvalues +-2 nu.  Its eigensolve is accurate to rounding even
+    near pure states, where the invariant formula
+    nu^2 = (D +- sqrt(D^2 - 4 det G))/2 loses about half the digits.
+    Factoring 2G rather than G keeps the vacuum exact: nu = 1/2.  A matrix
+    that is not positive definite, or not finite, is no covariance; it
+    gets zeros.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape == (2, 2):
-        return np.array([math.sqrt(max(np.linalg.det(gamma), 0.0))])
-    if gamma.shape != (4, 4):
+    if gamma.shape not in ((2, 2), (4, 4)):
         raise ValueError("expected a 2x2 or 4x4 covariance matrix")
-    a = np.linalg.det(gamma[:2, :2])
-    b = np.linalg.det(gamma[2:, 2:])
-    c = np.linalg.det(gamma[:2, 2:])
-    dtot = np.linalg.det(gamma)
-    delta = a + b + 2.0 * c
-    disc = max(delta * delta - 4.0 * dtot, 0.0)
-    root = math.sqrt(disc)
-    nu_sq = np.array([(delta + root) / 2.0, (delta - root) / 2.0])
-    return np.sqrt(np.clip(nu_sq, 0.0, None))
+    n = gamma.shape[0] // 2
+    if not np.isfinite(gamma).all():
+        return np.zeros(n)
+    try:
+        low = np.linalg.cholesky(2.0 * gamma)
+    except np.linalg.LinAlgError:
+        return np.zeros(n)
+    herm = 1j * (low.T @ symplectic_form(n) @ low)
+    return 0.5 * np.linalg.eigvalsh(herm)[n:][::-1]
 
 
 def _checked_nus(gamma: np.ndarray, tol: float = PHYSICALITY_TOL) -> np.ndarray:
     nus = symplectic_eigenvalues(gamma)
     if nus[-1] < 0.5 - tol:
         raise NonPhysicalStateError(
-            f"smallest symplectic eigenvalue {nus[-1]:.6g} < 1/2")
+            "smallest symplectic eigenvalue below 1/2: "
+            f"nu_min - 1/2 = {nus[-1] - 0.5:.3e}")
     return np.maximum(nus, 0.5)
 
 
@@ -167,58 +174,168 @@ def _conditional_entropies(a, b, c, s_vals, phi_vals):
     return out
 
 
+def _conditional_entropy(a, b, c, s, phi):
+    """_conditional_entropies at one seed, on Python floats.
+
+    a, b and c are the blocks as nested lists.  The operations and their
+    order are those of the array kernel, so the two agree bit for bit:
+    x * x for x**2, and max(d, 0.25), which keeps a NaN as np.clip does.
+    cos, sin and log are numpy's, because math.log can differ from
+    numpy's SIMD log in the last bit.  Raises ZeroDivisionError where the
+    array kernel would divide by zero.
+    """
+    co = float(np.cos(phi))
+    si = float(np.sin(phi))
+    co2 = co * co
+    si2 = si * si
+    m11 = 0.5 * (s * co2 + si2 / s)
+    m22 = 0.5 * (s * si2 + co2 / s)
+    m12 = 0.5 * (s - 1.0 / s) * co * si
+    t11 = b[0][0] + m11
+    t22 = b[1][1] + m22
+    t12 = b[0][1] + m12
+    det_t = t11 * t22 - t12 * t12
+    (c11, c12), (c21, c22) = c
+    q11 = (c11 * (t22 * c11 - t12 * c12) + c12 * (t11 * c12 - t12 * c11)) / det_t
+    q22 = (c21 * (t22 * c21 - t12 * c22) + c22 * (t11 * c22 - t12 * c21)) / det_t
+    q12 = (c11 * (t22 * c21 - t12 * c22) + c12 * (t11 * c22 - t12 * c21)) / det_t
+    a11 = a[0][0] - q11
+    a22 = a[1][1] - q22
+    a12 = a[0][1] - q12
+    nu = math.sqrt(max(a11 * a22 - a12 * a12, 0.25))
+    up = nu + 0.5
+    dn = nu - 0.5
+    out = up * float(np.log(up))
+    if dn > 0.0:
+        out -= dn * float(np.log(dn))
+    return out
+
+
+def _polish_cost(a, b, c):
+    """Conditional entropy at (ln s, phi) as minimized by the polish."""
+    blocks = (a.tolist(), b.tolist(), c.tolist())
+
+    def cost(x, y):
+        # keep the polisher inside the sane squeezing range
+        if abs(x) > _LOG_S_CAP:
+            return 1e6 + abs(x)
+        s = math.exp(x)
+        try:
+            out = _conditional_entropy(*blocks, s, y)
+        except ZeroDivisionError:
+            # det(B + G_m) >= 1 for a physical state, so this needs a
+            # rounding accident; numpy's inf/nan rules then decide
+            out = float(_conditional_entropies(a, b, c, np.array([s]),
+                                               np.array([y]))[0, 0])
+        return out if math.isfinite(out) else 1e6
+
+    return cost
+
+
+def _nelder_mead_2d(cost, x0: float, y0: float) -> float:
+    """Smallest cost found by Nelder-Mead from (x0, y0).
+
+    Replays scipy.optimize.minimize(method="Nelder-Mead") with its
+    non-adaptive coefficients and xatol=1e-12, fatol=1e-13, maxiter=400
+    step for step on Python floats, so it returns the same minimum bit
+    for bit: the same initial simplex, the same reflect, expand,
+    contract and shrink steps, and the same stable re-sort of the
+    vertices after each step.
+    """
+    sim = [(x0, y0),
+           ((1 + 0.05) * x0 if x0 != 0 else 0.00025, y0),
+           (x0, (1 + 0.05) * y0 if y0 != 0 else 0.00025)]
+    fsim = [cost(x, y) for x, y in sim]
+    # scipy counts iterations from 1 and stops when they reach maxiter
+    for _ in range(399):
+        order = sorted(range(3), key=fsim.__getitem__)
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+        (xb, yb), (xn, yn), (xw, yw) = sim
+        if (max(abs(xn - xb), abs(yn - yb), abs(xw - xb), abs(yw - yb))
+                <= 1e-12 and max(abs(fsim[0] - fsim[1]),
+                                 abs(fsim[0] - fsim[2])) <= 1e-13):
+            break
+        xm = (xb + xn) / 2
+        ym = (yb + yn) / 2
+        xr, yr = 2 * xm - xw, 2 * ym - yw
+        fr = cost(xr, yr)
+        if fr < fsim[0]:
+            xe, ye = 3 * xm - 2 * xw, 3 * ym - 2 * yw
+            fe = cost(xe, ye)
+            sim[2], fsim[2] = ((xe, ye), fe) if fe < fr else ((xr, yr), fr)
+        elif fr < fsim[1]:
+            sim[2], fsim[2] = (xr, yr), fr
+        else:
+            if fr < fsim[2]:
+                # outside contraction
+                xc, yc = 1.5 * xm - 0.5 * xw, 1.5 * ym - 0.5 * yw
+                fc = cost(xc, yc)
+                shrink = not fc <= fr
+            else:
+                # inside contraction
+                xc, yc = 0.5 * xm + 0.5 * xw, 0.5 * ym + 0.5 * yw
+                fc = cost(xc, yc)
+                shrink = not fc < fsim[2]
+            if shrink:
+                for j in (1, 2):
+                    xj, yj = sim[j]
+                    sim[j] = (xb + 0.5 * (xj - xb), yb + 0.5 * (yj - yb))
+                    fsim[j] = cost(*sim[j])
+            else:
+                sim[2], fsim[2] = (xc, yc), fc
+    return min(fsim)
+
+
+def _grid_search(a, b, c, n_squeeze: int, n_angle: int) -> tuple:
+    """Grid minimum of the conditional entropy and the polish starts.
+
+    The starts, as (ln s, phi), are the few best grid points that are not
+    neighbours of an already-used start, so distinct shallow basins are
+    all explored.
+    """
+    s_vals = np.logspace(math.log10(1.0 / _S_MAX), math.log10(_S_MAX),
+                         n_squeeze)
+    phi_vals = np.linspace(0.0, math.pi, n_angle, endpoint=False)
+    cond = _conditional_entropies(a, b, c, s_vals, phi_vals)
+    flat_order = np.argsort(cond, axis=None)
+    seeds = []
+    for flat in flat_order[:40]:
+        js, jp = np.unravel_index(flat, cond.shape)
+        if all(abs(js - i) > 3 or min(abs(jp - j), n_angle - abs(jp - j)) > 3
+               for i, j in seeds):
+            seeds.append((js, jp))
+        if len(seeds) == 3:
+            break
+    best = float(cond.flat[flat_order[0]])
+    return best, [(math.log(s_vals[js]), float(phi_vals[jp]))
+                  for js, jp in seeds]
+
+
+def _min_conditional_entropy(a, b, c, n_squeeze: int = 200,
+                             n_angle: int = 64) -> float:
+    """min over pure Gaussian measurement seeds of S(A | m): grid search,
+    then a Nelder-Mead polish from each start."""
+    best, starts = _grid_search(a, b, c, n_squeeze, n_angle)
+    cost = _polish_cost(a, b, c)
+    for x0, y0 in starts:
+        best = min(best, _nelder_mead_2d(cost, x0, y0))
+    return best
+
+
 def gaussian_discord(gamma: np.ndarray, measured_node: str = "h",
-                     n_squeeze: int = 200, n_angle: int = 64,
-                     s_max: float = 1e3, refine: bool = True) -> float:
+                     n_squeeze: int = 200, n_angle: int = 64) -> float:
     """Gaussian quantum discord revealed by measuring one node.
 
     Q = S(G_B) - S(G_AB) + min_m S(A | m), minimizing the conditional
     entropy over pure single-mode Gaussian measurement seeds on a dense
-    (squeezing x angle) grid followed by coordinate-descent refinement.
+    (squeezing x angle) grid, squeezings log-spaced in [1/_S_MAX, _S_MAX],
+    followed by Nelder-Mead polishes from the best grid points.
     """
     gamma = np.asarray(gamma, dtype=float)
     _checked_nus(gamma)
     a, b, c = _blocks(gamma, measured_node)
-    s_vals = np.logspace(math.log10(1.0 / s_max), math.log10(s_max), n_squeeze)
-    phi_vals = np.linspace(0.0, math.pi, n_angle, endpoint=False)
-    cond = _conditional_entropies(a, b, c, s_vals, phi_vals)
-    flat_order = np.argsort(cond, axis=None)
-    i_s, i_phi = np.unravel_index(flat_order[0], cond.shape)
-    best = float(cond[i_s, i_phi])
-
-    if refine:
-        # the polisher may approach the homodyne (s -> inf) limit well
-        # beyond the grid range; cap where float64 is still comfortable
-        log_s_cap = max(math.log(s_max), math.log(1e9))
-
-        def cost(z):
-            # keep the polisher inside the sane squeezing range
-            if abs(z[0]) > log_s_cap:
-                return 1e6 + abs(z[0])
-            val = _conditional_entropies(a, b, c,
-                                         np.array([math.exp(z[0])]),
-                                         np.array([z[1]]))
-            out = float(val[0, 0])
-            return out if math.isfinite(out) else 1e6
-
-        # polish from the few best grid points that are not neighbours of
-        # an already-used seed, so distinct shallow basins are all explored
-        seeds = []
-        for flat in flat_order[:40]:
-            js, jp = np.unravel_index(flat, cond.shape)
-            if all(abs(js - i) > 3 or min(abs(jp - j), n_angle
-                                          - abs(jp - j)) > 3
-                   for i, j in seeds):
-                seeds.append((js, jp))
-            if len(seeds) == 3:
-                break
-        for js, jp in seeds:
-            start = np.array([math.log(s_vals[js]), phi_vals[jp]])
-            res = minimize(cost, start, method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-13,
-                                    "maxiter": 400})
-            best = min(best, float(res.fun))
-
+    best = _min_conditional_entropy(a, b, c, n_squeeze, n_angle)
     q = entropy(np.array(b)) - entropy(gamma) + best
     return max(q, 0.0)
 

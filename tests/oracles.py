@@ -3,8 +3,10 @@
 Almost everything here works on truncated Fock-space matrices and
 deliberately avoids the covariance-level formulas of the package, so
 agreement between the two is meaningful evidence of correctness.  The
-exception is the per-node quadrature at the end, the reference of the
-exact solver's batched integrand evaluation.
+exceptions are the last two sections: the per-node quadrature, the
+reference of the exact solver's batched integrand evaluation, and the
+scipy Nelder-Mead polish, the reference of the discord search's
+plain-float one.
 """
 
 from __future__ import annotations
@@ -238,3 +240,41 @@ def per_node_exact_integral(params, spec) -> tuple:
                     0.0, max_omega, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                     limit=spec.limit, points=_breakpoints(params, max_omega),
                     norm="max", full_output=True)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian discord
+
+def scipy_polish(a, b, c, starts) -> list:
+    """Minimum of each Nelder-Mead polish of the discord search, by
+    scipy.optimize.minimize on the array kernel.
+
+    starts are the (ln s, phi) pairs of gaussian._grid_search; the
+    plain-float gaussian._nelder_mead_2d must reproduce every value bit
+    for bit.
+    """
+    from scipy.optimize import minimize
+    from qwire.gaussian import _LOG_S_CAP, _conditional_entropies
+
+    def cost(z):
+        if abs(z[0]) > _LOG_S_CAP:
+            return 1e6 + abs(z[0])
+        val = _conditional_entropies(a, b, c, np.array([math.exp(z[0])]),
+                                     np.array([z[1]]))
+        out = float(val[0, 0])
+        return out if math.isfinite(out) else 1e6
+
+    return [float(minimize(cost, np.array(start), method="Nelder-Mead",
+                           options={"xatol": 1e-12, "fatol": 1e-13,
+                                    "maxiter": 400}).fun)
+            for start in starts]
+
+
+def min_conditional_entropy(a, b, c) -> float:
+    """The discord search's minimum with the scipy polish: the reference
+    of gaussian._min_conditional_entropy."""
+    from qwire.gaussian import _grid_search
+    best, starts = _grid_search(a, b, c, 200, 64)
+    for fun in scipy_polish(a, b, c, starts):
+        best = min(best, fun)
+    return best
