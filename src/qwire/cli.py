@@ -85,6 +85,18 @@ def _fail(kind: str, message: str, code: int) -> int:
     return code
 
 
+def _strict(value):
+    """value with every non-finite float replaced by None, so that it
+    dumps as strict JSON (null, never NaN or Infinity)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def parse_log_grid(text: str) -> list:
     """Parse 'start:stop:npoints' into a log-spaced grid."""
     parts = text.split(":")
@@ -241,7 +253,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
            "scenario": scenario.as_dict(),
            "measured_node": args.measured_node,
            "methods": methods}
-    print(json.dumps(doc))
+    print(json.dumps(_strict(doc), allow_nan=False))
     return 0
 
 
@@ -252,6 +264,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     jobs = _resolve_jobs(args, config.get("jobs"))
     rows = sweep(scenario.params, scenario.axis, scenario.grid,
                  measured_node=args.measured_node, jobs=jobs)
+    for row in rows:
+        for method, message in row.errors.items():
+            print(json.dumps({"warning": "method_failed",
+                              "axis_value": row.axis_value,
+                              "method": method, "message": message},
+                             allow_nan=False), file=sys.stderr)
     header = list(CSV_COLUMNS)
     header[0] = scenario.axis
     lines = [",".join(header)]

@@ -3,18 +3,21 @@
 Every covariance is a single integral over the real frequency axis of a
 rational-times-coth kernel.  The integrand has resonances of width of
 order lambda^2 near the (shifted) normal-mode frequencies, so the
-adaptive quadrature is seeded with mandatory breakpoints there.  Its
-integrand is evaluated a round of subintervals at a time, and gives the
-same bits as node-by-node evaluation (see _BatchedIntegrand).
+adaptive quadrature is seeded with mandatory breakpoints there.  The
+quadrature is the global-error adaptive Gauss-Kronrod scheme of QUADPACK
+(Piessens et al., 1983) as quad_vec implements it, replayed in numpy with
+the 21 nodes of a whole round of subintervals evaluated at once; it gives
+quad_vec's results bit for bit (see _integrate).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .model import WireParams, secular_validity_margin
 from .results import SteadyStateResult
@@ -26,8 +29,10 @@ _IS_MOMENTUM = (False, True, False, True)
 #: upper-triangular element order used internally
 _ELEMENTS = [(i, j) for i in range(4) for j in range(i, 4)]
 
-#: abscissae of the 21-point Gauss-Kronrod rule, quad_vec's rule on
-#: finite intervals, with the same decimal digits as scipy's
+#: the 21-point Gauss-Kronrod rule that quad_vec applies on finite
+#: intervals, with QUADPACK's decimal digits: abscissae, Kronrod weights,
+#: and the weights of the embedded 10-point Gauss rule, whose nodes are
+#: the odd-numbered abscissae
 _GK21_HALF = (0.995657163025808080735527280689003,
               0.973906528517171720077964012084452,
               0.930157491355708226001207180059508,
@@ -40,6 +45,27 @@ _GK21_HALF = (0.995657163025808080735527280689003,
               0.148874338981631210884826001129720)
 _GK21_NODES = np.array(_GK21_HALF + (0.0,)
                        + tuple(-x for x in reversed(_GK21_HALF)))
+_KRONROD_HALF = (0.011694638867371874278064396062192,
+                 0.032558162307964727478818972459390,
+                 0.054755896574351996031381300244580,
+                 0.075039674810919952767043140916190,
+                 0.093125454583697605535065465083366,
+                 0.109387158802297641899210590325805,
+                 0.123491976262065851077958109831074,
+                 0.134709217311473325928054001771707,
+                 0.142775938577060080797094273138717,
+                 0.147739104901338491374841515972068)
+_KRONROD = np.array(_KRONROD_HALF + (0.149445554002916905664936468389821,)
+                    + tuple(reversed(_KRONROD_HALF)))[:, None, None]
+_GAUSS_HALF = (0.066671344308688137593568809893332,
+               0.149451349150580593145776339657697,
+               0.219086362515982043995534934228163,
+               0.269266719309996355091226921569469,
+               0.295524224714752870173892994651338)
+_GAUSS = np.array(_GAUSS_HALF + tuple(reversed(_GAUSS_HALF)))[:, None, None]
+
+#: quad_vec subdivides at most this many intervals per round
+_MAX_ROUND = 128
 
 
 class QuadratureError(RuntimeError):
@@ -175,88 +201,157 @@ def _breakpoints(params: WireParams, max_omega: float) -> list:
     return sorted(p for p in pts if 0.0 < p < max_omega)
 
 
-class _BatchedIntegrand:
-    """The integrand of quad_vec, evaluated a whole round of nodes at once.
+def _added_in_order(terms: np.ndarray) -> np.ndarray:
+    """0.0 + terms[0] + terms[1] + ..., one term at a time, as quad_vec's
+    loops add them; np.sum and @ would reorder the additions."""
+    terms[0] += 0.0
+    return np.add.accumulate(terms, axis=0)[-1]
 
-    quad_vec asks for one node at a time.  It hands each round of interval
-    subdivisions to its `workers` map, so map() first computes the GK21
-    nodes of every interval that round will integrate, exactly as
-    quad_vec's rule does, and evaluates them in one _integrand_matrix
-    call.  The nodes are then answered from the memo.  A node the memo
-    lacks, e.g. after a change of quad_vec's private work-item layout, is
-    evaluated on its own and counted in `misses`: slower, never different.
+
+def _gk21(a: np.ndarray, b: np.ndarray, params: WireParams) -> tuple:
+    """GK21 integrals of the ten integrands over n intervals [a, b].
+
+    Evaluates the 21 nodes of every interval in one _integrand_matrix
+    call.  Every sum is accumulated node by node from 0.0, in quad_vec's
+    order, and the error shaping is done on Python floats, so each
+    interval gets quad_vec's (integral, error, rounding error) bit for
+    bit.  Returns an (n, 10) array and two lists of n floats.
     """
-
-    def __init__(self, params: WireParams):
-        self.params = params
-        self.memo: dict = {}
-        self.misses = 0
-
-    def __call__(self, omega: float) -> np.ndarray:
-        try:
-            return self.memo[omega]
-        except KeyError:
-            self.misses += 1
-            return _integrand_matrix(omega, self.params)
-
-    def prefill(self, intervals: list) -> None:
-        """Evaluate the GK21 nodes c + h x_i of every (a, b) interval."""
-        if not intervals:
-            return
-        a, b = np.array(intervals, dtype=float).T
-        c, h = 0.5 * (a + b), 0.5 * (b - a)
-        nodes = (c[:, None] + h[:, None] * _GK21_NODES).ravel()
-        values = np.ascontiguousarray(_integrand_matrix(nodes, self.params).T)
-        self.memo.update(zip(nodes.tolist(), values))
-
-    def map(self, func, items):
-        """quad_vec's map over its (interval, f, norm, rule) work items.
-
-        Prefills both halves of each interval, and the interval itself
-        when quad_vec no longer holds its integral and recomputes it.
-        """
-        items = list(items)
-        intervals = []
-        try:
-            for (_, a, b, old_int), *_ in items:
-                c = 0.5 * (a + b)
-                intervals += [(a, c), (c, b)]
-                if old_int is None:
-                    intervals.append((a, b))
-        except (TypeError, ValueError):
-            intervals = []   # unknown layout: every node falls back
-        self.prefill(intervals)
-        return map(func, items)
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    f = _integrand_matrix((c + h * _GK21_NODES[:, None]).ravel(), params)
+    # axes: node, element, interval
+    f = f.reshape(10, 21, len(a)).transpose(1, 0, 2)
+    s_k = _added_in_order(_KRONROD * f)
+    s_k_abs = _added_in_order(_KRONROD * np.abs(f))
+    s_g = _added_in_order(_GAUSS * f[1::2])
+    s_k_dabs = _added_in_order(_KRONROD * np.abs(f - s_k / 2.0))
+    err = np.abs((s_k - s_g) * h).max(axis=0).tolist()
+    dabs = np.abs(s_k_dabs * h).max(axis=0).tolist()
+    rounding = np.abs(50 * sys.float_info.epsilon * h * s_k_abs).max(
+        axis=0).tolist()
+    for i, (e, d, r) in enumerate(zip(err, dabs, rounding)):
+        if d != 0 and e != 0:
+            e = d * min(1.0, (200 * e / d)**1.5)
+        if r > sys.float_info.min:
+            e = max(e, r)
+        err[i] = e
+    return (h * s_k).T, err, rounding
 
 
-def _integrate(params: WireParams, spec: QuadratureSpec) -> tuple:
-    """quad_vec of the ten integrands over [0, max_omega], batched.
+@dataclass(frozen=True)
+class _Quadrature:
+    """What quad_vec(..., full_output=True) reports of one integration."""
 
-    Returns quad_vec's (values, error, info) and the integrand object.
+    values: np.ndarray
+    error: float
+    status: int          # 0 converged, 1 limit reached, 2 rounding, 3 NaN
+    neval: int
+    intervals: np.ndarray   # (n, 2), in heap order
+
+    @property
+    def success(self) -> bool:
+        return self.status == 0
+
+
+def _integrate(params: WireParams, spec: QuadratureSpec) -> _Quadrature:
+    """quad_vec's adaptive GK21 scheme for the ten integrands on
+    [0, max_omega], replayed with one batched _gk21 call per round.
+
+    This is quad_vec(f, 0, max_omega, epsabs, epsrel, limit, points,
+    norm="max", full_output=True) step for step: the same heap of
+    (-err, a, b), the same rounds of up to 128 intervals with the
+    largest errors (a round stops once the popped errors exceed
+    global_error - tol/8), the same cache of interval integrals, the
+    same accumulation in pop order and the same termination tests.  It
+    therefore returns quad_vec's values, error, status, neval and
+    intervals bit for bit.  quad_vec's cache is an LRU dict that evicts
+    beyond about 5e5 interval integrals; this one never does, which
+    matters only for limits far beyond any spec in use.
     """
     max_omega = spec.max_omega_factor * params.cutoff
     edges = [0.0, *_breakpoints(params, max_omega), max_omega]
-    integrand = _BatchedIntegrand(params)
-    integrand.prefill(list(zip(edges, edges[1:])))
-    values, err, info = quad_vec(integrand, 0.0, max_omega,
-                                 epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                                 limit=spec.limit, points=edges[1:-1],
-                                 norm="max", workers=integrand.map,
-                                 full_output=True)
-    return values, err, info, integrand
+    igs, errs, roundings = _gk21(np.array(edges[:-1]), np.array(edges[1:]),
+                                 params)
+    neval = 21 * len(igs)
+    total = igs[0].copy()
+    global_error, rounding = errs[0], roundings[0]
+    for ig, err, rnd in zip(igs[1:], errs[1:], roundings[1:]):
+        total += ig
+        global_error += err
+        rounding += rnd
+    cache = dict(zip(zip(edges, edges[1:]), igs))
+    heap = [(-err, a, b) for err, a, b in zip(errs, edges, edges[1:])]
+    heapq.heapify(heap)
+
+    def tolerance():
+        return max(spec.abs_tol, spec.rel_tol * float(np.abs(total).max()))
+
+    status = 1
+    while heap and len(heap) < spec.limit:
+        tol = tolerance()
+        popped = []
+        err_sum = 0.0
+        while heap and len(popped) < _MAX_ROUND and not (
+                popped and err_sum > global_error - tol / 8):
+            neg_err, a, b = heapq.heappop(heap)
+            popped.append((-neg_err, a, 0.5 * (a + b), b,
+                           cache.pop((a, b), None)))
+            err_sum += -neg_err
+        lo, hi = [], []
+        for _, a, c, b, old in popped:
+            lo += (a, c)
+            hi += (c, b)
+            if old is None:   # a repeated degenerate interval
+                lo.append(a)
+                hi.append(b)
+        igs, errs, roundings = _gk21(np.array(lo), np.array(hi), params)
+        neval += 21 * len(igs)
+        n = 0
+        for old_err, a, c, b, old in popped:
+            left, right = n, n + 1
+            n += 2
+            if old is None:
+                old = igs[n]
+                n += 1
+            total += igs[left] + igs[right] - old
+            global_error += errs[left] + errs[right] - old_err
+            rounding += roundings[left] + roundings[right]
+            for x1, x2, m in ((a, c, left), (c, b, right)):
+                cache[x1, x2] = igs[m]
+                heapq.heappush(heap, (-errs[m], x1, x2))
+        if len(heap) >= 2:
+            if global_error < tolerance() / 8:
+                status = 0
+                break
+            if global_error < rounding:
+                status = 2
+                break
+        if not (math.isfinite(global_error) and math.isfinite(rounding)):
+            status = 3
+            break
+    return _Quadrature(total, global_error + rounding, status, neval,
+                       np.array([[a, b] for _, a, b in heap]))
+
+
+def _covariance(params: WireParams, spec: QuadratureSpec) -> tuple:
+    """Stationary covariance matrix and the quadrature that gave it."""
+    quad = _integrate(params, spec)
+    if not quad.success:
+        raise QuadratureError(
+            "covariance quadrature did not converge; "
+            f"error estimate {quad.error:.3g}")
+    gamma = np.zeros((4, 4))
+    for (i, j), v in zip(_ELEMENTS, quad.values):
+        gamma[i, j] = gamma[j, i] = v
+    return gamma, quad
 
 
 def exact_covariance(params: WireParams,
                      spec: QuadratureSpec = QuadratureSpec()) -> tuple:
     """Stationary covariance matrix and quadrature error estimate."""
-    values, err, info, _ = _integrate(params, spec)
-    if not info.success:
-        raise QuadratureError(
-            f"covariance quadrature did not converge; error estimate {err:.3g}")
-    gamma = np.zeros((4, 4))
-    for (i, j), v in zip(_ELEMENTS, values):
-        gamma[i, j] = gamma[j, i] = v
-    return gamma, float(err)
+    gamma, quad = _covariance(params, spec)
+    return gamma, quad.error
 
 
 def exact_heat_current(gamma: np.ndarray, k: float) -> tuple:
@@ -274,11 +369,13 @@ def exact_heat_current(gamma: np.ndarray, k: float) -> tuple:
 def exact_steady_state(params: WireParams,
                        spec: QuadratureSpec = QuadratureSpec()) -> SteadyStateResult:
     """Exact non-equilibrium steady state (ground truth for this model)."""
-    gamma, err = exact_covariance(params, spec)
+    gamma, quad = _covariance(params, spec)
     return SteadyStateResult(
         method="exact",
         covariance=gamma,
         heat_currents=exact_heat_current(gamma, params.k),
         diagnostics={"secular_margin": secular_validity_margin(params),
-                     "quadrature_error": err},
+                     "quadrature_error": quad.error,
+                     "neval": quad.neval,
+                     "subintervals": len(quad.intervals)},
     )

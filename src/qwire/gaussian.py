@@ -235,18 +235,18 @@ def _polish_cost(a, b, c):
 def _nelder_mead_2d(cost, x0: float, y0: float) -> float:
     """Smallest cost found by Nelder-Mead from (x0, y0).
 
-    Replays scipy.optimize.minimize(method="Nelder-Mead") with its
-    non-adaptive coefficients and xatol=1e-12, fatol=1e-13, maxiter=400
-    step for step on Python floats, so it returns the same minimum bit
-    for bit: the same initial simplex, the same reflect, expand,
-    contract and shrink steps, and the same stable re-sort of the
-    vertices after each step.
+    Replays the reference minimize(method="Nelder-Mead") of
+    tests/oracles.py, with its non-adaptive coefficients and xatol=1e-12,
+    fatol=1e-13, maxiter=400, step for step on Python floats, so it
+    returns the same minimum bit for bit: the same initial simplex, the
+    same reflect, expand, contract and shrink steps, and the same stable
+    re-sort of the vertices after each step.
     """
     sim = [(x0, y0),
            ((1 + 0.05) * x0 if x0 != 0 else 0.00025, y0),
            (x0, (1 + 0.05) * y0 if y0 != 0 else 0.00025)]
     fsim = [cost(x, y) for x, y in sim]
-    # scipy counts iterations from 1 and stops when they reach maxiter
+    # the reference counts iterations from 1 and stops at maxiter
     for _ in range(399):
         order = sorted(range(3), key=fsim.__getitem__)
         sim = [sim[i] for i in order]

@@ -3,8 +3,8 @@
 Almost everything here works on truncated Fock-space matrices and
 deliberately avoids the covariance-level formulas of the package, so
 agreement between the two is meaningful evidence of correctness.  The
-exceptions are the last two sections: the per-node quadrature, the
-reference of the exact solver's batched integrand evaluation, and the
+exceptions are the last two sections: quad_vec evaluating node by node,
+the reference of the exact solver's numpy replay of its scheme, and the
 scipy Nelder-Mead polish, the reference of the discord search's
 plain-float one.
 """
@@ -230,8 +230,9 @@ def thermal_product_gibbs(n_c: float, n_h: float) -> np.ndarray:
 def per_node_exact_integral(params, spec) -> tuple:
     """quad_vec of the exact solver's ten integrands, one call per node.
 
-    This is how quad_vec evaluates an integrand by itself; the batched
-    solver must reproduce its (values, error, info) bit for bit.
+    This is how quad_vec evaluates an integrand by itself; the solver's
+    replay, qwire.exact._integrate, must reproduce its values, error,
+    status, neval and intervals bit for bit.
     """
     from scipy.integrate import quad_vec
     from qwire.exact import _breakpoints, _integrand_matrix

@@ -2,9 +2,12 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
+from qwire import compare
 from qwire.cli import (CSV_COLUMNS, PRESETS, main, parse_log_grid,
                        load_config, CliError)
 
@@ -13,6 +16,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def fail_local_solver(monkeypatch):
+    def broken(params):
+        raise RuntimeError("synthetic failure")
+    monkeypatch.setitem(compare._SOLVERS, "local", broken)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, qwire, qwire.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 #: the frozen preset table the package must expose
@@ -144,6 +168,24 @@ class TestSteady:
         code, *_ = run(capsys, "steady", "--scenario", "fig9z", "--k", "1")
         assert code == 1
 
+    def test_failed_method_prints_strict_json(self, capsys, monkeypatch):
+        fail_local_solver(monkeypatch)
+        code, out, _ = run(capsys, "steady", "--scenario", "fig1a",
+                           "--k", "0.01")
+        assert code == 0
+        local = strict_json(out)["methods"]["local"]
+        assert local["qdot_h"] is None and local["qdot_c"] is None
+        assert local["covariance"] == [[None] * 4] * 4
+        assert "synthetic failure" in local["diagnostics"]["error"]
+
+    def test_exact_work_counts(self, capsys):
+        code, out, _ = run(capsys, "steady", "--scenario", "fig1a",
+                           "--k", "0.01")
+        assert code == 0
+        diagnostics = strict_json(out)["methods"]["exact"]["diagnostics"]
+        assert (diagnostics["neval"], diagnostics["subintervals"]) == \
+            (2352, 60)
+
 
 class TestSweepCommand:
     def test_csv_contract(self, tmp_path, capsys):
@@ -189,6 +231,24 @@ class TestSweepCommand:
                            "1e-3", "--cutoff", "1e3")
         assert code == 1
         assert "grid" in json.loads(err.strip().splitlines()[-1])["message"]
+
+    def test_method_errors_go_to_stderr(self, tmp_path, capsys,
+                                        monkeypatch):
+        fail_local_solver(monkeypatch)
+        out_path = tmp_path / "rows.csv"
+        code, _, err = run(capsys, "sweep", "--scenario", "fig1a",
+                           "--log-grid", "1e-2:1e-1:2", "--jobs", "1",
+                           "-o", str(out_path))
+        assert code == 0
+        lines = [strict_json(line) for line in err.strip().splitlines()]
+        warnings = [line for line in lines if "warning" in line]
+        assert [(w["axis_value"], w["method"]) for w in warnings] == \
+            [(1e-2, "local"), (1e-1, "local")]
+        assert all(w["warning"] == "method_failed" and
+                   "synthetic failure" in w["message"] for w in warnings)
+        col = CSV_COLUMNS.index("local_qdot_h")
+        rows = out_path.read_text().splitlines()[1:]
+        assert [row.split(",")[col] for row in rows] == ["nan", "nan"]
 
     def test_jobs_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QWIRE_JOBS", "not-a-number")

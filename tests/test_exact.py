@@ -1,19 +1,20 @@
 """Exact Langevin solver: kernel identities, tails, cross-method checks,
 an independent time-domain oracle with explicitly discretized baths, and
-the batched quadrature against node-by-node evaluation."""
+the batched quadrature replay against quad_vec evaluating node by node."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from qwire import (WireParams, exact_covariance, exact_heat_current,
                    exact_steady_state, redfield_steady_state,
                    spectral_density)
-from qwire.exact import (QuadratureSpec, _BatchedIntegrand, _integrate,
-                         chi_hat, integrand_probe, shifted_frequency_sq)
+from qwire.exact import (QuadratureError, QuadratureSpec, _integrate, chi_hat,
+                         integrand_probe, shifted_frequency_sq)
 from qwire import gaussian
 from check_exact_pool import pool_mismatches
 from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
@@ -154,44 +155,61 @@ class TestSteadyState:
                     QuadratureSpec(**{field: bad})
 
 
+def assert_replays_quad_vec(params, spec):
+    """The replay gives quad_vec's values, error, status, neval and
+    intervals (in heap order) bit for bit, signs of zeros included."""
+    quad = _integrate(params, spec)
+    values, err, info = per_node_exact_integral(params, spec)
+    assert quad.values.tobytes() == values.tobytes()
+    assert quad.error == err
+    assert (quad.success, quad.status) == (info.success, info.status)
+    assert quad.neval == info.neval
+    assert quad.intervals.shape == info.intervals.shape
+    assert quad.intervals.tobytes() == info.intervals.tobytes()
+    return quad
+
+
 class TestBatchedQuadrature:
-    """quad_vec with the batched integrand against quad_vec calling the
-    integrand one node at a time."""
+    """The batched replay of quad_vec's adaptive GK21 scheme against
+    quad_vec calling the integrand one node at a time."""
 
     @pytest.mark.parametrize("name", sorted(BATCH_CASES))
     def test_matches_per_node_oracle_bit_for_bit(self, name):
-        p = BATCH_CASES[name]
-        values, err, info, integrand = _integrate(p, QuadratureSpec())
-        ref_values, ref_err, ref_info = per_node_exact_integral(
-            p, QuadratureSpec())
-        assert np.array_equal(values, ref_values)
-        assert err == ref_err
-        assert np.array_equal(info.intervals, ref_info.intervals)
-        assert info.neval == ref_info.neval
-        assert integrand.misses == 0
+        assert_replays_quad_vec(BATCH_CASES[name], QuadratureSpec())
 
     def test_probe_work(self):
-        """The benchmark's probe point: 2352 nodes on 60 subintervals,
-        every one of them from a batch."""
-        _, _, info, integrand = _integrate(with_k(WIDE_GAP, 0.01),
-                                           QuadratureSpec())
-        assert (info.neval, len(info.intervals)) == (2352, 60)
-        assert len(integrand.memo) == 2352
-        assert integrand.misses == 0
+        """The benchmark's probe point: 2352 nodes on 60 subintervals."""
+        quad = _integrate(with_k(WIDE_GAP, 0.01), QuadratureSpec())
+        assert (quad.neval, len(quad.intervals)) == (2352, 60)
 
-    def test_without_batches_every_node_falls_back(self, monkeypatch):
-        p = with_k(WIDE_GAP, 0.01)
-        batched, _, _, _ = _integrate(p, QuadratureSpec())
-        monkeypatch.setattr(_BatchedIntegrand, "prefill",
-                            lambda self, intervals: None)
-        values, _, info, integrand = _integrate(p, QuadratureSpec())
-        assert integrand.misses == info.neval
-        assert np.array_equal(values, batched)
+    @pytest.mark.parametrize("name, spec", [
+        ("fig1a k=0.01", QuadratureSpec(limit=8)),
+        ("fig1a k=0.01", QuadratureSpec(rel_tol=1e-15, limit=150)),
+        ("fig1b k=1e-4", QuadratureSpec(rel_tol=1e-15))],
+        ids=["limit=8", "limit=150", "rel_tol=1e-15"])
+    def test_non_convergence_matches_quad_vec(self, name, spec):
+        """limit=8 stops before the first round.  limit=150 at an
+        unreachable rel_tol stops after rounds that pop the full 128
+        intervals.  rel_tol=1e-15 alone ends on quad_vec's rounding-error
+        test."""
+        params = BATCH_CASES[name]
+        quad = assert_replays_quad_vec(params, spec)
+        assert not quad.success
+        with pytest.raises(QuadratureError, match="did not converge"):
+            exact_covariance(params, spec)
 
-    def test_unknown_work_items_are_passed_through(self):
-        integrand = _BatchedIntegrand(WIDE_GAP)
-        assert list(integrand.map(str, [1, (2, 3)])) == ["1", "(2, 3)"]
-        assert integrand.memo == {}
+    @settings(max_examples=25, deadline=None)
+    @given(omega_h=st.sampled_from([2.0, math.sqrt(1.0 + 2e-6), 1.0]),
+           log_k=st.floats(-9.0, 5.0), t_ratio=st.floats(1e-2, 3.0),
+           log_lambda_sq=st.floats(-5.0, -2.0))
+    def test_matches_quad_vec_across_decades(self, omega_h, log_k, t_ratio,
+                                             log_lambda_sq):
+        """Wide-gap, near-degenerate and resonant nodes, k over 14
+        decades, T/omega_c from 0.01 to 3 and lambda^2 over 3 decades."""
+        params = WireParams(omega_c=1.0, omega_h=omega_h, k=10.0**log_k,
+                            t_c=t_ratio, t_h=1.5 * t_ratio,
+                            lambda_sq=10.0**log_lambda_sq, cutoff=1e3)
+        assert_replays_quad_vec(params, QuadratureSpec())
 
     def test_frozen_benchmark_covariances_reproduced(self):
         """Every exact covariance frozen in perfbench/data/points.json,
