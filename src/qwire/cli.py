@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
-from .compare import SWEEP_AXES, correlation_report, solve_all, sweep
-from .exact import QuadratureError, QuadratureSpec
-from .gme import (gme_coefficients, gme_dynamics, gme_heat_currents,
-                  gme_heat_currents_from_state, gme_normal_mode_steady_state)
+from .compare import (METRIC_KEYS, SWEEP_AXES, correlation_report, metrics,
+                      solve_all, sweep)
+from .exact import QuadratureError
+from .gme import (gme_coefficients, gme_heat_currents_from_state,
+                  gme_normal_mode_steady_state)
 from .model import WireParams
 from .results import METHODS
 
@@ -48,11 +49,8 @@ PRESETS = {
 _PARAM_KEYS = ("omega_c", "omega_h", "k", "t_c", "t_h", "lambda_sq", "cutoff")
 _CONFIG_KEYS = _PARAM_KEYS + ("scenario", "axis", "log_grid", "jobs")
 
-_METRIC_KEYS = ("fidelity_to_exact", "qdot_h", "mutual_info", "discord",
-                "classical", "log_neg")
-
 CSV_COLUMNS = (["k", "secular_margin"]
-               + [f"{m}_{key}" for m in METHODS for key in _METRIC_KEYS]
+               + [f"{m}_{key}" for m in METHODS for key in METRIC_KEYS]
                + ["exact_quad_error"])
 
 
@@ -115,12 +113,15 @@ def parse_log_grid(text: str) -> list:
             np.logspace(math.log10(start), math.log10(stop), npoints)]
 
 
-def load_config(path: str) -> dict:
-    """Parse a flat `key = value` config file with `#` comments.
+def load_config(path: str | None) -> dict:
+    """Parse a flat `key = value` config file with `#` comments ({} for
+    no file).
 
     Unknown keys are an error (no silent ignoring); parse errors name the
     offending line.
     """
+    if not path:
+        return {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -157,9 +158,9 @@ def load_config(path: str) -> dict:
     return out
 
 
-def resolve_scenario(args: argparse.Namespace, need_grid: bool) -> Scenario:
+def resolve_scenario(args: argparse.Namespace, config: dict,
+                     need_grid: bool) -> Scenario:
     """Merge preset defaults, config file values and flags (flags win)."""
-    config = load_config(args.config) if args.config else {}
     name = args.scenario or config.get("scenario") or "custom"
     if name != "custom" and name not in PRESETS:
         raise CliError(f"unknown scenario {name!r}; "
@@ -226,29 +227,21 @@ def _echo_scenario(scenario: Scenario) -> None:
 
 
 def cmd_steady(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(args, need_grid=False)
+    scenario = resolve_scenario(args, load_config(args.config),
+                                need_grid=False)
     _echo_scenario(scenario)
     results = solve_all(scenario.params)
     exact = results[-1]
     methods = {}
     for res in results:
-        entry = {
+        values, error = metrics(res, exact.covariance, args.measured_node)
+        methods[res.method] = {
             "qdot_c": res.qdot_c,
-            "qdot_h": res.qdot_h,
+            **values,
             "covariance": res.covariance.tolist(),
-            "diagnostics": res.diagnostics,
+            "diagnostics": (res.diagnostics if error is None
+                            else {**res.diagnostics, "error": error}),
         }
-        if "error" not in res.diagnostics:
-            report = correlation_report(res.covariance, exact.covariance,
-                                        args.measured_node)
-            entry.update({
-                "fidelity_to_exact": report.fidelity_to_exact,
-                "mutual_info": report.mutual_information,
-                "discord": report.discord_arrow,
-                "classical": report.classical_arrow,
-                "log_neg": report.log_negativity,
-            })
-        methods[res.method] = entry
     doc = {"spec_version": SPEC_VERSION,
            "scenario": scenario.as_dict(),
            "measured_node": args.measured_node,
@@ -258,8 +251,8 @@ def cmd_steady(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else {}
-    scenario = resolve_scenario(args, need_grid=True)
+    config = load_config(args.config)
+    scenario = resolve_scenario(args, config, need_grid=True)
     _echo_scenario(scenario)
     jobs = _resolve_jobs(args, config.get("jobs"))
     rows = sweep(scenario.params, scenario.axis, scenario.grid,
@@ -276,7 +269,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         cells = [_fmt(row.axis_value), _fmt(row.secular_margin)]
         for method in METHODS:
-            cells += [_fmt(row.metrics[method][key]) for key in _METRIC_KEYS]
+            cells += [_fmt(row.metrics[method][key]) for key in METRIC_KEYS]
         cells.append(_fmt(row.exact_quad_error))
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
@@ -319,7 +312,7 @@ def _validate_checks(scenario: Scenario, measured_node: str) -> list:
     coeffs = gme_coefficients(params)
     nm = gme_normal_mode_steady_state(coeffs)
     q_state = gme_heat_currents_from_state(nm, coeffs)[1]
-    q_closed = gme_heat_currents(params, coeffs)[1]
+    q_closed = results[0].qdot_h
     denom = max(abs(q_state), abs(q_closed), 1e-300)
     add("global_current_forms_agree",
         abs(q_state - q_closed) <= 1e-11 * denom,
@@ -327,10 +320,6 @@ def _validate_checks(scenario: Scenario, measured_node: str) -> list:
     if params.t_h >= params.t_c:
         add("global_second_law", q_closed >= 0.0,
             f"qdot_h = {q_closed:.3e} with t_h >= t_c")
-    deriv = np.max(np.abs(gme_dynamics(nm, coeffs).as_vector()))
-    add("global_fixed_point",
-        deriv <= 1e-11 * max(np.max(np.abs(nm.as_vector())), 1e-300),
-        f"max derivative {deriv:.3e}")
 
     report = correlation_report(exact.covariance, exact.covariance,
                                 measured_node)
@@ -344,7 +333,8 @@ def _validate_checks(scenario: Scenario, measured_node: str) -> list:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    scenario = resolve_scenario(args, need_grid=False)
+    scenario = resolve_scenario(args, load_config(args.config),
+                                need_grid=False)
     _echo_scenario(scenario)
     checks = _validate_checks(scenario, args.measured_node)
     passed = all(c["passed"] for c in checks)

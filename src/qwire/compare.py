@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gaussian
-from .exact import exact_steady_state, QuadratureSpec
+from .exact import exact_steady_state
 from .gme import gme_steady_state
 from .lme import lme_steady_state
 from .model import WireParams, secular_validity_margin
@@ -23,6 +23,10 @@ from .redfield import redfield_steady_state
 from .results import SteadyStateResult, METHODS
 
 SWEEP_AXES = ("k", "t_c", "t_h", "omega_h", "lambda_sq")
+
+#: the per-method metrics of `qwire steady` and of every sweep CSV row
+METRIC_KEYS = ("fidelity_to_exact", "qdot_h", "mutual_info", "discord",
+               "classical", "log_neg")
 
 _SOLVERS = {
     "global": gme_steady_state,
@@ -42,8 +46,7 @@ class SweepRow:
     errors: dict = field(default_factory=dict)   # method -> message
 
 
-def solve_all(params: WireParams,
-              spec: QuadratureSpec = QuadratureSpec()) -> list:
+def solve_all(params: WireParams) -> list:
     """All four steady states, exact last.
 
     Approximate-method failures are captured as error placeholders; only
@@ -58,7 +61,7 @@ def solve_all(params: WireParams,
                 method=method, covariance=np.full((4, 4), np.nan),
                 heat_currents=(math.nan, math.nan),
                 diagnostics={"error": f"{type(exc).__name__}: {exc}"}))
-    out.append(exact_steady_state(params, spec))
+    out.append(exact_steady_state(params))
     return out
 
 
@@ -83,86 +86,84 @@ def _with_axis(params: WireParams, axis: str, value: float) -> WireParams:
     return dataclasses.replace(params, **{axis: value})
 
 
+def metrics(result: SteadyStateResult, exact_cov: np.ndarray,
+            measured_node: str = "h") -> tuple:
+    """The METRIC_KEYS values of one steady state, and the error message
+    behind its NaN values (None if there is none).
+
+    A failed solver gives NaN everywhere; a state that the Gaussian
+    measures reject as non-physical keeps its heat current only.
+    """
+    values = dict.fromkeys(METRIC_KEYS, math.nan)
+    if "error" in result.diagnostics:
+        return values, result.diagnostics["error"]
+    values["qdot_h"] = result.qdot_h
+    try:
+        report = correlation_report(result.covariance, exact_cov,
+                                    measured_node)
+    except gaussian.NonPhysicalStateError as exc:
+        return values, f"NonPhysicalStateError: {exc}"
+    return dict(zip(METRIC_KEYS, (
+        report.fidelity_to_exact, result.qdot_h, report.mutual_information,
+        report.discord_arrow, report.classical_arrow,
+        report.log_negativity))), None
+
+
 def sweep_row(params: WireParams, axis: str, value: float,
-              spec: QuadratureSpec = QuadratureSpec(),
               measured_node: str = "h") -> SweepRow:
     """One fully-populated sweep row (pure function of its arguments)."""
     point = _with_axis(params, axis, value)
-    results = solve_all(point, spec)
+    results = solve_all(point)
     exact = results[-1]
-    metrics = {}
+    table = {}
     errors = {}
     for res in results:
-        if "error" in res.diagnostics:
-            errors[res.method] = res.diagnostics["error"]
-            metrics[res.method] = {key: math.nan for key in (
-                "fidelity_to_exact", "qdot_h", "mutual_info", "discord",
-                "classical", "log_neg")}
-            continue
-        try:
-            report = correlation_report(res.covariance, exact.covariance,
-                                        measured_node)
-            metrics[res.method] = {
-                "fidelity_to_exact": report.fidelity_to_exact,
-                "qdot_h": res.qdot_h,
-                "mutual_info": report.mutual_information,
-                "discord": report.discord_arrow,
-                "classical": report.classical_arrow,
-                "log_neg": report.log_negativity,
-            }
-        except gaussian.NonPhysicalStateError as exc:
-            errors[res.method] = f"NonPhysicalStateError: {exc}"
-            metrics[res.method] = {key: math.nan for key in (
-                "fidelity_to_exact", "qdot_h", "mutual_info", "discord",
-                "classical", "log_neg")}
-            metrics[res.method]["qdot_h"] = res.qdot_h
+        table[res.method], error = metrics(res, exact.covariance,
+                                           measured_node)
+        if error is not None:
+            errors[res.method] = error
     return SweepRow(
         axis_value=value,
         secular_margin=secular_validity_margin(point),
-        metrics=metrics,
+        metrics=table,
         exact_quad_error=exact.diagnostics.get("quadrature_error", math.nan),
         errors=errors,
     )
 
 
-def sweep(params: WireParams, axis: str, grid,
-          spec: QuadratureSpec = QuadratureSpec(),
-          measured_node: str = "h", jobs: int | None = None) -> list:
+def sweep(params: WireParams, axis: str, grid, measured_node: str = "h",
+          jobs: int | None = None) -> list:
     """Sweep one parameter over a grid; order-preserving and deterministic."""
     grid = [float(v) for v in grid]
     for value in grid:
         _with_axis(params, axis, value)  # validate the whole grid up front
     if jobs is None or jobs <= 1:
-        return [sweep_row(params, axis, v, spec, measured_node)
-                for v in grid]
+        return [sweep_row(params, axis, v, measured_node) for v in grid]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(sweep_row, params, axis, v, spec,
-                               measured_node) for v in grid]
+        futures = [pool.submit(sweep_row, params, axis, v, measured_node)
+                   for v in grid]
         return [f.result() for f in futures]
 
 
-def correlation_deltas(params: WireParams,
-                       spec: QuadratureSpec = QuadratureSpec(),
-                       measured_node: str = "h") -> dict:
+def correlation_deltas(params: WireParams, measured_node: str = "h") -> dict:
     """Approximate-minus-exact correlation differences per method.
 
     Returns, for each approximate method, the differences in mutual
     information, classical and quantum correlations and in the
-    covariances Gamma_14 and Gamma_13.
+    covariances Gamma_14 and Gamma_13, or the error that left it without
+    metrics.  The differences are NaN if the exact state is non-physical.
     """
-    results = solve_all(params, spec)
+    results = solve_all(params)
     exact = results[-1]
-    exact_report = correlation_report(exact.covariance, exact.covariance,
-                                      measured_node)
+    exact_values, _ = metrics(exact, exact.covariance, measured_node)
     out = {}
     for res in results[:-1]:
-        if "error" in res.diagnostics:
-            out[res.method] = {"error": res.diagnostics["error"]}
+        values, error = metrics(res, exact.covariance, measured_node)
+        if error is not None:
+            out[res.method] = {"error": error}
             continue
-        report = correlation_report(res.covariance, exact.covariance,
-                                    measured_node)
-        d_i = report.mutual_information - exact_report.mutual_information
-        d_c = report.classical_arrow - exact_report.classical_arrow
+        d_i = values["mutual_info"] - exact_values["mutual_info"]
+        d_c = values["classical"] - exact_values["classical"]
         out[res.method] = {
             "d_mutual_info": d_i,
             "d_classical": d_c,

@@ -340,14 +340,6 @@ def gaussian_discord(gamma: np.ndarray, measured_node: str = "h",
     return max(q, 0.0)
 
 
-def classical_correlations(gamma: np.ndarray, measured_node: str = "h",
-                           **kwargs) -> float:
-    """C = I - Q: classical share of the correlations."""
-    c = mutual_information(gamma) - gaussian_discord(gamma, measured_node,
-                                                     **kwargs)
-    return max(c, 0.0)
-
-
 def log_negativity(gamma: np.ndarray) -> float:
     """Logarithmic negativity from the partially transposed covariance.
 

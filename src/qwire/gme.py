@@ -68,10 +68,6 @@ class NormalModeState:
         return np.array([self.eta2_plus, self.pi2_plus, self.cross_plus,
                          self.eta2_minus, self.pi2_minus, self.cross_minus])
 
-    @staticmethod
-    def from_vector(y) -> "NormalModeState":
-        return NormalModeState(*map(float, y))
-
 
 def _mode_weight(alpha: str, sign: str, theta: float) -> float:
     # coupling weight of bath alpha to mode sign: cos^2 for (c,+) and

@@ -24,15 +24,6 @@ from .gme import gme_coefficients, GmeCoefficients
 from .lme import SingularSystemError
 from .results import SteadyStateResult
 
-#: permutation taking the minus-first ordering (eta_-, Pi_-, eta_+, Pi_+)
-#: to the plus-first normal-mode ordering (eta_+, Pi_+, eta_-, Pi_-)
-MINUS_FIRST_TO_PLUS_FIRST = np.array([
-    [0, 0, 1, 0],
-    [0, 0, 0, 1],
-    [1, 0, 0, 0],
-    [0, 1, 0, 0],
-], dtype=float)
-
 
 @dataclass(frozen=True)
 class RedfieldSystem:
@@ -110,18 +101,16 @@ def redfield_covariance(y: np.ndarray, system: RedfieldSystem) -> np.ndarray:
     n_p, n_m, d_pm, s_pm = y
     om_p = system.coeffs.modes.omega_plus
     om_m = system.coeffs.modes.omega_minus
-    # covariance in the minus-first ordering (eta_-, Pi_-, eta_+, Pi_+)
-    g = np.zeros((4, 4))
-    g[0, 0] = (0.5 + n_m) / om_m
-    g[1, 1] = om_m * (0.5 + n_m)
-    g[2, 2] = (0.5 + n_p) / om_p
-    g[3, 3] = om_p * (0.5 + n_p)
-    g[0, 2] = g[2, 0] = s_pm / (2.0 * math.sqrt(om_p * om_m))
-    g[0, 3] = g[3, 0] = -0.5 * math.sqrt(om_m / om_p) * d_pm
-    g[1, 2] = g[2, 1] = 0.5 * math.sqrt(om_p / om_m) * d_pm
-    g[1, 3] = g[3, 1] = 0.5 * math.sqrt(om_p * om_m) * s_pm
-    perm = MINUS_FIRST_TO_PLUS_FIRST
-    g_nm = perm @ g @ perm.T
+    # normal-mode covariance in the ordering (eta_+, Pi_+, eta_-, Pi_-)
+    g_nm = np.zeros((4, 4))
+    g_nm[0, 0] = (0.5 + n_p) / om_p
+    g_nm[1, 1] = om_p * (0.5 + n_p)
+    g_nm[2, 2] = (0.5 + n_m) / om_m
+    g_nm[3, 3] = om_m * (0.5 + n_m)
+    g_nm[0, 2] = g_nm[2, 0] = s_pm / (2.0 * math.sqrt(om_p * om_m))
+    g_nm[0, 3] = g_nm[3, 0] = 0.5 * math.sqrt(om_p / om_m) * d_pm
+    g_nm[1, 2] = g_nm[2, 1] = -0.5 * math.sqrt(om_m / om_p) * d_pm
+    g_nm[1, 3] = g_nm[3, 1] = 0.5 * math.sqrt(om_p * om_m) * s_pm
     rot = rotation_matrix(system.coeffs.modes.theta)
     return rot @ g_nm @ rot.T
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qwire import compare
+from qwire import cli, compare
 from qwire.cli import (CSV_COLUMNS, PRESETS, main, parse_log_grid,
                        load_config, CliError)
 
@@ -106,6 +106,29 @@ class TestConfig:
         echoed = json.loads(err.strip().splitlines()[0])
         assert echoed["resolved_scenario"]["lambda_sq"] == 1e-2
 
+    def test_sweep_reads_the_file_once_and_uses_its_jobs(
+            self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = fig1a\nlog_grid = 1e-2:1e-1:2\njobs = 2\n")
+        reads, jobs = [], []
+
+        def counted_load(path):
+            reads.append(path)
+            return load_config(path)
+
+        def spy_sweep(*args, **kwargs):
+            jobs.append(kwargs["jobs"])
+            return compare.sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_config", counted_load)
+        monkeypatch.setattr(cli, "sweep", spy_sweep)
+        monkeypatch.setenv("QWIRE_JOBS", "1")
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg),
+                         "-o", str(tmp_path / "rows.csv"))
+        assert code == 0
+        assert reads == [str(cfg)]
+        assert jobs == [2]
+
     def test_empty_file_with_full_flags(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("")
@@ -173,10 +196,33 @@ class TestSteady:
         code, out, _ = run(capsys, "steady", "--scenario", "fig1a",
                            "--k", "0.01")
         assert code == 0
-        local = strict_json(out)["methods"]["local"]
-        assert local["qdot_h"] is None and local["qdot_c"] is None
+        methods = strict_json(out)["methods"]
+        assert all(set(compare.METRIC_KEYS) <= set(entry)
+                   for entry in methods.values())
+        local = methods["local"]
+        assert all(local[key] is None for key in compare.METRIC_KEYS)
+        assert local["qdot_c"] is None
         assert local["covariance"] == [[None] * 4] * 4
         assert "synthetic failure" in local["diagnostics"]["error"]
+
+    def test_non_physical_state_is_reported_not_fatal(self, capsys):
+        # the Redfield state here has nu_min - 1/2 = -5.4e-8
+        code, out, _ = run(capsys, "steady", "--omega-c", "1",
+                           "--omega-h", "2", "--k", "1", "--t-c", "0.1",
+                           "--t-h", "0.15", "--lambda-sq", "0.1",
+                           "--cutoff", "1e3")
+        assert code == 0
+        methods = strict_json(out)["methods"]
+        redfield = methods["redfield"]
+        assert redfield["diagnostics"]["error"].startswith(
+            "NonPhysicalStateError: ")
+        assert math.isfinite(redfield["qdot_h"])
+        assert all(redfield[key] is None
+                   for key in compare.METRIC_KEYS if key != "qdot_h")
+        for method in ("global", "local", "exact"):
+            assert "error" not in methods[method]["diagnostics"]
+            assert all(math.isfinite(methods[method][key])
+                       for key in compare.METRIC_KEYS)
 
     def test_exact_work_counts(self, capsys):
         code, out, _ = run(capsys, "steady", "--scenario", "fig1a",
@@ -266,3 +312,9 @@ class TestValidate:
         doc = json.loads(out)
         assert doc["passed"]
         assert all(check["passed"] for check in doc["checks"])
+        assert [check["name"] for check in doc["checks"]] == [
+            f"{m}_{check}" for m in ("global", "local", "redfield")
+            for check in ("physical", "stationary", "current_balance")] + [
+            "exact_physical", "exact_current_balance",
+            "global_current_forms_agree", "global_second_law",
+            "exact_self_fidelity", "exact_correlations_ordered"]

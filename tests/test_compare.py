@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from qwire import METHODS, WireParams, correlation_deltas, solve_all, sweep
-from qwire.compare import _SOLVERS, correlation_report, sweep_row
+from qwire import (METHODS, SteadyStateResult, WireParams,
+                   correlation_deltas, solve_all, sweep)
+from qwire.compare import (METRIC_KEYS, _SOLVERS, correlation_report,
+                           metrics, sweep_row)
 from conftest import NEAR_DEGENERATE, WIDE_GAP, with_k
 
 
@@ -35,6 +37,48 @@ class TestSolveAll:
             scale = np.max(np.abs(exact.covariance))
             assert np.max(np.abs(red.covariance - exact.covariance)) \
                 < 1e-2 * scale
+
+
+class TestMetrics:
+    def test_success_gives_every_metric(self):
+        results = solve_all(with_k(WIDE_GAP, 0.05))
+        exact = results[-1]
+        for res in results:
+            values, error = metrics(res, exact.covariance)
+            assert error is None
+            assert tuple(values) == METRIC_KEYS
+            report = correlation_report(res.covariance, exact.covariance)
+            assert values == {
+                "fidelity_to_exact": report.fidelity_to_exact,
+                "qdot_h": res.qdot_h,
+                "mutual_info": report.mutual_information,
+                "discord": report.discord_arrow,
+                "classical": report.classical_arrow,
+                "log_neg": report.log_negativity,
+            }
+
+    def test_solver_error_gives_nan_everywhere(self, monkeypatch):
+        def boom(params):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setitem(_SOLVERS, "local", boom)
+        results = solve_all(with_k(WIDE_GAP, 0.05))
+        values, error = metrics(results[1], results[-1].covariance)
+        assert "synthetic failure" in error
+        assert tuple(values) == METRIC_KEYS
+        assert all(math.isnan(v) for v in values.values())
+
+    def test_non_physical_state_keeps_its_current_only(self):
+        exact = solve_all(with_k(WIDE_GAP, 0.05))[-1]
+        state = SteadyStateResult(method="redfield",
+                                  covariance=0.4 * np.eye(4),
+                                  heat_currents=(-1e-3, 1e-3))
+        values, error = metrics(state, exact.covariance)
+        assert error.startswith("NonPhysicalStateError: ")
+        assert tuple(values) == METRIC_KEYS
+        assert values["qdot_h"] == 1e-3
+        assert all(math.isnan(v) for key, v in values.items()
+                   if key != "qdot_h")
 
 
 class TestSweep:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwire import (WireParams, exact_steady_state, gme_steady_state,
-                   lme_steady_state, redfield_steady_state)
+from qwire import (WireParams, correlation_report, exact_steady_state,
+                   gme_steady_state, lme_steady_state, redfield_steady_state)
 from qwire import gaussian
 import oracles
 from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
@@ -274,7 +274,7 @@ class TestDiscord:
             q = gaussian.gaussian_discord(gamma)
             i = gaussian.mutual_information(gamma)
             assert -1e-10 <= q <= i + 1e-9
-            c = gaussian.classical_correlations(gamma)
+            c = correlation_report(gamma, gamma).classical_arrow
             assert c == pytest.approx(i - q, abs=1e-9)
 
     def test_measured_node_selects_block(self):
