@@ -137,6 +137,9 @@ def sweep(params: WireParams, axis: str, grid, measured_node: str = "h",
     grid = [float(v) for v in grid]
     for value in grid:
         _with_axis(params, axis, value)  # validate the whole grid up front
+    if jobs is not None:
+        # a forking pool starts all its workers at the first submit
+        jobs = min(jobs, len(grid))
     if jobs is None or jobs <= 1:
         return [sweep_row(params, axis, v, measured_node) for v in grid]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

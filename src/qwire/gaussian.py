@@ -16,11 +16,10 @@ from .model import WireParams
 
 # nu may sit this far below 1/2 from round-off and still be clamped
 PHYSICALITY_TOL = 1e-9
-#: the discord search's grid spans squeezings in [1/_S_MAX, _S_MAX]
-_S_MAX = 1e3
-#: the polisher may approach the homodyne (s -> inf) limit well beyond
-#: the grid range; cap ln s where float64 is still comfortable
-_LOG_S_CAP = max(math.log(_S_MAX), math.log(1e9))
+#: squeezing of the homodyne (s -> inf) discord seed, and the cap of the
+#: finite one.  The kernel's rounding there is up to about 1e-8 of the
+#: conditional entropy; the frozen benchmark cells were searched at it.
+_S_HOMODYNE = 1e9
 
 
 class NonPhysicalStateError(ValueError):
@@ -138,16 +137,15 @@ def _blocks(gamma: np.ndarray, measured_node: str):
     raise ValueError("measured_node must be 'c' or 'h'")
 
 
-def _conditional_entropies(a, b, c, s_vals, phi_vals):
-    """Entropy of the unmeasured node after measuring with seeds on a grid.
+def _conditional_entropies(a, b, c, s, phi):
+    """Entropy of the unmeasured node after measuring with seeds (s, phi).
 
-    Vectorized over the (s, phi) grid; the conditional covariance is the
-    Schur complement A - C (B + G_m)^-1 C^T and its entropy only needs
-    its determinant.
+    Vectorized over broadcast arrays s and phi; the conditional
+    covariance is the Schur complement A - C (B + G_m)^-1 C^T and its
+    entropy only needs its determinant.
     """
-    s = s_vals[:, None]
-    co = np.cos(phi_vals)[None, :]
-    si = np.sin(phi_vals)[None, :]
+    co = np.cos(phi)
+    si = np.sin(phi)
     # seed entries of 0.5 R diag(s, 1/s) R^T
     m11 = 0.5 * (s * co**2 + si**2 / s)
     m22 = 0.5 * (s * si**2 + co**2 / s)
@@ -174,169 +172,64 @@ def _conditional_entropies(a, b, c, s_vals, phi_vals):
     return out
 
 
-def _conditional_entropy(a, b, c, s, phi):
-    """_conditional_entropies at one seed, on Python floats.
+def _seed_form(x: np.ndarray) -> np.ndarray:
+    """l(X) with det(X + G_m) = det X + 1/4 + l(X).m for the seed
+    coordinates m = (m11 + m22, m11 - m22, 2 m12), which lie on the
+    hyperboloid m0^2 - m1^2 - m2^2 = 1."""
+    return np.array([(x[0, 0] + x[1, 1]) / 2, (x[1, 1] - x[0, 0]) / 2,
+                     -x[0, 1]])
 
-    a, b and c are the blocks as nested lists.  The operations and their
-    order are those of the array kernel, so the two agree bit for bit:
-    x * x for x**2, and max(d, 0.25), which keeps a NaN as np.clip does.
-    cos, sin and log are numpy's, because math.log can differ from
-    numpy's SIMD log in the last bit.  Raises ZeroDivisionError where the
-    array kernel would divide by zero.
+
+def _optimal_seeds(a, b, c) -> tuple:
+    """(s, phi) arrays of the two candidates for the optimal measurement.
+
+    Everything is written in D = C^T A^-1 C, so weak correlations do not
+    cancel.  det(cond) = det A (1 - tau(m)) with the linear-fractional
+    tau = (beta + l(D).m) / (alpha + l(B).m), alpha = det B + 1/4,
+    beta = T - det D and T = tr(adj(B) D).  Its supremum over the
+    hyperboloid is either the homodyne limit, the larger root of
+    det(tau B - D) = 0, or the tangency of a level plane, the stable small
+    root of (det B - 1/4)^2 tau^2 - (2 alpha beta - T) tau + beta^2 - det D
+    (the two branches of Adesso and Datta, PRL 105, 030501 (2010)).  The
+    seed is m ~ (q0, -q1, -q2) with q = tau l(B) - l(D).  A candidate that
+    does not exist, as in a product state, comes out as NaN.
     """
-    co = float(np.cos(phi))
-    si = float(np.sin(phi))
-    co2 = co * co
-    si2 = si * si
-    m11 = 0.5 * (s * co2 + si2 / s)
-    m22 = 0.5 * (s * si2 + co2 / s)
-    m12 = 0.5 * (s - 1.0 / s) * co * si
-    t11 = b[0][0] + m11
-    t22 = b[1][1] + m22
-    t12 = b[0][1] + m12
-    det_t = t11 * t22 - t12 * t12
-    (c11, c12), (c21, c22) = c
-    q11 = (c11 * (t22 * c11 - t12 * c12) + c12 * (t11 * c12 - t12 * c11)) / det_t
-    q22 = (c21 * (t22 * c21 - t12 * c22) + c22 * (t11 * c22 - t12 * c21)) / det_t
-    q12 = (c11 * (t22 * c21 - t12 * c22) + c12 * (t11 * c22 - t12 * c21)) / det_t
-    a11 = a[0][0] - q11
-    a22 = a[1][1] - q22
-    a12 = a[0][1] - q12
-    nu = math.sqrt(max(a11 * a22 - a12 * a12, 0.25))
-    up = nu + 0.5
-    dn = nu - 0.5
-    out = up * float(np.log(up))
-    if dn > 0.0:
-        out -= dn * float(np.log(dn))
-    return out
+    d = c.T @ np.linalg.solve(a, c)
+    det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    det_d = d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]
+    t = b[1, 1] * d[0, 0] + b[0, 0] * d[1, 1] - b[0, 1] * (d[0, 1] + d[1, 0])
+    alpha = det_b + 0.25
+    beta = t - det_d
+    quad_b = 2.0 * alpha * beta - t
+    quad_c = beta * beta - det_d
+    root_h = math.sqrt(max(t * t - 4.0 * det_b * det_d, 0.0))
+    root_g = math.sqrt(max(quad_b * quad_b
+                           - 4.0 * (det_b - 0.25)**2 * quad_c, 0.0))
+    with np.errstate(all="ignore"):
+        tau = np.array([(t + root_h) / (2.0 * det_b),
+                        2.0 * quad_c / (quad_b + root_g)])
+        q = tau[:, None] * _seed_form(b) - _seed_form(d)
+        # |(m1, m2)| = sinh(ln s) on the hyperboloid
+        sinh = np.hypot(q[:, 1], q[:, 2]) / np.sqrt(
+            q[:, 0]**2 - q[:, 1]**2 - q[:, 2]**2)
+        s = np.minimum(np.exp(np.arcsinh(sinh)), _S_HOMODYNE)
+    s[0] = _S_HOMODYNE
+    return s, 0.5 * np.arctan2(-q[:, 2], -q[:, 1])
 
 
-def _polish_cost(a, b, c):
-    """Conditional entropy at (ln s, phi) as minimized by the polish."""
-    blocks = (a.tolist(), b.tolist(), c.tolist())
-
-    def cost(x, y):
-        # keep the polisher inside the sane squeezing range
-        if abs(x) > _LOG_S_CAP:
-            return 1e6 + abs(x)
-        s = math.exp(x)
-        try:
-            out = _conditional_entropy(*blocks, s, y)
-        except ZeroDivisionError:
-            # det(B + G_m) >= 1 for a physical state, so this needs a
-            # rounding accident; numpy's inf/nan rules then decide
-            out = float(_conditional_entropies(a, b, c, np.array([s]),
-                                               np.array([y]))[0, 0])
-        return out if math.isfinite(out) else 1e6
-
-    return cost
-
-
-def _nelder_mead_2d(cost, x0: float, y0: float) -> float:
-    """Smallest cost found by Nelder-Mead from (x0, y0).
-
-    Replays the reference minimize(method="Nelder-Mead") of
-    tests/oracles.py, with its non-adaptive coefficients and xatol=1e-12,
-    fatol=1e-13, maxiter=400, step for step on Python floats, so it
-    returns the same minimum bit for bit: the same initial simplex, the
-    same reflect, expand, contract and shrink steps, and the same stable
-    re-sort of the vertices after each step.
-    """
-    sim = [(x0, y0),
-           ((1 + 0.05) * x0 if x0 != 0 else 0.00025, y0),
-           (x0, (1 + 0.05) * y0 if y0 != 0 else 0.00025)]
-    fsim = [cost(x, y) for x, y in sim]
-    # the reference counts iterations from 1 and stops at maxiter
-    for _ in range(399):
-        order = sorted(range(3), key=fsim.__getitem__)
-        sim = [sim[i] for i in order]
-        fsim = [fsim[i] for i in order]
-        (xb, yb), (xn, yn), (xw, yw) = sim
-        if (max(abs(xn - xb), abs(yn - yb), abs(xw - xb), abs(yw - yb))
-                <= 1e-12 and max(abs(fsim[0] - fsim[1]),
-                                 abs(fsim[0] - fsim[2])) <= 1e-13):
-            break
-        xm = (xb + xn) / 2
-        ym = (yb + yn) / 2
-        xr, yr = 2 * xm - xw, 2 * ym - yw
-        fr = cost(xr, yr)
-        if fr < fsim[0]:
-            xe, ye = 3 * xm - 2 * xw, 3 * ym - 2 * yw
-            fe = cost(xe, ye)
-            sim[2], fsim[2] = ((xe, ye), fe) if fe < fr else ((xr, yr), fr)
-        elif fr < fsim[1]:
-            sim[2], fsim[2] = (xr, yr), fr
-        else:
-            if fr < fsim[2]:
-                # outside contraction
-                xc, yc = 1.5 * xm - 0.5 * xw, 1.5 * ym - 0.5 * yw
-                fc = cost(xc, yc)
-                shrink = not fc <= fr
-            else:
-                # inside contraction
-                xc, yc = 0.5 * xm + 0.5 * xw, 0.5 * ym + 0.5 * yw
-                fc = cost(xc, yc)
-                shrink = not fc < fsim[2]
-            if shrink:
-                for j in (1, 2):
-                    xj, yj = sim[j]
-                    sim[j] = (xb + 0.5 * (xj - xb), yb + 0.5 * (yj - yb))
-                    fsim[j] = cost(*sim[j])
-            else:
-                sim[2], fsim[2] = (xc, yc), fc
-    return min(fsim)
-
-
-def _grid_search(a, b, c, n_squeeze: int, n_angle: int) -> tuple:
-    """Grid minimum of the conditional entropy and the polish starts.
-
-    The starts, as (ln s, phi), are the few best grid points that are not
-    neighbours of an already-used start, so distinct shallow basins are
-    all explored.
-    """
-    s_vals = np.logspace(math.log10(1.0 / _S_MAX), math.log10(_S_MAX),
-                         n_squeeze)
-    phi_vals = np.linspace(0.0, math.pi, n_angle, endpoint=False)
-    cond = _conditional_entropies(a, b, c, s_vals, phi_vals)
-    flat_order = np.argsort(cond, axis=None)
-    seeds = []
-    for flat in flat_order[:40]:
-        js, jp = np.unravel_index(flat, cond.shape)
-        if all(abs(js - i) > 3 or min(abs(jp - j), n_angle - abs(jp - j)) > 3
-               for i, j in seeds):
-            seeds.append((js, jp))
-        if len(seeds) == 3:
-            break
-    best = float(cond.flat[flat_order[0]])
-    return best, [(math.log(s_vals[js]), float(phi_vals[jp]))
-                  for js, jp in seeds]
-
-
-def _min_conditional_entropy(a, b, c, n_squeeze: int = 200,
-                             n_angle: int = 64) -> float:
-    """min over pure Gaussian measurement seeds of S(A | m): grid search,
-    then a Nelder-Mead polish from each start."""
-    best, starts = _grid_search(a, b, c, n_squeeze, n_angle)
-    cost = _polish_cost(a, b, c)
-    for x0, y0 in starts:
-        best = min(best, _nelder_mead_2d(cost, x0, y0))
-    return best
-
-
-def gaussian_discord(gamma: np.ndarray, measured_node: str = "h",
-                     n_squeeze: int = 200, n_angle: int = 64) -> float:
+def gaussian_discord(gamma: np.ndarray, measured_node: str = "h") -> float:
     """Gaussian quantum discord revealed by measuring one node.
 
-    Q = S(G_B) - S(G_AB) + min_m S(A | m), minimizing the conditional
-    entropy over pure single-mode Gaussian measurement seeds on a dense
-    (squeezing x angle) grid, squeezings log-spaced in [1/_S_MAX, _S_MAX],
-    followed by Nelder-Mead polishes from the best grid points.
+    Q = S(G_B) - S(G_AB) + min_m S(A | m) over pure single-mode Gaussian
+    measurement seeds, which is optimal among all measurements (Pirandola
+    et al., PRL 113, 140405 (2014)).  The minimum is the smaller of the
+    kernel's values at the two closed-form candidates of _optimal_seeds.
     """
     gamma = np.asarray(gamma, dtype=float)
     _checked_nus(gamma)
     a, b, c = _blocks(gamma, measured_node)
-    best = _min_conditional_entropy(a, b, c, n_squeeze, n_angle)
-    q = entropy(np.array(b)) - entropy(gamma) + best
+    cond = _conditional_entropies(a, b, c, *_optimal_seeds(a, b, c))
+    q = entropy(np.array(b)) - entropy(gamma) + float(np.fmin(*cond))
     return max(q, 0.0)
 
 

@@ -69,11 +69,10 @@ class NormalModeState:
                          self.eta2_minus, self.pi2_minus, self.cross_minus])
 
 
-def _mode_weight(alpha: str, sign: str, theta: float) -> float:
+def _mode_weight(alpha: str, sign: str, modes: NormalModes) -> float:
     # coupling weight of bath alpha to mode sign: cos^2 for (c,+) and
     # (h,-), sin^2 for the other two combinations
-    c2 = math.cos(theta)**2
-    return c2 if (alpha == "c") == (sign == "+") else 1.0 - c2
+    return modes.cos_sq if (alpha == "c") == (sign == "+") else modes.sin_sq
 
 
 def gme_coefficients(params: WireParams) -> GmeCoefficients:
@@ -86,7 +85,7 @@ def gme_coefficients(params: WireParams) -> GmeCoefficients:
         t = params.temperature(a)
         for s in _SIGNS:
             om = freqs[s]
-            weight = _mode_weight(a, s, modes.theta) / (2.0 * om)
+            weight = _mode_weight(a, s, modes) / (2.0 * om)
             w_neg[a][s] = weight * decay_rate(-om, t, params)
             w_pos[a][s] = weight * decay_rate(om, t, params)
     return GmeCoefficients(modes=modes, w_neg=w_neg, w_pos=w_pos)

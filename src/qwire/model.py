@@ -66,35 +66,47 @@ class NormalModes:
     """Mixing angle and frequencies of the two normal modes.
 
     theta is the principal value in [0, pi/2]; omega_plus >= omega_minus.
+    cos_sq, sin_sq and sin_cos are cos^2, sin^2 and sin cos of theta,
+    formed without subtraction, so they keep their relative accuracy
+    where theta rounds to 0 or pi/2.
     """
 
     theta: float
     omega_plus: float
     omega_minus: float
+    cos_sq: float
+    sin_sq: float
+    sin_cos: float
 
 
 def normal_modes(params: WireParams) -> NormalModes:
     """Diagonalize the coupled two-node potential.
 
-    cos^2(theta) = (-d + sqrt(4k^2 + d^2)) / (2 sqrt(4k^2 + d^2)) with
-    d = omega_h^2 - omega_c^2, and
-    Omega_pm^2 = (omega_c^2 + omega_h^2 + 2k -++ sqrt(4k^2 + d^2)) / 2.
+    With d = omega_h^2 - omega_c^2 and root = sqrt(4k^2 + d^2),
+    cos^2(theta) = (root - d) / (2 root), taken as
+    2k^2 / (root (root + d)) for d > 0 so that weak coupling does not
+    cancel (sin^2 likewise for d < 0), sin cos = k / root and
+    Omega_pm^2 = (omega_c^2 + omega_h^2 + 2k +- root) / 2.
 
     The doubly degenerate point k = 0, d = 0 returns theta = pi/4
     (continuous resonant limit).
     """
+    k = params.k
     d = params.omega_h**2 - params.omega_c**2
-    root = math.hypot(2.0 * params.k, d)
+    root = math.hypot(2.0 * k, d)
     if root == 0.0:
-        cos2 = 0.5
+        cos2 = sin2 = sin_cos = 0.5
     else:
-        cos2 = (-d + root) / (2.0 * root)
-    cos2 = min(max(cos2, 0.0), 1.0)
-    theta = math.acos(math.sqrt(cos2))
-    tr = params.omega_c**2 + params.omega_h**2 + 2.0 * params.k
+        sin_cos = k / root
+        small = 2.0 * sin_cos * k / (root + abs(d))
+        large = (root + abs(d)) / (2.0 * root)
+        cos2, sin2 = (small, large) if d > 0 else (large, small)
+    theta = math.atan2(math.sqrt(sin2), math.sqrt(cos2))
+    tr = params.omega_c**2 + params.omega_h**2 + 2.0 * k
     om_p = math.sqrt(0.5 * (tr + root))
     om_m = math.sqrt(0.5 * (tr - root))
-    return NormalModes(theta=theta, omega_plus=om_p, omega_minus=om_m)
+    return NormalModes(theta=theta, omega_plus=om_p, omega_minus=om_m,
+                       cos_sq=cos2, sin_sq=sin2, sin_cos=sin_cos)
 
 
 def spectral_density(omega, params: WireParams):

@@ -41,7 +41,7 @@ def _mixed_rates(params: WireParams, coeffs: GmeCoefficients) -> dict:
     These equal W^c tan(t) / W^h cot(t) (mode +) and W^c cot(t) /
     W^h tan(t) (mode -) wherever those are finite.
     """
-    sc = math.sin(coeffs.modes.theta) * math.cos(coeffs.modes.theta)
+    sc = coeffs.modes.sin_cos
     freqs = {"+": coeffs.modes.omega_plus, "-": coeffs.modes.omega_minus}
     out = {}
     for a in ("c", "h"):

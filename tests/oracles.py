@@ -5,8 +5,8 @@ deliberately avoids the covariance-level formulas of the package, so
 agreement between the two is meaningful evidence of correctness.  The
 exceptions are the last two sections: quad_vec evaluating node by node,
 the reference of the exact solver's numpy replay of its scheme, and the
-scipy Nelder-Mead polish, the reference of the discord search's
-plain-float one.
+grid search with a scipy Nelder-Mead polish and the 60-digit Adesso-Datta
+closed form, the two references of the closed-form discord.
 """
 
 from __future__ import annotations
@@ -246,23 +246,50 @@ def per_node_exact_integral(params, spec) -> tuple:
 # ---------------------------------------------------------------------------
 # Gaussian discord
 
-def scipy_polish(a, b, c, starts) -> list:
-    """Minimum of each Nelder-Mead polish of the discord search, by
-    scipy.optimize.minimize on the array kernel.
+#: the search grid: _N_SQUEEZE squeezings log-spaced in
+#: [1/_GRID_S_MAX, _GRID_S_MAX] times _N_ANGLE angles; the polish may go
+#: on towards the homodyne limit up to s = _POLISH_S_MAX
+_N_SQUEEZE, _N_ANGLE = 200, 64
+_GRID_S_MAX = 1e3
+_POLISH_S_MAX = 1e9
 
-    starts are the (ln s, phi) pairs of gaussian._grid_search; the
-    plain-float gaussian._nelder_mead_2d must reproduce every value bit
-    for bit.
-    """
+
+def _grid_starts(a, b, c) -> tuple:
+    """Grid minimum of the conditional entropy, and up to three polish
+    starts (ln s, phi): the best grid points that are not neighbours of
+    an already-used start, so distinct shallow basins are all explored."""
+    from qwire.gaussian import _conditional_entropies
+    s_vals = np.logspace(-math.log10(_GRID_S_MAX), math.log10(_GRID_S_MAX),
+                         _N_SQUEEZE)
+    phi_vals = np.linspace(0.0, math.pi, _N_ANGLE, endpoint=False)
+    cond = _conditional_entropies(a, b, c, s_vals[:, None], phi_vals[None, :])
+    flat_order = np.argsort(cond, axis=None)
+    seeds = []
+    for flat in flat_order[:40]:
+        js, jp = np.unravel_index(flat, cond.shape)
+        if all(abs(js - i) > 3
+               or min(abs(jp - j), _N_ANGLE - abs(jp - j)) > 3
+               for i, j in seeds):
+            seeds.append((js, jp))
+        if len(seeds) == 3:
+            break
+    return (float(cond.flat[flat_order[0]]),
+            [(math.log(s_vals[js]), float(phi_vals[jp])) for js, jp in seeds])
+
+
+def scipy_polish(a, b, c, starts) -> list:
+    """Minimum of a Nelder-Mead polish of the conditional entropy over
+    (ln s, phi) from each start, by scipy.optimize.minimize."""
     from scipy.optimize import minimize
-    from qwire.gaussian import _LOG_S_CAP, _conditional_entropies
+    from qwire.gaussian import _conditional_entropies
+    log_cap = math.log(_POLISH_S_MAX)
 
     def cost(z):
-        if abs(z[0]) > _LOG_S_CAP:
+        if abs(z[0]) > log_cap:
             return 1e6 + abs(z[0])
         val = _conditional_entropies(a, b, c, np.array([math.exp(z[0])]),
                                      np.array([z[1]]))
-        out = float(val[0, 0])
+        out = float(val[0])
         return out if math.isfinite(out) else 1e6
 
     return [float(minimize(cost, np.array(start), method="Nelder-Mead",
@@ -272,10 +299,46 @@ def scipy_polish(a, b, c, starts) -> list:
 
 
 def min_conditional_entropy(a, b, c) -> float:
-    """The discord search's minimum with the scipy polish: the reference
-    of gaussian._min_conditional_entropy."""
-    from qwire.gaussian import _grid_search
-    best, starts = _grid_search(a, b, c, 200, 64)
-    for fun in scipy_polish(a, b, c, starts):
-        best = min(best, fun)
-    return best
+    """min over pure Gaussian measurement seeds of S(A | m) by search: a
+    (squeezing x angle) grid, then a Nelder-Mead polish from each of the
+    three best separated grid points.  The reference of the closed-form
+    seeds of qwire.gaussian."""
+    best, starts = _grid_starts(a, b, c)
+    return min([best] + scipy_polish(a, b, c, starts))
+
+
+def adesso_datta_min_entropy(a, b, c) -> float:
+    """min_m S(A | m) from the closed form of Adesso and Datta, PRL 105,
+    030501 (2010), at 60 digits on the float inputs.
+
+    The formula is stated in the invariants of sigma = 2 Gamma (vacuum 1).
+    Its finite-squeezing branch divides by (det sigma_B - 1)^2, so next to
+    a vacuum measured node the digits of a float input do not carry it.
+    """
+    import mpmath
+    with mpmath.workdps(60):
+        full = mpmath.matrix(4, 4)
+        for i in range(2):
+            for j in range(2):
+                full[i, j] = 2 * mpmath.mpf(float(a[i, j]))
+                full[i + 2, j + 2] = 2 * mpmath.mpf(float(b[i, j]))
+                full[i, j + 2] = 2 * mpmath.mpf(float(c[i, j]))
+                full[j + 2, i] = full[i, j + 2]
+        det_a = mpmath.det(full[0:2, 0:2])
+        det_b = mpmath.det(full[2:4, 2:4])
+        det_c = mpmath.det(full[0:2, 2:4])
+        det_s = mpmath.det(full)
+        c2 = det_c**2
+        if (det_s - det_a * det_b)**2 <= (1 + det_b) * c2 * (det_a + det_s):
+            root = mpmath.sqrt(c2 + (det_b - 1) * (det_s - det_a))
+            e_min = (2 * c2 + (det_b - 1) * (det_s - det_a)
+                     + 2 * abs(det_c) * root) / (det_b - 1)**2
+        else:
+            e_min = (det_a * det_b - c2 + det_s - mpmath.sqrt(
+                c2**2 + (det_s - det_a * det_b)**2
+                - 2 * c2 * (det_a * det_b + det_s))) / (2 * det_b)
+        nu = mpmath.sqrt(e_min) / 2
+        out = (nu + 0.5) * mpmath.log(nu + 0.5)
+        if nu > 0.5:
+            out -= (nu - 0.5) * mpmath.log(nu - 0.5)
+        return float(out)

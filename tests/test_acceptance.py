@@ -20,6 +20,7 @@ from qwire.gme import (gme_coefficients, gme_heat_currents,
                        gme_heat_currents_from_state,
                        gme_normal_mode_steady_state)
 from qwire import gaussian
+import oracles
 from conftest import DATA_DIR
 
 pytestmark = pytest.mark.acceptance
@@ -225,8 +226,8 @@ class TestAcceptance:
 
     def test_09_gaussian_toolkit_oracles(self):
         """Entropy and fidelity match frozen Fock-space density-matrix
-        references to 1e-6; the discord minimum is stable to 1e-6 under
-        10x measurement-grid refinement."""
+        references to 1e-6; the closed-form discord minimum is within
+        1e-6 of the grid search with a scipy polish."""
         path = DATA_DIR / "fock_reference.json"
         if not path.exists():
             report(9, False, "frozen Fock reference data missing")
@@ -247,14 +248,15 @@ class TestAcceptance:
         worst_q = 0.0
         for k in np.logspace(-4, -2, 5):
             gamma = exact_steady_state(at_k(FIG1B, k)).covariance
-            coarse = gaussian.gaussian_discord(gamma)
-            fine = gaussian.gaussian_discord(gamma, n_squeeze=2000,
-                                             n_angle=640)
-            worst_q = max(worst_q, abs(coarse - fine))
+            a, b, c = gaussian._blocks(gamma, "h")
+            closed = np.fmin(*gaussian._conditional_entropies(
+                a, b, c, *gaussian._optimal_seeds(a, b, c)))
+            search = oracles.min_conditional_entropy(a, b, c)
+            worst_q = max(worst_q, abs(closed - search))
         ok = worst_s <= 1e-6 and worst_f <= 1e-6 and worst_q <= 1e-6
         report(9, ok, f"entropy err {worst_s:.2e}, fidelity err "
                f"{worst_f:.2e} over {len(doc['states'])} states, discord "
-               f"refinement shift {worst_q:.2e} (tol 1e-6)")
+               f"closed form vs search {worst_q:.2e} (tol 1e-6)")
         assert ok
 
     def test_10_stationarity_and_physicality(self):

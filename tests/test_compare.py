@@ -1,11 +1,12 @@
 """Cross-method comparison layer: solve_all, sweeps and deltas."""
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from qwire import (METHODS, SteadyStateResult, WireParams,
+from qwire import (METHODS, SteadyStateResult, WireParams, compare,
                    correlation_deltas, solve_all, sweep)
 from qwire.compare import (METRIC_KEYS, _SOLVERS, correlation_report,
                            metrics, sweep_row)
@@ -102,6 +103,32 @@ class TestSweep:
             for method in METHODS:
                 for key, val in a.metrics[method].items():
                     assert val == b.metrics[method][key]
+
+    def test_workers_capped_at_rows(self, monkeypatch):
+        """No more workers than rows; the stub pool starts no process."""
+        started = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(compare, "ProcessPoolExecutor", StubPool)
+        rows = sweep(WIDE_GAP, "k", [1e-3, 1e-2], jobs=5000)
+        assert started == [2]
+        assert [r.axis_value for r in rows] == [1e-3, 1e-2]
+        sweep(WIDE_GAP, "k", [1e-3], jobs=5000)
+        assert started == [2]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Gaussian state toolkit against independent density-matrix references."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from qwire import (WireParams, correlation_report, exact_steady_state,
 from qwire import gaussian
 import oracles
 from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
+
+POOL = (pathlib.Path(__file__).resolve().parent.parent
+        / "perfbench" / "data" / "states.json")
 
 
 def random_physical_covariance(rng: np.random.Generator,
@@ -37,32 +42,40 @@ def squeezed_state(r, s_c, s_h, theta, nus) -> np.ndarray:
     return (gamma + gamma.T) / 2.0
 
 
-def polish_states() -> list:
-    """(label, covariance) pairs on which the plain-float discord polish
-    is checked against scipy's."""
+def finite_squeezing_states() -> list:
+    """(label, covariance) pairs whose optimal measurement has a finite
+    squeezing on both nodes, none of them near the vacuum."""
     out = []
     for name, params in (("fig1a k=0.01", with_k(WIDE_GAP, 0.01)),
-                         ("fig1b k=1e-3", with_k(NEAR_DEGENERATE, 1e-3)),
-                         ("resonant k=1e3", RESONANT_STRONG),
-                         ("fig1a t_c=0.01", WireParams(1.0, 2.0, 0.01, 0.01,
-                                                       0.015, 1e-3, 1e3))):
+                         ("fig1b k=1e-3", with_k(NEAR_DEGENERATE, 1e-3))):
         for solver in (gme_steady_state, lme_steady_state,
                        redfield_steady_state):
             out.append((f"{name} {solver.__name__}",
                         solver(params).covariance))
-    # the fig1b sweep row k=0.0245
-    out.append(("fig1b k=0.0245 exact", exact_steady_state(
-        with_k(NEAR_DEGENERATE, 0.024537511066398166)).covariance))
-    rng = np.random.default_rng(17)
-    for mix in np.logspace(0.0, -6.0, 7):
-        out.append((f"random mix={mix:.0e}",
-                    random_physical_covariance(rng, mix)))
-    # no correlations: every vertex of every simplex ties
-    out.append(("product", np.diag([1.0, 1.0, 2.0, 2.0])))
-    # two-mode squeezed thermal: the cost does not depend on the angle
     out.append(("two-mode squeezed", squeezed_state(0.8, 0.0, 0.0, 0.0,
                                                     (0.9, 0.9))))
     return out
+
+
+def pool_states() -> list:
+    """The benchmark's frozen pool of 448 covariance matrices."""
+    doc = json.loads(POOL.read_text(encoding="utf-8"))
+    upper = [(i, j) for i in range(4) for j in range(i, 4)]
+    out = []
+    for state in doc["states"]:
+        gamma = np.zeros((4, 4))
+        for (i, j), value in zip(upper, state["cov"]):
+            gamma[i, j] = gamma[j, i] = value
+        out.append((state["id"], gamma))
+    return out
+
+
+def min_conditional_entropy(gamma, node: str) -> float:
+    """The library's minimum of S(A | m): its kernel at its seeds."""
+    a, b, c = gaussian._blocks(gamma, node)
+    cond = gaussian._conditional_entropies(a, b, c,
+                                           *gaussian._optimal_seeds(a, b, c))
+    return float(np.fmin(*cond))
 
 
 class TestSymplecticEigenvalues:
@@ -216,56 +229,62 @@ class TestMutualInformation:
 class TestDiscord:
     def test_product_state_has_none(self):
         gamma = np.diag([1.0, 1.0, 2.0, 2.0])
-        assert gaussian.gaussian_discord(gamma) == pytest.approx(0.0,
-                                                                 abs=1e-9)
+        for node in "ch":
+            assert gaussian.gaussian_discord(gamma, node) == 0.0
 
-    def test_polish_matches_scipy_bit_for_bit(self):
-        mismatches = []
-        for i, (label, gamma) in enumerate(polish_states()):
-            node = "ch"[i % 2]
-            a, b, c = gaussian._blocks(gamma, node)
-            best, starts = gaussian._grid_search(a, b, c, 200, 64)
-            cost = gaussian._polish_cost(a, b, c)
-            ours = [gaussian._nelder_mead_2d(cost, x0, y0)
-                    for x0, y0 in starts]
-            scipy_funs = oracles.scipy_polish(a, b, c, starts)
-            if (ours != scipy_funs or gaussian._min_conditional_entropy(
-                    a, b, c) != min([best] + scipy_funs)):
-                mismatches.append(f"{label}, node {node}")
-        assert mismatches == []
+    def test_uncoupled_and_vacuum_node_have_none(self):
+        """The uncoupled exact state, and a vacuum measured node, where
+        det B = 1/4 zeroes the leading coefficient of the
+        finite-squeezing quadratic."""
+        exact_k0 = exact_steady_state(with_k(WIDE_GAP, 0.0)).covariance
+        vacuum_h = np.diag([1.0, 1.0, 0.5, 0.5])
+        for gamma in (exact_k0, vacuum_h):
+            for node in "ch":
+                assert gaussian.gaussian_discord(gamma, node) == 0.0
 
-    def test_polish_from_zero_coordinates(self):
-        """Zero start coordinates get scipy's absolute step; a start past
-        the squeezing cap, its penalty."""
-        gamma = random_physical_covariance(np.random.default_rng(4), 0.1)
-        a, b, c = gaussian._blocks(gamma, "h")
-        starts = [(0.0, 0.0), (0.0, 1.3), (-25.0, 0.5)]
-        cost = gaussian._polish_cost(a, b, c)
-        assert [gaussian._nelder_mead_2d(cost, x0, y0)
-                for x0, y0 in starts] == oracles.scipy_polish(a, b, c, starts)
+    def test_pure_two_mode_squeezed_state(self):
+        """On a pure state Q = S(B), the entanglement entropy."""
+        gamma = squeezed_state(0.8, 0.3, -0.2, 0.4, (0.5, 0.5))
+        for node, block in (("c", gamma[:2, :2]), ("h", gamma[2:, 2:])):
+            assert gaussian.gaussian_discord(gamma, node) == pytest.approx(
+                gaussian.entropy(block), rel=1e-12)
 
-    def test_polish_ties(self):
-        a, b, c = gaussian._blocks(np.diag([1.0, 1.0, 2.0, 2.0]), "h")
-        cost = gaussian._polish_cost(a, b, c)
-        assert cost(0.3, 0.0) == cost(0.3 * 1.05, 0.0) == cost(0.3, 0.00025)
-        assert gaussian._nelder_mead_2d(cost, 0.3, 0.0) == cost(0.3, 0.0)
-
-    def test_scalar_cost_matches_array_kernel(self):
-        rng = np.random.default_rng(3)
-        gamma = random_physical_covariance(rng, 1e-3)
-        a, b, c = gaussian._blocks(gamma, "h")
-        cost = gaussian._polish_cost(a, b, c)
-        for x, y in rng.uniform([-20.0, -4.0], [20.0, 4.0], size=(500, 2)):
-            ref = gaussian._conditional_entropies(
-                a, b, c, np.array([math.exp(x)]), np.array([y]))[0, 0]
-            assert cost(x, y) == ref
-        assert cost(21.0, 0.0) == 1e6 + 21.0
+    def test_matches_adesso_datta_closed_form(self):
+        """The kernel at the closed-form seed against 60 digits of the
+        Adesso-Datta minimum, on the float covariance."""
+        pytest.importorskip("mpmath")
+        worst = 0.0
+        for label, gamma in finite_squeezing_states():
+            for node in "ch":
+                a, b, c = gaussian._blocks(gamma, node)
+                assert gaussian.symplectic_eigenvalues(b)[0] - 0.5 > 1e-3, \
+                    label
+                ref = oracles.adesso_datta_min_entropy(a, b, c)
+                worst = max(worst,
+                            abs(min_conditional_entropy(gamma, node) - ref))
+        assert worst <= 1e-14
 
     def test_refinement_convergence(self):
+        """The closed form against the grid search with a scipy polish,
+        within the search's own refinement shift."""
         gamma = exact_steady_state(with_k(NEAR_DEGENERATE, 1e-3)).covariance
-        coarse = gaussian.gaussian_discord(gamma)
-        fine = gaussian.gaussian_discord(gamma, n_squeeze=2000, n_angle=640)
-        assert abs(coarse - fine) < 1e-6
+        for node in "ch":
+            search = oracles.min_conditional_entropy(
+                *gaussian._blocks(gamma, node))
+            assert abs(min_conditional_entropy(gamma, node) - search) <= 1e-6
+
+    def test_pool_is_bounded_by_mutual_information(self):
+        """I >= Q >= 0 on both nodes of every physical pool state."""
+        bad = []
+        for state_id, gamma in pool_states():
+            if not gaussian.is_physical(gamma):
+                continue
+            i = gaussian.mutual_information(gamma)
+            for node in "ch":
+                q = gaussian.gaussian_discord(gamma, node)
+                if not 0.0 <= q <= i * (1 + 1e-6) + 1e-12:
+                    bad.append((state_id, node, q, i))
+        assert bad == []
 
     def test_bounded_by_mutual_information(self):
         rng = np.random.default_rng(5)

@@ -177,6 +177,16 @@ class TestHeatCurrents:
         assert res.qdot_c + res.qdot_h == pytest.approx(0.0, abs=1e-18)
         assert res.qdot_h > 0.0  # hot bath is hotter
 
+    def test_k_squared_scaling_at_weak_coupling(self):
+        """Q/k^2 reaches its weak-coupling limit as O(k) in both node
+        orders, also where theta rounds to pi/2 (fig1a, k <= 1e-8)."""
+        for params in (WIDE_GAP, WIDE_GAP.swapped()):
+            limit = gme_heat_currents(with_k(params, 1e-12))[1] / 1e-24
+            assert abs(limit) > 1e-4
+            for k in (1e-8, 1e-10):
+                q_h = gme_heat_currents(with_k(params, k))[1]
+                assert q_h / k**2 == pytest.approx(limit, rel=1e-9)
+
     def test_zero_at_equal_temperatures(self):
         p = WireParams(1.0, 2.0, 0.3, 2.5, 2.5, 1e-3, 1e3)
         assert gme_heat_currents(p)[1] == 0.0
