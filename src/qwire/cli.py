@@ -21,7 +21,7 @@ from .compare import (METRIC_KEYS, SWEEP_AXES, correlation_report, metrics,
                       solve_all, sweep)
 from .exact import QuadratureError
 from .gme import (gme_coefficients, gme_heat_currents_from_state,
-                  gme_normal_mode_steady_state)
+                  gme_normal_mode_covariance)
 from .model import WireParams
 from .results import METHODS
 
@@ -310,8 +310,8 @@ def _validate_checks(scenario: Scenario, measured_node: str) -> list:
             f"|qdot_c + qdot_h| = {balance:.3e}")
 
     coeffs = gme_coefficients(params)
-    nm = gme_normal_mode_steady_state(coeffs)
-    q_state = gme_heat_currents_from_state(nm, coeffs)[1]
+    gamma_nm = gme_normal_mode_covariance(coeffs)
+    q_state = gme_heat_currents_from_state(gamma_nm, coeffs)[1]
     q_closed = results[0].qdot_h
     denom = max(abs(q_state), abs(q_closed), 1e-300)
     add("global_current_forms_agree",

@@ -1,11 +1,12 @@
 """Global GKLS master equation in the normal-mode basis.
 
-The covariance dynamics closes on the six same-mode second moments; the
-steady state is available in closed form and is rotated back to the local
-quadratures.  The printed equations of motion carry a stiffness term that
-must be quadratic in the mode frequency for the stated stationary solution
-to be a fixed point; the quadratic form is used here (validated against a
-generator oracle in the tests).
+Each normal mode is a damped oscillator of its own: drift and diffusion
+are block diagonal over (eta_+, Pi_+, eta_-, Pi_-), and the steady state
+is a closed form, rotated back to the local quadratures.  The printed
+equations of motion carry a stiffness term that must be quadratic in the
+mode frequency for the stated stationary solution to be a fixed point;
+the quadratic form is used here (validated against a generator oracle in
+the tests).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .model import (WireParams, NormalModes, normal_modes, decay_rate,
                     rotation_matrix, secular_validity_margin)
+from .moments import moment_equations, moments
 from .results import SteadyStateResult
 
 _ALPHAS = ("c", "h")
@@ -37,6 +39,10 @@ class GmeCoefficients:
     w_neg: dict
     w_pos: dict
 
+    def omega(self, sign: str) -> float:
+        return (self.modes.omega_plus if sign == "+"
+                else self.modes.omega_minus)
+
     def delta(self, alpha: str, sign: str) -> float:
         return self.w_neg[alpha][sign] - self.w_pos[alpha][sign]
 
@@ -44,29 +50,10 @@ class GmeCoefficients:
         return self.w_neg[alpha][sign] + self.w_pos[alpha][sign]
 
     def delta_total(self, sign: str) -> float:
-        return sum(self.delta(a, sign) for a in _ALPHAS)
+        return self.delta("c", sign) + self.delta("h", sign)
 
     def sigma_total(self, sign: str) -> float:
-        return sum(self.sigma(a, sign) for a in _ALPHAS)
-
-
-@dataclass(frozen=True)
-class NormalModeState:
-    """Second moments of the two normal modes.
-
-    cross_pm = <{eta_pm, Pi_pm}> (anticommutator average).
-    """
-
-    eta2_plus: float
-    pi2_plus: float
-    cross_plus: float
-    eta2_minus: float
-    pi2_minus: float
-    cross_minus: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.eta2_plus, self.pi2_plus, self.cross_plus,
-                         self.eta2_minus, self.pi2_minus, self.cross_minus])
+        return self.sigma("c", sign) + self.sigma("h", sign)
 
 
 def _mode_weight(alpha: str, sign: str, modes: NormalModes) -> float:
@@ -91,47 +78,30 @@ def gme_coefficients(params: WireParams) -> GmeCoefficients:
     return GmeCoefficients(modes=modes, w_neg=w_neg, w_pos=w_pos)
 
 
-def gme_dynamics(state: NormalModeState,
-                 coeffs: GmeCoefficients) -> NormalModeState:
-    """Time derivative of the six normal-mode second moments."""
-    out = []
-    for sign, (eta2, pi2, cross) in zip(_SIGNS, [
-            (state.eta2_plus, state.pi2_plus, state.cross_plus),
-            (state.eta2_minus, state.pi2_minus, state.cross_minus)]):
-        om = coeffs.modes.omega_plus if sign == "+" else coeffs.modes.omega_minus
+def gme_drift_diffusion(coeffs: GmeCoefficients) -> tuple:
+    """Drift A and diffusion D over (eta_+, Pi_+, eta_-, Pi_-)."""
+    a, d = np.zeros((2, 4, 4))
+    for x, sign in zip((0, 2), _SIGNS):
+        om = coeffs.omega(sign)
+        sg = coeffs.sigma_total(sign)
+        a[x, x] = a[x + 1, x + 1] = coeffs.delta_total(sign) / 2.0
+        a[x, x + 1] = 1.0
+        a[x + 1, x] = -om**2
+        d[x, x] = sg / (2.0 * om)
+        d[x + 1, x + 1] = om * sg / 2.0
+    return a, d
+
+
+def gme_normal_mode_covariance(coeffs: GmeCoefficients) -> np.ndarray:
+    """Closed-form stationary covariance over (eta_+, Pi_+, eta_-, Pi_-)."""
+    gamma_nm = np.zeros((4, 4))
+    for x, sign in zip((0, 2), _SIGNS):
+        om = coeffs.omega(sign)
         dl = coeffs.delta_total(sign)
         sg = coeffs.sigma_total(sign)
-        d_eta2 = dl * eta2 + cross + sg / (2.0 * om)
-        d_pi2 = dl * pi2 - om**2 * cross + om * sg / 2.0
-        d_cross = 2.0 * pi2 - 2.0 * om**2 * eta2 + dl * cross
-        out += [d_eta2, d_pi2, d_cross]
-    return NormalModeState(out[0], out[1], out[2], out[3], out[4], out[5])
-
-
-def gme_normal_mode_steady_state(coeffs: GmeCoefficients) -> NormalModeState:
-    """Closed-form fixed point of the global covariance dynamics."""
-    vals = {}
-    for sign in _SIGNS:
-        om = coeffs.modes.omega_plus if sign == "+" else coeffs.modes.omega_minus
-        dl = coeffs.delta_total(sign)
-        sg = coeffs.sigma_total(sign)
-        vals[sign] = (-sg / (2.0 * dl * om), -om * sg / (2.0 * dl))
-    return NormalModeState(eta2_plus=vals["+"][0], pi2_plus=vals["+"][1],
-                           cross_plus=0.0,
-                           eta2_minus=vals["-"][0], pi2_minus=vals["-"][1],
-                           cross_minus=0.0)
-
-
-def covariance_from_normal_modes(state: NormalModeState,
-                                 modes: NormalModes) -> np.ndarray:
-    """Rotate diagonal normal-mode second moments to local quadratures."""
-    gamma_nm = np.diag([state.eta2_plus, state.pi2_plus,
-                        state.eta2_minus, state.pi2_minus])
-    if state.cross_plus or state.cross_minus:
-        gamma_nm[0, 1] = gamma_nm[1, 0] = state.cross_plus / 2.0
-        gamma_nm[2, 3] = gamma_nm[3, 2] = state.cross_minus / 2.0
-    rot = rotation_matrix(modes.theta)
-    return rot @ gamma_nm @ rot.T
+        gamma_nm[x, x] = -sg / (2.0 * dl * om)
+        gamma_nm[x + 1, x + 1] = -om * sg / (2.0 * dl)
+    return gamma_nm
 
 
 def gme_heat_currents(params: WireParams,
@@ -150,30 +120,27 @@ def gme_heat_currents(params: WireParams,
         coeffs = gme_coefficients(params)
     qdot_h = 0.0
     for sign in _SIGNS:
-        om = (coeffs.modes.omega_plus if sign == "+"
-              else coeffs.modes.omega_minus)
+        om = coeffs.omega(sign)
         net = -coeffs.delta_total(sign)
         qdot_h += (om * coeffs.w_pos["c"][sign] * coeffs.w_pos["h"][sign] / net
                    * (math.exp(-om / params.t_h) - math.exp(-om / params.t_c)))
     return (-qdot_h, qdot_h)
 
 
-def gme_heat_currents_from_state(state: NormalModeState,
+def gme_heat_currents_from_state(gamma_nm: np.ndarray,
                                  coeffs: GmeCoefficients) -> tuple:
     """Per-bath currents evaluated directly from the dissipator averages.
 
     Qdot_a = (1/2) sum_s [Delta^a_s (Omega_s^2 <eta_s^2> + <Pi_s^2>)
-                          + Omega_s Sigma^a_s].
+                          + Omega_s Sigma^a_s],
+    with the second moments read off the normal-mode covariance gamma_nm.
     """
-    moments = {"+": (state.eta2_plus, state.pi2_plus),
-               "-": (state.eta2_minus, state.pi2_minus)}
     out = []
     for a in _ALPHAS:
         q = 0.0
-        for sign in _SIGNS:
-            om = (coeffs.modes.omega_plus if sign == "+"
-                  else coeffs.modes.omega_minus)
-            eta2, pi2 = moments[sign]
+        for x, sign in zip((0, 2), _SIGNS):
+            om = coeffs.omega(sign)
+            eta2, pi2 = gamma_nm[x, x], gamma_nm[x + 1, x + 1]
             q += 0.5 * (coeffs.delta(a, sign) * (om**2 * eta2 + pi2)
                         + om * coeffs.sigma(a, sign))
         out.append(q)
@@ -181,16 +148,21 @@ def gme_heat_currents_from_state(state: NormalModeState,
 
 
 def gme_steady_state(params: WireParams) -> SteadyStateResult:
-    """Global GKLS steady state in the local quadratures."""
+    """Global GKLS steady state in the local quadratures.
+
+    The residual of the closed form is max|M y + c| / max|y| over its
+    moment equations.
+    """
     coeffs = gme_coefficients(params)
-    nm_state = gme_normal_mode_steady_state(coeffs)
-    cov = covariance_from_normal_modes(nm_state, coeffs.modes)
-    residual = np.max(np.abs(gme_dynamics(nm_state, coeffs).as_vector()))
-    scale = np.max(np.abs(nm_state.as_vector()))
+    gamma_nm = gme_normal_mode_covariance(coeffs)
+    m, c = moment_equations(*gme_drift_diffusion(coeffs))
+    y = moments(gamma_nm)
+    residual = np.max(np.abs(m @ y + c)) / np.max(np.abs(y))
+    rot = rotation_matrix(coeffs.modes.theta)
     return SteadyStateResult(
         method="global",
-        covariance=cov,
+        covariance=rot @ gamma_nm @ rot.T,
         heat_currents=gme_heat_currents(params, coeffs),
         diagnostics={"secular_margin": secular_validity_margin(params),
-                     "residual": residual / scale},
+                     "residual": residual},
     )

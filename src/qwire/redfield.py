@@ -21,7 +21,7 @@ import numpy as np
 from .model import WireParams, decay_rate, rotation_matrix, \
     secular_validity_margin
 from .gme import gme_coefficients, GmeCoefficients
-from .lme import SingularSystemError
+from .moments import stationary
 from .results import SteadyStateResult
 
 
@@ -88,14 +88,6 @@ def redfield_system(params: WireParams) -> RedfieldSystem:
                           mixed_rates=v)
 
 
-def redfield_solve(system: RedfieldSystem) -> np.ndarray:
-    """Stationary (n_+, n_-, d_+-, s_+-) from B y = -b."""
-    try:
-        return np.linalg.solve(system.b_matrix, -system.b_vector)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("Redfield drift matrix is singular") from exc
-
-
 def redfield_covariance(y: np.ndarray, system: RedfieldSystem) -> np.ndarray:
     """Assemble the local-quadrature covariance from the four averages."""
     n_p, n_m, d_pm, s_pm = y
@@ -140,9 +132,7 @@ def redfield_heat_current(y: np.ndarray, system: RedfieldSystem) -> tuple:
 def redfield_steady_state(params: WireParams) -> SteadyStateResult:
     """Partial-Redfield steady state in the local quadratures."""
     system = redfield_system(params)
-    y = redfield_solve(system)
-    residual = (np.max(np.abs(system.b_matrix @ y + system.b_vector))
-                / max(np.max(np.abs(system.b_vector)), 1e-300))
+    y, residual = stationary(system.b_matrix, system.b_vector)
     return SteadyStateResult(
         method="redfield",
         covariance=redfield_covariance(y, system),

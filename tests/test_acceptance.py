@@ -18,7 +18,7 @@ from qwire import (WireParams, gme_steady_state, lme_steady_state,
                    secular_validity_margin)
 from qwire.gme import (gme_coefficients, gme_heat_currents,
                        gme_heat_currents_from_state,
-                       gme_normal_mode_steady_state)
+                       gme_normal_mode_covariance)
 from qwire import gaussian
 import oracles
 from conftest import DATA_DIR
@@ -118,8 +118,8 @@ class TestAcceptance:
                 cutoff=10.0 ** rng.uniform(1.5, 3.0))
             coeffs = gme_coefficients(p)
             _, qdot_h = gme_heat_currents(p, coeffs)
-            state = gme_normal_mode_steady_state(coeffs)
-            _, qdot_h_state = gme_heat_currents_from_state(state, coeffs)
+            gamma_nm = gme_normal_mode_covariance(coeffs)
+            _, qdot_h_state = gme_heat_currents_from_state(gamma_nm, coeffs)
             if p.t_h == p.t_c:
                 # both forms must vanish; the dissipator average only up
                 # to roundoff on the coupling scale
@@ -131,12 +131,10 @@ class TestAcceptance:
                 # the dissipator average is a difference of per-mode
                 # terms; measure the agreement against their gross size
                 # so cancellation-limited draws are judged fairly
-                moments = {"+": (state.eta2_plus, state.pi2_plus),
-                           "-": (state.eta2_minus, state.pi2_minus)}
                 gross = 0.0
-                for sign, om in (("+", coeffs.modes.omega_plus),
-                                 ("-", coeffs.modes.omega_minus)):
-                    eta2, pi2 = moments[sign]
+                for x, sign in ((0, "+"), (2, "-")):
+                    om = coeffs.omega(sign)
+                    eta2, pi2 = gamma_nm[x, x], gamma_nm[x + 1, x + 1]
                     gross += 0.5 * (abs(coeffs.delta("h", sign))
                                     * (om**2 * eta2 + pi2)
                                     + om * abs(coeffs.sigma("h", sign)))

@@ -1,6 +1,8 @@
 """Cross-method comparison layer: solve_all, sweeps and deltas."""
 
+import dataclasses
 import math
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -10,7 +12,7 @@ from qwire import (METHODS, SteadyStateResult, WireParams, compare,
                    correlation_deltas, solve_all, sweep)
 from qwire.compare import (METRIC_KEYS, _SOLVERS, correlation_report,
                            metrics, sweep_row)
-from conftest import NEAR_DEGENERATE, WIDE_GAP, with_k
+from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
 
 
 class TestSolveAll:
@@ -103,6 +105,20 @@ class TestSweep:
             for method in METHODS:
                 for key, val in a.metrics[method].items():
                     assert val == b.metrics[method][key]
+
+    @pytest.mark.parametrize("params", [WIDE_GAP, NEAR_DEGENERATE,
+                                        RESONANT_STRONG],
+                             ids=["wide_gap", "near_degenerate",
+                                  "resonant_strong"])
+    def test_no_warnings_and_no_errors_across_decades(self, params):
+        """k from 0 through 1e5 at temperatures far below the mode
+        frequencies: no numpy warning escapes and every method solves."""
+        grid = [0.0, *np.logspace(-12, 5, 9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t_c in (1e-3, 1e-2, 0.1):
+                rows = sweep(dataclasses.replace(params, t_c=t_c), "k", grid)
+                assert [row.errors for row in rows] == [{}] * len(grid)
 
     def test_workers_capped_at_rows(self, monkeypatch):
         """No more workers than rows; the stub pool starts no process."""

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from qwire import WireParams, normal_modes, occupation
-from qwire.gme import (GmeCoefficients, NormalModeState,
-                       covariance_from_normal_modes, gme_coefficients,
-                       gme_dynamics, gme_heat_currents,
+from qwire.gme import (GmeCoefficients, gme_coefficients,
+                       gme_drift_diffusion, gme_heat_currents,
                        gme_heat_currents_from_state,
-                       gme_normal_mode_steady_state, gme_steady_state)
+                       gme_normal_mode_covariance, gme_steady_state)
+from qwire.moments import moment_equations, moments
 from qwire import gaussian
 from conftest import WIDE_GAP, with_k
 from oracles import (destroy, dissipator_adjoint, extract_affine_dynamics,
@@ -20,20 +20,15 @@ OFF_RESONANT = WireParams(1.0, 1.3, 0.4, 0.8, 1.6, 0.05, 50.0)
 
 
 def implementation_dynamics_blocks(coeffs: GmeCoefficients) -> dict:
-    """Per-mode (M, c) of the implemented moment equations."""
-    def dyn(vec):
-        return gme_dynamics(NormalModeState(*vec), coeffs).as_vector()
+    """Per-mode (M, c) of the implemented moment equations.
 
-    base = dyn([0.0] * 6)
-    out = {}
-    for sign, idx in (("+", (0, 1, 2)), ("-", (3, 4, 5))):
-        m = np.zeros((3, 3))
-        for j, gj in enumerate(idx):
-            unit = [0.0] * 6
-            unit[gj] = 1.0
-            m[:, j] = (dyn(unit) - base)[list(idx)]
-        out[sign] = (m, base[list(idx)])
-    return out
+    The same-mode moments (0, 1, 2) and (3, 4, 5) must not read the
+    cross-mode moments 6-9.
+    """
+    m, c = moment_equations(*gme_drift_diffusion(coeffs))
+    assert np.all(m[:6, 6:] == 0.0)
+    return {sign: (m[np.ix_(idx, idx)], c[list(idx)])
+            for sign, idx in (("+", (0, 1, 2)), ("-", (3, 4, 5)))}
 
 
 class TestGeneratorOracle:
@@ -99,19 +94,19 @@ class TestCoefficients:
 class TestSteadyState:
     def test_closed_form_is_fixed_point(self):
         coeffs = gme_coefficients(OFF_RESONANT)
-        state = gme_normal_mode_steady_state(coeffs)
-        deriv = gme_dynamics(state, coeffs).as_vector()
-        scale = np.max(np.abs(state.as_vector()))
-        assert np.max(np.abs(deriv)) < 1e-13 * scale
+        y = moments(gme_normal_mode_covariance(coeffs))
+        m, c = moment_equations(*gme_drift_diffusion(coeffs))
+        assert np.max(np.abs(m @ y + c)) < 1e-13 * np.max(np.abs(y))
 
     def test_forward_euler_converges_to_closed_form(self):
         coeffs = gme_coefficients(OFF_RESONANT)
-        target = gme_normal_mode_steady_state(coeffs).as_vector()
+        target = moments(gme_normal_mode_covariance(coeffs))[:6]
+        m, c = moment_equations(*gme_drift_diffusion(coeffs))
+        m6, c6 = m[:6, :6], c[:6]
         y = np.array([0.9, 1.1, 0.3, 1.4, 0.6, -0.2])
         dt = 5e-3
         for _ in range(150_000):
-            y = y + dt * gme_dynamics(NormalModeState(*y),
-                                      coeffs).as_vector()
+            y = y + dt * (m6 @ y + c6)
         assert np.max(np.abs(y - target)) < 1e-8 * np.max(np.abs(target))
 
     def test_equilibrium_decoupled_limit(self):
@@ -151,14 +146,15 @@ class TestSteadyState:
 
     def test_rotation_conjugation_numeric(self):
         coeffs = gme_coefficients(OFF_RESONANT)
-        state = gme_normal_mode_steady_state(coeffs)
-        gamma = covariance_from_normal_modes(state, coeffs.modes)
+        eta2_plus, _, eta2_minus, _ = np.diag(
+            gme_normal_mode_covariance(coeffs))
+        gamma = gme_steady_state(OFF_RESONANT).covariance
         c = math.cos(coeffs.modes.theta)
         s = math.sin(coeffs.modes.theta)
         assert gamma[0, 0] == pytest.approx(
-            c**2 * state.eta2_plus + s**2 * state.eta2_minus, rel=1e-13)
+            c**2 * eta2_plus + s**2 * eta2_minus, rel=1e-13)
         assert gamma[0, 2] == pytest.approx(
-            c * s * (state.eta2_minus - state.eta2_plus), rel=1e-13)
+            c * s * (eta2_minus - eta2_plus), rel=1e-13)
 
 
 class TestHeatCurrents:
@@ -166,8 +162,8 @@ class TestHeatCurrents:
         for params in (OFF_RESONANT, with_k(WIDE_GAP, 0.1),
                        with_k(WIDE_GAP, 1e-3)):
             coeffs = gme_coefficients(params)
-            state = gme_normal_mode_steady_state(coeffs)
-            per_bath = gme_heat_currents_from_state(state, coeffs)
+            gamma_nm = gme_normal_mode_covariance(coeffs)
+            per_bath = gme_heat_currents_from_state(gamma_nm, coeffs)
             closed = gme_heat_currents(params, coeffs)
             assert closed[1] == pytest.approx(per_bath[1], rel=1e-12)
             assert closed[0] == pytest.approx(per_bath[0], rel=1e-12)

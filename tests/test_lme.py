@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qwire import WireParams, decay_rate, occupation
-from qwire.lme import (LME_VARIABLES, covariance_from_lme_vector,
-                       lme_generator, lme_heat_currents, lme_steady_state,
-                       _dissipator_part)
+from qwire.lme import (lme_drift_diffusion, lme_steady_state,
+                       _bath_drift_diffusion)
+from qwire.moments import (MOMENTS, covariance, moment_equations, moments,
+                           stationary)
 from qwire import gaussian
 from conftest import WIDE_GAP, with_k
 from oracles import (destroy, dissipator_adjoint, embed,
@@ -40,7 +41,7 @@ class TestGeneratorOracle:
         ops = [xc @ xc, pc @ pc, xc @ pc + pc @ xc,
                xh @ xh, ph @ ph, xh @ ph + ph @ xh,
                xc @ xh, pc @ ph, xc @ ph, xh @ pc]
-        assert len(ops) == len(LME_VARIABLES)
+        assert len(ops) == len(MOMENTS)
 
         def gen(o):
             out = 1j * (h @ o - o @ h)
@@ -52,15 +53,15 @@ class TestGeneratorOracle:
 
         m, c, residual = extract_affine_dynamics(gen, ops, dims)
         assert residual < 1e-10
-        impl = lme_generator(p)
-        assert np.max(np.abs(m - impl.m)) < 1e-12
-        assert np.max(np.abs(c - impl.c)) < 1e-12
+        m_impl, c_impl = moment_equations(*lme_drift_diffusion(p))
+        assert np.max(np.abs(m - m_impl)) < 1e-12
+        assert np.max(np.abs(c - c_impl)) < 1e-12
 
 
 class TestSteadyState:
     def test_stability_spectral_abscissa(self):
-        gen = lme_generator(with_k(WIDE_GAP, 0.01))
-        assert np.max(np.linalg.eigvals(gen.m).real) < 0.0
+        m, _ = moment_equations(*lme_drift_diffusion(with_k(WIDE_GAP, 0.01)))
+        assert np.max(np.linalg.eigvals(m).real) < 0.0
 
     def test_solve_residual(self):
         res = lme_steady_state(OFF_RESONANT)
@@ -78,10 +79,11 @@ class TestSteadyState:
 
     def test_covariance_vector_mapping(self):
         y = np.arange(1.0, 11.0)
-        gamma = covariance_from_lme_vector(y)
+        gamma = covariance(y)
+        assert np.array_equal(moments(gamma), y)
         assert gamma[0, 0] == 1.0 and gamma[1, 1] == 2.0
-        assert gamma[0, 1] == 1.5  # anticommutator average halved
-        assert np.allclose(gamma, gamma.T)
+        assert gamma[0, 1] == y[2] / 2  # anticommutator average halved
+        assert np.array_equal(gamma, gamma.T)
 
 
 class TestHeatCurrents:
@@ -91,14 +93,14 @@ class TestHeatCurrents:
         <H_S> in the covariance vector."""
         for params in (OFF_RESONANT, with_k(WIDE_GAP, 0.1)):
             res = lme_steady_state(params)
-            gen = lme_generator(params)
-            y = np.linalg.solve(gen.m, -gen.c)
+            y, _ = stationary(*moment_equations(*lme_drift_diffusion(params)))
             h_vec = np.array([
                 (params.omega_c**2 + params.k) / 2, 0.5, 0.0,
                 (params.omega_h**2 + params.k) / 2, 0.5, 0.0,
                 -params.k, 0.0, 0.0, 0.0])
             for alpha, expected in zip(("c", "h"), res.heat_currents):
-                dm, dc = _dissipator_part(params, alpha)
+                dm, dc = moment_equations(*_bath_drift_diffusion(params,
+                                                                 alpha))
                 assert h_vec @ (dm @ y + dc) == pytest.approx(
                     expected, rel=1e-10, abs=1e-18)
 
