@@ -11,7 +11,6 @@ the tests).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,26 +103,36 @@ def gme_normal_mode_covariance(coeffs: GmeCoefficients) -> np.ndarray:
     return gamma_nm
 
 
+def thermal_bias(params: WireParams, modes: NormalModes) -> float:
+    """sum_s J(Omega_s) [n_h(Omega_s) - n_c(Omega_s)].
+
+    The thermal drive of both the global and the Redfield current, taken
+    as half the difference of the two baths' absorption rates
+    gamma(-Omega) = 2 J(Omega) n(Omega): exactly zero at equal
+    temperatures and positive for T_h > T_c.
+    """
+    return 0.5 * sum(decay_rate(-om, params.t_h, params)
+                     - decay_rate(-om, params.t_c, params)
+                     for om in (modes.omega_plus, modes.omega_minus))
+
+
 def gme_heat_currents(params: WireParams,
                       coeffs: GmeCoefficients | None = None) -> tuple:
     """Steady-state incoming heat currents (Qdot_c, Qdot_h).
 
-    Uses the detailed-balance form
-    Qdot_h = sum_s Omega_s W^c_{Omega_s} W^h_{Omega_s}
-             (e^{-Omega_s/T_h} - e^{-Omega_s/T_c}) / (-Delta_s);
-    Qdot_c = -Qdot_h.  The denominator is the net decay rate
-    -Delta_s = W_{Omega_s} - W_{-Omega_s} > 0 of mode s, which is what the
-    per-bath expression reduces to after eliminating the steady-state
-    occupations (checked to 1e-12 against that expression in the tests).
+    Eliminating the steady-state occupations from the per-bath expression
+    leaves Qdot_h = sum_s Omega_s W^c_{Omega_s} W^h_{Omega_s}
+    (e^{-Omega_s/T_h} - e^{-Omega_s/T_c}) / (-Delta_s).  With
+    W^a_{Omega_s} = w^a_s J(Omega_s) (1 + n_a(Omega_s)) / Omega_s, whose
+    bath weights satisfy w^c_s + w^h_s = 1 and w^c_s w^h_s = sin^2 cos^2,
+    the net decay rate is -Delta_s = J(Omega_s) / Omega_s, and with
+    (1 + n) e^{-Omega/T} = n this is
+    Qdot_h = sin^2 cos^2 sum_s J(Omega_s) [n_h(Omega_s) - n_c(Omega_s)]
+    (thermal_bias): a product of non-negative factors for T_h > T_c, free
+    of cancellation at any k.  Qdot_c = -Qdot_h.
     """
-    if coeffs is None:
-        coeffs = gme_coefficients(params)
-    qdot_h = 0.0
-    for sign in _SIGNS:
-        om = coeffs.omega(sign)
-        net = -coeffs.delta_total(sign)
-        qdot_h += (om * coeffs.w_pos["c"][sign] * coeffs.w_pos["h"][sign] / net
-                   * (math.exp(-om / params.t_h) - math.exp(-om / params.t_c)))
+    modes = normal_modes(params) if coeffs is None else coeffs.modes
+    qdot_h = modes.sin_cos**2 * thermal_bias(params, modes)
     return (-qdot_h, qdot_h)
 
 

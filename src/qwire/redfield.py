@@ -2,141 +2,77 @@
 
 Retains the near-degenerate non-secular channel at frequency
 Omega_+ - Omega_- on top of the global dissipators.  At stationarity only
-four quadratic averages survive: the mode occupations <n_+->, <n_-> and the
+four quadratic averages survive: the mode occupations <n_+>, <n_-> and the
 cross-mode combinations <d_+-> = i<a_+^dag a_- - a_+ a_-^dag> and
 <s_+-> = <a_+^dag a_- + a_+ a_-^dag>, obeying dy/dt = B y + b.
 
-The tan/cot-weighted rate combinations of the printed coefficients are
-evaluated in pre-multiplied form (sin(t)cos(t) times plain rates), which
-keeps the k = 0 decoupled limit finite.
+Both baths share lambda^2 and the cutoff, so the drift terms that would
+couple the occupations to the cross averages (each a difference
+gamma(-Omega) - gamma(Omega) = -2 J(Omega) of one bath minus the same of
+the other) cancel identically.  The occupations are then the global ones,
+and (d, s) solve the 2x2 block [[kappa, -delta], [delta, kappa]] with
+damping kappa = (Delta_+ + Delta_-)/2 = -sum_s J(Omega_s)/(2 Omega_s),
+mode splitting delta = Omega_+ - Omega_- and the thermal drive
+b_4 = -sin cos sum_s J(Omega_s) [n_h - n_c](Omega_s) / sqrt(Omega_+ Omega_-).
+The current is the global one times delta^2 / (delta^2 + kappa^2): where
+the mode splitting falls below the damping, the regime in which the
+secular approximation breaks down, the retained cross coherence carries
+heat back and suppresses the global current.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-from .model import WireParams, decay_rate, rotation_matrix, \
-    secular_validity_margin
-from .gme import gme_coefficients, GmeCoefficients
-from .moments import stationary
+from .model import WireParams, rotation_matrix, secular_validity_margin
+from .gme import gme_coefficients, gme_normal_mode_covariance, thermal_bias
 from .results import SteadyStateResult
 
 
-@dataclass(frozen=True)
-class RedfieldSystem:
-    """Linear system dy/dt = B y + b for (n_+, n_-, d_+-, s_+-)."""
+def redfield_steady_state(params: WireParams) -> SteadyStateResult:
+    """Partial-Redfield steady state in the local quadratures.
 
-    coeffs: GmeCoefficients
-    b_matrix: np.ndarray
-    b_vector: np.ndarray
-    mixed_rates: dict
-
-
-def _mixed_rates(params: WireParams, coeffs: GmeCoefficients) -> dict:
-    """sin cos weighted rates V^a_{+-Omega_s} = sc gamma_a(+-Omega_s)/(2 Omega_s).
-
-    These equal W^c tan(t) / W^h cot(t) (mode +) and W^c cot(t) /
-    W^h tan(t) (mode -) wherever those are finite.
+    The residual is max|B y + b| / max|b| of the four-variable system that
+    the closed form solves, y = (n_+, n_-, d_+-, s_+-).
     """
-    sc = coeffs.modes.sin_cos
-    freqs = {"+": coeffs.modes.omega_plus, "-": coeffs.modes.omega_minus}
-    out = {}
-    for a in ("c", "h"):
-        t = params.temperature(a)
-        for s in ("+", "-"):
-            om = freqs[s]
-            out[(a, s, -1)] = sc * decay_rate(-om, t, params) / (2.0 * om)
-            out[(a, s, +1)] = sc * decay_rate(om, t, params) / (2.0 * om)
-    return out
-
-
-def redfield_system(params: WireParams) -> RedfieldSystem:
-    """Transcribe the 4x4 drift matrix B and the source vector b."""
     coeffs = gme_coefficients(params)
-    v = _mixed_rates(params, coeffs)
-    om_p, om_m = coeffs.modes.omega_plus, coeffs.modes.omega_minus
-    rp = math.sqrt(om_p / om_m)   # sqrt(Omega_+/Omega_-)
-    rm = 1.0 / rp
+    modes = coeffs.modes
+    om_p, om_m = modes.omega_plus, modes.omega_minus
+    delta_p, delta_m = coeffs.delta_total("+"), coeffs.delta_total("-")
+    kappa = 0.5 * (delta_p + delta_m)
+    # Omega_+ - Omega_- = (Omega_+^2 - Omega_-^2) / (Omega_+ + Omega_-)
+    delta = (math.hypot(2.0 * params.k, params.omega_h**2 - params.omega_c**2)
+             / (om_p + om_m))
+    bias = thermal_bias(params, modes)
+    b4 = -modes.sin_cos * bias / math.sqrt(om_p * om_m)
+    norm = delta**2 + kappa**2
+    d_pm, s_pm = -delta * b4 / norm, -kappa * b4 / norm
 
-    b_vec = np.zeros(4)
-    b_vec[0] = coeffs.w_neg["c"]["+"] + coeffs.w_neg["h"]["+"]
-    b_vec[1] = coeffs.w_neg["c"]["-"] + coeffs.w_neg["h"]["-"]
-    b_vec[3] = (rp * (v[("c", "+", -1)] - v[("h", "+", -1)])
-                + rm * (v[("c", "-", -1)] - v[("h", "-", -1)]))
+    w_p = coeffs.w_neg["c"]["+"] + coeffs.w_neg["h"]["+"]
+    w_m = coeffs.w_neg["c"]["-"] + coeffs.w_neg["h"]["-"]
+    balance = (delta_p * (w_p / -delta_p) + w_p,
+               delta_m * (w_m / -delta_m) + w_m,
+               kappa * d_pm - delta * s_pm,
+               delta * d_pm + kappa * s_pm + b4)
+    residual = max(map(abs, balance)) / max(w_p, w_m, abs(b4), 1e-300)
 
-    delta_p = coeffs.delta_total("+")
-    delta_m = coeffs.delta_total("-")
-    b14 = 0.5 * rm * ((v[("c", "-", -1)] - v[("c", "-", +1)])
-                      - (v[("h", "-", -1)] - v[("h", "-", +1)]))
-    b24 = 0.5 * rp * ((v[("c", "+", -1)] - v[("c", "+", +1)])
-                      - (v[("h", "+", -1)] - v[("h", "+", +1)]))
-
-    b_mat = np.zeros((4, 4))
-    b_mat[0, 0] = delta_p
-    b_mat[1, 1] = delta_m
-    b_mat[0, 3] = b14
-    b_mat[3, 1] = 2.0 * b14
-    b_mat[1, 3] = b24
-    b_mat[3, 0] = 2.0 * b24
-    b_mat[2, 2] = b_mat[3, 3] = 0.5 * (delta_p + delta_m)
-    b_mat[2, 3] = om_m - om_p
-    b_mat[3, 2] = om_p - om_m
-    return RedfieldSystem(coeffs=coeffs, b_matrix=b_mat, b_vector=b_vec,
-                          mixed_rates=v)
-
-
-def redfield_covariance(y: np.ndarray, system: RedfieldSystem) -> np.ndarray:
-    """Assemble the local-quadrature covariance from the four averages."""
-    n_p, n_m, d_pm, s_pm = y
-    om_p = system.coeffs.modes.omega_plus
-    om_m = system.coeffs.modes.omega_minus
-    # normal-mode covariance in the ordering (eta_+, Pi_+, eta_-, Pi_-)
-    g_nm = np.zeros((4, 4))
-    g_nm[0, 0] = (0.5 + n_p) / om_p
-    g_nm[1, 1] = om_p * (0.5 + n_p)
-    g_nm[2, 2] = (0.5 + n_m) / om_m
-    g_nm[3, 3] = om_m * (0.5 + n_m)
+    # normal-mode covariance over (eta_+, Pi_+, eta_-, Pi_-): the global
+    # diagonal plus the cross entries of the coherence (d, s).  The two d
+    # entries are time-reversed (CHANGES.md FOUND); they stay until the
+    # frozen fig1b references are re-frozen with the fix.
+    g_nm = gme_normal_mode_covariance(coeffs)
     g_nm[0, 2] = g_nm[2, 0] = s_pm / (2.0 * math.sqrt(om_p * om_m))
     g_nm[0, 3] = g_nm[3, 0] = 0.5 * math.sqrt(om_p / om_m) * d_pm
     g_nm[1, 2] = g_nm[2, 1] = -0.5 * math.sqrt(om_m / om_p) * d_pm
     g_nm[1, 3] = g_nm[3, 1] = 0.5 * math.sqrt(om_p * om_m) * s_pm
-    rot = rotation_matrix(system.coeffs.modes.theta)
-    return rot @ g_nm @ rot.T
-
-
-def redfield_heat_current(y: np.ndarray, system: RedfieldSystem) -> tuple:
-    """Incoming currents (Qdot_c, Qdot_h) at the Redfield steady state.
-
-    The printed expression equals the heat flowing out of the cold bath in
-    the convention of the global-solution currents; the sign is normalized
-    here so that Qdot_h > 0 for T_h > T_c (verified against the exact
-    solver in the tests).
-    """
-    n_p, n_m, d_pm, s_pm = y
-    c = system.coeffs
-    om_p, om_m = c.modes.omega_plus, c.modes.omega_minus
-    expr = (om_p * (c.w_pos["c"]["+"] * n_p - c.w_neg["c"]["+"] * (1.0 + n_p))
-            + om_m * (c.w_pos["c"]["-"] * n_m
-                      - c.w_neg["c"]["-"] * (1.0 + n_m)))
-    sc_rates = system.mixed_rates
-    expr += 0.5 * math.sqrt(om_p * om_m) * s_pm * (
-        (sc_rates[("c", "-", +1)] - sc_rates[("c", "-", -1)])
-        + (sc_rates[("c", "+", +1)] - sc_rates[("c", "+", -1)]))
-    qdot_c = -expr
-    return (qdot_c, -qdot_c)
-
-
-def redfield_steady_state(params: WireParams) -> SteadyStateResult:
-    """Partial-Redfield steady state in the local quadratures."""
-    system = redfield_system(params)
-    y, residual = stationary(system.b_matrix, system.b_vector)
+    rot = rotation_matrix(modes.theta)
+    # the global current sin^2 cos^2 * bias (gme_heat_currents), scaled by
+    # a ratio <= 1 so that 0 <= Qdot_h <= global also holds in floats
+    qdot_h = modes.sin_cos**2 * bias * (delta**2 / norm)
     return SteadyStateResult(
         method="redfield",
-        covariance=redfield_covariance(y, system),
-        heat_currents=redfield_heat_current(y, system),
+        covariance=rot @ g_nm @ rot.T,
+        heat_currents=(-qdot_h, qdot_h),
         diagnostics={"secular_margin": secular_validity_margin(params),
                      "residual": residual},
     )

@@ -3,27 +3,60 @@
 The oracle builds the complete near-degenerate master equation (secular
 dissipators plus the retained cross channel between the two normal-mode
 frequencies) in a truncated Fock space, extracts the closed dynamics of
-all ten quadratic mode variables, and checks that the implemented
-4-variable reduction is exact.
+all ten quadratic mode variables, and checks that they reduce to the
+four-variable system whose closed form the implementation evaluates.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from qwire import WireParams, decay_rate, occupation
-from qwire.moments import stationary
-from qwire.redfield import (redfield_covariance, redfield_steady_state,
-                            redfield_system)
-from qwire import gme_steady_state
+from qwire import (WireParams, decay_rate, exact_steady_state,
+                   gme_heat_currents, gme_steady_state, occupation,
+                   rotation_matrix, spectral_density)
+from qwire.gme import gme_coefficients, gme_normal_mode_covariance
+from qwire.redfield import redfield_steady_state
 from qwire import gaussian
-from conftest import NEAR_DEGENERATE, WIDE_GAP, with_k
+from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
 from oracles import destroy, dissipator_adjoint, embed, \
     extract_affine_dynamics
 
 ORACLE_PARAMS = WireParams(1.0, 1.05, 0.12, 0.8, 1.6, 0.05, 50.0)
+
+
+def closed_form_system(params: WireParams) -> tuple:
+    """(B, b) of dy/dt = B y + b, y = (n_+, n_-, d_+-, s_+-), as the
+    closed form states it: no occupation-coherence coupling, the
+    [[kappa, -delta], [delta, kappa]] coherence block and the drive b_4."""
+    coeffs = gme_coefficients(params)
+    modes = coeffs.modes
+    om_p, om_m = modes.omega_plus, modes.omega_minus
+    delta_p, delta_m = coeffs.delta_total("+"), coeffs.delta_total("-")
+    kappa, delta = 0.5 * (delta_p + delta_m), om_p - om_m
+    bias = sum(spectral_density(om, params)
+               * (occupation(om, params.t_h) - occupation(om, params.t_c))
+               for om in (om_p, om_m))
+    b_mat = np.array([[delta_p, 0.0, 0.0, 0.0], [0.0, delta_m, 0.0, 0.0],
+                      [0.0, 0.0, kappa, -delta], [0.0, 0.0, delta, kappa]])
+    b_vec = np.array([sum(coeffs.w_neg[a]["+"] for a in ("c", "h")),
+                      sum(coeffs.w_neg[a]["-"] for a in ("c", "h")), 0.0,
+                      -modes.sin_cos * bias / math.sqrt(om_p * om_m)])
+    return b_mat, b_vec
+
+
+def redfield_averages(params: WireParams) -> np.ndarray:
+    """(n_+, n_-, d_+-, s_+-) read back from the Redfield covariance by
+    inverting its normal-mode assembly."""
+    modes = gme_coefficients(params).modes
+    om_p, om_m = modes.omega_plus, modes.omega_minus
+    rot = rotation_matrix(modes.theta)
+    g_nm = rot.T @ redfield_steady_state(params).covariance @ rot
+    return np.array([g_nm[1, 1] / om_p - 0.5, g_nm[3, 3] / om_m - 0.5,
+                     2.0 * g_nm[0, 3] / math.sqrt(om_p / om_m),
+                     2.0 * math.sqrt(om_p * om_m) * g_nm[0, 2]])
 
 
 def full_mode_dynamics(params: WireParams, dims=(12, 12)) -> tuple:
@@ -33,8 +66,7 @@ def full_mode_dynamics(params: WireParams, dims=(12, 12)) -> tuple:
     combinations i(a+ a+ - h.c.), (a+ a+ + h.c.), same for the minus mode
     and for the +- pair.
     """
-    system = redfield_system(params)
-    modes = system.coeffs.modes
+    modes = gme_coefficients(params).modes
     om_p, om_m = modes.omega_plus, modes.omega_minus
     a_p = embed(destroy(dims[0]), 0, dims)
     a_m = embed(destroy(dims[1]), 1, dims)
@@ -90,20 +122,22 @@ def full_mode_dynamics(params: WireParams, dims=(12, 12)) -> tuple:
 
 class TestFockOracle:
     def test_reduction_to_four_variables_is_exact(self):
-        system = redfield_system(ORACLE_PARAMS)
+        b_mat, b_vec = closed_form_system(ORACLE_PARAMS)
         a_mat, c_vec = full_mode_dynamics(ORACLE_PARAMS)
         # the retained block neither feeds into nor reads from the six
         # pair-creation variables
         assert np.max(np.abs(a_mat[:4, 4:])) < 1e-12
-        assert np.max(np.abs(a_mat[:4, :4] - system.b_matrix)) < 1e-12
-        assert np.max(np.abs(c_vec[:4] - system.b_vector)) < 1e-12
+        # the occupations do not read the cross-mode averages: the mixed
+        # drift of the two baths cancels
+        assert np.max(np.abs(a_mat[:2, 2:4])) < 1e-12
+        assert np.max(np.abs(a_mat[:4, :4] - b_mat)) < 1e-12
+        assert np.max(np.abs(c_vec[:4] - b_vec)) < 1e-12
 
     def test_pair_creation_averages_vanish_at_stationarity(self):
         a_mat, c_vec = full_mode_dynamics(ORACLE_PARAMS)
         y10 = np.linalg.solve(a_mat, -c_vec)
         assert np.max(np.abs(y10[4:])) < 1e-12
-        system = redfield_system(ORACLE_PARAMS)
-        y4, _ = stationary(system.b_matrix, system.b_vector)
+        y4 = redfield_averages(ORACLE_PARAMS)
         assert np.max(np.abs(y10[:4] - y4)) < 1e-10
 
     def test_time_integration_converges(self):
@@ -152,13 +186,73 @@ class TestSteadyState:
             assert res.diagnostics["residual"] < 1e-12
 
     def test_covariance_assembly_diagonal_blocks(self):
-        system = redfield_system(ORACLE_PARAMS)
-        y = np.array([0.7, 0.4, 0.0, 0.0])
-        gamma = redfield_covariance(y, system)
-        # with no cross-mode averages this reduces to the rotated
-        # occupation-diagonal form: trace is basis independent
-        om_p = system.coeffs.modes.omega_plus
-        om_m = system.coeffs.modes.omega_minus
-        expected_trace = ((0.5 + 0.7) * (om_p + 1 / om_p)
-                          + (0.5 + 0.4) * (om_m + 1 / om_m))
+        # the normal-mode diagonal is the global one, and the trace, which
+        # is basis independent, is that of the occupations W_-s / (-Delta_s)
+        coeffs = gme_coefficients(ORACLE_PARAMS)
+        rot = rotation_matrix(coeffs.modes.theta)
+        gamma = redfield_steady_state(ORACLE_PARAMS).covariance
+        g_nm = rot.T @ gamma @ rot
+        expected = np.diag(gme_normal_mode_covariance(coeffs))
+        assert np.allclose(np.diag(g_nm), expected, rtol=1e-12, atol=0.0)
+        b_mat, b_vec = closed_form_system(ORACLE_PARAMS)
+        n_p, n_m = -b_vec[:2] / np.diag(b_mat)[:2]
+        om_p, om_m = coeffs.modes.omega_plus, coeffs.modes.omega_minus
+        expected_trace = ((0.5 + n_p) * (om_p + 1 / om_p)
+                          + (0.5 + n_m) * (om_m + 1 / om_m))
         assert np.trace(gamma) == pytest.approx(expected_trace, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the cross covariances are time-reversed (CHANGES.md FOUND: "
+        "Redfield cross covariances); the fix changes frozen benchmark "
+        "cells and waits for their re-freeze"))
+    def test_cross_covariances_match_exact_near_degenerate(self):
+        params = with_k(NEAR_DEGENERATE, 1e-3)
+        red = redfield_steady_state(params).covariance
+        exact = exact_steady_state(params).covariance
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(red - exact)) < 1e-2 * scale
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def wires(draw) -> WireParams:
+    """Wide-gap, near-degenerate and exactly resonant nodes over decades of
+    k, T/omega and lambda^2."""
+    omega_h = draw(st.sampled_from((2.0, math.sqrt(1.0 + 2e-6), 1.0)))
+    return WireParams(omega_c=1.0, omega_h=omega_h,
+                      k=draw(_log_uniform(1e-12, 1e5)),
+                      t_c=draw(_log_uniform(1e-3, 1e2)),
+                      t_h=omega_h * draw(_log_uniform(1e-3, 1e2)),
+                      lambda_sq=draw(_log_uniform(1e-6, 1e-1)),
+                      cutoff=1e3)
+
+
+class TestHeatCurrents:
+    def test_k_squared_scaling_at_weak_coupling(self):
+        """Q/k^2 reaches its weak-coupling limit as O(k) in both node
+        orders, and at exactly resonant nodes, where the splitting
+        delta ~ k sits far below the damping kappa."""
+        for params in (WIDE_GAP, WIDE_GAP.swapped(), RESONANT_STRONG):
+            limit = redfield_steady_state(with_k(params, 1e-12)).qdot_h
+            limit /= 1e-24
+            assert abs(limit) > 1e-4
+            for k in (1e-8, 1e-10):
+                q_h = redfield_steady_state(with_k(params, k)).qdot_h
+                assert q_h / k**2 == pytest.approx(limit, rel=1e-9)
+
+    @given(wires())
+    @example(with_k(WIDE_GAP, 1e-9))
+    @settings(max_examples=300, deadline=None)
+    def test_balance_antisymmetry_and_second_law(self, params):
+        q_glob = gme_heat_currents(params)
+        q_red = redfield_steady_state(params).heat_currents
+        swapped = params.swapped()
+        for q, q_sw in ((q_glob, gme_heat_currents(swapped)),
+                        (q_red, redfield_steady_state(swapped).heat_currents)):
+            assert q[0] == -q[1]
+            assert q_sw[1] == pytest.approx(-q[1], rel=1e-12, abs=0.0)
+        if params.t_h > params.t_c:
+            assert 0.0 <= q_red[1] <= q_glob[1]
