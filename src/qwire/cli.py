@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
-from .compare import (METRIC_KEYS, SWEEP_AXES, correlation_report, metrics,
-                      solve_all, sweep)
+from .compare import (METRIC_KEYS, SWEEP_AXES, correlation_report,
+                      exact_state, metrics, solve_all, sweep)
 from .exact import QuadratureError
 from .gme import (gme_coefficients, gme_heat_currents_from_state,
                   gme_normal_mode_covariance)
@@ -29,19 +29,12 @@ SPEC_VERSION = 1
 
 #: frozen named parameter presets; k is the sweep variable and has no
 #: preset value.  grid = (start, stop) of the default 60-point log grid.
+_FIG1A = dict(omega_c=1.0, omega_h=2.0, t_c=2.0, t_h=3.0, lambda_sq=1e-3,
+              cutoff=1e3, grid=(1e-4, 1.0))
+_FIG1B = dict(_FIG1A, omega_h=math.sqrt(1.0 + 2e-6), grid=(1e-5, 1e-1))
 PRESETS = {
-    "fig1a": dict(omega_c=1.0, omega_h=2.0, t_c=2.0, t_h=3.0,
-                  lambda_sq=1e-3, cutoff=1e3, grid=(1e-4, 1.0)),
-    "fig1b": dict(omega_c=1.0, omega_h=math.sqrt(1.0 + 2e-6), t_c=2.0,
-                  t_h=3.0, lambda_sq=1e-3, cutoff=1e3, grid=(1e-5, 1e-1)),
-    "fig1c": dict(omega_c=1.0, omega_h=2.0, t_c=2.0, t_h=3.0,
-                  lambda_sq=1e-3, cutoff=1e3, grid=(1e-4, 1.0)),
-    "fig1d": dict(omega_c=1.0, omega_h=math.sqrt(1.0 + 2e-6), t_c=2.0,
-                  t_h=3.0, lambda_sq=1e-3, cutoff=1e3, grid=(1e-5, 1e-1)),
-    "fig2a": dict(omega_c=1.0, omega_h=math.sqrt(1.0 + 2e-6), t_c=2.0,
-                  t_h=3.0, lambda_sq=1e-3, cutoff=1e3, grid=(1e-5, 1e-1)),
-    "fig2b": dict(omega_c=1.0, omega_h=math.sqrt(1.0 + 2e-6), t_c=2.0,
-                  t_h=3.0, lambda_sq=1e-3, cutoff=1e3, grid=(1e-5, 1e-1)),
+    "fig1a": _FIG1A, "fig1b": _FIG1B, "fig1c": _FIG1A, "fig1d": _FIG1B,
+    "fig2a": _FIG1B, "fig2b": _FIG1B,
     "fig2c": dict(omega_c=10.0, omega_h=10.0, t_c=1.0, t_h=2.0,
                   lambda_sq=1e-3, cutoff=1e3, grid=(10.0, 1e5)),
 }
@@ -68,10 +61,9 @@ class Scenario:
     grid: tuple = ()
 
     def as_dict(self) -> dict:
-        d = {"name": self.name, "axis": self.axis,
-             "grid": [float(v) for v in self.grid]}
-        d.update(dataclasses.asdict(self.params))
-        return d
+        return {"name": self.name, "axis": self.axis,
+                "grid": [float(v) for v in self.grid],
+                **dataclasses.asdict(self.params)}
 
 
 def _fmt(value: float) -> str:
@@ -141,17 +133,13 @@ def load_config(path: str | None) -> dict:
             raise CliError(f"{path}:{num}: unknown key {key!r}")
         if not value:
             raise CliError(f"{path}:{num}: empty value for {key!r}")
-        if key in _PARAM_KEYS:
+        if key in _PARAM_KEYS or key == "jobs":
+            kind, noun = ((int, "an integer") if key == "jobs"
+                          else (float, "a number"))
             try:
-                out[key] = float(value)
+                out[key] = kind(value)
             except ValueError:
-                raise CliError(f"{path}:{num}: {key} must be a number, "
-                               f"got {value!r}") from None
-        elif key == "jobs":
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise CliError(f"{path}:{num}: jobs must be an integer, "
+                raise CliError(f"{path}:{num}: {key} must be {noun}, "
                                f"got {value!r}") from None
         else:
             out[key] = value
@@ -165,12 +153,8 @@ def resolve_scenario(args: argparse.Namespace, config: dict,
     if name != "custom" and name not in PRESETS:
         raise CliError(f"unknown scenario {name!r}; "
                        f"choose from {', '.join(sorted(PRESETS))} or custom")
-    values: dict = {}
-    grid_range = None
-    if name in PRESETS:
-        preset = dict(PRESETS[name])
-        grid_range = preset.pop("grid")
-        values.update(preset)
+    values = dict(PRESETS.get(name, {}))
+    grid_range = values.pop("grid", None)
     values.update({k: v for k, v in config.items() if k in _PARAM_KEYS})
     for key in _PARAM_KEYS:
         flag = getattr(args, key, None)
@@ -231,10 +215,10 @@ def cmd_steady(args: argparse.Namespace) -> int:
                                 need_grid=False)
     _echo_scenario(scenario)
     results = solve_all(scenario.params)
-    exact = results[-1]
+    exact = exact_state(results)
     methods = {}
     for res in results:
-        values, error = metrics(res, exact.covariance, args.measured_node)
+        values, error = metrics(res, exact, args.measured_node)
         methods[res.method] = {
             "qdot_c": res.qdot_c,
             **values,
@@ -263,9 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                               "axis_value": row.axis_value,
                               "method": method, "message": message},
                              allow_nan=False), file=sys.stderr)
-    header = list(CSV_COLUMNS)
-    header[0] = scenario.axis
-    lines = [",".join(header)]
+    lines = [",".join([scenario.axis] + CSV_COLUMNS[1:])]
     for row in rows:
         cells = [_fmt(row.axis_value), _fmt(row.secular_margin)]
         for method in METHODS:
@@ -285,7 +267,7 @@ def _validate_checks(scenario: Scenario, measured_node: str) -> list:
     """Invariant suite at one parameter point."""
     params = scenario.params
     results = solve_all(params)
-    exact = results[-1]
+    exact = exact_state(results)
     checks = []
 
     def add(name, passed, detail):
@@ -321,8 +303,7 @@ def _validate_checks(scenario: Scenario, measured_node: str) -> list:
         add("global_second_law", q_closed >= 0.0,
             f"qdot_h = {q_closed:.3e} with t_h >= t_c")
 
-    report = correlation_report(exact.covariance, exact.covariance,
-                                measured_node)
+    report = correlation_report(exact, exact, measured_node)
     add("exact_self_fidelity", abs(report.fidelity_to_exact - 1.0) <= 1e-9,
         f"F(exact, exact) = {report.fidelity_to_exact:.12f}")
     add("exact_correlations_ordered",

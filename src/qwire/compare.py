@@ -65,19 +65,26 @@ def solve_all(params: WireParams) -> list:
     return out
 
 
-def correlation_report(covariance: np.ndarray, exact_cov: np.ndarray,
+def correlation_report(covariance, exact,
                        measured_node: str = "h") -> gaussian.CorrelationReport:
-    """Correlation measures of one state plus its fidelity to the exact one."""
-    mi = gaussian.mutual_information(covariance)
-    q = gaussian.gaussian_discord(covariance, measured_node)
+    """Correlation measures of one state plus its fidelity to the exact one;
+    either may be a gaussian.GaussianState or a plain covariance."""
+    state = gaussian.GaussianState.of(covariance)
+    mi = gaussian.mutual_information(state)
+    q = gaussian.gaussian_discord(state, measured_node)
     return gaussian.CorrelationReport(
-        fidelity_to_exact=gaussian.fidelity(covariance, exact_cov),
+        fidelity_to_exact=gaussian.fidelity(state, exact),
         mutual_information=mi,
         discord_arrow=q,
         classical_arrow=max(mi - q, 0.0),
-        log_negativity=gaussian.log_negativity(covariance),
+        log_negativity=gaussian.log_negativity(state),
         measured_node=measured_node,
     )
+
+
+def exact_state(results: list) -> gaussian.GaussianState:
+    """solve_all's exact state, named in its failed physicality check."""
+    return gaussian.GaussianState(results[-1].covariance, "exact state: ")
 
 
 def _with_axis(params: WireParams, axis: str, value: float) -> WireParams:
@@ -86,21 +93,22 @@ def _with_axis(params: WireParams, axis: str, value: float) -> WireParams:
     return dataclasses.replace(params, **{axis: value})
 
 
-def metrics(result: SteadyStateResult, exact_cov: np.ndarray,
+def metrics(result: SteadyStateResult, exact: gaussian.GaussianState,
             measured_node: str = "h") -> tuple:
     """The METRIC_KEYS values of one steady state, and the error message
     behind its NaN values (None if there is none).
 
     A failed solver gives NaN everywhere; a state that the Gaussian
-    measures reject as non-physical keeps its heat current only.
+    measures reject as non-physical keeps its heat current only.  The
+    exact result is measured on `exact` itself, the point's exact_state.
     """
     values = dict.fromkeys(METRIC_KEYS, math.nan)
     if "error" in result.diagnostics:
         return values, result.diagnostics["error"]
     values["qdot_h"] = result.qdot_h
+    state = exact if result.method == "exact" else result.covariance
     try:
-        report = correlation_report(result.covariance, exact_cov,
-                                    measured_node)
+        report = correlation_report(state, exact, measured_node)
     except gaussian.NonPhysicalStateError as exc:
         return values, f"NonPhysicalStateError: {exc}"
     return dict(zip(METRIC_KEYS, (
@@ -114,19 +122,18 @@ def sweep_row(params: WireParams, axis: str, value: float,
     """One fully-populated sweep row (pure function of its arguments)."""
     point = _with_axis(params, axis, value)
     results = solve_all(point)
-    exact = results[-1]
-    table = {}
-    errors = {}
+    exact = exact_state(results)
+    table, errors = {}, {}
     for res in results:
-        table[res.method], error = metrics(res, exact.covariance,
-                                           measured_node)
+        table[res.method], error = metrics(res, exact, measured_node)
         if error is not None:
             errors[res.method] = error
     return SweepRow(
         axis_value=value,
         secular_margin=secular_validity_margin(point),
         metrics=table,
-        exact_quad_error=exact.diagnostics.get("quadrature_error", math.nan),
+        exact_quad_error=results[-1].diagnostics.get("quadrature_error",
+                                                     math.nan),
         errors=errors,
     )
 
@@ -157,11 +164,11 @@ def correlation_deltas(params: WireParams, measured_node: str = "h") -> dict:
     metrics.  The differences are NaN if the exact state is non-physical.
     """
     results = solve_all(params)
-    exact = results[-1]
-    exact_values, _ = metrics(exact, exact.covariance, measured_node)
+    exact = exact_state(results)
+    exact_values, _ = metrics(results[-1], exact, measured_node)
     out = {}
     for res in results[:-1]:
-        values, error = metrics(res, exact.covariance, measured_node)
+        values, error = metrics(res, exact, measured_node)
         if error is not None:
             out[res.method] = {"error": error}
             continue

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,23 +61,6 @@ def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.eigvalsh(herm)[n:][::-1]
 
 
-def _checked_nus(gamma: np.ndarray, tol: float = PHYSICALITY_TOL) -> np.ndarray:
-    nus = symplectic_eigenvalues(gamma)
-    if nus[-1] < 0.5 - tol:
-        raise NonPhysicalStateError(
-            "smallest symplectic eigenvalue below 1/2: "
-            f"nu_min - 1/2 = {nus[-1] - 0.5:.3e}")
-    return np.maximum(nus, 0.5)
-
-
-def is_physical(gamma: np.ndarray, tol: float = PHYSICALITY_TOL) -> bool:
-    try:
-        _checked_nus(gamma, tol)
-    except NonPhysicalStateError:
-        return False
-    return True
-
-
 def _entropy_term(nu: float) -> float:
     # (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2); zero at nu = 1/2
     up = nu + 0.5
@@ -87,28 +71,69 @@ def _entropy_term(nu: float) -> float:
     return val
 
 
+class GaussianState:
+    """A covariance matrix and its entropies, each taken once, on first use.
+    The entropy is the check: it raises anew on every use, led by `label`."""
+
+    def __init__(self, covariance: np.ndarray, label: str = ""):
+        self.covariance = np.asarray(covariance, dtype=float)
+        self.label = label
+
+    @classmethod
+    def of(cls, gamma) -> GaussianState:
+        """gamma itself if it is a state, else a new state of it."""
+        return gamma if isinstance(gamma, cls) else cls(gamma)
+
+    @cached_property
+    def entropy(self) -> float:
+        """Von Neumann entropy (nats); raises NonPhysicalStateError."""
+        nus = symplectic_eigenvalues(self.covariance)
+        if nus[-1] < 0.5 - PHYSICALITY_TOL:
+            raise NonPhysicalStateError(
+                f"{self.label}smallest symplectic eigenvalue below 1/2: "
+                f"nu_min - 1/2 = {nus[-1] - 0.5:.3e}")
+        return float(sum(_entropy_term(nu) for nu in np.maximum(nus, 0.5)))
+
+    @cached_property
+    def node_entropies(self) -> tuple:
+        """(S(G_c), S(G_h)) of a two-mode state that passes the check."""
+        g = self.checked()
+        return entropy(g[:2, :2]), entropy(g[2:, 2:])
+
+    def checked(self) -> np.ndarray:
+        """The covariance, once the state has passed the check."""
+        self.entropy  # raises NonPhysicalStateError
+        return self.covariance
+
+
+def is_physical(gamma: np.ndarray) -> bool:
+    try:
+        entropy(gamma)
+    except NonPhysicalStateError:
+        return False
+    return True
+
+
 def entropy(gamma: np.ndarray) -> float:
     """Von Neumann entropy of a Gaussian state (nats)."""
-    return float(sum(_entropy_term(nu) for nu in _checked_nus(gamma)))
+    return GaussianState.of(gamma).entropy
 
 
-def mutual_information(gamma: np.ndarray) -> float:
-    """I = S(G_c) + S(G_h) - S(G_ch) for a 4x4 covariance matrix."""
-    gamma = np.asarray(gamma, dtype=float)
-    return entropy(gamma[:2, :2]) + entropy(gamma[2:, 2:]) - entropy(gamma)
+def mutual_information(gamma) -> float:
+    """I = S(G_c) + S(G_h) - S(G_ch) of a two-mode state."""
+    state = GaussianState.of(gamma)
+    s_c, s_h = state.node_entropies
+    return s_c + s_h - state.entropy
 
 
-def fidelity(gamma1: np.ndarray, gamma2: np.ndarray) -> float:
+def fidelity(gamma1, gamma2) -> float:
     """Uhlmann fidelity of two zero-mean two-mode Gaussian states.
 
     F = (x + sqrt(x^2 - a)) / a with x = sqrt(b) + sqrt(c),
     a = det(G1 + G2), b = 2^4 det[(J G1)(J G2) - 1/4],
     c = 2^4 det(G1 + iJ/2) det(G2 + iJ/2).
     """
-    g1 = np.asarray(gamma1, dtype=float)
-    g2 = np.asarray(gamma2, dtype=float)
-    _checked_nus(g1)
-    _checked_nus(g2)
+    g1, g2 = (GaussianState.of(g).checked() for g in (gamma1, gamma2))
     jj = symplectic_form()
     a = np.linalg.det(g1 + g2)
     b = 16.0 * np.linalg.det((jj @ g1) @ (jj @ g2) - np.eye(4) / 4.0)
@@ -129,7 +154,6 @@ def _clamp_roundoff(value: float, tol: float) -> float:
 
 
 def _blocks(gamma: np.ndarray, measured_node: str):
-    gamma = np.asarray(gamma, dtype=float)
     if measured_node == "h":
         return gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:]
     if measured_node == "c":
@@ -217,7 +241,7 @@ def _optimal_seeds(a, b, c) -> tuple:
     return s, 0.5 * np.arctan2(-q[:, 2], -q[:, 1])
 
 
-def gaussian_discord(gamma: np.ndarray, measured_node: str = "h") -> float:
+def gaussian_discord(gamma, measured_node: str = "h") -> float:
     """Gaussian quantum discord revealed by measuring one node.
 
     Q = S(G_B) - S(G_AB) + min_m S(A | m) over pure single-mode Gaussian
@@ -225,24 +249,22 @@ def gaussian_discord(gamma: np.ndarray, measured_node: str = "h") -> float:
     et al., PRL 113, 140405 (2014)).  The minimum is the smaller of the
     kernel's values at the two closed-form candidates of _optimal_seeds.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    _checked_nus(gamma)
-    a, b, c = _blocks(gamma, measured_node)
+    state = GaussianState.of(gamma)
+    a, b, c = _blocks(state.checked(), measured_node)
     cond = _conditional_entropies(a, b, c, *_optimal_seeds(a, b, c))
-    q = entropy(np.array(b)) - entropy(gamma) + float(np.fmin(*cond))
+    s_b = state.node_entropies["ch".index(measured_node)]
+    q = s_b - state.entropy + float(np.fmin(*cond))
     return max(q, 0.0)
 
 
-def log_negativity(gamma: np.ndarray) -> float:
+def log_negativity(gamma) -> float:
     """Logarithmic negativity from the partially transposed covariance.
 
     The partial transpose flips the sign of the cold momentum,
     G~ = P G P with P = diag(1, -1, 1, 1).
     """
-    gamma = np.asarray(gamma, dtype=float)
-    _checked_nus(gamma)
     p = np.diag([1.0, -1.0, 1.0, 1.0])
-    nus = symplectic_eigenvalues(p @ gamma @ p)
+    nus = symplectic_eigenvalues(p @ GaussianState.of(gamma).checked() @ p)
     return float(sum(max(0.0, -math.log(2.0 * nu)) for nu in nus))
 
 

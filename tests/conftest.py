@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from qwire import WireParams
+from qwire import WireParams, gaussian
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -23,6 +23,18 @@ RESONANT_STRONG = WireParams(omega_c=10.0, omega_h=10.0, k=1e3, t_c=1.0,
 
 def with_k(params: WireParams, k: float) -> WireParams:
     return dataclasses.replace(params, k=k)
+
+
+def count_spectra(monkeypatch) -> list:
+    """A list that grows by one at every symplectic spectrum taken."""
+    spectra = []
+    spectrum = gaussian.symplectic_eigenvalues
+
+    def counted(gamma):
+        spectra.append(gamma.shape)
+        return spectrum(gamma)
+    monkeypatch.setattr(gaussian, "symplectic_eigenvalues", counted)
+    return spectra
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,12 @@
 """Command-line front end: presets, config grammar, outputs, exit codes."""
 
+import dataclasses
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qwire import cli, compare
@@ -223,6 +225,20 @@ class TestSteady:
             assert "error" not in methods[method]["diagnostics"]
             assert all(math.isfinite(methods[method][key])
                        for key in compare.METRIC_KEYS)
+
+    def test_non_physical_exact_state_is_named(self, capsys, monkeypatch):
+        exact_steady_state = compare.exact_steady_state
+
+        def broken_exact(params):
+            return dataclasses.replace(exact_steady_state(params),
+                                       covariance=0.4 * np.eye(4))
+        monkeypatch.setattr(compare, "exact_steady_state", broken_exact)
+        code, out, _ = run(capsys, "steady", "--scenario", "fig1a",
+                           "--k", "0.01")
+        assert code == 0
+        for entry in strict_json(out)["methods"].values():
+            assert entry["diagnostics"]["error"].startswith(
+                "NonPhysicalStateError: exact state: ")
 
     def test_exact_work_counts(self, capsys):
         code, out, _ = run(capsys, "steady", "--scenario", "fig1a",

@@ -12,7 +12,8 @@ from qwire import (METHODS, SteadyStateResult, WireParams, compare,
                    correlation_deltas, solve_all, sweep)
 from qwire.compare import (METRIC_KEYS, _SOLVERS, correlation_report,
                            metrics, sweep_row)
-from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
+from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP,
+                      count_spectra, with_k)
 
 
 class TestSolveAll:
@@ -82,6 +83,24 @@ class TestMetrics:
         assert values["qdot_h"] == 1e-3
         assert all(math.isnan(v) for key, v in values.items()
                    if key != "qdot_h")
+
+    def test_non_physical_exact_state_is_named(self, monkeypatch):
+        """Every method's reason says that the exact state failed; the
+        NaN cells are those of any non-physical state."""
+        exact_steady_state = compare.exact_steady_state
+
+        def broken_exact(params):
+            return dataclasses.replace(exact_steady_state(params),
+                                       covariance=0.4 * np.eye(4))
+        monkeypatch.setattr(compare, "exact_steady_state", broken_exact)
+        row = sweep_row(WIDE_GAP, "k", 0.05)
+        assert set(row.errors) == set(METHODS)
+        for method in METHODS:
+            assert row.errors[method].startswith(
+                "NonPhysicalStateError: exact state: smallest symplectic")
+            assert math.isfinite(row.metrics[method]["qdot_h"])
+            assert all(math.isnan(v) for key, v in
+                       row.metrics[method].items() if key != "qdot_h")
 
 
 class TestSweep:
@@ -181,6 +200,12 @@ class TestCorrelationTools:
             d = deltas[method]
             assert d["d_discord"] == pytest.approx(
                 d["d_mutual_info"] - d["d_classical"], abs=1e-12)
+
+    def test_sweep_row_takes_sixteen_spectra(self, monkeypatch):
+        """Four per state, the exact one shared by every method."""
+        spectra = count_spectra(monkeypatch)
+        sweep_row(WIDE_GAP, "k", 0.01)
+        assert len(spectra) <= 16
 
     def test_sweep_row_is_pure(self):
         row1 = sweep_row(WIDE_GAP, "k", 1e-2)

@@ -198,6 +198,7 @@ class TestBatchedQuadrature:
         with pytest.raises(QuadratureError, match="did not converge"):
             exact_covariance(params, spec)
 
+    @pytest.mark.slow
     @settings(max_examples=25, deadline=None)
     @given(omega_h=st.sampled_from([2.0, math.sqrt(1.0 + 2e-6), 1.0]),
            log_k=st.floats(-9.0, 5.0), t_ratio=st.floats(1e-2, 3.0),

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwire import (WireParams, correlation_report, exact_steady_state,
-                   gme_steady_state, lme_steady_state, redfield_steady_state)
+                   gme_steady_state, lme_steady_state, redfield_steady_state,
+                   solve_all)
 from qwire import gaussian
 import oracles
-from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
+from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP,
+                      count_spectra, with_k)
 
 POOL = (pathlib.Path(__file__).resolve().parent.parent
         / "perfbench" / "data" / "states.json")
@@ -58,16 +60,18 @@ def finite_squeezing_states() -> list:
 
 
 def pool_states() -> list:
-    """The benchmark's frozen pool of 448 covariance matrices."""
+    """The benchmark's frozen pool of 448 covariance matrices, as
+    (id, covariance, exact covariance) triples."""
     doc = json.loads(POOL.read_text(encoding="utf-8"))
     upper = [(i, j) for i in range(4) for j in range(i, 4)]
-    out = []
-    for state in doc["states"]:
+
+    def matrix(entries):
         gamma = np.zeros((4, 4))
-        for (i, j), value in zip(upper, state["cov"]):
+        for (i, j), value in zip(upper, entries):
             gamma[i, j] = gamma[j, i] = value
-        out.append((state["id"], gamma))
-    return out
+        return gamma
+    return [(state["id"], matrix(state["cov"]), matrix(state["exact_cov"]))
+            for state in doc["states"]]
 
 
 def min_conditional_entropy(gamma, node: str) -> float:
@@ -152,6 +156,46 @@ class TestPhysicality:
             assert gaussian.is_physical(gamma)
             assert abs(gaussian.symplectic_eigenvalues(gamma)[-1]
                        - 0.5) < 1e-12
+
+
+class TestGaussianState:
+    def test_report_takes_five_spectra(self, monkeypatch):
+        """The state's, its two nodes', its partial transpose's and the
+        exact state's: each once."""
+        results = solve_all(with_k(WIDE_GAP, 0.01))
+        spectra = count_spectra(monkeypatch)
+        correlation_report(results[0].covariance, results[-1].covariance)
+        assert len(spectra) <= 5
+
+    def test_report_equals_the_standalone_measures(self):
+        """Shared spectra change no bit of any measure, and a report
+        fails exactly when a measure on either state does."""
+        for state_id, gamma, exact in pool_states():
+            try:
+                measures = (gaussian.mutual_information(gamma),
+                            gaussian.fidelity(gamma, exact),
+                            gaussian.log_negativity(gamma))
+            except gaussian.NonPhysicalStateError:
+                measures = None
+            for node in "ch":
+                if measures is None:
+                    with pytest.raises(gaussian.NonPhysicalStateError):
+                        correlation_report(gamma, exact, node)
+                    continue
+                report = correlation_report(gamma, exact, node)
+                mi, fid, log_neg = measures
+                q = gaussian.gaussian_discord(gamma, node)
+                assert (report.mutual_information, report.discord_arrow,
+                        report.classical_arrow, report.fidelity_to_exact,
+                        report.log_negativity) == \
+                    (mi, q, max(mi - q, 0.0), fid, log_neg), (state_id, node)
+
+    def test_failed_check_raises_on_every_use_with_its_label(self):
+        state = gaussian.GaussianState(0.4 * np.eye(4), label="exact state: ")
+        for _ in range(2):
+            with pytest.raises(gaussian.NonPhysicalStateError,
+                               match="^exact state: smallest symplectic"):
+                gaussian.fidelity(0.5 * np.eye(4), state)
 
 
 class TestEntropy:
@@ -276,7 +320,7 @@ class TestDiscord:
     def test_pool_is_bounded_by_mutual_information(self):
         """I >= Q >= 0 on both nodes of every physical pool state."""
         bad = []
-        for state_id, gamma in pool_states():
+        for state_id, gamma, _ in pool_states():
             if not gaussian.is_physical(gamma):
                 continue
             i = gaussian.mutual_information(gamma)
