@@ -3,7 +3,7 @@ wire between two thermal baths, solved by four methods (global GKLS,
 local GKLS, partial Redfield, exact quantum Langevin)."""
 
 from .model import (WireParams, NormalModes, normal_modes, spectral_density,
-                    occupation, decay_rate, secular_validity_margin,
+                    occupation, secular_validity_margin,
                     rotation_matrix)
 from .results import SteadyStateResult, METHODS
 from .gme import gme_steady_state, gme_heat_currents
@@ -16,7 +16,7 @@ from . import gaussian
 
 __all__ = [
     "WireParams", "NormalModes", "normal_modes", "spectral_density",
-    "occupation", "decay_rate", "secular_validity_margin", "rotation_matrix",
+    "occupation", "secular_validity_margin", "rotation_matrix",
     "SteadyStateResult", "METHODS",
     "gme_steady_state", "gme_heat_currents",
     "lme_steady_state", "lme_heat_currents",

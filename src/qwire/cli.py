@@ -20,8 +20,7 @@ from . import gaussian
 from .compare import (METRIC_KEYS, SWEEP_AXES, correlation_report,
                       exact_state, metrics, solve_all, sweep)
 from .exact import QuadratureError
-from .gme import (gme_coefficients, gme_heat_currents_from_state,
-                  gme_normal_mode_covariance)
+from .gme import gme_coefficients, gme_heat_currents_per_bath
 from .model import WireParams
 from .results import METHODS
 
@@ -277,10 +276,10 @@ def _validate_checks(scenario: Scenario, measured_node: str) -> list:
     for res in results:
         if "error" in res.diagnostics:
             raise RuntimeError(f"{res.method}: {res.diagnostics['error']}")
-        nus = gaussian.symplectic_eigenvalues(res.covariance)
-        margin = float(np.min(nus)) - 0.5
+        margin = gaussian.symplectic_eigenvalues(res.covariance)[-1] - 0.5
         add(f"{res.method}_physical",
-            margin >= -gaussian.PHYSICALITY_TOL,
+            gaussian.is_physical(exact if res.method == "exact"
+                                 else res.covariance),
             f"min symplectic eigenvalue - 1/2 = {margin:.3e}")
         residual = res.diagnostics.get("residual")
         if residual is not None:
@@ -291,14 +290,12 @@ def _validate_checks(scenario: Scenario, measured_node: str) -> list:
         add(f"{res.method}_current_balance", balance <= 1e-9 * scale,
             f"|qdot_c + qdot_h| = {balance:.3e}")
 
-    coeffs = gme_coefficients(params)
-    gamma_nm = gme_normal_mode_covariance(coeffs)
-    q_state = gme_heat_currents_from_state(gamma_nm, coeffs)[1]
+    q_bath = gme_heat_currents_per_bath(gme_coefficients(params))[1]
     q_closed = results[0].qdot_h
-    denom = max(abs(q_state), abs(q_closed), 1e-300)
+    denom = max(abs(q_bath), abs(q_closed), 1e-300)
     add("global_current_forms_agree",
-        abs(q_state - q_closed) <= 1e-11 * denom,
-        f"relative difference {abs(q_state - q_closed) / denom:.3e}")
+        abs(q_bath - q_closed) <= 1e-11 * denom,
+        f"relative difference {abs(q_bath - q_closed) / denom:.3e}")
     if params.t_h >= params.t_c:
         add("global_second_law", q_closed >= 0.0,
             f"qdot_h = {q_closed:.3e} with t_h >= t_c")

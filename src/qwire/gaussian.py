@@ -27,13 +27,15 @@ class NonPhysicalStateError(ValueError):
     """Covariance matrix violates the uncertainty bound nu >= 1/2."""
 
 
-def symplectic_form(n_modes: int = 2) -> np.ndarray:
-    """Block-diagonal J with 2x2 blocks [[0, 1], [-1, 0]]."""
-    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    for i in range(n_modes):
-        out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = j2
-    return out
+_J1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+#: the symplectic forms of one and two modes, block diagonal in
+#: [[0, 1], [-1, 0]], and the partial transpose diag(1, -1, 1, 1) that
+#: flips the cold momentum; all read-only
+SYMPLECTIC_FORMS = {1: _J1, 2: np.block([[_J1, np.zeros((2, 2))],
+                                         [np.zeros((2, 2)), _J1]])}
+_PARTIAL_TRANSPOSE = np.diag([1.0, -1.0, 1.0, 1.0])
+for _m in (*SYMPLECTIC_FORMS.values(), _PARTIAL_TRANSPOSE):
+    _m.setflags(write=False)
 
 
 def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
@@ -57,7 +59,7 @@ def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
         low = np.linalg.cholesky(2.0 * gamma)
     except np.linalg.LinAlgError:
         return np.zeros(n)
-    herm = 1j * (low.T @ symplectic_form(n) @ low)
+    herm = 1j * (low.T @ SYMPLECTIC_FORMS[n] @ low)
     return 0.5 * np.linalg.eigvalsh(herm)[n:][::-1]
 
 
@@ -134,7 +136,7 @@ def fidelity(gamma1, gamma2) -> float:
     c = 2^4 det(G1 + iJ/2) det(G2 + iJ/2).
     """
     g1, g2 = (GaussianState.of(g).checked() for g in (gamma1, gamma2))
-    jj = symplectic_form()
+    jj = SYMPLECTIC_FORMS[2]
     a = np.linalg.det(g1 + g2)
     b = 16.0 * np.linalg.det((jj @ g1) @ (jj @ g2) - np.eye(4) / 4.0)
     c = 16.0 * float(np.real(np.linalg.det(g1 + 1j * jj / 2.0)
@@ -263,7 +265,7 @@ def log_negativity(gamma) -> float:
     The partial transpose flips the sign of the cold momentum,
     G~ = P G P with P = diag(1, -1, 1, 1).
     """
-    p = np.diag([1.0, -1.0, 1.0, 1.0])
+    p = _PARTIAL_TRANSPOSE
     nus = symplectic_eigenvalues(p @ GaussianState.of(gamma).checked() @ p)
     return float(sum(max(0.0, -math.log(2.0 * nu)) for nu in nus))
 

@@ -7,6 +7,14 @@ equations of motion carry a stiffness term that must be quadratic in the
 mode frequency for the stated stationary solution to be a fixed point;
 the quadratic form is used here (validated against a generator oracle in
 the tests).
+
+The baths enter only through the spectral density J and the Bose
+occupations n_a at the two mode frequencies.  Bath a couples to mode s
+with the weight w^a_s, cos^2(theta) for (c, +) and (h, -) and sin^2 for
+the other two, so w^c_s + w^h_s = 1.  Mode s then relaxes at the rate
+J(Omega_s) / Omega_s toward the occupation
+occ_s = w^c_s n_c(Omega_s) + w^h_s n_h(Omega_s), and the steady state is
+each mode thermal at occ_s.
 """
 
 from __future__ import annotations
@@ -15,145 +23,101 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (WireParams, NormalModes, normal_modes, decay_rate,
-                    rotation_matrix, secular_validity_margin)
+from .model import (WireParams, NormalModes, normal_modes, occupation,
+                    rotation_matrix, secular_validity_margin,
+                    spectral_density)
 from .moments import moment_equations, moments
 from .results import SteadyStateResult
-
-_ALPHAS = ("c", "h")
-_SIGNS = ("+", "-")
 
 
 @dataclass(frozen=True)
 class GmeCoefficients:
-    """Drift/diffusion coefficients of the global covariance dynamics.
+    """The baths at the two normal modes, indexed s = 0 (+) and 1 (-).
 
-    w_neg[a][s] is the rate W^a_{-Omega_s} (absorption from bath a via
-    mode s) and w_pos[a][s] the emission rate W^a_{+Omega_s}; the drift
-    Delta^a_s = w_neg - w_pos is negative and the diffusion
-    Sigma^a_s = w_neg + w_pos positive at any finite temperature.
+    omegas[s] = Omega_s, j[s] = J(Omega_s), n[a][s] = n_a(Omega_s) and
+    weights[a][s] = w^a_s with a = 0 (c) and 1 (h); occ[s] = occ_s.
     """
 
     modes: NormalModes
-    w_neg: dict
-    w_pos: dict
-
-    def omega(self, sign: str) -> float:
-        return (self.modes.omega_plus if sign == "+"
-                else self.modes.omega_minus)
-
-    def delta(self, alpha: str, sign: str) -> float:
-        return self.w_neg[alpha][sign] - self.w_pos[alpha][sign]
-
-    def sigma(self, alpha: str, sign: str) -> float:
-        return self.w_neg[alpha][sign] + self.w_pos[alpha][sign]
-
-    def delta_total(self, sign: str) -> float:
-        return self.delta("c", sign) + self.delta("h", sign)
-
-    def sigma_total(self, sign: str) -> float:
-        return self.sigma("c", sign) + self.sigma("h", sign)
-
-
-def _mode_weight(alpha: str, sign: str, modes: NormalModes) -> float:
-    # coupling weight of bath alpha to mode sign: cos^2 for (c,+) and
-    # (h,-), sin^2 for the other two combinations
-    return modes.cos_sq if (alpha == "c") == (sign == "+") else modes.sin_sq
+    omegas: tuple
+    j: tuple
+    n: tuple
+    weights: tuple
+    occ: tuple
 
 
 def gme_coefficients(params: WireParams) -> GmeCoefficients:
-    """All twelve W/Delta/Sigma coefficients of the global equation."""
+    """J and both baths' occupations at the two normal-mode frequencies."""
     modes = normal_modes(params)
-    freqs = {"+": modes.omega_plus, "-": modes.omega_minus}
-    w_neg = {a: {} for a in _ALPHAS}
-    w_pos = {a: {} for a in _ALPHAS}
-    for a in _ALPHAS:
-        t = params.temperature(a)
-        for s in _SIGNS:
-            om = freqs[s]
-            weight = _mode_weight(a, s, modes) / (2.0 * om)
-            w_neg[a][s] = weight * decay_rate(-om, t, params)
-            w_pos[a][s] = weight * decay_rate(om, t, params)
-    return GmeCoefficients(modes=modes, w_neg=w_neg, w_pos=w_pos)
+    omegas = (modes.omega_plus, modes.omega_minus)
+    n = tuple(tuple(occupation(om, t) for om in omegas)
+              for t in (params.t_c, params.t_h))
+    w = (modes.cos_sq, modes.sin_sq), (modes.sin_sq, modes.cos_sq)
+    return GmeCoefficients(
+        modes=modes, omegas=omegas,
+        j=tuple(spectral_density(om, params) for om in omegas), n=n,
+        weights=w, occ=tuple(w[0][s] * n[0][s] + w[1][s] * n[1][s]
+                             for s in (0, 1)))
 
 
 def gme_drift_diffusion(coeffs: GmeCoefficients) -> tuple:
-    """Drift A and diffusion D over (eta_+, Pi_+, eta_-, Pi_-)."""
+    """Drift A and diffusion D over (eta_+, Pi_+, eta_-, Pi_-): mode s
+    decays at J(Omega_s) / Omega_s and is heated toward occ_s."""
     a, d = np.zeros((2, 4, 4))
-    for x, sign in zip((0, 2), _SIGNS):
-        om = coeffs.omega(sign)
-        sg = coeffs.sigma_total(sign)
-        a[x, x] = a[x + 1, x + 1] = coeffs.delta_total(sign) / 2.0
+    for x, om, j, occ in zip((0, 2), coeffs.omegas, coeffs.j, coeffs.occ):
+        a[x, x] = a[x + 1, x + 1] = -j / (2.0 * om)
         a[x, x + 1] = 1.0
         a[x + 1, x] = -om**2
-        d[x, x] = sg / (2.0 * om)
-        d[x + 1, x + 1] = om * sg / 2.0
+        d[x, x] = j * (occ + 0.5) / om**2
+        d[x + 1, x + 1] = j * (occ + 0.5)
     return a, d
 
 
 def gme_normal_mode_covariance(coeffs: GmeCoefficients) -> np.ndarray:
-    """Closed-form stationary covariance over (eta_+, Pi_+, eta_-, Pi_-)."""
-    gamma_nm = np.zeros((4, 4))
-    for x, sign in zip((0, 2), _SIGNS):
-        om = coeffs.omega(sign)
-        dl = coeffs.delta_total(sign)
-        sg = coeffs.sigma_total(sign)
-        gamma_nm[x, x] = -sg / (2.0 * dl * om)
-        gamma_nm[x + 1, x + 1] = -om * sg / (2.0 * dl)
-    return gamma_nm
+    """Closed-form stationary covariance over (eta_+, Pi_+, eta_-, Pi_-):
+    each mode thermal at occ_s, <eta_s^2> = (occ_s + 1/2) / Omega_s and
+    <Pi_s^2> = Omega_s (occ_s + 1/2)."""
+    return np.diag([v for om, occ in zip(coeffs.omegas, coeffs.occ)
+                    for v in ((occ + 0.5) / om, om * (occ + 0.5))])
 
 
-def thermal_bias(params: WireParams, modes: NormalModes) -> float:
-    """sum_s J(Omega_s) [n_h(Omega_s) - n_c(Omega_s)].
-
-    The thermal drive of both the global and the Redfield current, taken
-    as half the difference of the two baths' absorption rates
-    gamma(-Omega) = 2 J(Omega) n(Omega): exactly zero at equal
-    temperatures and positive for T_h > T_c.
-    """
-    return 0.5 * sum(decay_rate(-om, params.t_h, params)
-                     - decay_rate(-om, params.t_c, params)
-                     for om in (modes.omega_plus, modes.omega_minus))
+def thermal_bias(coeffs: GmeCoefficients) -> float:
+    """sum_s J(Omega_s) [n_h(Omega_s) - n_c(Omega_s)], the thermal drive of
+    both the global and the Redfield current: exactly zero at equal
+    temperatures and positive for T_h > T_c."""
+    (nc, nh), j = coeffs.n, coeffs.j
+    return sum(j[s] * (nh[s] - nc[s]) for s in (0, 1))
 
 
 def gme_heat_currents(params: WireParams,
                       coeffs: GmeCoefficients | None = None) -> tuple:
     """Steady-state incoming heat currents (Qdot_c, Qdot_h).
 
-    Eliminating the steady-state occupations from the per-bath expression
-    leaves Qdot_h = sum_s Omega_s W^c_{Omega_s} W^h_{Omega_s}
-    (e^{-Omega_s/T_h} - e^{-Omega_s/T_c}) / (-Delta_s).  With
-    W^a_{Omega_s} = w^a_s J(Omega_s) (1 + n_a(Omega_s)) / Omega_s, whose
-    bath weights satisfy w^c_s + w^h_s = 1 and w^c_s w^h_s = sin^2 cos^2,
-    the net decay rate is -Delta_s = J(Omega_s) / Omega_s, and with
-    (1 + n) e^{-Omega/T} = n this is
+    Bath a drives mode s at the rate w^a_s J(Omega_s) / Omega_s toward
+    n_a(Omega_s), so it feeds the mode w^a_s J(Omega_s) (n_a - occ_s).
+    With occ_s - n_c = w^h_s (n_h - n_c) and w^c_s w^h_s = sin^2 cos^2,
     Qdot_h = sin^2 cos^2 sum_s J(Omega_s) [n_h(Omega_s) - n_c(Omega_s)]
     (thermal_bias): a product of non-negative factors for T_h > T_c, free
     of cancellation at any k.  Qdot_c = -Qdot_h.
     """
-    modes = normal_modes(params) if coeffs is None else coeffs.modes
-    qdot_h = modes.sin_cos**2 * thermal_bias(params, modes)
+    coeffs = gme_coefficients(params) if coeffs is None else coeffs
+    qdot_h = coeffs.modes.sin_cos**2 * thermal_bias(coeffs)
     return (-qdot_h, qdot_h)
 
 
-def gme_heat_currents_from_state(gamma_nm: np.ndarray,
-                                 coeffs: GmeCoefficients) -> tuple:
-    """Per-bath currents evaluated directly from the dissipator averages.
+def gme_heat_currents_per_bath(coeffs: GmeCoefficients) -> tuple:
+    """(Qdot_c, Qdot_h) bath by bath, as the dissipator averages
 
-    Qdot_a = (1/2) sum_s [Delta^a_s (Omega_s^2 <eta_s^2> + <Pi_s^2>)
-                          + Omega_s Sigma^a_s],
-    with the second moments read off the normal-mode covariance gamma_nm.
+        Qdot_a = -sum_s w^a_s J(Omega_s) (occ_s - n_a(Omega_s)),
+
+    with each mode's excess over the bath formed as the product
+    occ_s - n_a = w^b_s (n_b - n_a), b the other bath, so that the O(k^2)
+    excess does not cancel against occ_s.
     """
-    out = []
-    for a in _ALPHAS:
-        q = 0.0
-        for x, sign in zip((0, 2), _SIGNS):
-            om = coeffs.omega(sign)
-            eta2, pi2 = gamma_nm[x, x], gamma_nm[x + 1, x + 1]
-            q += 0.5 * (coeffs.delta(a, sign) * (om**2 * eta2 + pi2)
-                        + om * coeffs.sigma(a, sign))
-        out.append(q)
-    return tuple(out)
+    w, n, j = coeffs.weights, coeffs.n, coeffs.j
+    return tuple(-sum(w[a][s] * j[s] * (w[b][s] * (n[b][s] - n[a][s]))
+                      for s in (0, 1))
+                 for a, b in ((0, 1), (1, 0)))
 
 
 def gme_steady_state(params: WireParams) -> SteadyStateResult:

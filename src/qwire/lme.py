@@ -10,27 +10,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import WireParams, decay_rate, secular_validity_margin
+from .model import (WireParams, occupation, secular_validity_margin,
+                    spectral_density)
 from .moments import covariance, moment_equations, stationary
 from .results import SteadyStateResult
 
 
-def _local_rates(params: WireParams, alpha: str) -> tuple:
-    """Drift and diffusion of one bare node.
-
-    Delta~ = [gamma(-w) - gamma(w)] / (2w), Sigma~ = [gamma(-w) + gamma(w)] / (2w).
-    """
-    om = params.omega_c if alpha == "c" else params.omega_h
-    t = params.temperature(alpha)
-    g_neg = decay_rate(-om, t, params)
-    g_pos = decay_rate(om, t, params)
-    return (g_neg - g_pos) / (2.0 * om), (g_neg + g_pos) / (2.0 * om)
+def _local_drift(params: WireParams, om: float) -> float:
+    """Drift Delta~ = -J(w) / w of a bare node of frequency w."""
+    return -spectral_density(om, params) / om
 
 
 def _bath_drift_diffusion(params: WireParams, alpha: str) -> tuple:
-    """Drift and diffusion that the dissipator of bath alpha adds."""
-    delta, sigma = _local_rates(params, alpha)
+    """Drift and diffusion that the dissipator of bath alpha adds: its node
+    relaxes at the rate -Delta~ and is heated with
+    Sigma~ = -Delta~ (2n + 1)."""
     x, om = (0, params.omega_c) if alpha == "c" else (2, params.omega_h)
+    delta = _local_drift(params, om)
+    sigma = -delta * (2.0 * occupation(om, params.temperature(alpha)) + 1.0)
     a, d = np.zeros((2, 4, 4))
     a[x, x] = a[x + 1, x + 1] = delta / 2.0
     d[x, x] = sigma / (2.0 * om)
@@ -66,8 +63,8 @@ def lme_heat_currents(gamma: np.ndarray, params: WireParams) -> tuple:
 
     which has no cancellation and vanishes exactly at k = 0.
     """
-    delta_c, _ = _local_rates(params, "c")
-    delta_h, _ = _local_rates(params, "h")
+    delta_c = _local_drift(params, params.omega_c)
+    delta_h = _local_drift(params, params.omega_h)
     xcxh, xcph, xhpc = gamma[0, 2], gamma[0, 3], gamma[1, 2]
     return (-params.k * (xhpc + delta_c / 2.0 * xcxh),
             -params.k * (xcph + delta_h / 2.0 * xcxh))

@@ -112,11 +112,11 @@ def normal_modes(params: WireParams) -> NormalModes:
 def spectral_density(omega, params: WireParams):
     """Ohmic spectral density with Lorentz-Drude cutoff.
 
-    J(w) = lambda^2 w cutoff^2 / (w^2 + cutoff^2); odd in w.
+    J(w) = lambda^2 w cutoff^2 / (w^2 + cutoff^2); odd in w.  omega is a
+    float or a numpy array.
     """
-    omega = np.asarray(omega, dtype=float)
-    val = params.lambda_sq * omega * params.cutoff**2 / (omega**2 + params.cutoff**2)
-    return val if val.ndim else float(val)
+    return (params.lambda_sq * omega * params.cutoff**2
+            / (omega**2 + params.cutoff**2))
 
 
 def occupation(omega: float, temperature: float) -> float:
@@ -129,23 +129,6 @@ def occupation(omega: float, temperature: float) -> float:
     if x > 700.0:
         return 0.0
     return 1.0 / math.expm1(x)
-
-
-def decay_rate(omega: float, temperature: float, params: WireParams) -> float:
-    """GKLS decay rate gamma(w).
-
-    For w > 0: gamma = 2 J(w) (1 + n(w)).  For w < 0 it is evaluated as
-    2 J(|w|) n(|w|), which enforces detailed balance
-    gamma(-w) = exp(-w/T) gamma(w) exactly.
-    """
-    if abs(omega) < 1e-12 * params.cutoff:
-        raise ValueError("decay rate is not evaluated at omega = 0")
-    a = abs(omega)
-    n = occupation(a, temperature)
-    j = params.lambda_sq * a * params.cutoff**2 / (a**2 + params.cutoff**2)
-    if omega > 0:
-        return 2.0 * j * (1.0 + n)
-    return 2.0 * j * n
 
 
 def secular_validity_margin(params: WireParams) -> float:

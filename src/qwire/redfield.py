@@ -7,11 +7,11 @@ cross-mode combinations <d_+-> = i<a_+^dag a_- - a_+ a_-^dag> and
 <s_+-> = <a_+^dag a_- + a_+ a_-^dag>, obeying dy/dt = B y + b.
 
 Both baths share lambda^2 and the cutoff, so the drift terms that would
-couple the occupations to the cross averages (each a difference
-gamma(-Omega) - gamma(Omega) = -2 J(Omega) of one bath minus the same of
-the other) cancel identically.  The occupations are then the global ones,
-and (d, s) solve the 2x2 block [[kappa, -delta], [delta, kappa]] with
-damping kappa = (Delta_+ + Delta_-)/2 = -sum_s J(Omega_s)/(2 Omega_s),
+couple the occupations to the cross averages (each the spectral density
+J(Omega) of one bath minus that of the other) cancel identically.
+The occupations are then the global ones, and (d, s) solve the 2x2 block
+[[kappa, -delta], [delta, kappa]] with damping
+kappa = -sum_s J(Omega_s)/(2 Omega_s),
 mode splitting delta = Omega_+ - Omega_- and the thermal drive
 b_4 = -sin cos sum_s J(Omega_s) [n_h - n_c](Omega_s) / sqrt(Omega_+ Omega_-).
 The current is the global one times delta^2 / (delta^2 + kappa^2): where
@@ -37,24 +37,22 @@ def redfield_steady_state(params: WireParams) -> SteadyStateResult:
     """
     coeffs = gme_coefficients(params)
     modes = coeffs.modes
-    om_p, om_m = modes.omega_plus, modes.omega_minus
-    delta_p, delta_m = coeffs.delta_total("+"), coeffs.delta_total("-")
-    kappa = 0.5 * (delta_p + delta_m)
+    om_p, om_m = coeffs.omegas
+    rates = [j / om for j, om in zip(coeffs.j, coeffs.omegas)]
+    kappa = -0.5 * sum(rates)
     # Omega_+ - Omega_- = (Omega_+^2 - Omega_-^2) / (Omega_+ + Omega_-)
     delta = (math.hypot(2.0 * params.k, params.omega_h**2 - params.omega_c**2)
              / (om_p + om_m))
-    bias = thermal_bias(params, modes)
+    bias = thermal_bias(coeffs)
     b4 = -modes.sin_cos * bias / math.sqrt(om_p * om_m)
     norm = delta**2 + kappa**2
     d_pm, s_pm = -delta * b4 / norm, -kappa * b4 / norm
 
-    w_p = coeffs.w_neg["c"]["+"] + coeffs.w_neg["h"]["+"]
-    w_m = coeffs.w_neg["c"]["-"] + coeffs.w_neg["h"]["-"]
-    balance = (delta_p * (w_p / -delta_p) + w_p,
-               delta_m * (w_m / -delta_m) + w_m,
-               kappa * d_pm - delta * s_pm,
-               delta * d_pm + kappa * s_pm + b4)
-    residual = max(map(abs, balance)) / max(w_p, w_m, abs(b4), 1e-300)
+    # the occupation rows -r_s n_s + r_s occ_s vanish identically at the
+    # global n_s = occ_s; the source r_s occ_s still sets the scale
+    balance = (kappa * d_pm - delta * s_pm, delta * d_pm + kappa * s_pm + b4)
+    residual = max(map(abs, balance)) / max(
+        *(r * occ for r, occ in zip(rates, coeffs.occ)), abs(b4), 1e-300)
 
     # normal-mode covariance over (eta_+, Pi_+, eta_-, Pi_-): the global
     # diagonal plus the cross entries of the coherence (d, s).  The two d

@@ -49,6 +49,37 @@ def sym(op: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # adjoint GKLS machinery
 
+def decay_rate(omega: float, temperature: float, params) -> float:
+    """GKLS decay rate gamma(w) of an Ohmic Lorentz-Drude bath.
+
+    For w > 0: gamma = 2 J(w) (1 + n(w)).  For w < 0 it is evaluated as
+    2 J(|w|) n(|w|), which enforces detailed balance
+    gamma(-w) = exp(-w/T) gamma(w) exactly.
+    """
+    if abs(omega) < 1e-12 * params.cutoff:
+        raise ValueError("decay rate is not evaluated at omega = 0")
+    a = abs(omega)
+    x = a / temperature
+    n = math.exp(-x) / -math.expm1(-x)
+    j = params.lambda_sq * a * params.cutoff**2 / (a**2 + params.cutoff**2)
+    return 2.0 * j * (1.0 + n) if omega > 0 else 2.0 * j * n
+
+
+def mode_rates(params, modes) -> dict:
+    """(W^a_{-Omega_s}, W^a_{+Omega_s}) per bath a in 'ch' and normal mode
+    s in '+-': the absorption and emission rates w^a_s gamma(-+Omega_s) /
+    (2 Omega_s) of the global equation, with the bath weights w^a_s = cos^2
+    for (c, +) and (h, -) and sin^2 for the other two."""
+    out = {}
+    for a in "ch":
+        t = params.temperature(a)
+        for s, om in (("+", modes.omega_plus), ("-", modes.omega_minus)):
+            w = modes.cos_sq if (a == "c") == (s == "+") else modes.sin_sq
+            out[a, s] = (w * decay_rate(-om, t, params) / (2.0 * om),
+                         w * decay_rate(om, t, params) / (2.0 * om))
+    return out
+
+
 def dissipator_adjoint(l_op: np.ndarray, o: np.ndarray) -> np.ndarray:
     """L+ O L - (1/2){L+ L, O}: adjoint action of one GKLS dissipator."""
     ld = l_op.T.conj()

@@ -334,3 +334,29 @@ class TestValidate:
             "exact_physical", "exact_current_balance",
             "global_current_forms_agree", "global_second_law",
             "exact_self_fidelity", "exact_correlations_ordered"]
+
+    def test_physicality_is_the_gaussian_state_check(self, capsys,
+                                                     monkeypatch):
+        """`<method>_physical` is decided by gaussian.is_physical, and a
+        failed one exits with code 3."""
+        monkeypatch.setattr(cli.gaussian, "is_physical", lambda g: False)
+        code, out, _ = run(capsys, "validate", "--scenario", "fig1a",
+                           "--k", "0.05")
+        assert code == 3
+        failed = [c["name"] for c in json.loads(out)["checks"]
+                  if not c["passed"]]
+        assert failed == [f"{m}_physical" for m in
+                          ("global", "local", "redfield", "exact")]
+
+    @pytest.mark.parametrize("overrides", (
+        ("--k", "1e-4"), ("--k", "1e-3"), ("--k", "1e-2"),
+        ("--k", "1e-2", "--t-c", "0.01", "--t-h", "0.015")))
+    def test_current_forms_agree_at_weak_coupling_and_low_t(self, capsys,
+                                                            overrides):
+        """The per-bath current forms each mode's O(k^2) excess over its
+        bath as a product, so it meets the closed form to 1e-11 where the
+        current is a small difference of large terms."""
+        code, out, _ = run(capsys, "validate", "--scenario", "fig1a",
+                           *overrides)
+        assert code == 0
+        assert all(check["passed"] for check in json.loads(out)["checks"])

@@ -85,13 +85,21 @@ def min_conditional_entropy(gamma, node: str) -> float:
 class TestSymplecticEigenvalues:
     def test_against_general_eigensolver(self):
         rng = np.random.default_rng(42)
-        jj = gaussian.symplectic_form()
+        jj = gaussian.SYMPLECTIC_FORMS[2]
         for _ in range(50):
             gamma = random_physical_covariance(rng)
             closed = gaussian.symplectic_eigenvalues(gamma)
             general = np.sort(np.abs(np.linalg.eigvals(
                 np.linalg.inv(jj) @ gamma).imag))[::2][::-1]
             assert np.max(np.abs(closed - general)) < 1e-10
+
+    def test_forms_are_read_only_constants(self):
+        j1, j2 = gaussian.SYMPLECTIC_FORMS[1], gaussian.SYMPLECTIC_FORMS[2]
+        assert not j1.flags.writeable and not j2.flags.writeable
+        assert np.array_equal(j2, np.kron(np.eye(2), j1))
+        assert np.array_equal(j2 @ j2, -np.eye(4))
+        with pytest.raises(ValueError):
+            j2[0, 1] = 2.0
 
     def test_single_mode(self):
         gamma = np.diag([2.0, 0.5])
@@ -108,7 +116,7 @@ class TestSymplecticEigenvalues:
         gamma = squeezed_state(r=1.2, s_c=0.7, s_h=-0.4, theta=0.3,
                                nus=(0.5 + 2e-8, 0.5 + 1e-10))
         with mpmath.workdps(50):
-            jj = mpmath.matrix(gaussian.symplectic_form().tolist())
+            jj = mpmath.matrix(gaussian.SYMPLECTIC_FORMS[2].tolist())
             evals = mpmath.eig(jj * mpmath.matrix(gamma.tolist()),
                                left=False, right=False)
             ref = sorted((float(abs(mpmath.im(e)) - mpmath.mpf(0.5))
@@ -254,7 +262,7 @@ class TestMutualInformation:
     def test_dual_entropy_path(self):
         """Recompute I from eigensolver-based symplectic spectra."""
         gamma = gme_steady_state(with_k(NEAR_DEGENERATE, 1e-2)).covariance
-        jj = gaussian.symplectic_form()
+        jj = gaussian.SYMPLECTIC_FORMS[2]
 
         def entropy_eig(g):
             n = g.shape[0] // 2

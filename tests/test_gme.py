@@ -1,5 +1,6 @@
 """Global GKLS solution against Fock-space and symbolic oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from qwire import WireParams, normal_modes, occupation
 from qwire.gme import (GmeCoefficients, gme_coefficients,
                        gme_drift_diffusion, gme_heat_currents,
-                       gme_heat_currents_from_state,
+                       gme_heat_currents_per_bath,
                        gme_normal_mode_covariance, gme_steady_state)
 from qwire.moments import moment_equations, moments
 from qwire import gaussian
 from conftest import WIDE_GAP, with_k
 from oracles import (destroy, dissipator_adjoint, extract_affine_dynamics,
-                     quadratures)
+                     mode_rates, quadratures)
 
 OFF_RESONANT = WireParams(1.0, 1.3, 0.4, 0.8, 1.6, 0.05, 50.0)
 
@@ -35,17 +36,17 @@ class TestGeneratorOracle:
     def test_moment_equations_match_lindblad_generator(self):
         """Each normal mode is an independently damped oscillator; its
         moment equations are recovered from the adjoint GKLS generator in a
-        truncated Fock space and compared coefficient by coefficient."""
-        coeffs = gme_coefficients(OFF_RESONANT)
-        blocks = implementation_dynamics_blocks(coeffs)
-        for sign in ("+", "-"):
-            om = (coeffs.modes.omega_plus if sign == "+"
-                  else coeffs.modes.omega_minus)
+        truncated Fock space, with the oracle's GKLS rates times the bath
+        weights, and compared coefficient by coefficient."""
+        modes = normal_modes(OFF_RESONANT)
+        rates = mode_rates(OFF_RESONANT, modes)
+        blocks = implementation_dynamics_blocks(gme_coefficients(OFF_RESONANT))
+        for sign, om in (("+", modes.omega_plus), ("-", modes.omega_minus)):
             dim = 24
             a = destroy(dim)
             h = om * (a.T @ a)
-            w_pos = sum(coeffs.w_pos[al][sign] for al in ("c", "h"))
-            w_neg = sum(coeffs.w_neg[al][sign] for al in ("c", "h"))
+            w_neg, w_pos = (sum(rates[al, sign][i] for al in "ch")
+                            for i in (0, 1))
             x, p = quadratures(om, dim)
             ops = [x @ x, p @ p, x @ p + p @ x]
 
@@ -63,11 +64,14 @@ class TestGeneratorOracle:
 
 class TestCoefficients:
     def test_dual_rate_implementation(self):
-        """Rates recomputed with an independent J coth expression."""
+        """The oracle's GKLS rates against an independent J coth
+        expression, and each mode's drift and diffusion, which the library
+        forms from J and n, against the drift W_- - W_+ and diffusion
+        W_- + W_+ of those rates."""
         params = with_k(WIDE_GAP, 0.1)
-        coeffs = gme_coefficients(params)
         nm = normal_modes(params)
-        freqs = {"+": nm.omega_plus, "-": nm.omega_minus}
+        rates = mode_rates(params, nm)
+        a_mat, d_mat = gme_drift_diffusion(gme_coefficients(params))
         c2 = math.cos(nm.theta)**2
 
         def gamma_ind(w, t):
@@ -76,19 +80,25 @@ class TestCoefficients:
             return j * (1.0 / math.tanh(abs(w) / (2 * t))
                         + math.copysign(1.0, w))
 
-        for alpha in ("c", "h"):
-            t = params.temperature(alpha)
-            for sign in ("+", "-"):
-                om = freqs[sign]
+        for x, sign, om in ((0, "+", nm.omega_plus),
+                            (2, "-", nm.omega_minus)):
+            delta = sigma = 0.0
+            for alpha in ("c", "h"):
+                t = params.temperature(alpha)
                 weight = c2 if (alpha == "c") == (sign == "+") else 1 - c2
-                ref_pos = weight * gamma_ind(om, t) / (2 * om)
-                ref_neg = weight * gamma_ind(-om, t) / (2 * om)
-                assert coeffs.w_pos[alpha][sign] == pytest.approx(
-                    ref_pos, rel=1e-12)
-                assert coeffs.w_neg[alpha][sign] == pytest.approx(
-                    ref_neg, rel=1e-12)
-                assert coeffs.delta(alpha, sign) < 0.0
-                assert coeffs.sigma(alpha, sign) > 0.0
+                w_neg, w_pos = rates[alpha, sign]
+                assert w_pos == pytest.approx(
+                    weight * gamma_ind(om, t) / (2 * om), rel=1e-12)
+                assert w_neg == pytest.approx(
+                    weight * gamma_ind(-om, t) / (2 * om), rel=1e-12)
+                delta += w_neg - w_pos
+                sigma += w_neg + w_pos
+            assert a_mat[x, x] == a_mat[x + 1, x + 1]
+            assert a_mat[x, x] == pytest.approx(delta / 2, rel=1e-12)
+            assert d_mat[x, x] == pytest.approx(sigma / (2 * om), rel=1e-12)
+            assert d_mat[x + 1, x + 1] == pytest.approx(om * sigma / 2,
+                                                        rel=1e-12)
+            assert a_mat[x, x] < 0.0 < d_mat[x, x]
 
 
 class TestSteadyState:
@@ -159,14 +169,27 @@ class TestSteadyState:
 
 class TestHeatCurrents:
     def test_closed_form_equals_dissipator_average(self):
+        """The closed form against the per-bath form, and against the
+        dissipator averages Qdot_a = (1/2) sum_s [Delta^a_s (Omega_s^2
+        <eta_s^2> + <Pi_s^2>) + Omega_s Sigma^a_s] of the oracle's rates
+        on the closed-form covariance."""
         for params in (OFF_RESONANT, with_k(WIDE_GAP, 0.1),
                        with_k(WIDE_GAP, 1e-3)):
             coeffs = gme_coefficients(params)
-            gamma_nm = gme_normal_mode_covariance(coeffs)
-            per_bath = gme_heat_currents_from_state(gamma_nm, coeffs)
             closed = gme_heat_currents(params, coeffs)
-            assert closed[1] == pytest.approx(per_bath[1], rel=1e-12)
-            assert closed[0] == pytest.approx(per_bath[0], rel=1e-12)
+            per_bath = gme_heat_currents_per_bath(coeffs)
+            rates = mode_rates(params, coeffs.modes)
+            gamma_nm = gme_normal_mode_covariance(coeffs)
+            for i, alpha in enumerate("ch"):
+                average = 0.0
+                for x, sign, om in zip((0, 2), "+-", coeffs.omegas):
+                    w_neg, w_pos = rates[alpha, sign]
+                    average += 0.5 * ((w_neg - w_pos) * (
+                        om**2 * gamma_nm[x, x] + gamma_nm[x + 1, x + 1])
+                        + om * (w_neg + w_pos))
+                assert closed[i] == pytest.approx(per_bath[i], rel=1e-12,
+                                                  abs=0.0)
+                assert closed[i] == pytest.approx(average, rel=1e-12)
 
     def test_currents_balance_and_sign(self):
         res = gme_steady_state(with_k(WIDE_GAP, 0.1))
@@ -186,3 +209,29 @@ class TestHeatCurrents:
     def test_zero_at_equal_temperatures(self):
         p = WireParams(1.0, 2.0, 0.3, 2.5, 2.5, 1e-3, 1e3)
         assert gme_heat_currents(p)[1] == 0.0
+
+
+class TestHighTemperature:
+    @pytest.mark.parametrize("t_over_omega", (1e2, 1e4, 1e6))
+    def test_normal_mode_covariance_against_mpmath(self, t_over_omega):
+        """<eta_s^2> = (occ_s + 1/2) / Omega_s and <Pi_s^2> =
+        Omega_s (occ_s + 1/2) to 1e-15 relative, with modes from a 50-digit
+        eigendecomposition of the potential: the occupations n ~ T/Omega
+        enter without the rate difference that cost log10 n digits."""
+        mpmath = pytest.importorskip("mpmath")
+        params = dataclasses.replace(with_k(WIDE_GAP, 1e-2), t_c=t_over_omega,
+                                     t_h=1.5 * t_over_omega)
+        got = np.diag(gme_normal_mode_covariance(gme_coefficients(params)))
+        with mpmath.workdps(50):
+            k = mpmath.mpf(params.k)
+            evals, vecs = mpmath.eigsy(mpmath.matrix(
+                [[mpmath.mpf(params.omega_c)**2 + k, -k],
+                 [-k, mpmath.mpf(params.omega_h)**2 + k]]))
+            expected = []
+            for col in (1, 0):  # eigsy sorts ascending: Omega_+ is last
+                om = mpmath.sqrt(evals[col])
+                occ = sum(vecs[row, col]**2 / mpmath.expm1(om / t)
+                          for row, t in ((0, params.t_c), (1, params.t_h)))
+                expected += [(occ + 0.5) / om, om * (occ + 0.5)]
+            for g, e in zip(got, expected):
+                assert abs(float((g - e) / e)) <= 1e-15

@@ -1,16 +1,18 @@
 """Local GKLS solution against a Fock-space generator oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qwire import WireParams, decay_rate, occupation
+from qwire import WireParams, occupation
 from qwire.lme import (lme_drift_diffusion, lme_steady_state,
                        _bath_drift_diffusion)
 from qwire.moments import (MOMENTS, covariance, moment_equations, moments,
                            stationary)
 from qwire import gaussian
 from conftest import WIDE_GAP, with_k
-from oracles import (destroy, dissipator_adjoint, embed,
+from oracles import (decay_rate, destroy, dissipator_adjoint, embed,
                      extract_affine_dynamics, quadratures)
 
 OFF_RESONANT = WireParams(1.0, 1.3, 0.4, 0.8, 1.6, 0.05, 50.0)
@@ -124,3 +126,22 @@ class TestHeatCurrents:
         res = lme_steady_state(OFF_RESONANT)
         assert res.qdot_c + res.qdot_h == pytest.approx(
             0.0, abs=1e-12 * abs(res.qdot_h))
+
+
+class TestHighTemperature:
+    @pytest.mark.parametrize("t_over_omega", (1e2, 1e4, 1e6))
+    def test_drift_against_mpmath(self, t_over_omega):
+        """The node drift -J(w)/(2w) to 1e-15 relative of a 50-digit value
+        at any temperature: it is read off J directly, not as the rate
+        difference gamma(-w) - gamma(w)."""
+        mpmath = pytest.importorskip("mpmath")
+        params = dataclasses.replace(with_k(WIDE_GAP, 1e-2), t_c=t_over_omega,
+                                     t_h=1.5 * t_over_omega)
+        a_mat, _ = lme_drift_diffusion(params)
+        with mpmath.workdps(50):
+            cut2 = mpmath.mpf(params.cutoff)**2
+            for x, om in ((0, params.omega_c), (2, params.omega_h)):
+                om = mpmath.mpf(om)
+                j = params.lambda_sq * om * cut2 / (om**2 + cut2)
+                expected = -j / (2 * om)
+                assert abs(float((a_mat[x, x] - expected) / expected)) <= 1e-15

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwire import (WireParams, decay_rate, normal_modes, occupation,
-                   rotation_matrix, secular_validity_margin, spectral_density)
+from qwire import (WireParams, normal_modes, occupation, rotation_matrix,
+                   secular_validity_margin, spectral_density)
 from conftest import WIDE_GAP, with_k
+from oracles import decay_rate
 
 
 def potential_matrix(params: WireParams) -> np.ndarray:

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from qwire import (WireParams, decay_rate, exact_steady_state,
-                   gme_heat_currents, gme_steady_state, occupation,
+from qwire import (WireParams, exact_steady_state, gme_heat_currents,
+                   gme_steady_state, normal_modes, occupation,
                    rotation_matrix, spectral_density)
 from qwire.gme import gme_coefficients, gme_normal_mode_covariance
 from qwire.redfield import redfield_steady_state
 from qwire import gaussian
 from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
-from oracles import destroy, dissipator_adjoint, embed, \
-    extract_affine_dynamics
+from oracles import decay_rate, destroy, dissipator_adjoint, embed, \
+    extract_affine_dynamics, mode_rates
 
 ORACLE_PARAMS = WireParams(1.0, 1.05, 0.12, 0.8, 1.6, 0.05, 50.0)
 
@@ -30,19 +30,22 @@ ORACLE_PARAMS = WireParams(1.0, 1.05, 0.12, 0.8, 1.6, 0.05, 50.0)
 def closed_form_system(params: WireParams) -> tuple:
     """(B, b) of dy/dt = B y + b, y = (n_+, n_-, d_+-, s_+-), as the
     closed form states it: no occupation-coherence coupling, the
-    [[kappa, -delta], [delta, kappa]] coherence block and the drive b_4."""
-    coeffs = gme_coefficients(params)
-    modes = coeffs.modes
+    [[kappa, -delta], [delta, kappa]] coherence block and the drive b_4,
+    with each mode's drift Delta_s = sum_a W^a_{-Omega_s} - W^a_{+Omega_s}
+    and source W_{-Omega_s} from the oracle's GKLS rates."""
+    modes = normal_modes(params)
     om_p, om_m = modes.omega_plus, modes.omega_minus
-    delta_p, delta_m = coeffs.delta_total("+"), coeffs.delta_total("-")
+    rates = mode_rates(params, modes)
+    delta_p, delta_m = (sum(rates[a, s][0] - rates[a, s][1] for a in "ch")
+                        for s in "+-")
     kappa, delta = 0.5 * (delta_p + delta_m), om_p - om_m
     bias = sum(spectral_density(om, params)
                * (occupation(om, params.t_h) - occupation(om, params.t_c))
                for om in (om_p, om_m))
     b_mat = np.array([[delta_p, 0.0, 0.0, 0.0], [0.0, delta_m, 0.0, 0.0],
                       [0.0, 0.0, kappa, -delta], [0.0, 0.0, delta, kappa]])
-    b_vec = np.array([sum(coeffs.w_neg[a]["+"] for a in ("c", "h")),
-                      sum(coeffs.w_neg[a]["-"] for a in ("c", "h")), 0.0,
+    b_vec = np.array([sum(rates[a, "+"][0] for a in "ch"),
+                      sum(rates[a, "-"][0] for a in "ch"), 0.0,
                       -modes.sin_cos * bias / math.sqrt(om_p * om_m)])
     return b_mat, b_vec
 
@@ -50,7 +53,7 @@ def closed_form_system(params: WireParams) -> tuple:
 def redfield_averages(params: WireParams) -> np.ndarray:
     """(n_+, n_-, d_+-, s_+-) read back from the Redfield covariance by
     inverting its normal-mode assembly."""
-    modes = gme_coefficients(params).modes
+    modes = normal_modes(params)
     om_p, om_m = modes.omega_plus, modes.omega_minus
     rot = rotation_matrix(modes.theta)
     g_nm = rot.T @ redfield_steady_state(params).covariance @ rot
@@ -66,7 +69,7 @@ def full_mode_dynamics(params: WireParams, dims=(12, 12)) -> tuple:
     combinations i(a+ a+ - h.c.), (a+ a+ + h.c.), same for the minus mode
     and for the +- pair.
     """
-    modes = gme_coefficients(params).modes
+    modes = normal_modes(params)
     om_p, om_m = modes.omega_plus, modes.omega_minus
     a_p = embed(destroy(dims[0]), 0, dims)
     a_m = embed(destroy(dims[1]), 1, dims)
