@@ -2,20 +2,20 @@
 
 Rows are pure functions of their parameter point, so sweeps can run on a
 process pool without changing the (order-preserving, deterministic)
-output.
+output.  A sweep hands each worker one batch of grid points, whose exact
+quadratures advance in lockstep rounds (exact.exact_steady_states).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gaussian
-from .exact import exact_steady_state
+from .exact import exact_steady_state, exact_steady_states
 from .gme import gme_steady_state
 from .lme import lme_steady_state
 from .model import WireParams, secular_validity_margin
@@ -46,11 +46,13 @@ class SweepRow:
     errors: dict = field(default_factory=dict)   # method -> message
 
 
-def solve_all(params: WireParams) -> list:
+def solve_all(params: WireParams, exact=None) -> list:
     """All four steady states, exact last.
 
     Approximate-method failures are captured as error placeholders; only
-    an exact-solver failure aborts.
+    an exact-solver failure aborts.  exact is the point's entry of
+    exact_steady_states, if it has been solved already: a result, or the
+    QuadratureError that is raised here.
     """
     out = []
     for method in METHODS[:-1]:
@@ -61,7 +63,11 @@ def solve_all(params: WireParams) -> list:
                 method=method, covariance=np.full((4, 4), np.nan),
                 heat_currents=(math.nan, math.nan),
                 diagnostics={"error": f"{type(exc).__name__}: {exc}"}))
-    out.append(exact_steady_state(params))
+    if exact is None:
+        exact = exact_steady_state(params)
+    elif isinstance(exact, Exception):
+        raise exact
+    out.append(exact)
     return out
 
 
@@ -118,10 +124,11 @@ def metrics(result: SteadyStateResult, exact: gaussian.GaussianState,
 
 
 def sweep_row(params: WireParams, axis: str, value: float,
-              measured_node: str = "h") -> SweepRow:
-    """One fully-populated sweep row (pure function of its arguments)."""
+              measured_node: str = "h", exact=None) -> SweepRow:
+    """One fully-populated sweep row (pure function of its arguments);
+    exact is as in solve_all."""
     point = _with_axis(params, axis, value)
-    results = solve_all(point)
+    results = solve_all(point, exact)
     exact = exact_state(results)
     table, errors = {}, {}
     for res in results:
@@ -138,9 +145,30 @@ def sweep_row(params: WireParams, axis: str, value: float,
     )
 
 
+def _sweep_batch(params: WireParams, axis: str, values: list,
+                 measured_node: str) -> list:
+    """The rows of the grid values, their exact quadratures run in
+    lockstep; a row that raises leaves its exception in its place."""
+    points = [_with_axis(params, axis, v) for v in values]
+    rows = []
+    for value, exact in zip(values, exact_steady_states(points)):
+        try:
+            rows.append(sweep_row(params, axis, value, measured_node, exact))
+        except Exception as exc:  # raised by sweep, in grid order
+            rows.append(exc)
+    return rows
+
+
 def sweep(params: WireParams, axis: str, grid, measured_node: str = "h",
           jobs: int | None = None) -> list:
-    """Sweep one parameter over a grid; order-preserving and deterministic."""
+    """Sweep one parameter over a grid; order-preserving and deterministic.
+
+    With jobs = N > 1, worker w of a process pool computes the rows of
+    the interleaved batch grid[w::N]; otherwise the whole grid is one
+    batch, computed in this process.  Each row is bit for bit the same
+    either way.  A row that fails raises its error, the first in grid
+    order.
+    """
     grid = [float(v) for v in grid]
     for value in grid:
         _with_axis(params, axis, value)  # validate the whole grid up front
@@ -148,11 +176,20 @@ def sweep(params: WireParams, axis: str, grid, measured_node: str = "h",
         # a forking pool starts all its workers at the first submit
         jobs = min(jobs, len(grid))
     if jobs is None or jobs <= 1:
-        return [sweep_row(params, axis, v, measured_node) for v in grid]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(sweep_row, params, axis, v, measured_node)
-                   for v in grid]
-        return [f.result() for f in futures]
+        rows = _sweep_batch(params, axis, grid, measured_node)
+    else:
+        # imported here: multiprocessing takes ~10 ms to import
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_sweep_batch, params, axis, grid[w::jobs],
+                                   measured_node) for w in range(jobs)]
+            rows = [None] * len(grid)
+            for w, future in enumerate(futures):
+                rows[w::jobs] = future.result()
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return rows
 
 
 def correlation_deltas(params: WireParams, measured_node: str = "h") -> dict:

@@ -5,9 +5,15 @@ rational-times-coth kernel.  The integrand has resonances of width of
 order lambda^2 near the (shifted) normal-mode frequencies, so the
 adaptive quadrature is seeded with mandatory breakpoints there.  The
 quadrature is the global-error adaptive Gauss-Kronrod scheme of QUADPACK
-(Piessens et al., 1983) as quad_vec implements it, replayed in numpy with
-the 21 nodes of a whole round of subintervals evaluated at once; it gives
-quad_vec's results bit for bit (see _integrate).
+(Piessens et al., 1983) as quad_vec implements it, replayed in numpy; it
+gives quad_vec's results bit for bit (see _replay).
+
+The replay runs a batch of parameter points in lockstep
+(exact_steady_states): each point keeps its own heap, cache, rounds and
+termination tests, and each round evaluates the 21 nodes of the new
+subintervals of every live point together, in kernel calls of at most
+_MAX_ROUND intervals.  A point gets the same bits in any batch; a single
+point is a batch of one.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +71,8 @@ _GAUSS_HALF = (0.066671344308688137593568809893332,
                0.295524224714752870173892994651338)
 _GAUSS = np.array(_GAUSS_HALF + tuple(reversed(_GAUSS_HALF)))[:, None, None]
 
-#: quad_vec subdivides at most this many intervals per round
+#: quad_vec subdivides at most this many intervals per round; a kernel
+#: call evaluates at most this many, which bounds its memory
 _MAX_ROUND = 128
 
 
@@ -98,46 +106,87 @@ def shifted_frequency_sq(params: WireParams, node: str) -> float:
     return om**2 + params.lambda_sq * params.cutoff
 
 
+class _Kernel(NamedTuple):
+    """The constants of the ten integrands for a batch of points.
+
+    A field is a float where every point of the batch has the same value
+    and otherwise an array with one entry per point, so that a batch of
+    one computes on floats alone.  Each entry is formed from its point's
+    parameters in float arithmetic, so any batch rounds it alike.
+    """
+
+    cutoff: float
+    lorentz: float      # lambda^2 cutoff^2
+    cutoff_sq: float
+    guard: float        # below it, the noise weight takes its w -> 0 limit
+    shifted_c: float    # shifted_frequency_sq(params, "c")
+    shifted_h: float
+    k: float
+    k_sq: float
+    two_t_c: float
+    two_t_h: float
+
+    @classmethod
+    def of(cls, points) -> "_Kernel":
+        columns = zip(*((p.cutoff, p.lambda_sq * p.cutoff**2, p.cutoff**2,
+                         1e-8 * p.cutoff, shifted_frequency_sq(p, "c"),
+                         shifted_frequency_sq(p, "h"), p.k, p.k**2,
+                         2.0 * p.t_c, 2.0 * p.t_h) for p in points))
+        # equal means equal bits: k = 0.0 and k = -0.0 round differently
+        return cls(*(column[0] if len({float(v).hex() for v in column}) == 1
+                     else np.array(column, dtype=float)
+                     for column in columns))
+
+    @property
+    def varies(self) -> bool:
+        return np.ndarray in map(type, self)
+
+    def take(self, index) -> "_Kernel":
+        """The constants of the points at index (an array of indices)."""
+        return _Kernel(*(v[index] if isinstance(v, np.ndarray) else v
+                         for v in self))
+
+
+def _chi(omega, kernel: _Kernel):
+    return kernel.lorentz / (kernel.cutoff - 1j * omega)
+
+
 def chi_hat(omega, params: WireParams):
     """Fourier-domain dissipation kernel lambda^2 cutoff^2 / (cutoff - i w).
 
     Its imaginary part equals the (odd) spectral density for all real w
     and its real part obeys the Kramers-Kronig relation.
     """
-    return params.lambda_sq * params.cutoff**2 / (params.cutoff - 1j * np.asarray(omega))
+    return _chi(np.asarray(omega), _Kernel.of([params]))
 
 
-def _response_inverse(omega, params: WireParams):
+def _response_inverse(omega, kernel: _Kernel):
     """Inverse of the 2x2 response matrix, vectorized over omega.
 
     A(w) = [[wc~^2 - w^2 + k - chi, -k], [-k, wh~^2 - w^2 + k - chi]].
     Returns the three independent entries (inv11, inv22, inv12).
     """
-    chi = chi_hat(omega, params)
-    omega = np.asarray(omega, dtype=float)
-    d_c = shifted_frequency_sq(params, "c") - omega**2 + params.k - chi
-    d_h = shifted_frequency_sq(params, "h") - omega**2 + params.k - chi
+    chi = _chi(omega, kernel)
+    d_c = kernel.shifted_c - omega**2 + kernel.k - chi
+    d_h = kernel.shifted_h - omega**2 + kernel.k - chi
     # d_c * d_h in real arithmetic: numpy's vectorized complex product may
     # fuse multiply-adds, which would round differently at different
     # array lengths
     det = np.asarray(d_c.real * d_h.real - d_c.imag * d_h.imag
-                     - params.k**2, dtype=complex)
+                     - kernel.k_sq, dtype=complex)
     det.imag = d_c.real * d_h.imag + d_c.imag * d_h.real
-    return d_h / det, d_c / det, params.k / det
+    return d_h / det, d_c / det, kernel.k / det
 
 
-def _noise_weight(omega, params: WireParams, temperature: float):
+def _noise_weight(omega, kernel: _Kernel, two_t):
     """J(w) coth(w / 2T) with the analytic w -> 0 limit substituted.
 
     The limit is 2 T lambda^2 cutoff^2 / (w^2 + cutoff^2).
     """
-    omega = np.asarray(omega, dtype=float)
-    lorentz = params.lambda_sq * params.cutoff**2 / (omega**2 + params.cutoff**2)
-    guard = 1e-8 * params.cutoff
-    small = np.abs(omega) < guard
-    x = np.where(small, 1.0, omega / (2.0 * temperature))
-    out = np.where(small, 2.0 * temperature * lorentz,
-                   lorentz * omega / np.tanh(x))
+    lorentz = kernel.lorentz / (omega**2 + kernel.cutoff_sq)
+    small = np.abs(omega) < kernel.guard
+    x = np.where(small, 1.0, omega / two_t)
+    out = np.where(small, two_t * lorentz, lorentz * omega / np.tanh(x))
     return out
 
 
@@ -146,20 +195,22 @@ def _times_conj(x, y) -> tuple:
     return x.real * y.real + x.imag * y.imag, x.imag * y.real - x.real * y.imag
 
 
-def _integrand_matrix(omega, params: WireParams) -> np.ndarray:
+def _integrand_matrix(omega, kernel: _Kernel) -> np.ndarray:
     """All ten covariance integrands at one frequency or an array of them.
 
     Gamma_ij = int_0^inf dw (1/pi) Re[f_i(w) f_j(-w) sum_a
                G_{m(i),a}(w) conj(G_{m(j),a}(w)) J(w) coth(w/2T_a)].
 
-    Every operation is elementwise and rounds the same way at any array
-    length, so a batch of nodes gives the per-node values bit for bit.
+    The array fields of kernel are aligned with omega.  Every operation
+    is elementwise and rounds the same way at any array length, so a
+    batch of nodes, of one point or of many, gives the per-node values
+    bit for bit.
     """
-    inv11, inv22, inv12 = _response_inverse(omega, params)
-    g = ((inv11, inv12), (inv12, inv22))
-    w_c = _noise_weight(omega, params, params.t_c)
-    w_h = _noise_weight(omega, params, params.t_h)
     omega = np.asarray(omega, dtype=float)
+    inv11, inv22, inv12 = _response_inverse(omega, kernel)
+    g = ((inv11, inv12), (inv12, inv22))
+    w_c = _noise_weight(omega, kernel, kernel.two_t_c)
+    w_h = _noise_weight(omega, kernel, kernel.two_t_h)
     corr = {}   # (m, n) -> Re, Im of sum_a G_{m,a} conj(G_{n,a}) J coth_a
     for m, n in ((0, 0), (0, 1), (1, 1)):
         re_c, im_c = _times_conj(g[m][0], g[n][0])
@@ -178,13 +229,6 @@ def _integrand_matrix(omega, params: WireParams) -> np.ndarray:
             val = re
         out.append(val / math.pi)
     return np.array(out)
-
-
-def integrand_probe(omega: float, i: int, j: int,
-                    params: WireParams) -> float:
-    """Value of the half-line integrand of Gamma_ij at one frequency."""
-    idx = _ELEMENTS.index((min(i, j), max(i, j)))
-    return float(_integrand_matrix(float(omega), params)[idx])
 
 
 def _breakpoints(params: WireParams, max_omega: float) -> list:
@@ -208,9 +252,10 @@ def _added_in_order(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=0)[-1]
 
 
-def _gk21(a: np.ndarray, b: np.ndarray, params: WireParams) -> tuple:
+def _gk21(a: np.ndarray, b: np.ndarray, kernel: _Kernel, owner) -> tuple:
     """GK21 integrals of the ten integrands over n intervals [a, b].
 
+    owner[i] is the index, in kernel's batch, of interval i's point.
     Evaluates the 21 nodes of every interval in one _integrand_matrix
     call.  Every sum is accumulated node by node from 0.0, in quad_vec's
     order, and the error shaping is done on Python floats, so each
@@ -219,7 +264,9 @@ def _gk21(a: np.ndarray, b: np.ndarray, params: WireParams) -> tuple:
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    f = _integrand_matrix((c + h * _GK21_NODES[:, None]).ravel(), params)
+    if kernel.varies:
+        kernel = kernel.take(np.tile(owner, len(_GK21_NODES)))
+    f = _integrand_matrix((c + h * _GK21_NODES[:, None]).ravel(), kernel)
     # axes: node, element, interval
     f = f.reshape(10, 21, len(a)).transpose(1, 0, 2)
     s_k = _added_in_order(_KRONROD * f)
@@ -239,6 +286,34 @@ def _gk21(a: np.ndarray, b: np.ndarray, params: WireParams) -> tuple:
     return (h * s_k).T, err, rounding
 
 
+def _evaluate(kernel: _Kernel, requests: list) -> list:
+    """_gk21 over the intervals of every (point index, a, b) request, in
+    calls of at most _MAX_ROUND intervals.  Returns, per request, its
+    intervals' integrals (rows of an array, or a list of rows) and the
+    lists of their errors and rounding errors."""
+    lo, hi, owner = [], [], []
+    for i, a, b in requests:
+        lo += a
+        hi += b
+        owner += [i] * len(a)
+    if len(requests) == 1 and len(lo) <= _MAX_ROUND:   # as _gk21 gives it
+        return [_gk21(np.array(lo), np.array(hi), kernel, owner)]
+    igs, errs, roundings = [], [], []
+    for start in range(0, len(lo), _MAX_ROUND):
+        part = slice(start, start + _MAX_ROUND)
+        ig, err, rnd = _gk21(np.array(lo[part]), np.array(hi[part]), kernel,
+                             owner[part])
+        igs.extend(ig)
+        errs += err
+        roundings += rnd
+    out, start = [], 0
+    for _, a, _ in requests:
+        part = slice(start, start + len(a))
+        out.append((igs[part], errs[part], roundings[part]))
+        start += len(a)
+    return out
+
+
 @dataclass(frozen=True)
 class _Quadrature:
     """What quad_vec(..., full_output=True) reports of one integration."""
@@ -254,9 +329,11 @@ class _Quadrature:
         return self.status == 0
 
 
-def _integrate(params: WireParams, spec: QuadratureSpec) -> _Quadrature:
-    """quad_vec's adaptive GK21 scheme for the ten integrands on
-    [0, max_omega], replayed with one batched _gk21 call per round.
+def _replay(params: WireParams, spec: QuadratureSpec):
+    """quad_vec's adaptive GK21 scheme for the ten integrands of one point
+    on [0, max_omega], as a generator: it yields the lists (a, b) of the
+    intervals it needs, is sent their (integrals, errors, rounding
+    errors) from _gk21, and returns its _Quadrature.
 
     This is quad_vec(f, 0, max_omega, epsabs, epsrel, limit, points,
     norm="max", full_output=True) step for step: the same heap of
@@ -271,8 +348,7 @@ def _integrate(params: WireParams, spec: QuadratureSpec) -> _Quadrature:
     """
     max_omega = spec.max_omega_factor * params.cutoff
     edges = [0.0, *_breakpoints(params, max_omega), max_omega]
-    igs, errs, roundings = _gk21(np.array(edges[:-1]), np.array(edges[1:]),
-                                 params)
+    igs, errs, roundings = yield edges[:-1], edges[1:]
     neval = 21 * len(igs)
     total = igs[0].copy()
     global_error, rounding = errs[0], roundings[0]
@@ -305,7 +381,7 @@ def _integrate(params: WireParams, spec: QuadratureSpec) -> _Quadrature:
             if old is None:   # a repeated degenerate interval
                 lo.append(a)
                 hi.append(b)
-        igs, errs, roundings = _gk21(np.array(lo), np.array(hi), params)
+        igs, errs, roundings = yield lo, hi
         neval += 21 * len(igs)
         n = 0
         for old_err, a, c, b, old in popped:
@@ -334,9 +410,36 @@ def _integrate(params: WireParams, spec: QuadratureSpec) -> _Quadrature:
                        np.array([[a, b] for _, a, b in heap]))
 
 
-def _covariance(params: WireParams, spec: QuadratureSpec) -> tuple:
-    """Stationary covariance matrix and the quadrature that gave it."""
-    quad = _integrate(params, spec)
+def _integrate_batch(points: list, spec: QuadratureSpec) -> list:
+    """One _replay per point, run in lockstep rounds.
+
+    Every point keeps its own heap, cache, rounds and termination tests;
+    each round evaluates the intervals that all live points ask for
+    together (see _evaluate), which is what saves the time.  Returns each
+    point's _Quadrature, bit for bit the one it gets alone.
+    """
+    kernel = _Kernel.of(points)
+    replays = [_replay(p, spec) for p in points]
+    requests = [(i, *next(replay)) for i, replay in enumerate(replays)]
+    out = [None] * len(points)
+    while requests:
+        asked = []
+        for (i, _, _), result in zip(requests, _evaluate(kernel, requests)):
+            try:
+                asked.append((i, *replays[i].send(result)))
+            except StopIteration as done:
+                out[i] = done.value
+        requests = asked
+    return out
+
+
+def _integrate(params: WireParams, spec: QuadratureSpec) -> _Quadrature:
+    """quad_vec's adaptive GK21 scheme for one point: a batch of one."""
+    return _integrate_batch([params], spec)[0]
+
+
+def _covariance(quad: _Quadrature) -> np.ndarray:
+    """The stationary covariance matrix of a converged quadrature."""
     if not quad.success:
         raise QuadratureError(
             "covariance quadrature did not converge; "
@@ -344,14 +447,14 @@ def _covariance(params: WireParams, spec: QuadratureSpec) -> tuple:
     gamma = np.zeros((4, 4))
     for (i, j), v in zip(_ELEMENTS, quad.values):
         gamma[i, j] = gamma[j, i] = v
-    return gamma, quad
+    return gamma
 
 
 def exact_covariance(params: WireParams,
                      spec: QuadratureSpec = QuadratureSpec()) -> tuple:
     """Stationary covariance matrix and quadrature error estimate."""
-    gamma, quad = _covariance(params, spec)
-    return gamma, quad.error
+    quad = _integrate(params, spec)
+    return _covariance(quad), quad.error
 
 
 def exact_heat_current(gamma: np.ndarray, k: float) -> tuple:
@@ -366,10 +469,8 @@ def exact_heat_current(gamma: np.ndarray, k: float) -> tuple:
     return (-qdot_h, qdot_h)
 
 
-def exact_steady_state(params: WireParams,
-                       spec: QuadratureSpec = QuadratureSpec()) -> SteadyStateResult:
-    """Exact non-equilibrium steady state (ground truth for this model)."""
-    gamma, quad = _covariance(params, spec)
+def _steady_state(params: WireParams, quad: _Quadrature) -> SteadyStateResult:
+    gamma = _covariance(quad)
     return SteadyStateResult(
         method="exact",
         covariance=gamma,
@@ -379,3 +480,23 @@ def exact_steady_state(params: WireParams,
                      "neval": quad.neval,
                      "subintervals": len(quad.intervals)},
     )
+
+
+def exact_steady_state(params: WireParams,
+                       spec: QuadratureSpec = QuadratureSpec()) -> SteadyStateResult:
+    """Exact non-equilibrium steady state (ground truth for this model)."""
+    return _steady_state(params, _integrate(params, spec))
+
+
+def exact_steady_states(points: list,
+                        spec: QuadratureSpec = QuadratureSpec()) -> list:
+    """exact_steady_state of every point, their quadratures run in
+    lockstep (see _integrate_batch).  Where a quadrature fails, the list
+    holds the QuadratureError that exact_steady_state raises there."""
+    out = []
+    for params, quad in zip(points, _integrate_batch(points, spec)):
+        try:
+            out.append(_steady_state(params, quad))
+        except QuadratureError as exc:
+            out.append(exc)
+    return out

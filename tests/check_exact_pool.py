@@ -3,8 +3,8 @@
 perfbench/data/points.json freezes the exact covariance at 306 parameter
 points.  At some of them the frozen heat current is quadrature noise, so
 the benchmark accepts only output that is bit-identical to the frozen
-one.  This script recomputes every point and lists those that differ in
-any bit.  From the repository root:
+one.  This script recomputes every point, all in one lockstep batch, and
+lists those that differ in any bit.  From the repository root:
 
     PYTHONPATH=src python3 tests/check_exact_pool.py
 
@@ -17,7 +17,7 @@ import json
 import pathlib
 import sys
 
-from qwire import WireParams, exact_covariance
+from qwire import WireParams, exact_steady_states
 
 POOL = (pathlib.Path(__file__).resolve().parent.parent
         / "perfbench" / "data" / "points.json")
@@ -27,13 +27,16 @@ _UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
 def pool_mismatches(ids=None) -> list:
     """Ids of the pool points (all, or those in ids) whose recomputed
     covariance is not bit-identical to the frozen one."""
-    points = json.loads(POOL.read_text(encoding="utf-8"))["points"]
+    points = [point for point
+              in json.loads(POOL.read_text(encoding="utf-8"))["points"]
+              if ids is None or point["id"] in ids]
+    results = exact_steady_states([WireParams(**point["params"])
+                                   for point in points])
     out = []
-    for point in points:
-        if ids is not None and point["id"] not in ids:
-            continue
-        gamma, _ = exact_covariance(WireParams(**point["params"]))
-        if [float(gamma[i, j]) for i, j in _UPPER] != point["exact"]:
+    for point, result in zip(points, results):
+        if (isinstance(result, Exception)
+                or [float(result.covariance[i, j]) for i, j in _UPPER]
+                != point["exact"]):
             out.append(point["id"])
     return out
 

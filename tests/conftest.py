@@ -20,6 +20,12 @@ NEAR_DEGENERATE = WireParams(omega_c=1.0, omega_h=math.sqrt(1.0 + 2e-6),
 RESONANT_STRONG = WireParams(omega_c=10.0, omega_h=10.0, k=1e3, t_c=1.0,
                              t_h=2.0, lambda_sq=1e-3, cutoff=1e3)
 
+#: a cutoff close to the node frequencies: the exact quadrature converges
+#: up to k = 1e3, and from k = 2154.43... on it reaches the limit of 2000
+#: subintervals and fails
+NARROW_CUTOFF = WireParams(omega_c=1.0, omega_h=2.0, k=0.01, t_c=0.1,
+                           t_h=0.15, lambda_sq=1e-4, cutoff=3.0)
+
 
 def with_k(params: WireParams, k: float) -> WireParams:
     return dataclasses.replace(params, k=k)

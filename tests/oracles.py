@@ -258,6 +258,13 @@ def thermal_product_gibbs(n_c: float, n_h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact solver
 
+def integrand_probe(omega: float, i: int, j: int, params) -> float:
+    """Value of the half-line integrand of Gamma_ij at one frequency."""
+    from qwire.exact import _ELEMENTS, _Kernel, _integrand_matrix
+    idx = _ELEMENTS.index((min(i, j), max(i, j)))
+    return float(_integrand_matrix(float(omega), _Kernel.of([params]))[idx])
+
+
 def per_node_exact_integral(params, spec) -> tuple:
     """quad_vec of the exact solver's ten integrands, one call per node.
 
@@ -266,9 +273,10 @@ def per_node_exact_integral(params, spec) -> tuple:
     status, neval and intervals bit for bit.
     """
     from scipy.integrate import quad_vec
-    from qwire.exact import _breakpoints, _integrand_matrix
+    from qwire.exact import _Kernel, _breakpoints, _integrand_matrix
+    kernel = _Kernel.of([params])
     max_omega = spec.max_omega_factor * params.cutoff
-    return quad_vec(lambda w: _integrand_matrix(float(w), params),
+    return quad_vec(lambda w: _integrand_matrix(float(w), kernel),
                     0.0, max_omega, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                     limit=spec.limit, points=_breakpoints(params, max_omega),
                     norm="max", full_output=True)

@@ -12,6 +12,7 @@ import pytest
 from qwire import cli, compare
 from qwire.cli import (CSV_COLUMNS, PRESETS, main, parse_log_grid,
                        load_config, CliError)
+from conftest import NARROW_CUTOFF
 
 
 def run(capsys, *argv):
@@ -36,6 +37,16 @@ def fail_local_solver(monkeypatch):
 def test_import_loads_no_scipy():
     code = ("import sys, qwire, qwire.cli; print(sorted(m for m in "
             "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_import_loads_no_process_pool():
+    """multiprocessing loads only when a sweep starts its pool."""
+    code = ("import sys, qwire, qwire.cli; print(sorted(m for m in "
+            "sys.modules if m in ('multiprocessing', "
+            "'concurrent.futures.process')))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -311,6 +322,21 @@ class TestSweepCommand:
         col = CSV_COLUMNS.index("local_qdot_h")
         rows = out_path.read_text().splitlines()[1:]
         assert [row.split(",")[col] for row in rows] == ["nan", "nan"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_quadrature_failure_is_exit_2(self, tmp_path, capsys, jobs):
+        """The first failing point in grid order, k = 2154.43..., names
+        its error estimate, whatever the number of workers."""
+        flags = [f"--{key.replace('_', '-')}={value!r}" for key, value
+                 in dataclasses.asdict(NARROW_CUTOFF).items() if key != "k"]
+        code, _, err = run(capsys, "sweep", "--scenario", "fig1a", *flags,
+                           "--log-grid", "1e3:1e4:4", "--jobs", jobs,
+                           "-o", str(tmp_path / "rows.csv"))
+        assert code == 2
+        assert strict_json(err.strip().splitlines()[-1]) == {
+            "error": "solver_failure",
+            "message": "covariance quadrature did not converge; "
+                       "error estimate 4.13e-08"}
 
     def test_jobs_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QWIRE_JOBS", "not-a-number")

@@ -1,5 +1,6 @@
 """Cross-method comparison layer: solve_all, sweeps and deltas."""
 
+import concurrent.futures
 import dataclasses
 import math
 import warnings
@@ -9,11 +10,17 @@ import numpy as np
 import pytest
 
 from qwire import (METHODS, SteadyStateResult, WireParams, compare,
-                   correlation_deltas, solve_all, sweep)
+                   correlation_deltas, exact_steady_state,
+                   exact_steady_states, solve_all, sweep)
 from qwire.compare import (METRIC_KEYS, _SOLVERS, correlation_report,
                            metrics, sweep_row)
-from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP,
-                      count_spectra, with_k)
+from qwire.exact import QuadratureError
+from conftest import (NARROW_CUTOFF, NEAR_DEGENERATE, RESONANT_STRONG,
+                      WIDE_GAP, count_spectra, with_k)
+
+#: k values at NARROW_CUTOFF: the exact quadrature fails at the second
+#: and the fourth, with different error estimates
+FAILING_GRID = [1e-2, 4641.588833612777, 1e3, 2154.4346900318847, 1.0]
 
 
 class TestSolveAll:
@@ -116,14 +123,16 @@ class TestSweep:
                 pytest.approx(1.0, abs=1e-9)
 
     def test_parallel_equals_sequential(self):
-        grid = [1e-3, 1e-2]
-        seq = sweep(WIDE_GAP, "k", grid, jobs=1)
-        par = sweep(WIDE_GAP, "k", grid, jobs=2)
-        for a, b in zip(seq, par):
-            assert a.axis_value == b.axis_value
-            for method in METHODS:
-                for key, val in a.metrics[method].items():
-                    assert val == b.metrics[method][key]
+        """Every field of every row (metrics, exact_quad_error and
+        errors), bit for bit, whether the rows are solved one at a time
+        or in interleaved batches, uneven ones included: 5 rows on 1, 2
+        and 3 workers."""
+        grid = [1e-4, 1e-3, 1e-2, 5e-2, 1e-1]
+        lone = [repr(sweep_row(WIDE_GAP, "k", v)) for v in grid]
+        for jobs in (1, 2, 3):
+            rows = sweep(WIDE_GAP, "k", grid, jobs=jobs)
+            assert [row.axis_value for row in rows] == grid
+            assert [repr(row) for row in rows] == lone
 
     @pytest.mark.parametrize("params", [WIDE_GAP, NEAR_DEGENERATE,
                                         RESONANT_STRONG],
@@ -158,7 +167,8 @@ class TestSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(compare, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            StubPool)
         rows = sweep(WIDE_GAP, "k", [1e-3, 1e-2], jobs=5000)
         assert started == [2]
         assert [r.axis_value for r in rows] == [1e-3, 1e-2]
@@ -177,6 +187,37 @@ class TestSweep:
     def test_invalid_grid_value_rejected_up_front(self):
         with pytest.raises(ValueError):
             sweep(WIDE_GAP, "t_h", [1.0, -2.0])
+
+
+class TestFailingPoint:
+    """A grid with points whose exact quadrature fails (FAILING_GRID)."""
+
+    def test_other_points_keep_their_lone_results(self):
+        """Results, quadrature work included, and error messages."""
+        points = [with_k(NARROW_CUTOFF, k) for k in FAILING_GRID]
+        failed = []
+        for params, result in zip(points, exact_steady_states(points)):
+            try:
+                lone = exact_steady_state(params)
+            except QuadratureError as exc:
+                assert type(result) is QuadratureError
+                assert str(result) == str(exc)
+                failed.append(params.k)
+                continue
+            assert result.covariance.tobytes() == lone.covariance.tobytes()
+            assert result.heat_currents == lone.heat_currents
+            assert result.diagnostics == lone.diagnostics
+        assert failed == [FAILING_GRID[1], FAILING_GRID[3]]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_sweep_raises_the_first_failure_in_grid_order(self, jobs):
+        """With 3 workers, the first batch's failure (at FAILING_GRID[3])
+        comes before the second batch's, which is the first in the grid."""
+        with pytest.raises(QuadratureError) as lone:
+            exact_steady_state(with_k(NARROW_CUTOFF, FAILING_GRID[1]))
+        with pytest.raises(QuadratureError) as swept:
+            sweep(NARROW_CUTOFF, "k", FAILING_GRID, jobs=jobs)
+        assert str(swept.value) == str(lone.value)
 
 
 class TestCorrelationTools:

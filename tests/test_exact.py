@@ -13,12 +13,12 @@ from scipy.integrate import quad
 from qwire import (WireParams, exact_covariance, exact_heat_current,
                    exact_steady_state, redfield_steady_state,
                    spectral_density)
-from qwire.exact import (QuadratureError, QuadratureSpec, _integrate, chi_hat,
-                         integrand_probe, shifted_frequency_sq)
+from qwire.exact import (QuadratureError, QuadratureSpec, _integrate,
+                         _integrate_batch, chi_hat, shifted_frequency_sq)
 from qwire import gaussian
 from check_exact_pool import pool_mismatches
 from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
-from oracles import per_node_exact_integral
+from oracles import integrand_probe, per_node_exact_integral
 
 #: a low-temperature benchmark pool point whose breakpoints
 #: 1.1521177586249618 and 1.152117758624962 nearly coincide, so that
@@ -33,6 +33,16 @@ BATCH_CASES = {
     "fig1a t_c=0.01": dataclasses.replace(with_k(WIDE_GAP, 0.01), t_c=0.01),
     "fig2c k=1e5": with_k(RESONANT_STRONG, 1e5),
     "pool point 2": POOL_POINT_2,
+}
+
+#: specs under which the replay does not converge at fig1a k=0.01: limit=8
+#: stops before the first round; limit=150 at an unreachable rel_tol stops
+#: after rounds that pop the full 128 intervals; rel_tol=1e-15 alone ends
+#: on quad_vec's rounding-error test at fig1b k=1e-4
+NON_CONVERGENCE_SPECS = {
+    "limit=8": QuadratureSpec(limit=8),
+    "limit=150": QuadratureSpec(rel_tol=1e-15, limit=150),
+    "rel_tol=1e-15": QuadratureSpec(rel_tol=1e-15),
 }
 
 
@@ -155,6 +165,17 @@ class TestSteadyState:
                     QuadratureSpec(**{field: bad})
 
 
+def assert_same_quadrature(quad, other):
+    """Two replays agree bit for bit: values, error, status, neval and
+    intervals in heap order."""
+    assert quad.values.tobytes() == other.values.tobytes()
+    assert quad.error == other.error
+    assert quad.status == other.status
+    assert quad.neval == other.neval
+    assert quad.intervals.shape == other.intervals.shape
+    assert quad.intervals.tobytes() == other.intervals.tobytes()
+
+
 def assert_replays_quad_vec(params, spec):
     """The replay gives quad_vec's values, error, status, neval and
     intervals (in heap order) bit for bit, signs of zeros included."""
@@ -182,21 +203,31 @@ class TestBatchedQuadrature:
         quad = _integrate(with_k(WIDE_GAP, 0.01), QuadratureSpec())
         assert (quad.neval, len(quad.intervals)) == (2352, 60)
 
-    @pytest.mark.parametrize("name, spec", [
-        ("fig1a k=0.01", QuadratureSpec(limit=8)),
-        ("fig1a k=0.01", QuadratureSpec(rel_tol=1e-15, limit=150)),
-        ("fig1b k=1e-4", QuadratureSpec(rel_tol=1e-15))],
+    @pytest.mark.parametrize("name, spec_name", [
+        ("fig1a k=0.01", "limit=8"), ("fig1a k=0.01", "limit=150"),
+        ("fig1b k=1e-4", "rel_tol=1e-15")],
         ids=["limit=8", "limit=150", "rel_tol=1e-15"])
-    def test_non_convergence_matches_quad_vec(self, name, spec):
-        """limit=8 stops before the first round.  limit=150 at an
-        unreachable rel_tol stops after rounds that pop the full 128
-        intervals.  rel_tol=1e-15 alone ends on quad_vec's rounding-error
-        test."""
-        params = BATCH_CASES[name]
+    def test_non_convergence_matches_quad_vec(self, name, spec_name):
+        """See NON_CONVERGENCE_SPECS."""
+        params, spec = BATCH_CASES[name], NON_CONVERGENCE_SPECS[spec_name]
         quad = assert_replays_quad_vec(params, spec)
         assert not quad.success
         with pytest.raises(QuadratureError, match="did not converge"):
             exact_covariance(params, spec)
+
+    @pytest.mark.parametrize("spec_name", ["default",
+                                           *NON_CONVERGENCE_SPECS])
+    def test_lockstep_batch_equals_lone_replays(self, spec_name):
+        """All BATCH_CASES run as one batch: each gets its lone replay,
+        which the tests above hold to quad_vec, bit for bit.  The cases
+        differ in k, omega_h, t_c, t_h, lambda_sq and their rounds, and
+        some stop while others go on."""
+        spec = NON_CONVERGENCE_SPECS.get(spec_name, QuadratureSpec())
+        cases = list(BATCH_CASES.values())
+        batch = _integrate_batch(cases, spec)
+        assert len(batch) == len(cases)
+        for params, quad in zip(cases, batch):
+            assert_same_quadrature(quad, _integrate(params, spec))
 
     @pytest.mark.slow
     @settings(max_examples=25, deadline=None)
@@ -214,7 +245,7 @@ class TestBatchedQuadrature:
 
     def test_frozen_benchmark_covariances_reproduced(self):
         """Every exact covariance frozen in perfbench/data/points.json,
-        bit for bit."""
+        bit for bit, all 306 points solved as one lockstep batch."""
         assert pool_mismatches() == []
 
 
