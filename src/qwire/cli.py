@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 invalid arguments or config, 2 solver failure,
 3 physicality-check failure.  Errors go to stderr as single-line JSON.
+steady and sweep report a failed method in their output and exit 0; only
+validate exits 2 for it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -19,7 +20,6 @@ import numpy as np
 from . import gaussian
 from .compare import (METRIC_KEYS, SWEEP_AXES, correlation_report,
                       exact_state, metrics, solve_all, sweep)
-from .exact import QuadratureError
 from .gme import gme_coefficients, gme_heat_currents_per_bath
 from .model import WireParams
 from .results import METHODS
@@ -39,6 +39,7 @@ PRESETS = {
 }
 
 _PARAM_KEYS = ("omega_c", "omega_h", "k", "t_c", "t_h", "lambda_sq", "cutoff")
+#: jobs, like sweep --jobs, is accepted and has no effect
 _CONFIG_KEYS = _PARAM_KEYS + ("scenario", "axis", "log_grid", "jobs")
 
 CSV_COLUMNS = (["k", "secular_margin"]
@@ -187,23 +188,6 @@ def resolve_scenario(args: argparse.Namespace, config: dict,
     return Scenario(name=name, params=params, axis=axis, grid=tuple(grid))
 
 
-def _resolve_jobs(args: argparse.Namespace, config_jobs=None) -> int:
-    if getattr(args, "jobs", None) is not None:
-        jobs = args.jobs
-    elif config_jobs is not None:
-        jobs = config_jobs
-    elif os.environ.get("QWIRE_JOBS"):
-        try:
-            jobs = int(os.environ["QWIRE_JOBS"])
-        except ValueError:
-            raise CliError("QWIRE_JOBS must be an integer") from None
-    else:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise CliError("jobs must be at least 1")
-    return jobs
-
-
 def _echo_scenario(scenario: Scenario) -> None:
     print(json.dumps({"resolved_scenario": scenario.as_dict()}),
           file=sys.stderr)
@@ -234,12 +218,11 @@ def cmd_steady(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    scenario = resolve_scenario(args, config, need_grid=True)
+    scenario = resolve_scenario(args, load_config(args.config),
+                                need_grid=True)
     _echo_scenario(scenario)
-    jobs = _resolve_jobs(args, config.get("jobs"))
     rows = sweep(scenario.params, scenario.axis, scenario.grid,
-                 measured_node=args.measured_node, jobs=jobs)
+                 measured_node=args.measured_node)
     for row in rows:
         for method, message in row.errors.items():
             print(json.dumps({"warning": "method_failed",
@@ -376,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default="-",
                    help="CSV path ('-' for stdout)")
     p.add_argument("--jobs", type=int,
-                   help="worker count (default QWIRE_JOBS or CPU count)")
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="run the invariant suite at a point")
@@ -397,7 +380,7 @@ def main(argv=None) -> int:
         return _fail("invalid_arguments", str(exc), 1)
     except gaussian.NonPhysicalStateError as exc:
         return _fail("nonphysical_state", str(exc), 3)
-    except (QuadratureError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
         return _fail("solver_failure", str(exc), 2)
 
 

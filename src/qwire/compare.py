@@ -1,9 +1,10 @@
 """Run all four solvers on one parameter point or a sweep.
 
-Rows are pure functions of their parameter point, so sweeps can run on a
-process pool without changing the (order-preserving, deterministic)
-output.  A sweep hands each worker one batch of grid points, whose exact
-quadratures advance in lockstep rounds (exact.exact_steady_states).
+Rows are pure functions of their parameter point.  A sweep solves its
+grid in process, in consecutive slices: the exact quadratures of a slice
+advance in lockstep rounds (exact.exact_steady_states), then the slice's
+rows are built.  A solver that fails, the exact one included, leaves NaN
+cells and a reason in its row; nothing raises past solve_all.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import gaussian
 from .exact import exact_steady_state, exact_steady_states
@@ -32,7 +31,12 @@ _SOLVERS = {
     "global": gme_steady_state,
     "local": lme_steady_state,
     "redfield": redfield_steady_state,
+    "exact": exact_steady_state,
 }
+
+#: grid points per exact_steady_states batch in a sweep: peak RSS grows
+#: with it, while the exact time is flat from about 6 points on
+_SLICE = 6
 
 
 @dataclass(frozen=True)
@@ -49,48 +53,53 @@ class SweepRow:
 def solve_all(params: WireParams, exact=None) -> list:
     """All four steady states, exact last.
 
-    Approximate-method failures are captured as error placeholders; only
-    an exact-solver failure aborts.  exact is the point's entry of
-    exact_steady_states, if it has been solved already: a result, or the
-    QuadratureError that is raised here.
+    A solver that fails leaves a SteadyStateResult.failed placeholder.
+    exact is the point's entry of exact_steady_states, if it has been
+    solved already.
     """
     out = []
-    for method in METHODS[:-1]:
+    for method in METHODS:
+        if method == "exact" and exact is not None:
+            out.append(exact)
+            continue
         try:
             out.append(_SOLVERS[method](params))
         except Exception as exc:  # per-method capture, deliberate
-            out.append(SteadyStateResult(
-                method=method, covariance=np.full((4, 4), np.nan),
-                heat_currents=(math.nan, math.nan),
-                diagnostics={"error": f"{type(exc).__name__}: {exc}"}))
-    if exact is None:
-        exact = exact_steady_state(params)
-    elif isinstance(exact, Exception):
-        raise exact
-    out.append(exact)
+            out.append(SteadyStateResult.failed(method, exc))
     return out
+
+
+def _own_measures(state, measured_node: str) -> tuple:
+    """Mutual information, discord, classical correlations and
+    log-negativity of one state; raises NonPhysicalStateError."""
+    mi = gaussian.mutual_information(state)
+    q = gaussian.gaussian_discord(state, measured_node)
+    return mi, q, max(mi - q, 0.0), gaussian.log_negativity(state)
 
 
 def correlation_report(covariance, exact,
                        measured_node: str = "h") -> gaussian.CorrelationReport:
     """Correlation measures of one state plus its fidelity to the exact one;
-    either may be a gaussian.GaussianState or a plain covariance."""
+    either may be a gaussian.GaussianState or a plain covariance.  Raises
+    NonPhysicalStateError if either state is non-physical."""
     state = gaussian.GaussianState.of(covariance)
-    mi = gaussian.mutual_information(state)
-    q = gaussian.gaussian_discord(state, measured_node)
+    mi, q, classical, log_neg = _own_measures(state, measured_node)
     return gaussian.CorrelationReport(
         fidelity_to_exact=gaussian.fidelity(state, exact),
         mutual_information=mi,
         discord_arrow=q,
-        classical_arrow=max(mi - q, 0.0),
-        log_negativity=gaussian.log_negativity(state),
+        classical_arrow=classical,
+        log_negativity=log_neg,
         measured_node=measured_node,
     )
 
 
 def exact_state(results: list) -> gaussian.GaussianState:
-    """solve_all's exact state, named in its failed physicality check."""
-    return gaussian.GaussianState(results[-1].covariance, "exact state: ")
+    """solve_all's exact state, named in its failed physicality check,
+    together with the exact solver's error if that failed."""
+    error = results[-1].diagnostics.get("error")
+    label = "exact state: " if error is None else f"exact state ({error}): "
+    return gaussian.GaussianState(results[-1].covariance, label)
 
 
 def _with_axis(params: WireParams, axis: str, value: float) -> WireParams:
@@ -106,21 +115,24 @@ def metrics(result: SteadyStateResult, exact: gaussian.GaussianState,
 
     A failed solver gives NaN everywhere; a state that the Gaussian
     measures reject as non-physical keeps its heat current only.  The
-    exact result is measured on `exact` itself, the point's exact_state.
+    other measures come from the state itself, so where the exact state
+    is missing or non-physical only fidelity_to_exact is NaN, and the
+    message names the exact state.  The exact result is measured on
+    `exact` itself, the point's exact_state.
     """
     values = dict.fromkeys(METRIC_KEYS, math.nan)
     if "error" in result.diagnostics:
         return values, result.diagnostics["error"]
     values["qdot_h"] = result.qdot_h
-    state = exact if result.method == "exact" else result.covariance
+    state = gaussian.GaussianState.of(
+        exact if result.method == "exact" else result.covariance)
     try:
-        report = correlation_report(state, exact, measured_node)
+        (values["mutual_info"], values["discord"], values["classical"],
+         values["log_neg"]) = _own_measures(state, measured_node)
+        values["fidelity_to_exact"] = gaussian.fidelity(state, exact)
     except gaussian.NonPhysicalStateError as exc:
         return values, f"NonPhysicalStateError: {exc}"
-    return dict(zip(METRIC_KEYS, (
-        report.fidelity_to_exact, result.qdot_h, report.mutual_information,
-        report.discord_arrow, report.classical_arrow,
-        report.log_negativity))), None
+    return values, None
 
 
 def sweep_row(params: WireParams, axis: str, value: float,
@@ -145,50 +157,22 @@ def sweep_row(params: WireParams, axis: str, value: float,
     )
 
 
-def _sweep_batch(params: WireParams, axis: str, values: list,
-                 measured_node: str) -> list:
-    """The rows of the grid values, their exact quadratures run in
-    lockstep; a row that raises leaves its exception in its place."""
-    points = [_with_axis(params, axis, v) for v in values]
-    rows = []
-    for value, exact in zip(values, exact_steady_states(points)):
-        try:
-            rows.append(sweep_row(params, axis, value, measured_node, exact))
-        except Exception as exc:  # raised by sweep, in grid order
-            rows.append(exc)
-    return rows
-
-
-def sweep(params: WireParams, axis: str, grid, measured_node: str = "h",
-          jobs: int | None = None) -> list:
+def sweep(params: WireParams, axis: str, grid,
+          measured_node: str = "h") -> list:
     """Sweep one parameter over a grid; order-preserving and deterministic.
 
-    With jobs = N > 1, worker w of a process pool computes the rows of
-    the interleaved batch grid[w::N]; otherwise the whole grid is one
-    batch, computed in this process.  Each row is bit for bit the same
-    either way.  A row that fails raises its error, the first in grid
-    order.
+    The grid is validated up front, then solved in consecutive slices of
+    _SLICE points: one exact_steady_states batch, then the slice's rows.
+    Each row is bit for bit the one that sweep_row builds alone.
     """
     grid = [float(v) for v in grid]
-    for value in grid:
-        _with_axis(params, axis, value)  # validate the whole grid up front
-    if jobs is not None:
-        # a forking pool starts all its workers at the first submit
-        jobs = min(jobs, len(grid))
-    if jobs is None or jobs <= 1:
-        rows = _sweep_batch(params, axis, grid, measured_node)
-    else:
-        # imported here: multiprocessing takes ~10 ms to import
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_batch, params, axis, grid[w::jobs],
-                                   measured_node) for w in range(jobs)]
-            rows = [None] * len(grid)
-            for w, future in enumerate(futures):
-                rows[w::jobs] = future.result()
-    for row in rows:
-        if isinstance(row, Exception):
-            raise row
+    points = [_with_axis(params, axis, value) for value in grid]
+    rows = []
+    for start in range(0, len(grid), _SLICE):
+        values = grid[start:start + _SLICE]
+        exact = exact_steady_states(points[start:start + _SLICE])
+        rows += [sweep_row(params, axis, value, measured_node, result)
+                 for value, result in zip(values, exact)]
     return rows
 
 

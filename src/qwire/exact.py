@@ -492,11 +492,13 @@ def exact_steady_states(points: list,
                         spec: QuadratureSpec = QuadratureSpec()) -> list:
     """exact_steady_state of every point, their quadratures run in
     lockstep (see _integrate_batch).  Where a quadrature fails, the list
-    holds the QuadratureError that exact_steady_state raises there."""
+    holds SteadyStateResult.failed for the QuadratureError that
+    exact_steady_state raises there: NaN covariance and currents, and
+    diagnostics["error"] = "QuadratureError: ..."."""
     out = []
     for params, quad in zip(points, _integrate_batch(points, spec)):
         try:
             out.append(_steady_state(params, quad))
         except QuadratureError as exc:
-            out.append(exc)
+            out.append(SteadyStateResult.failed("exact", exc))
     return out

@@ -3,7 +3,8 @@
 The local dissipators are derived for each node at zero inter-node
 coupling; each damps and heats its own node only.  With the coupled
 Hamiltonian they give a linear covariance dynamics that couples all ten
-independent moments, and the steady state is a direct dense solve.
+independent moments, and the steady state is a direct dense solve.  The
+heat currents follow from the same equations in closed form.
 """
 
 from __future__ import annotations
@@ -48,37 +49,55 @@ def lme_drift_diffusion(params: WireParams) -> tuple:
     return flow + a_c + a_h, d_c + d_h
 
 
-def lme_heat_currents(gamma: np.ndarray, params: WireParams) -> tuple:
-    """Incoming currents per bath from the stationary covariance.
+def lme_heat_currents(params: WireParams) -> tuple:
+    """Incoming currents per bath, (Qdot_c, Qdot_h), in closed form.
 
-    The bath-a current is the energy its dissipator injects,
-    h . (M_a y + c_a), with (M_a, c_a) the moment equations of that
-    dissipator's drift and diffusion and h the coefficients of <H_S>.
-    Written that way it is a sum of O(1) terms that cancel down to O(k^2).
-    Stationarity of the node energy <P_a^2 + (w_a^2 + k) X_a^2>/2, which
-    only bath a and the bond change, turns it into the bond form
+    Cramer's rule on the stationary moment equations of
+    lme_drift_diffusion gives, with g_a = J(w_a)/w_a = -Delta~_a,
+    s = g_c + g_h and u = w_c - w_h,
 
-        Qdot_h = -k (<X_c P_h> + Delta~_h/2 <X_c X_h>),
-        Qdot_c = -k (<X_h P_c> + Delta~_c/2 <X_c X_h>),
+        Qdot_h = g_c g_h k^2 [2 w_c A_h (n_h - n_c) + 2 B (n_c + 1/2)]
+                 / (w_c w_h Den),
+        A_h = g_h s^2 + 4 s k + 4 g_h (w_c^2 + w_h^2) + 8 g_c w_h^2,
+        B   = (w_c g_h - w_h g_c)(s^2 + 4 u^2) + 4 s k u,
+        Den = g_c g_h (s^2 + 4 u^2)(s^2 + 4 (w_c + w_h)^2)
+              + 16 g_c g_h s^2 k + 16 s^2 k^2,
 
-    which has no cancellation and vanishes exactly at k = 0.
+    and Qdot_c = -Qdot_h.  Den is a sum of positive terms, and
+    w_c g_h - w_h g_c is formed as the multiple of u that it is, so both
+    terms of B share its sign: the current keeps its relative accuracy
+    down to k = 0, where it vanishes, and wherever the covariance's cross
+    moments cancel.
     """
-    delta_c = _local_drift(params, params.omega_c)
-    delta_h = _local_drift(params, params.omega_h)
-    xcxh, xcph, xhpc = gamma[0, 2], gamma[0, 3], gamma[1, 2]
-    return (-params.k * (xhpc + delta_c / 2.0 * xcxh),
-            -params.k * (xcph + delta_h / 2.0 * xcxh))
+    w_c, w_h, k = params.omega_c, params.omega_h, params.k
+    g_c = -_local_drift(params, w_c)
+    g_h = -_local_drift(params, w_h)
+    s, u = g_c + g_h, w_c - w_h
+    cut_sq = params.cutoff**2
+    skew = (params.lambda_sq * cut_sq * u
+            * (w_c * w_c + w_c * w_h + w_h * w_h + cut_sq)
+            / ((w_c * w_c + cut_sq) * (w_h * w_h + cut_sq)))
+    a_h = (g_h * s * s + 4.0 * s * k + 4.0 * g_h * (w_c * w_c + w_h * w_h)
+           + 8.0 * g_c * w_h * w_h)
+    b = skew * (s * s + 4.0 * u * u) + 4.0 * s * k * u
+    den = (g_c * g_h * (s * s + 4.0 * u * u) * (s * s + 4.0 * (w_c + w_h)**2)
+           + 16.0 * g_c * g_h * s * s * k + 16.0 * s * s * k * k)
+    n_c = occupation(w_c, params.t_c)
+    n_h = occupation(w_h, params.t_h)
+    qdot_h = (g_c * g_h * k * k
+              * (2.0 * w_c * a_h * (n_h - n_c) + 2.0 * b * (n_c + 0.5))
+              / (w_c * w_h * den))
+    return (-qdot_h, qdot_h)
 
 
 def lme_steady_state(params: WireParams) -> SteadyStateResult:
     """Solve the stationary moment equations and package covariance plus
     heat currents."""
     y, residual = stationary(*moment_equations(*lme_drift_diffusion(params)))
-    gamma = covariance(y)
     return SteadyStateResult(
         method="local",
-        covariance=gamma,
-        heat_currents=lme_heat_currents(gamma, params),
+        covariance=covariance(y),
+        heat_currents=lme_heat_currents(params),
         diagnostics={"secular_margin": secular_validity_margin(params),
                      "residual": residual},
     )

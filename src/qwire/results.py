@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,8 @@ class SteadyStateResult:
     covariance    : 4x4 symmetric matrix in (X_c, P_c, X_h, P_h) ordering
     heat_currents : incoming currents (Qdot_c, Qdot_h); they sum to zero
     diagnostics   : solver-specific figures of merit (secular margin,
-                    quadrature error estimate or linear-solve residual)
+                    quadrature error estimate or linear-solve residual);
+                    "error" holds the reason of a solver that failed
     """
 
     method: str
@@ -28,6 +30,14 @@ class SteadyStateResult:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+
+    @classmethod
+    def failed(cls, method: str, exc: Exception) -> "SteadyStateResult":
+        """Placeholder for a solver that raised exc: NaN covariance and
+        currents, and the reason in diagnostics["error"]."""
+        return cls(method=method, covariance=np.full((4, 4), np.nan),
+                   heat_currents=(math.nan, math.nan),
+                   diagnostics={"error": f"{type(exc).__name__}: {exc}"})
 
     @property
     def qdot_c(self) -> float:

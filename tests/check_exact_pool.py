@@ -34,8 +34,8 @@ def pool_mismatches(ids=None) -> list:
                                    for point in points])
     out = []
     for point, result in zip(points, results):
-        if (isinstance(result, Exception)
-                or [float(result.covariance[i, j]) for i, j in _UPPER]
+        # a failed point's NaN placeholder equals no frozen value
+        if ([float(result.covariance[i, j]) for i, j in _UPPER]
                 != point["exact"]):
             out.append(point["id"])
     return out

@@ -3,7 +3,8 @@
 Almost everything here works on truncated Fock-space matrices and
 deliberately avoids the covariance-level formulas of the package, so
 agreement between the two is meaningful evidence of correctness.  The
-exceptions are the last two sections: quad_vec evaluating node by node,
+exceptions are the last three sections: the local heat current solved
+from its moment equations in mpmath, quad_vec evaluating node by node,
 the reference of the exact solver's numpy replay of its scheme, and the
 grid search with a scipy Nelder-Mead polish and the 60-digit Adesso-Datta
 closed form, the two references of the closed-form discord.
@@ -253,6 +254,55 @@ def thermal_product_gibbs(n_c: float, n_h: float) -> np.ndarray:
         nu = n + 0.5
         return math.log((nu + 0.5) / (nu - 0.5))
     return np.diag([beta(n_c), beta(n_c), beta(n_h), beta(n_h)])
+
+
+# ---------------------------------------------------------------------------
+# local heat current
+
+def local_current_mpmath(params, dps: int = 60) -> float:
+    """Hot-bath current of the local master equation at dps digits.
+
+    Builds the local drift and diffusion from the model (coupled
+    Hamiltonian flow; node a relaxes at J(w_a)/w_a toward its bath's
+    occupation), solves the Lyapunov equation A G + G A^T + D = 0 for all
+    sixteen entries of G, and returns the energy that bath h's
+    dissipator injects, Tr(V (A_h G + G A_h^T + D_h)) / 2 with V the
+    Hessian of H_S.
+    """
+    import mpmath
+    with mpmath.workdps(dps):
+        w_c, w_h = mpmath.mpf(params.omega_c), mpmath.mpf(params.omega_h)
+        k, cut = mpmath.mpf(params.k), mpmath.mpf(params.cutoff)
+        flow = mpmath.matrix([[0, 1, 0, 0], [-(w_c**2 + k), 0, k, 0],
+                              [0, 0, 0, 1], [k, 0, -(w_h**2 + k), 0]])
+        baths = []
+        for x, om, t in ((0, w_c, params.t_c), (2, w_h, params.t_h)):
+            g = mpmath.mpf(params.lambda_sq) * cut**2 / (om**2 + cut**2)
+            heat = g * (2 / mpmath.expm1(om / mpmath.mpf(t)) + 1)
+            a, d = mpmath.zeros(4, 4), mpmath.zeros(4, 4)
+            a[x, x] = a[x + 1, x + 1] = -g / 2
+            d[x, x], d[x + 1, x + 1] = heat / (2 * om), om * heat / 2
+            baths.append((a, d))
+        drift = flow + baths[0][0] + baths[1][0]
+        diffusion = baths[0][1] + baths[1][1]
+        lyapunov = mpmath.zeros(16, 16)
+        for i in range(4):
+            for j in range(4):
+                for m in range(4):
+                    lyapunov[4 * i + j, 4 * m + j] += drift[i, m]
+                    lyapunov[4 * i + j, 4 * i + m] += drift[j, m]
+        flat = mpmath.lu_solve(lyapunov, mpmath.matrix(
+            [-diffusion[i, j] for i in range(4) for j in range(4)]))
+        gamma = mpmath.matrix(4, 4)
+        for i in range(4):
+            for j in range(4):
+                gamma[i, j] = flat[4 * i + j]
+        hessian = mpmath.matrix([[w_c**2 + k, 0, -k, 0], [0, 1, 0, 0],
+                                 [-k, 0, w_h**2 + k, 0], [0, 0, 0, 1]])
+        a_h, d_h = baths[1]
+        change = a_h * gamma + gamma * a_h.T + d_h
+        return float(sum(hessian[i, j] * change[j, i]
+                         for i in range(4) for j in range(4)) / 2)
 
 
 # ---------------------------------------------------------------------------

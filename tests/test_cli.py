@@ -43,10 +43,13 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_process_pool():
-    """multiprocessing loads only when a sweep starts its pool."""
-    code = ("import sys, qwire, qwire.cli; print(sorted(m for m in "
-            "sys.modules if m in ('multiprocessing', "
-            "'concurrent.futures.process')))")
+    """Neither the import nor a whole `qwire sweep` run, --jobs included,
+    loads multiprocessing."""
+    code = ("import os, sys, qwire, qwire.cli\n"
+            "qwire.cli.main(['sweep', '--scenario', 'fig1a', '--log-grid', "
+            "'1e-2:1e-1:2', '--jobs', '2', '-o', os.devnull])\n"
+            "print(sorted(m for m in sys.modules if m in "
+            "('multiprocessing', 'concurrent.futures.process')))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -119,28 +122,22 @@ class TestConfig:
         echoed = json.loads(err.strip().splitlines()[0])
         assert echoed["resolved_scenario"]["lambda_sq"] == 1e-2
 
-    def test_sweep_reads_the_file_once_and_uses_its_jobs(
-            self, tmp_path, capsys, monkeypatch):
+    def test_sweep_reads_the_file_once(self, tmp_path, capsys,
+                                       monkeypatch):
+        """The file's jobs key is accepted, and has no effect."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scenario = fig1a\nlog_grid = 1e-2:1e-1:2\njobs = 2\n")
-        reads, jobs = [], []
+        reads = []
 
         def counted_load(path):
             reads.append(path)
             return load_config(path)
 
-        def spy_sweep(*args, **kwargs):
-            jobs.append(kwargs["jobs"])
-            return compare.sweep(*args, **kwargs)
-
         monkeypatch.setattr(cli, "load_config", counted_load)
-        monkeypatch.setattr(cli, "sweep", spy_sweep)
-        monkeypatch.setenv("QWIRE_JOBS", "1")
         code, _, _ = run(capsys, "sweep", "--config", str(cfg),
                          "-o", str(tmp_path / "rows.csv"))
         assert code == 0
         assert reads == [str(cfg)]
-        assert jobs == [2]
 
     def test_empty_file_with_full_flags(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"
@@ -238,12 +235,12 @@ class TestSteady:
                        for key in compare.METRIC_KEYS)
 
     def test_non_physical_exact_state_is_named(self, capsys, monkeypatch):
-        exact_steady_state = compare.exact_steady_state
+        exact_steady_state = compare._SOLVERS["exact"]
 
         def broken_exact(params):
             return dataclasses.replace(exact_steady_state(params),
                                        covariance=0.4 * np.eye(4))
-        monkeypatch.setattr(compare, "exact_steady_state", broken_exact)
+        monkeypatch.setitem(compare._SOLVERS, "exact", broken_exact)
         code, out, _ = run(capsys, "steady", "--scenario", "fig1a",
                            "--k", "0.01")
         assert code == 0
@@ -279,13 +276,17 @@ class TestSweepCommand:
         assert format(float(cells[2]), ".17g") == cells[2]
 
     def test_deterministic_output(self, tmp_path, capsys):
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for path in paths:
+        """The same bytes on every run, with --jobs 1, 2 or none."""
+        outputs = []
+        for n, jobs in enumerate((["--jobs", "2"], ["--jobs", "2"],
+                                  ["--jobs", "1"], [])):
+            path = tmp_path / f"{n}.csv"
             code, _, _ = run(capsys, "sweep", "--scenario", "fig1a",
-                             "--log-grid", "1e-2:1e-1:2", "--jobs", "2",
+                             "--log-grid", "1e-2:1e-1:2", *jobs,
                              "-o", str(path))
             assert code == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+            outputs.append(path.read_bytes())
+        assert outputs == [outputs[0]] * 4
 
     def test_reversed_local_current_scenario(self, tmp_path, capsys):
         out_path = tmp_path / "fig1c.csv"
@@ -325,25 +326,40 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_quadrature_failure_is_exit_2(self, tmp_path, capsys, jobs):
-        """The first failing point in grid order, k = 2154.43..., names
-        its error estimate, whatever the number of workers."""
+        """Only validate exits 2 where the exact quadrature fails.  sweep
+        and steady complete with exit 0, NaN (null) exact cells and the
+        QuadratureError as the exact method's reason; the first failing
+        point of the grid, k = 2154.43..., names its error estimate."""
         flags = [f"--{key.replace('_', '-')}={value!r}" for key, value
                  in dataclasses.asdict(NARROW_CUTOFF).items() if key != "k"]
+        out_path = tmp_path / "rows.csv"
         code, _, err = run(capsys, "sweep", "--scenario", "fig1a", *flags,
                            "--log-grid", "1e3:1e4:4", "--jobs", jobs,
-                           "-o", str(tmp_path / "rows.csv"))
+                           "-o", str(out_path))
+        assert code == 0
+        failed = [w for w in map(strict_json, err.strip().splitlines()[1:])
+                  if w["method"] == "exact"]
+        assert [w["warning"] for w in failed] == ["method_failed"] * 3
+        first = "QuadratureError: covariance quadrature did not converge; " \
+                "error estimate 4.13e-08"
+        assert failed[0]["message"] == first
+        col = CSV_COLUMNS.index("exact_qdot_h")
+        rows = out_path.read_text().splitlines()[1:]
+        assert [row.split(",")[col] == "nan" for row in rows] == \
+            [False, True, True, True]
+
+        k = f"--k={failed[0]['axis_value']!r}"
+        code, out, _ = run(capsys, "steady", "--scenario", "fig1a", *flags, k)
+        assert code == 0
+        exact = strict_json(out)["methods"]["exact"]
+        assert exact["diagnostics"]["error"] == first
+        assert all(exact[key] is None for key in compare.METRIC_KEYS)
+
+        code, _, err = run(capsys, "validate", "--scenario", "fig1a", *flags,
+                           k)
         assert code == 2
         assert strict_json(err.strip().splitlines()[-1]) == {
-            "error": "solver_failure",
-            "message": "covariance quadrature did not converge; "
-                       "error estimate 4.13e-08"}
-
-    def test_jobs_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("QWIRE_JOBS", "not-a-number")
-        code, *_ = run(capsys, "sweep", "--scenario", "fig1a",
-                       "--log-grid", "1e-2:1e-1:2",
-                       "-o", str(tmp_path / "x.csv"))
-        assert code == 1
+            "error": "solver_failure", "message": f"exact: {first}"}
 
 
 class TestValidate:

@@ -1,18 +1,17 @@
 """Cross-method comparison layer: solve_all, sweeps and deltas."""
 
-import concurrent.futures
 import dataclasses
 import math
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
-from qwire import (METHODS, SteadyStateResult, WireParams, compare,
+from qwire import (METHODS, SteadyStateResult, WireParams,
                    correlation_deltas, exact_steady_state,
                    exact_steady_states, solve_all, sweep)
-from qwire.compare import (METRIC_KEYS, _SOLVERS, correlation_report,
+from qwire.compare import (METRIC_KEYS, _SLICE, _SOLVERS, correlation_report,
                            metrics, sweep_row)
 from qwire.exact import QuadratureError
 from conftest import (NARROW_CUTOFF, NEAR_DEGENERATE, RESONANT_STRONG,
@@ -40,6 +39,18 @@ class TestSolveAll:
         assert math.isnan(local.qdot_h)
         # the others are untouched
         assert "error" not in results[0].diagnostics
+
+    def test_exact_failure_is_captured(self, monkeypatch):
+        def no_convergence(params):
+            raise QuadratureError("synthetic failure")
+
+        monkeypatch.setitem(_SOLVERS, "exact", no_convergence)
+        results = solve_all(with_k(WIDE_GAP, 0.05))
+        assert results[-1].method == "exact"
+        assert results[-1].diagnostics == {
+            "error": "QuadratureError: synthetic failure"}
+        assert all(math.isnan(q) for q in results[-1].heat_currents)
+        assert not any("error" in r.diagnostics for r in results[:-1])
 
     def test_redfield_tracks_exact_in_born_markov_regime(self):
         for k in (1e-3, 1e-1):
@@ -92,22 +103,23 @@ class TestMetrics:
                    if key != "qdot_h")
 
     def test_non_physical_exact_state_is_named(self, monkeypatch):
-        """Every method's reason says that the exact state failed; the
-        NaN cells are those of any non-physical state."""
-        exact_steady_state = compare.exact_steady_state
-
+        """Every method's reason says that the exact state failed.  The
+        exact method keeps its current only; the others lose only their
+        fidelity to it."""
         def broken_exact(params):
             return dataclasses.replace(exact_steady_state(params),
                                        covariance=0.4 * np.eye(4))
-        monkeypatch.setattr(compare, "exact_steady_state", broken_exact)
+        monkeypatch.setitem(_SOLVERS, "exact", broken_exact)
         row = sweep_row(WIDE_GAP, "k", 0.05)
         assert set(row.errors) == set(METHODS)
         for method in METHODS:
             assert row.errors[method].startswith(
                 "NonPhysicalStateError: exact state: smallest symplectic")
-            assert math.isfinite(row.metrics[method]["qdot_h"])
-            assert all(math.isnan(v) for key, v in
-                       row.metrics[method].items() if key != "qdot_h")
+            nan_keys = {key for key, v in row.metrics[method].items()
+                        if math.isnan(v)}
+            assert nan_keys == ({key for key in METRIC_KEYS
+                                 if key != "qdot_h"} if method == "exact"
+                                else {"fidelity_to_exact"})
 
 
 class TestSweep:
@@ -125,14 +137,12 @@ class TestSweep:
     def test_parallel_equals_sequential(self):
         """Every field of every row (metrics, exact_quad_error and
         errors), bit for bit, whether the rows are solved one at a time
-        or in interleaved batches, uneven ones included: 5 rows on 1, 2
-        and 3 workers."""
-        grid = [1e-4, 1e-3, 1e-2, 5e-2, 1e-1]
+        or in lockstep slices: one full slice and one partial one."""
+        grid = [float(v) for v in np.logspace(-4, -1, _SLICE + 4)]
         lone = [repr(sweep_row(WIDE_GAP, "k", v)) for v in grid]
-        for jobs in (1, 2, 3):
-            rows = sweep(WIDE_GAP, "k", grid, jobs=jobs)
-            assert [row.axis_value for row in rows] == grid
-            assert [repr(row) for row in rows] == lone
+        rows = sweep(WIDE_GAP, "k", grid)
+        assert [row.axis_value for row in rows] == grid
+        assert [repr(row) for row in rows] == lone
 
     @pytest.mark.parametrize("params", [WIDE_GAP, NEAR_DEGENERATE,
                                         RESONANT_STRONG],
@@ -147,33 +157,6 @@ class TestSweep:
             for t_c in (1e-3, 1e-2, 0.1):
                 rows = sweep(dataclasses.replace(params, t_c=t_c), "k", grid)
                 assert [row.errors for row in rows] == [{}] * len(grid)
-
-    def test_workers_capped_at_rows(self, monkeypatch):
-        """No more workers than rows; the stub pool starts no process."""
-        started = []
-
-        class StubPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            StubPool)
-        rows = sweep(WIDE_GAP, "k", [1e-3, 1e-2], jobs=5000)
-        assert started == [2]
-        assert [r.axis_value for r in rows] == [1e-3, 1e-2]
-        sweep(WIDE_GAP, "k", [1e-3], jobs=5000)
-        assert started == [2]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -200,8 +183,10 @@ class TestFailingPoint:
             try:
                 lone = exact_steady_state(params)
             except QuadratureError as exc:
-                assert type(result) is QuadratureError
-                assert str(result) == str(exc)
+                assert result.diagnostics == {
+                    "error": f"QuadratureError: {exc}"}
+                assert np.isnan(result.covariance).all()
+                assert all(map(math.isnan, result.heat_currents))
                 failed.append(params.k)
                 continue
             assert result.covariance.tobytes() == lone.covariance.tobytes()
@@ -209,15 +194,62 @@ class TestFailingPoint:
             assert result.diagnostics == lone.diagnostics
         assert failed == [FAILING_GRID[1], FAILING_GRID[3]]
 
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_sweep_raises_the_first_failure_in_grid_order(self, jobs):
-        """With 3 workers, the first batch's failure (at FAILING_GRID[3])
-        comes before the second batch's, which is the first in the grid."""
-        with pytest.raises(QuadratureError) as lone:
-            exact_steady_state(with_k(NARROW_CUTOFF, FAILING_GRID[1]))
-        with pytest.raises(QuadratureError) as swept:
-            sweep(NARROW_CUTOFF, "k", FAILING_GRID, jobs=jobs)
-        assert str(swept.value) == str(lone.value)
+    def test_sweep_rows_record_the_failure(self):
+        """A failing point's row names its QuadratureError for the exact
+        method; the approximate methods lose only their fidelity to it.
+        The other rows have no exact error."""
+        rows = sweep(NARROW_CUTOFF, "k", FAILING_GRID)
+        assert [row.axis_value for row in rows] == FAILING_GRID
+        for row in rows:
+            if row.axis_value not in (FAILING_GRID[1], FAILING_GRID[3]):
+                assert "exact" not in row.errors
+                continue
+            with pytest.raises(QuadratureError) as lone:
+                exact_steady_state(with_k(NARROW_CUTOFF, row.axis_value))
+            assert row.errors["exact"] == f"QuadratureError: {lone.value}"
+            assert all(map(math.isnan, row.metrics["exact"].values()))
+            for method in METHODS[:-1]:
+                assert row.errors[method].startswith(
+                    "NonPhysicalStateError: exact state (QuadratureError: "
+                    f"{lone.value}): ")
+                values = row.metrics[method]
+                assert math.isnan(values["fidelity_to_exact"])
+                assert all(math.isfinite(v) for key, v in values.items()
+                           if key != "fidelity_to_exact")
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def domain_points(draw) -> WireParams:
+    """Log-uniform over what WireParams accepts: omega_c in [0.1, 10],
+    detuning omega_h - omega_c in [1e-9, 3], k in [1e-12, 1e5],
+    T_c/omega_c in [1e-3, 1e2], T_h/T_c in [1, 10], lambda^2 in
+    [1e-6, 1] and cutoff/omega_h in [1.1, 1e4]."""
+    omega_c = draw(_log_uniform(0.1, 10.0))
+    omega_h = omega_c + draw(_log_uniform(1e-9, 3.0))
+    t_c = omega_c * draw(_log_uniform(1e-3, 1e2))
+    return WireParams(omega_c=omega_c, omega_h=omega_h,
+                      k=draw(_log_uniform(1e-12, 1e5)), t_c=t_c,
+                      t_h=t_c * draw(_log_uniform(1.0, 10.0)),
+                      lambda_sq=draw(_log_uniform(1e-6, 1.0)),
+                      cutoff=omega_h * draw(_log_uniform(1.1, 1e4)))
+
+
+class TestDomain:
+    @seed(7)
+    @settings(max_examples=100, deadline=None)
+    @given(domain_points())
+    @example(with_k(NARROW_CUTOFF, FAILING_GRID[1]))
+    def test_every_row_completes_and_every_nan_has_a_reason(self, params):
+        """No exception escapes sweep_row, and every NaN cell belongs to
+        a method whose reason the row gives."""
+        row = sweep_row(params, "k", params.k)
+        for method, values in row.metrics.items():
+            if any(map(math.isnan, values.values())):
+                assert row.errors.get(method), (method, row)
 
 
 class TestCorrelationTools:

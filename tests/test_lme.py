@@ -1,19 +1,24 @@
 """Local GKLS solution against a Fock-space generator oracle."""
 
 import dataclasses
+import json
+import math
+import pathlib
+import random
 
 import numpy as np
 import pytest
 
 from qwire import WireParams, occupation
-from qwire.lme import (lme_drift_diffusion, lme_steady_state,
-                       _bath_drift_diffusion)
+from qwire.lme import (lme_drift_diffusion, lme_heat_currents,
+                       lme_steady_state, _bath_drift_diffusion)
 from qwire.moments import (MOMENTS, covariance, moment_equations, moments,
                            stationary)
 from qwire import gaussian
 from conftest import WIDE_GAP, with_k
 from oracles import (decay_rate, destroy, dissipator_adjoint, embed,
-                     extract_affine_dynamics, quadratures)
+                     extract_affine_dynamics, local_current_mpmath,
+                     quadratures)
 
 OFF_RESONANT = WireParams(1.0, 1.3, 0.4, 0.8, 1.6, 0.05, 50.0)
 
@@ -126,6 +131,53 @@ class TestHeatCurrents:
         res = lme_steady_state(OFF_RESONANT)
         assert res.qdot_c + res.qdot_h == pytest.approx(
             0.0, abs=1e-12 * abs(res.qdot_h))
+
+
+def _domain_points(count: int, rng: random.Random) -> list:
+    """Log-uniform over what WireParams accepts (as in test_compare's
+    domain_points)."""
+    def log_uniform(lo, hi):
+        return 10.0**rng.uniform(math.log10(lo), math.log10(hi))
+    out = []
+    for _ in range(count):
+        omega_c = log_uniform(0.1, 10.0)
+        omega_h = omega_c + log_uniform(1e-9, 3.0)
+        t_c = omega_c * log_uniform(1e-3, 1e2)
+        out.append(WireParams(omega_c, omega_h, log_uniform(1e-12, 1e5), t_c,
+                              t_c * log_uniform(1.0, 10.0),
+                              log_uniform(1e-6, 1.0),
+                              omega_h * log_uniform(1.1, 1e4)))
+    return out
+
+
+#: benchmark pool points: at 261 and 268 the covariance's cross moments
+#: cancel down to the current, at 137 and 272 they lose digits of it
+POOL_IDS = (40, 137, 261, 268, 272)
+POOL = (pathlib.Path(__file__).resolve().parent.parent
+        / "perfbench" / "data" / "points.json")
+
+
+class TestClosedFormCurrent:
+    """lme_heat_currents against the current of the moment equations
+    solved at 60 digits: to 1e-13 relative, and Qdot_c = -Qdot_h."""
+
+    @staticmethod
+    def assert_matches_moment_solve(points):
+        for params in points:
+            q_c, q_h = lme_heat_currents(params)
+            assert q_c == -q_h
+            assert q_h == pytest.approx(local_current_mpmath(params),
+                                        rel=1e-13, abs=0.0), params
+
+    def test_benchmark_pool_points(self):
+        pool = {point["id"]: point for point
+                in json.loads(POOL.read_text(encoding="utf-8"))["points"]}
+        self.assert_matches_moment_solve(
+            [WireParams(**pool[i]["params"]) for i in POOL_IDS])
+
+    def test_random_domain_points(self):
+        self.assert_matches_moment_solve(
+            _domain_points(30, random.Random(7)))
 
 
 class TestHighTemperature:
