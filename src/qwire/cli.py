@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gaussian
 from .compare import (METRIC_KEYS, SWEEP_AXES, correlation_report,
-                      exact_state, metrics, solve_all, sweep)
+                      point_metrics, solve_all, sweep)
 from .gme import gme_coefficients, gme_heat_currents_per_bath
 from .model import WireParams
 from .results import METHODS
@@ -198,13 +198,13 @@ def cmd_steady(args: argparse.Namespace) -> int:
                                 need_grid=False)
     _echo_scenario(scenario)
     results = solve_all(scenario.params)
-    exact = exact_state(results)
+    [(table, errors)] = point_metrics([results], args.measured_node)
     methods = {}
     for res in results:
-        values, error = metrics(res, exact, args.measured_node)
+        error = errors.get(res.method)
         methods[res.method] = {
             "qdot_c": res.qdot_c,
-            **values,
+            **table[res.method],
             "covariance": res.covariance.tolist(),
             "diagnostics": (res.diagnostics if error is None
                             else {**res.diagnostics, "error": error}),
@@ -249,7 +249,7 @@ def _validate_checks(scenario: Scenario, measured_node: str) -> list:
     """Invariant suite at one parameter point."""
     params = scenario.params
     results = solve_all(params)
-    exact = exact_state(results)
+    exact = results[-1].covariance
     checks = []
 
     def add(name, passed, detail):
@@ -260,9 +260,7 @@ def _validate_checks(scenario: Scenario, measured_node: str) -> list:
         if "error" in res.diagnostics:
             raise RuntimeError(f"{res.method}: {res.diagnostics['error']}")
         margin = gaussian.symplectic_eigenvalues(res.covariance)[-1] - 0.5
-        add(f"{res.method}_physical",
-            gaussian.is_physical(exact if res.method == "exact"
-                                 else res.covariance),
+        add(f"{res.method}_physical", gaussian.is_physical(res.covariance),
             f"min symplectic eigenvalue - 1/2 = {margin:.3e}")
         residual = res.diagnostics.get("residual")
         if residual is not None:

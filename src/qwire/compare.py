@@ -2,9 +2,11 @@
 
 Rows are pure functions of their parameter point.  A sweep solves its
 grid in process, in consecutive slices: the exact quadratures of a slice
-advance in lockstep rounds (exact.exact_steady_states), then the slice's
-rows are built.  A solver that fails, the exact one included, leaves NaN
-cells and a reason in its row; nothing raises past solve_all.
+advance in lockstep rounds (exact.exact_steady_states).  Then all its
+states are measured as one gaussian.StateStack (point_metrics), so a
+sweep of any length takes the same few spectrum and measure calls.  A
+solver that fails, the exact one included, leaves NaN cells and a reason
+in its row; nothing raises past solve_all.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import gaussian
 from .exact import exact_steady_state, exact_steady_states
@@ -69,37 +73,28 @@ def solve_all(params: WireParams, exact=None) -> list:
     return out
 
 
-def _own_measures(state, measured_node: str) -> tuple:
-    """Mutual information, discord, classical correlations and
-    log-negativity of one state; raises NonPhysicalStateError."""
-    mi = gaussian.mutual_information(state)
-    q = gaussian.gaussian_discord(state, measured_node)
-    return mi, q, max(mi - q, 0.0), gaussian.log_negativity(state)
+def _measures(states, partners, measured_node: str) -> dict:
+    """The METRIC_KEYS but qdot_h, in CorrelationReport's order, of each
+    state of a stack; partners holds the index of each one's exact state."""
+    mi = gaussian.mutual_information(states)
+    q = gaussian.gaussian_discord(states, measured_node)
+    return {"fidelity_to_exact": gaussian.fidelity(states, partners),
+            "mutual_info": mi, "discord": q,
+            "classical": np.maximum(mi - q, 0.0),
+            "log_neg": gaussian.log_negativity(states)}
 
 
 def correlation_report(covariance, exact,
                        measured_node: str = "h") -> gaussian.CorrelationReport:
-    """Correlation measures of one state plus its fidelity to the exact one;
-    either may be a gaussian.GaussianState or a plain covariance.  Raises
-    NonPhysicalStateError if either state is non-physical."""
-    state = gaussian.GaussianState.of(covariance)
-    mi, q, classical, log_neg = _own_measures(state, measured_node)
-    return gaussian.CorrelationReport(
-        fidelity_to_exact=gaussian.fidelity(state, exact),
-        mutual_information=mi,
-        discord_arrow=q,
-        classical_arrow=classical,
-        log_negativity=log_neg,
-        measured_node=measured_node,
-    )
-
-
-def exact_state(results: list) -> gaussian.GaussianState:
-    """solve_all's exact state, named in its failed physicality check,
-    together with the exact solver's error if that failed."""
-    error = results[-1].diagnostics.get("error")
-    label = "exact state: " if error is None else f"exact state ({error}): "
-    return gaussian.GaussianState(results[-1].covariance, label)
+    """Correlation measures of one state plus its fidelity to the exact
+    one, a stack of one with its partner.  Raises NonPhysicalStateError if
+    either state is non-physical."""
+    states = gaussian.StateStack([covariance, exact], measured=1)
+    states.check(0)
+    states.check(1)
+    values = _measures(states, [1], measured_node).values()
+    return gaussian.CorrelationReport(*(float(v[0]) for v in values),
+                                      measured_node=measured_node)
 
 
 def _with_axis(params: WireParams, axis: str, value: float) -> WireParams:
@@ -108,72 +103,71 @@ def _with_axis(params: WireParams, axis: str, value: float) -> WireParams:
     return dataclasses.replace(params, **{axis: value})
 
 
-def metrics(result: SteadyStateResult, exact: gaussian.GaussianState,
-            measured_node: str = "h") -> tuple:
-    """The METRIC_KEYS values of one steady state, and the error message
-    behind its NaN values (None if there is none).
+def point_metrics(points: list, measured_node: str = "h") -> list:
+    """One (table, errors) pair per solve_all result list in points: the
+    METRIC_KEYS values of each method, and the reason behind its NaN cells.
 
-    A failed solver gives NaN everywhere; a state that the Gaussian
-    measures reject as non-physical keeps its heat current only.  The
-    other measures come from the state itself, so where the exact state
-    is missing or non-physical only fidelity_to_exact is NaN, and the
-    message names the exact state.  The exact result is measured on
-    `exact` itself, the point's exact_state.
+    All states are measured as one stack, each with its point's exact
+    state as fidelity partner.  A failed solver gives NaN everywhere; a
+    state that fails the physicality check keeps its heat current only.
+    Where the exact state did, the others lose only fidelity_to_exact.
     """
-    values = dict.fromkeys(METRIC_KEYS, math.nan)
-    if "error" in result.diagnostics:
-        return values, result.diagnostics["error"]
-    values["qdot_h"] = result.qdot_h
-    state = gaussian.GaussianState.of(
-        exact if result.method == "exact" else result.covariance)
-    try:
-        (values["mutual_info"], values["discord"], values["classical"],
-         values["log_neg"]) = _own_measures(state, measured_node)
-        values["fidelity_to_exact"] = gaussian.fidelity(state, exact)
-    except gaussian.NonPhysicalStateError as exc:
-        return values, f"NonPhysicalStateError: {exc}"
-    return values, None
-
-
-def sweep_row(params: WireParams, axis: str, value: float,
-              measured_node: str = "h", exact=None) -> SweepRow:
-    """One fully-populated sweep row (pure function of its arguments);
-    exact is as in solve_all."""
-    point = _with_axis(params, axis, value)
-    results = solve_all(point, exact)
-    exact = exact_state(results)
-    table, errors = {}, {}
-    for res in results:
-        table[res.method], error = metrics(res, exact, measured_node)
-        if error is not None:
-            errors[res.method] = error
-    return SweepRow(
-        axis_value=value,
-        secular_margin=secular_validity_margin(point),
-        metrics=table,
-        exact_quad_error=results[-1].diagnostics.get("quadrature_error",
-                                                     math.nan),
-        errors=errors,
-    )
+    labels, partners = [], []
+    for results in points:
+        error = results[-1].diagnostics.get("error")
+        labels += [""] * (len(results) - 1) + [
+            "exact state: " if error is None
+            else f"exact state ({error}): "]
+        partners += [len(labels) - 1] * len(results)
+    states = gaussian.StateStack(np.reshape(
+        [res.covariance for results in points for res in results],
+        (-1, 4, 4)), labels)
+    columns = {key: values.tolist() for key, values in
+               _measures(states, partners, measured_node).items()}
+    out, i = [], 0
+    for results in points:
+        table, errors = {}, {}
+        for res in results:
+            table[res.method] = values = dict.fromkeys(METRIC_KEYS, math.nan)
+            error = res.diagnostics.get("error")
+            if error is None:
+                values.update({k: v[i] for k, v in columns.items()},
+                              qdot_h=res.qdot_h)
+                reason = states.reasons[i] or states.reasons[partners[i]]
+                error = reason and f"NonPhysicalStateError: {reason}"
+            if error:
+                errors[res.method] = error
+            i += 1
+        out.append((table, errors))
+    return out
 
 
 def sweep(params: WireParams, axis: str, grid,
           measured_node: str = "h") -> list:
-    """Sweep one parameter over a grid; order-preserving and deterministic.
-
-    The grid is validated up front, then solved in consecutive slices of
-    _SLICE points: one exact_steady_states batch, then the slice's rows.
-    Each row is bit for bit the one that sweep_row builds alone.
-    """
+    """Sweep one parameter over a grid; order-preserving and deterministic:
+    a row is bit for bit the same in any grid.  The grid is validated up
+    front, then solved in slices of _SLICE points, then measured."""
     grid = [float(v) for v in grid]
     points = [_with_axis(params, axis, value) for value in grid]
-    rows = []
+    results = []
     for start in range(0, len(grid), _SLICE):
-        values = grid[start:start + _SLICE]
-        exact = exact_steady_states(points[start:start + _SLICE])
-        rows += [sweep_row(params, axis, value, measured_node, result)
-                 for value, result in zip(values, exact)]
-    return rows
+        batch = points[start:start + _SLICE]
+        results += [solve_all(point, exact) for point, exact
+                    in zip(batch, exact_steady_states(batch))]
+    return [SweepRow(axis_value=value,
+                     secular_margin=secular_validity_margin(point),
+                     metrics=table,
+                     exact_quad_error=res[-1].diagnostics.get(
+                         "quadrature_error", math.nan),
+                     errors=errors)
+            for value, point, res, (table, errors) in zip(
+                grid, points, results, point_metrics(results, measured_node))]
+
+
+def sweep_row(params: WireParams, axis: str, value: float,
+              measured_node: str = "h") -> SweepRow:
+    """One fully-populated sweep row: the sweep of one grid point."""
+    return sweep(params, axis, [value], measured_node)[0]
 
 
 def correlation_deltas(params: WireParams, measured_node: str = "h") -> dict:
@@ -185,16 +179,16 @@ def correlation_deltas(params: WireParams, measured_node: str = "h") -> dict:
     metrics.  The differences are NaN if the exact state is non-physical.
     """
     results = solve_all(params)
-    exact = exact_state(results)
-    exact_values, _ = metrics(results[-1], exact, measured_node)
+    [(table, errors)] = point_metrics([results], measured_node)
+    exact = results[-1]
     out = {}
     for res in results[:-1]:
-        values, error = metrics(res, exact, measured_node)
-        if error is not None:
-            out[res.method] = {"error": error}
+        if res.method in errors:
+            out[res.method] = {"error": errors[res.method]}
             continue
-        d_i = values["mutual_info"] - exact_values["mutual_info"]
-        d_c = values["classical"] - exact_values["classical"]
+        values = table[res.method]
+        d_i = values["mutual_info"] - table["exact"]["mutual_info"]
+        d_c = values["classical"] - table["exact"]["classical"]
         out[res.method] = {
             "d_mutual_info": d_i,
             "d_classical": d_c,

@@ -493,12 +493,15 @@ def exact_steady_states(points: list,
     """exact_steady_state of every point, their quadratures run in
     lockstep (see _integrate_batch).  Where a quadrature fails, the list
     holds SteadyStateResult.failed for the QuadratureError that
-    exact_steady_state raises there: NaN covariance and currents, and
-    diagnostics["error"] = "QuadratureError: ..."."""
+    exact_steady_state raises there: NaN covariance and currents,
+    diagnostics["error"] = "QuadratureError: ..." and the quadrature's
+    quadrature_error, neval and subintervals."""
     out = []
     for params, quad in zip(points, _integrate_batch(points, spec)):
         try:
             out.append(_steady_state(params, quad))
         except QuadratureError as exc:
-            out.append(SteadyStateResult.failed("exact", exc))
+            out.append(SteadyStateResult.failed(
+                "exact", exc, quadrature_error=quad.error, neval=quad.neval,
+                subintervals=len(quad.intervals)))
     return out

@@ -2,7 +2,10 @@
 
 Quadrature ordering is (X_c, P_c, X_h, P_h) and covariances are the
 symmetrized second moments [G]_kl = <{R_k, R_l}>/2 of a zero-mean state.
-All entropic quantities are in nats.
+All entropic quantities are in nats.  The four measures take a StateStack
+and return one value per state, NaN where the state fails the
+physicality check.  Given one 4x4 covariance they run on a stack of one
+and return a float, or raise NonPhysicalStateError with the reason.
 """
 
 from __future__ import annotations
@@ -29,166 +32,229 @@ class NonPhysicalStateError(ValueError):
 
 _J1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 #: the symplectic forms of one and two modes, block diagonal in
-#: [[0, 1], [-1, 0]], and the partial transpose diag(1, -1, 1, 1) that
-#: flips the cold momentum; all read-only
+#: [[0, 1], [-1, 0]], the partial transpose diag(1, -1, 1, 1) that flips
+#: the cold momentum, and two terms of the fidelity; all read-only
 SYMPLECTIC_FORMS = {1: _J1, 2: np.block([[_J1, np.zeros((2, 2))],
                                          [np.zeros((2, 2)), _J1]])}
 _PARTIAL_TRANSPOSE = np.diag([1.0, -1.0, 1.0, 1.0])
-for _m in (*SYMPLECTIC_FORMS.values(), _PARTIAL_TRANSPOSE):
+_QUARTER = np.eye(4) / 4.0
+_HALF_IJ = 1j * SYMPLECTIC_FORMS[2] / 2.0
+for _m in (*SYMPLECTIC_FORMS.values(), _PARTIAL_TRANSPOSE, _QUARTER,
+           _HALF_IJ):
     _m.setflags(write=False)
 
 
-def symplectic_eigenvalues(gamma: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a 2x2 or 4x4 covariance matrix, descending.
+def symplectic_eigenvalues(gamma) -> np.ndarray:
+    """Symplectic spectrum, descending, of a 2x2 or 4x4 covariance matrix
+    or of each matrix of a stack (m, 2, 2) or (m, 4, 4).
 
     With the Cholesky factor 2G = L L^T, the Hermitian matrix i L^T J L
     has eigenvalues +-2 nu.  Its eigensolve is accurate to rounding even
     near pure states, where the invariant formula
     nu^2 = (D +- sqrt(D^2 - 4 det G))/2 loses about half the digits.
-    Factoring 2G rather than G keeps the vacuum exact: nu = 1/2.  A matrix
-    that is not positive definite, or not finite, is no covariance; it
-    gets zeros.
+    Factoring 2G rather than G keeps the vacuum exact: nu = 1/2.  A stack
+    takes one cholesky and one eigvalsh call.  A matrix that is not
+    positive definite, or not finite, is no covariance; it gets zeros.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape not in ((2, 2), (4, 4)):
-        raise ValueError("expected a 2x2 or 4x4 covariance matrix")
-    n = gamma.shape[0] // 2
-    if not np.isfinite(gamma).all():
-        return np.zeros(n)
+    if gamma.shape[-2:] not in ((2, 2), (4, 4)) or gamma.ndim not in (2, 3):
+        raise ValueError("expected 2x2 or 4x4 covariance matrices")
+    n = gamma.shape[-1] // 2
+    work = gamma.reshape(-1, 2 * n, 2 * n)
+    bad = ~np.isfinite(work).all(axis=(1, 2))
+    work = 2.0 * work
+    if any_bad := bad.any():
+        work[bad] = np.eye(2 * n)
     try:
-        low = np.linalg.cholesky(2.0 * gamma)
-    except np.linalg.LinAlgError:
-        return np.zeros(n)
-    herm = 1j * (low.T @ SYMPLECTIC_FORMS[n] @ low)
-    return 0.5 * np.linalg.eigvalsh(herm)[n:][::-1]
+        low = np.linalg.cholesky(work)
+    except np.linalg.LinAlgError:  # raised for the whole stack
+        low = np.empty_like(work)
+        for i, matrix in enumerate(work):
+            try:
+                low[i] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                low[i], bad[i], any_bad = np.eye(2 * n), True, True
+    herm = 1j * (np.swapaxes(low, 1, 2) @ SYMPLECTIC_FORMS[n] @ low)
+    nus = 0.5 * np.linalg.eigvalsh(herm)[:, n:][:, ::-1]
+    if any_bad:
+        nus[bad] = 0.0
+    return nus.reshape(*gamma.shape[:-2], n)
 
 
-def _entropy_term(nu: float) -> float:
-    # (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2); zero at nu = 1/2
-    up = nu + 0.5
-    dn = nu - 0.5
-    val = up * math.log(up)
-    if dn > 0.0:
-        val -= dn * math.log(dn)
-    return val
+def _entropy(nus) -> float:
+    # sum of (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2), nu >= 1/2
+    out = 0
+    for nu in nus:
+        nu = max(nu, 0.5)
+        up, dn = nu + 0.5, nu - 0.5
+        out += up * math.log(up) - (dn * math.log(dn) if dn > 0.0 else 0.0)
+    return out
 
 
-class GaussianState:
-    """A covariance matrix and its entropies, each taken once, on first use.
-    The entropy is the check: it raises anew on every use, led by `label`."""
+def _reason(label: str, gamma: np.ndarray, nu_min: float):
+    """Why a covariance fails the physicality check, led by label; None if
+    it passes.  Only a matrix without a spectrum has nu_min = 0."""
+    if nu_min == 0.0:
+        kind = "positive definite" if np.isfinite(gamma).all() else "finite"
+        return f"{label}covariance is not {kind}"
+    if nu_min < 0.5 - PHYSICALITY_TOL:
+        return (f"{label}smallest symplectic eigenvalue below 1/2: "
+                f"nu_min - 1/2 = {nu_min - 0.5:.3e}")
+    return None
 
-    def __init__(self, covariance: np.ndarray, label: str = ""):
-        self.covariance = np.asarray(covariance, dtype=float)
-        self.label = label
 
-    @classmethod
-    def of(cls, gamma) -> GaussianState:
-        """gamma itself if it is a state, else a new state of it."""
-        return gamma if isinstance(gamma, cls) else cls(gamma)
+class StateStack:
+    """Two-mode states (n, 4, 4) with a label each, which leads the
+    state's reason for failing the physicality check.  The measures take
+    the first `measured` states, all by default; the others are only
+    checked, as fidelity partners.  The spectra of the states and of the
+    measured ones' partial transposes take one call; the node entropies,
+    on first use, one more."""
+
+    def __init__(self, covariances, labels=None, measured=None):
+        g = self.covariances = np.asarray(covariances, dtype=float)
+        if g.ndim != 3 or g.shape[1:] != (4, 4):
+            raise ValueError("expected a stack of 4x4 covariance matrices")
+        m = self.measured = len(g) if measured is None else measured
+        p = _PARTIAL_TRANSPOSE
+        with np.errstate(invalid="ignore"):  # 0 inf: no spectrum either way
+            nus = symplectic_eigenvalues(np.concatenate((g, p @ g[:m] @ p)))
+        self.nus, self.transposed_nus = nus[:len(g)], nus[len(g):]
+        #: each state's reason for failing the check, None if it passes
+        self.reasons = [_reason(*args) for args in zip(
+            labels or [""] * len(g), g, self.nus[:, -1].tolist())]
+        self.physical = np.array([r is None for r in self.reasons], bool)
+
+    def check(self, i: int) -> None:
+        """Raise NonPhysicalStateError, with its reason, if state i fails."""
+        if self.reasons[i] is not None:
+            raise NonPhysicalStateError(self.reasons[i])
 
     @cached_property
-    def entropy(self) -> float:
-        """Von Neumann entropy (nats); raises NonPhysicalStateError."""
-        nus = symplectic_eigenvalues(self.covariance)
-        if nus[-1] < 0.5 - PHYSICALITY_TOL:
-            raise NonPhysicalStateError(
-                f"{self.label}smallest symplectic eigenvalue below 1/2: "
-                f"nu_min - 1/2 = {nus[-1] - 0.5:.3e}")
-        return float(sum(_entropy_term(nu) for nu in np.maximum(nus, 0.5)))
+    def entropies(self) -> tuple:
+        """(S(G_ch), S(G_c), S(G_h)) of the measured states."""
+        m = self.measured
+        g = self.covariances[:m]
+        nodes = symplectic_eigenvalues(
+            np.concatenate((g[:, :2, :2], g[:, 2:, 2:]))).tolist()
+        s = np.array([_entropy(nus) for nus in self.nus[:m].tolist() + nodes])
+        return s[:m], s[m:2 * m], s[2 * m:]
 
-    @cached_property
-    def node_entropies(self) -> tuple:
-        """(S(G_c), S(G_h)) of a two-mode state that passes the check."""
-        g = self.checked()
-        return entropy(g[:2, :2]), entropy(g[2:, 2:])
 
-    def checked(self) -> np.ndarray:
-        """The covariance, once the state has passed the check."""
-        self.entropy  # raises NonPhysicalStateError
-        return self.covariance
+def _stack(states) -> StateStack:
+    # states itself, or a stack of the one covariance that passes the check
+    if isinstance(states, StateStack):
+        return states
+    stack = StateStack([states])
+    stack.check(0)
+    return stack
 
 
 def is_physical(gamma: np.ndarray) -> bool:
-    try:
-        entropy(gamma)
-    except NonPhysicalStateError:
-        return False
-    return True
+    return _reason("", gamma, symplectic_eigenvalues(gamma)[-1]) is None
 
 
 def entropy(gamma: np.ndarray) -> float:
     """Von Neumann entropy of a Gaussian state (nats)."""
-    return GaussianState.of(gamma).entropy
+    nus = symplectic_eigenvalues(gamma)
+    if (reason := _reason("", gamma, nus[-1])) is not None:
+        raise NonPhysicalStateError(reason)
+    return _entropy(nus.tolist())
 
 
-def mutual_information(gamma) -> float:
-    """I = S(G_c) + S(G_h) - S(G_ch) of a two-mode state."""
-    state = GaussianState.of(gamma)
-    s_c, s_h = state.node_entropies
-    return s_c + s_h - state.entropy
+def mutual_information(states):
+    """I = S(G_c) + S(G_h) - S(G_ch) of each two-mode state."""
+    stack = _stack(states)
+    s, s_c, s_h = stack.entropies
+    i = np.where(stack.physical[:stack.measured], s_c + s_h - s, np.nan)
+    return i if stack is states else float(i[0])
 
 
-def fidelity(gamma1, gamma2) -> float:
-    """Uhlmann fidelity of two zero-mean two-mode Gaussian states.
+def fidelity(states, partners):
+    """Uhlmann fidelity of two zero-mean two-mode Gaussian states, G1 and
+    G2: each measured state of a StateStack and its partner at the given
+    index, or two covariances.
 
     F = (x + sqrt(x^2 - a)) / a with x = sqrt(b) + sqrt(c),
     a = det(G1 + G2), b = 2^4 det[(J G1)(J G2) - 1/4],
     c = 2^4 det(G1 + iJ/2) det(G2 + iJ/2).
     """
-    g1, g2 = (GaussianState.of(g).checked() for g in (gamma1, gamma2))
+    if not isinstance(states, StateStack):
+        stack = StateStack([states, partners], measured=1)
+        stack.check(0)
+        stack.check(1)
+        return float(fidelity(stack, [1])[0])
+    partners = np.asarray(partners, dtype=int)
+    ok = states.physical[:states.measured] & states.physical[partners]
+    g1 = states.covariances[:states.measured][ok]
+    g2 = states.covariances[partners[ok]]
     jj = SYMPLECTIC_FORMS[2]
-    a = np.linalg.det(g1 + g2)
-    b = 16.0 * np.linalg.det((jj @ g1) @ (jj @ g2) - np.eye(4) / 4.0)
-    c = 16.0 * float(np.real(np.linalg.det(g1 + 1j * jj / 2.0)
-                             * np.linalg.det(g2 + 1j * jj / 2.0)))
-    # tiny negative round-off under the square roots is clamped to zero
-    scale = max(1.0, abs(a), abs(b), abs(c))
-    b = _clamp_roundoff(b, 1e-12 * scale)
-    c = _clamp_roundoff(c, 1e-12 * scale)
-    x = math.sqrt(b) + math.sqrt(c)
-    disc = _clamp_roundoff(x * x - a, 1e-12 * max(1.0, x * x))
-    f = (x + math.sqrt(disc)) / a
-    return min(f, 1.0)
+    a, b = np.linalg.det(np.stack((g1 + g2,
+                                   (jj @ g1) @ (jj @ g2) - _QUARTER)))
+    d1, d2 = np.linalg.det(np.stack((g1, g2)) + _HALF_IJ)
+    # the real part of d1 d2 in real arithmetic, since a complex array
+    # product may fuse multiply-adds and change the last bit
+    b, c = 16.0 * b, 16.0 * (d1.real * d2.real - d1.imag * d2.imag)
+    f = np.full(len(ok), np.nan)
+    f[ok] = [_fidelity(*abc) for abc in zip(a.tolist(), b.tolist(),
+                                            c.tolist())]
+    return f
 
 
-def _clamp_roundoff(value: float, tol: float) -> float:
-    return 0.0 if -tol <= value < 0.0 else value
+def _fidelity(a: float, b: float, c: float) -> float:
+    # negatives under the square roots, from round-off or from a nu that
+    # the check lets sit below 1/2, are clamped to zero
+    x = math.sqrt(max(b, 0.0)) + math.sqrt(max(c, 0.0))
+    return min((x + math.sqrt(max(x * x - a, 0.0))) / a, 1.0)
 
 
 def _blocks(gamma: np.ndarray, measured_node: str):
     if measured_node == "h":
-        return gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:]
+        return gamma[..., :2, :2], gamma[..., 2:, 2:], gamma[..., :2, 2:]
     if measured_node == "c":
-        return gamma[2:, 2:], gamma[:2, :2], gamma[2:, :2]
+        return gamma[..., 2:, 2:], gamma[..., :2, :2], gamma[..., 2:, :2]
     raise ValueError("measured_node must be 'c' or 'h'")
+
+
+def _entries(x: np.ndarray, seeds: np.ndarray) -> tuple:
+    """Entries 11, 12, 21, 22 of one 2x2 block, or of a stack (n, 2, 2)
+    each repeated to the seeds' shape (n, k): numpy is slower on a
+    broadcast than on arrays of equal shape."""
+    if x.ndim == 2:
+        return x[0, 0], x[0, 1], x[1, 0], x[1, 1]
+    return tuple(x.reshape(-1, 4).T[:, :, None].repeat(seeds.shape[-1], 2))
 
 
 def _conditional_entropies(a, b, c, s, phi):
     """Entropy of the unmeasured node after measuring with seeds (s, phi).
 
-    Vectorized over broadcast arrays s and phi; the conditional
-    covariance is the Schur complement A - C (B + G_m)^-1 C^T and its
-    entropy only needs its determinant.
+    Vectorized over the seeds of one block, or over a stack of blocks
+    (n, 2, 2) with seeds (n, k); the conditional covariance is the Schur
+    complement A - C (B + G_m)^-1 C^T and its entropy only needs its
+    determinant.
     """
     co = np.cos(phi)
     si = np.sin(phi)
+    co2, si2 = co**2, si**2
     # seed entries of 0.5 R diag(s, 1/s) R^T
-    m11 = 0.5 * (s * co**2 + si**2 / s)
-    m22 = 0.5 * (s * si**2 + co**2 / s)
+    m11 = 0.5 * (s * co2 + si2 / s)
+    m22 = 0.5 * (s * si2 + co2 / s)
     m12 = 0.5 * (s - 1.0 / s) * co * si
-    t11 = b[0, 0] + m11
-    t22 = b[1, 1] + m22
-    t12 = b[0, 1] + m12
+    b11, b12, _, b22 = _entries(b, s)
+    t11 = b11 + m11
+    t22 = b22 + m22
+    t12 = b12 + m12
     det_t = t11 * t22 - t12**2
-    # C T^-1 C^T entries via the 2x2 adjugate
-    c11, c12, c21, c22 = c[0, 0], c[0, 1], c[1, 0], c[1, 1]
+    # C T^-1 C^T entries via the 2x2 adjugate; (u, v) = adj(T) (c21, c22)
+    c11, c12, c21, c22 = _entries(c, s)
+    u = t22 * c21 - t12 * c22
+    v = t11 * c22 - t12 * c21
     q11 = (c11 * (t22 * c11 - t12 * c12) + c12 * (t11 * c12 - t12 * c11)) / det_t
-    q22 = (c21 * (t22 * c21 - t12 * c22) + c22 * (t11 * c22 - t12 * c21)) / det_t
-    q12 = (c11 * (t22 * c21 - t12 * c22) + c12 * (t11 * c22 - t12 * c21)) / det_t
-    a11 = a[0, 0] - q11
-    a22 = a[1, 1] - q22
-    a12 = a[0, 1] - q12
-    det_cond = np.clip(a11 * a22 - a12**2, 0.25, None)
+    q22 = (c21 * u + c22 * v) / det_t
+    q12 = (c11 * u + c12 * v) / det_t
+    a11, a12, _, a22 = _entries(a, s)
+    det_cond = np.clip((a11 - q11) * (a22 - q22) - (a12 - q12)**2, 0.25,
+                       None)
     nu = np.sqrt(det_cond)
     up = nu + 0.5
     dn = nu - 0.5
@@ -198,16 +264,17 @@ def _conditional_entropies(a, b, c, s, phi):
     return out
 
 
-def _seed_form(x: np.ndarray) -> np.ndarray:
+def _seed_form(x) -> tuple:
     """l(X) with det(X + G_m) = det X + 1/4 + l(X).m for the seed
     coordinates m = (m11 + m22, m11 - m22, 2 m12), which lie on the
-    hyperboloid m0^2 - m1^2 - m2^2 = 1."""
-    return np.array([(x[0, 0] + x[1, 1]) / 2, (x[1, 1] - x[0, 0]) / 2,
-                     -x[0, 1]])
+    hyperboloid m0^2 - m1^2 - m2^2 = 1; X is a 2x2 nested list."""
+    (x11, x12), (_, x22) = x
+    return (x11 + x22) / 2, (x22 - x11) / 2, -x12
 
 
 def _optimal_seeds(a, b, c) -> tuple:
-    """(s, phi) arrays of the two candidates for the optimal measurement.
+    """(s, phi) arrays (..., 2) of the two candidates for the optimal
+    measurement on blocks (..., 2, 2).
 
     Everything is written in D = C^T A^-1 C, so weak correlations do not
     cancel.  det(cond) = det A (1 - tau(m)) with the linear-fractional
@@ -219,55 +286,71 @@ def _optimal_seeds(a, b, c) -> tuple:
     (the two branches of Adesso and Datta, PRL 105, 030501 (2010)).  The
     seed is m ~ (q0, -q1, -q2) with q = tau l(B) - l(D).  A candidate that
     does not exist, as in a product state, comes out as NaN.
+
+    The algebra of each block is in floats, where ** 2 is libm's pow: an
+    array's ** 2 is the rounded product, which differs in the last bit.
     """
-    d = c.T @ np.linalg.solve(a, c)
-    det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    det_d = d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]
-    t = b[1, 1] * d[0, 0] + b[0, 0] * d[1, 1] - b[0, 1] * (d[0, 1] + d[1, 0])
-    alpha = det_b + 0.25
-    beta = t - det_d
-    quad_b = 2.0 * alpha * beta - t
-    quad_c = beta * beta - det_d
-    root_h = math.sqrt(max(t * t - 4.0 * det_b * det_d, 0.0))
-    root_g = math.sqrt(max(quad_b * quad_b
-                           - 4.0 * (det_b - 0.25)**2 * quad_c, 0.0))
+    d = np.swapaxes(c, -1, -2) @ np.linalg.solve(a, c)
+    fractions, forms = [], []
+    for bb, dd in zip(b.reshape(-1, 2, 2).tolist(),
+                      d.reshape(-1, 2, 2).tolist()):
+        (b11, b12), (b21, b22) = bb
+        (d11, d12), (d21, d22) = dd
+        det_b = b11 * b22 - b12 * b21
+        det_d = d11 * d22 - d12 * d21
+        t = b22 * d11 + b11 * d22 - b12 * (d12 + d21)
+        alpha = det_b + 0.25
+        beta = t - det_d
+        quad_b = 2.0 * alpha * beta - t
+        quad_c = beta * beta - det_d
+        root_h = math.sqrt(max(t * t - 4.0 * det_b * det_d, 0.0))
+        root_g = math.sqrt(max(quad_b * quad_b
+                               - 4.0 * (det_b - 0.25)**2 * quad_c, 0.0))
+        fractions.append(((t + root_h, 2.0 * det_b),
+                          (2.0 * quad_c, quad_b + root_g)))
+        forms.append((_seed_form(bb), _seed_form(dd)))
+    fractions = np.array(fractions).reshape(b.shape[:-2] + (2, 2))
+    forms = np.array(forms).reshape(b.shape[:-2] + (2, 1, 3))
     with np.errstate(all="ignore"):
-        tau = np.array([(t + root_h) / (2.0 * det_b),
-                        2.0 * quad_c / (quad_b + root_g)])
-        q = tau[:, None] * _seed_form(b) - _seed_form(d)
+        tau = fractions[..., 0] / fractions[..., 1]
+        q = tau[..., None] * forms[..., 0, :, :] - forms[..., 1, :, :]
         # |(m1, m2)| = sinh(ln s) on the hyperboloid
-        sinh = np.hypot(q[:, 1], q[:, 2]) / np.sqrt(
-            q[:, 0]**2 - q[:, 1]**2 - q[:, 2]**2)
+        sinh = np.hypot(q[..., 1], q[..., 2]) / np.sqrt(
+            q[..., 0]**2 - q[..., 1]**2 - q[..., 2]**2)
         s = np.minimum(np.exp(np.arcsinh(sinh)), _S_HOMODYNE)
-    s[0] = _S_HOMODYNE
-    return s, 0.5 * np.arctan2(-q[:, 2], -q[:, 1])
+    s[..., 0] = _S_HOMODYNE
+    return s, 0.5 * np.arctan2(-q[..., 2], -q[..., 1])
 
 
-def gaussian_discord(gamma, measured_node: str = "h") -> float:
-    """Gaussian quantum discord revealed by measuring one node.
+def gaussian_discord(states, measured_node: str = "h"):
+    """Gaussian quantum discord of each two-mode state, revealed by
+    measuring one node.
 
     Q = S(G_B) - S(G_AB) + min_m S(A | m) over pure single-mode Gaussian
     measurement seeds, which is optimal among all measurements (Pirandola
     et al., PRL 113, 140405 (2014)).  The minimum is the smaller of the
     kernel's values at the two closed-form candidates of _optimal_seeds.
     """
-    state = GaussianState.of(gamma)
-    a, b, c = _blocks(state.checked(), measured_node)
+    stack = _stack(states)
+    ok = stack.physical[:stack.measured]
+    a, b, c = _blocks(stack.covariances[:stack.measured][ok], measured_node)
     cond = _conditional_entropies(a, b, c, *_optimal_seeds(a, b, c))
-    s_b = state.node_entropies["ch".index(measured_node)]
-    q = s_b - state.entropy + float(np.fmin(*cond))
-    return max(q, 0.0)
+    s, s_c, s_h = stack.entropies
+    s_b = s_c if measured_node == "c" else s_h
+    q = np.full(len(ok), np.nan)
+    q[ok] = np.maximum(s_b[ok] - s[ok] + np.fmin(*cond.T), 0.0)
+    return q if stack is states else float(q[0])
 
 
-def log_negativity(gamma) -> float:
-    """Logarithmic negativity from the partially transposed covariance.
-
-    The partial transpose flips the sign of the cold momentum,
-    G~ = P G P with P = diag(1, -1, 1, 1).
-    """
-    p = _PARTIAL_TRANSPOSE
-    nus = symplectic_eigenvalues(p @ GaussianState.of(gamma).checked() @ p)
-    return float(sum(max(0.0, -math.log(2.0 * nu)) for nu in nus))
+def log_negativity(states):
+    """Logarithmic negativity of each state, from the symplectic spectrum
+    of its partial transpose G~ = P G P with P = diag(1, -1, 1, 1)."""
+    stack = _stack(states)
+    e_n = np.array([sum(max(0.0, -math.log(2.0 * nu)) for nu in nus)
+                    if ok else math.nan for nus, ok in
+                    zip(stack.transposed_nus.tolist(),
+                        stack.physical[:stack.measured])])
+    return e_n if stack is states else float(e_n[0])
 
 
 def strong_coupling_asymptote(params: WireParams, tol: float = 1e-9) -> float:

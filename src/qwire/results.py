@@ -32,12 +32,14 @@ class SteadyStateResult:
             raise ValueError(f"unknown method {self.method!r}")
 
     @classmethod
-    def failed(cls, method: str, exc: Exception) -> "SteadyStateResult":
+    def failed(cls, method: str, exc: Exception,
+               **diagnostics) -> "SteadyStateResult":
         """Placeholder for a solver that raised exc: NaN covariance and
-        currents, and the reason in diagnostics["error"]."""
+        currents, the reason in diagnostics["error"], and diagnostics."""
         return cls(method=method, covariance=np.full((4, 4), np.nan),
                    heat_currents=(math.nan, math.nan),
-                   diagnostics={"error": f"{type(exc).__name__}: {exc}"})
+                   diagnostics={"error": f"{type(exc).__name__}: {exc}",
+                                **diagnostics})
 
     @property
     def qdot_c(self) -> float:

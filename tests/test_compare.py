@@ -11,9 +11,10 @@ from hypothesis import example, given, seed, settings, strategies as st
 from qwire import (METHODS, SteadyStateResult, WireParams,
                    correlation_deltas, exact_steady_state,
                    exact_steady_states, solve_all, sweep)
+from qwire import compare, exact
 from qwire.compare import (METRIC_KEYS, _SLICE, _SOLVERS, correlation_report,
-                           metrics, sweep_row)
-from qwire.exact import QuadratureError
+                           sweep_row)
+from qwire.exact import QuadratureError, QuadratureSpec
 from conftest import (NARROW_CUTOFF, NEAR_DEGENERATE, RESONANT_STRONG,
                       WIDE_GAP, count_spectra, with_k)
 
@@ -62,12 +63,16 @@ class TestSolveAll:
 
 
 class TestMetrics:
+    """The METRIC_KEYS values of a sweep row."""
+
     def test_success_gives_every_metric(self):
+        """Each equals its correlation report's, bit for bit."""
+        row = sweep_row(WIDE_GAP, "k", 0.05)
+        assert row.errors == {}
         results = solve_all(with_k(WIDE_GAP, 0.05))
         exact = results[-1]
         for res in results:
-            values, error = metrics(res, exact.covariance)
-            assert error is None
+            values = row.metrics[res.method]
             assert tuple(values) == METRIC_KEYS
             report = correlation_report(res.covariance, exact.covariance)
             assert values == {
@@ -84,19 +89,23 @@ class TestMetrics:
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setitem(_SOLVERS, "local", boom)
-        results = solve_all(with_k(WIDE_GAP, 0.05))
-        values, error = metrics(results[1], results[-1].covariance)
-        assert "synthetic failure" in error
+        row = sweep_row(WIDE_GAP, "k", 0.05)
+        assert list(row.errors) == ["local"]
+        assert "synthetic failure" in row.errors["local"]
+        values = row.metrics["local"]
         assert tuple(values) == METRIC_KEYS
         assert all(math.isnan(v) for v in values.values())
 
-    def test_non_physical_state_keeps_its_current_only(self):
-        exact = solve_all(with_k(WIDE_GAP, 0.05))[-1]
-        state = SteadyStateResult(method="redfield",
-                                  covariance=0.4 * np.eye(4),
-                                  heat_currents=(-1e-3, 1e-3))
-        values, error = metrics(state, exact.covariance)
-        assert error.startswith("NonPhysicalStateError: ")
+    def test_non_physical_state_keeps_its_current_only(self, monkeypatch):
+        monkeypatch.setitem(_SOLVERS, "redfield", lambda params:
+                            SteadyStateResult(method="redfield",
+                                              covariance=0.4 * np.eye(4),
+                                              heat_currents=(-1e-3, 1e-3)))
+        row = sweep_row(WIDE_GAP, "k", 0.05)
+        assert row.errors == {"redfield": (
+            "NonPhysicalStateError: smallest symplectic eigenvalue below "
+            "1/2: nu_min - 1/2 = -1.000e-01")}
+        values = row.metrics["redfield"]
         assert tuple(values) == METRIC_KEYS
         assert values["qdot_h"] == 1e-3
         assert all(math.isnan(v) for key, v in values.items()
@@ -106,10 +115,11 @@ class TestMetrics:
         """Every method's reason says that the exact state failed.  The
         exact method keeps its current only; the others lose only their
         fidelity to it."""
-        def broken_exact(params):
-            return dataclasses.replace(exact_steady_state(params),
-                                       covariance=0.4 * np.eye(4))
-        monkeypatch.setitem(_SOLVERS, "exact", broken_exact)
+        def broken_exact(points):
+            return [dataclasses.replace(exact_steady_state(params),
+                                        covariance=0.4 * np.eye(4))
+                    for params in points]
+        monkeypatch.setattr(compare, "exact_steady_states", broken_exact)
         row = sweep_row(WIDE_GAP, "k", 0.05)
         assert set(row.errors) == set(METHODS)
         for method in METHODS:
@@ -158,6 +168,9 @@ class TestSweep:
                 rows = sweep(dataclasses.replace(params, t_c=t_c), "k", grid)
                 assert [row.errors for row in rows] == [{}] * len(grid)
 
+    def test_empty_grid_gives_no_rows(self):
+        assert sweep(WIDE_GAP, "k", []) == []
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
             sweep(WIDE_GAP, "mass", [1.0])
@@ -176,15 +189,20 @@ class TestFailingPoint:
     """A grid with points whose exact quadrature fails (FAILING_GRID)."""
 
     def test_other_points_keep_their_lone_results(self):
-        """Results, quadrature work included, and error messages."""
+        """Results, quadrature work included, and error messages; a
+        failed point keeps its quadrature's error estimate and work."""
         points = [with_k(NARROW_CUTOFF, k) for k in FAILING_GRID]
         failed = []
         for params, result in zip(points, exact_steady_states(points)):
             try:
                 lone = exact_steady_state(params)
             except QuadratureError as exc:
+                quad = exact._integrate(params, QuadratureSpec())
+                assert math.isfinite(quad.error) and quad.neval > 0
                 assert result.diagnostics == {
-                    "error": f"QuadratureError: {exc}"}
+                    "error": f"QuadratureError: {exc}",
+                    "quadrature_error": quad.error, "neval": quad.neval,
+                    "subintervals": len(quad.intervals)}
                 assert np.isnan(result.covariance).all()
                 assert all(map(math.isnan, result.heat_currents))
                 failed.append(params.k)
@@ -196,8 +214,10 @@ class TestFailingPoint:
 
     def test_sweep_rows_record_the_failure(self):
         """A failing point's row names its QuadratureError for the exact
-        method; the approximate methods lose only their fidelity to it.
-        The other rows have no exact error."""
+        method and keeps its finite quadrature error estimate; the
+        approximate methods lose only their fidelity to it, with a reason
+        that says the exact state is not finite.  The other rows have no
+        exact error."""
         rows = sweep(NARROW_CUTOFF, "k", FAILING_GRID)
         assert [row.axis_value for row in rows] == FAILING_GRID
         for row in rows:
@@ -208,10 +228,11 @@ class TestFailingPoint:
                 exact_steady_state(with_k(NARROW_CUTOFF, row.axis_value))
             assert row.errors["exact"] == f"QuadratureError: {lone.value}"
             assert all(map(math.isnan, row.metrics["exact"].values()))
+            assert math.isfinite(row.exact_quad_error)
             for method in METHODS[:-1]:
-                assert row.errors[method].startswith(
+                assert row.errors[method] == (
                     "NonPhysicalStateError: exact state (QuadratureError: "
-                    f"{lone.value}): ")
+                    f"{lone.value}): covariance is not finite")
                 values = row.metrics[method]
                 assert math.isnan(values["fidelity_to_exact"])
                 assert all(math.isfinite(v) for key, v in values.items()
@@ -274,11 +295,22 @@ class TestCorrelationTools:
             assert d["d_discord"] == pytest.approx(
                 d["d_mutual_info"] - d["d_classical"], abs=1e-12)
 
-    def test_sweep_row_takes_sixteen_spectra(self, monkeypatch):
-        """Four per state, the exact one shared by every method."""
+    def test_sweep_row_takes_two_spectra(self, monkeypatch):
+        """One of the four states with their partial transposes, one of
+        their node blocks."""
         spectra = count_spectra(monkeypatch)
         sweep_row(WIDE_GAP, "k", 0.01)
-        assert len(spectra) <= 16
+        assert spectra == [(8, 4, 4), (8, 2, 2)]
+
+    def test_sweep_takes_the_same_spectra_at_any_length(self, monkeypatch):
+        """A 60-point sweep measures its states in as many spectrum calls
+        as a 6-point one: none is taken per row."""
+        counts = []
+        for n in (6, 60):
+            spectra = count_spectra(monkeypatch)
+            sweep(WIDE_GAP, "k", np.logspace(-4, 0, n))
+            counts.append(len(spectra))
+        assert counts == [2, 2]
 
     def test_sweep_row_is_pure(self):
         row1 = sweep_row(WIDE_GAP, "k", 1e-2)

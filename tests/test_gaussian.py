@@ -3,10 +3,12 @@
 import json
 import math
 import pathlib
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qwire import (WireParams, correlation_report, exact_steady_state,
@@ -127,12 +129,32 @@ class TestSymplecticEigenvalues:
 
     def test_not_positive_definite_has_no_spectrum(self):
         # -0.6 I has the symplectic invariants of 0.6 I
-        for gamma in (-0.6 * np.eye(4), np.diag([1.0, 1.0, -1.0, 1.0]),
-                      np.full((4, 4), np.nan)):
+        for gamma, kind in ((-0.6 * np.eye(4), "positive definite"),
+                            (np.diag([1.0, 1.0, -1.0, 1.0]),
+                             "positive definite"),
+                            (np.full((4, 4), np.nan), "finite"),
+                            (np.diag([1.0, np.inf, 1.0, 1.0]), "finite")):
             assert np.all(gaussian.symplectic_eigenvalues(gamma) == 0.0)
             assert not gaussian.is_physical(gamma)
-            with pytest.raises(gaussian.NonPhysicalStateError):
+            with pytest.raises(gaussian.NonPhysicalStateError,
+                               match=f"^covariance is not {kind}$"):
                 gaussian.entropy(gamma)
+
+    def test_stack_is_taken_in_one_call_and_never_raises(self):
+        """A stack's spectra are its matrices' one at a time, bit for bit,
+        and a matrix without a spectrum leaves its neighbours alone."""
+        rng = np.random.default_rng(3)
+        stack = np.array([random_physical_covariance(rng) for _ in range(7)])
+        stack[2] = -0.6 * np.eye(4)
+        stack[5, 0, 0] = np.nan
+        nus = gaussian.symplectic_eigenvalues(stack)
+        assert nus.shape == (7, 2)
+        for gamma, nu in zip(stack, nus):
+            assert gaussian.symplectic_eigenvalues(gamma).tobytes() == \
+                nu.tobytes()
+        assert np.all(nus[[2, 5]] == 0.0) and np.all(nus[[0, 1, 3, 4, 6]] > 0)
+        blocks = gaussian.symplectic_eigenvalues(stack[:, :2, :2])
+        assert blocks.shape == (7, 1)
 
 
 class TestPhysicality:
@@ -166,14 +188,14 @@ class TestPhysicality:
                        - 0.5) < 1e-12
 
 
-class TestGaussianState:
-    def test_report_takes_five_spectra(self, monkeypatch):
-        """The state's, its two nodes', its partial transpose's and the
-        exact state's: each once."""
+class TestStateStack:
+    def test_report_takes_two_spectra(self, monkeypatch):
+        """The state, the exact state and the state's partial transpose in
+        one call; the state's node blocks in one more."""
         results = solve_all(with_k(WIDE_GAP, 0.01))
         spectra = count_spectra(monkeypatch)
         correlation_report(results[0].covariance, results[-1].covariance)
-        assert len(spectra) <= 5
+        assert spectra == [(3, 4, 4), (2, 2, 2)]
 
     def test_report_equals_the_standalone_measures(self):
         """Shared spectra change no bit of any measure, and a report
@@ -198,12 +220,132 @@ class TestGaussianState:
                         report.log_negativity) == \
                     (mi, q, max(mi - q, 0.0), fid, log_neg), (state_id, node)
 
-    def test_failed_check_raises_on_every_use_with_its_label(self):
-        state = gaussian.GaussianState(0.4 * np.eye(4), label="exact state: ")
+    def test_labels_lead_the_reasons_of_failed_states(self):
+        """Each failed state has its own reason, led by its label, and
+        raises it on every check; it is NaN in every measure, and so is
+        the fidelity of every state whose partner it is."""
+        covs = [0.5 * np.eye(4), 0.4 * np.eye(4), np.full((4, 4), np.nan),
+                -0.6 * np.eye(4), 0.7 * np.eye(4)]
+        labels = ["vacuum: ", "exact state: ", "failed: ", "negative: ", ""]
+        stack = gaussian.StateStack(covs, labels)
+        assert stack.reasons == [
+            None,
+            "exact state: smallest symplectic eigenvalue below 1/2: "
+            "nu_min - 1/2 = -1.000e-01",
+            "failed: covariance is not finite",
+            "negative: covariance is not positive definite", None]
+        assert stack.physical.tolist() == [True, False, False, False, True]
         for _ in range(2):
             with pytest.raises(gaussian.NonPhysicalStateError,
                                match="^exact state: smallest symplectic"):
-                gaussian.fidelity(0.5 * np.eye(4), state)
+                stack.check(1)
+        stack.check(0)
+        for values in (gaussian.mutual_information(stack),
+                       gaussian.gaussian_discord(stack),
+                       gaussian.log_negativity(stack)):
+            assert np.isnan(values).tolist() == [False, True, True, True,
+                                                 False]
+        fid = gaussian.fidelity(stack, [4, 1, 0, 0, 0])
+        assert np.isnan(fid).tolist() == [False, True, True, True, False]
+        assert fid[0] == gaussian.fidelity(covs[0], covs[4])
+        with pytest.raises(gaussian.NonPhysicalStateError,
+                           match="^smallest symplectic"):
+            gaussian.fidelity(0.5 * np.eye(4), 0.4 * np.eye(4))
+
+    def test_rejects_wrong_shape(self):
+        for covs in (np.eye(4), np.zeros((2, 2, 2)), np.zeros((3, 4, 3))):
+            with pytest.raises(ValueError):
+                gaussian.StateStack(covs)
+
+
+@st.composite
+def mixed_covariances(draw) -> np.ndarray:
+    """A physical, near-pure, below-the-bound (some within round-off of
+    it, which passes), not positive definite or not finite matrix."""
+    kind = draw(st.sampled_from(["physical", "near pure", "below 1/2",
+                                 "not positive definite", "not finite"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rng.uniform(0.0, 1.5), *rng.uniform(-0.8, 0.8, 2),
+             rng.uniform(0.0, math.pi))
+    if kind == "near pure":
+        return squeezed_state(*shape, 0.5 + 10.0**-rng.uniform(3, 12, 2))
+    if kind == "below 1/2":
+        return squeezed_state(*shape, (rng.uniform(0.5, 3.0),
+                                       0.5 - 10.0**-rng.uniform(1, 11)))
+    gamma = random_physical_covariance(rng, mix=rng.uniform(0.01, 2.0))
+    if kind == "not positive definite":
+        gamma[2, 2] = -gamma[2, 2]
+    elif kind == "not finite":
+        i, j = rng.integers(0, 4, 2)
+        gamma[i, j] = gamma[j, i] = rng.choice([np.nan, np.inf, -np.inf])
+    return gamma
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestStackInvariance:
+    @seed(17)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 50), st.data())
+    def test_each_state_measures_as_if_alone(self, n, data):
+        """Every state's measures and reason in a stack of n are bit for
+        bit those of the state alone and of its correlation report, on
+        both nodes; a failed state is NaN with its own reason; no numpy
+        warning escapes."""
+        covs = data.draw(st.lists(mixed_covariances(), min_size=n,
+                                  max_size=n))
+        partners = data.draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                      max_size=n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = gaussian.StateStack(covs)
+            measures = {"mutual_information":
+                        gaussian.mutual_information(stack),
+                        "log_negativity": gaussian.log_negativity(stack),
+                        "fidelity_to_exact": gaussian.fidelity(stack,
+                                                               partners)}
+            discord = {node: gaussian.gaussian_discord(stack, node)
+                       for node in "ch"}
+            for i, (gamma, partner) in enumerate(zip(covs, partners)):
+                self.compare_alone(stack, i, gamma, covs[partner], measures,
+                                   discord)
+
+    @staticmethod
+    def compare_alone(stack, i, gamma, partner, measures, discord):
+        reason = stack.reasons[i]
+        assert gaussian.StateStack([gamma]).reasons == [reason]
+        alone = {"mutual_information": gaussian.mutual_information,
+                 "log_negativity": gaussian.log_negativity,
+                 "fidelity_to_exact": lambda g: gaussian.fidelity(g, partner)}
+        if reason is not None:
+            assert all(math.isnan(v[i]) for v in
+                       (*measures.values(), *discord.values()))
+            for measure in (*alone.values(), gaussian.gaussian_discord,
+                            lambda g: correlation_report(g, partner)):
+                with pytest.raises(gaussian.NonPhysicalStateError,
+                                   match=f"^{re.escape(reason)}$"):
+                    measure(gamma)
+            return
+        partner_reason = gaussian.StateStack([partner]).reasons[0]
+        if partner_reason is not None:
+            assert math.isnan(measures["fidelity_to_exact"][i])
+            with pytest.raises(gaussian.NonPhysicalStateError,
+                               match=f"^{re.escape(partner_reason)}$"):
+                correlation_report(gamma, partner)
+            del alone["fidelity_to_exact"]
+        for key, measure in alone.items():
+            assert bits(measures[key][i]) == bits(measure(gamma)), key
+        for node in "ch":
+            q = gaussian.gaussian_discord(gamma, node)
+            assert bits(discord[node][i]) == bits(q)
+            if partner_reason is not None:
+                continue
+            report = correlation_report(gamma, partner, node)
+            assert [bits(getattr(report, key)) for key in measures] == \
+                [bits(v[i]) for v in measures.values()]
+            assert bits(report.discord_arrow) == bits(q)
 
 
 class TestEntropy:
@@ -235,6 +377,16 @@ class TestFidelity:
         assert gaussian.fidelity(g1, g2) == pytest.approx(
             gaussian.fidelity(g2, g1), rel=1e-10)
         assert 0.0 < gaussian.fidelity(g1, g2) <= 1.0
+
+    def test_state_within_round_off_below_the_bound(self):
+        """A state that the check lets sit 1e-10 below nu = 1/2 has a
+        fidelity: the negative det(G + iJ/2) under its square root is
+        clamped to zero."""
+        gamma = squeezed_state(0.8, 0.3, -0.2, 0.4, (1.2, 0.5 - 1e-10))
+        partner = random_physical_covariance(np.random.default_rng(2))
+        assert gaussian.is_physical(gamma)
+        for g1, g2 in ((gamma, partner), (partner, gamma)):
+            assert 0.0 < gaussian.fidelity(g1, g2) <= 1.0
 
     def test_thermal_pair_from_fock_reference(self, fock_reference):
         th = fock_reference["thermal"]
