@@ -8,12 +8,17 @@ quadrature is the global-error adaptive Gauss-Kronrod scheme of QUADPACK
 (Piessens et al., 1983) as quad_vec implements it, replayed in numpy; it
 gives quad_vec's results bit for bit (see _replay).
 
+Of the ten covariance integrands eight are live (_integrand_matrix): the
+same-node X-P covariances <X_c P_c> and <X_h P_h> are +0.0, the integral
+of a zero.
+
 The replay runs a batch of parameter points in lockstep
 (exact_steady_states): each point keeps its own heap, cache, rounds and
 termination tests, and each round evaluates the 21 nodes of the new
 subintervals of every live point together, in kernel calls of at most
-_MAX_ROUND intervals.  A point gets the same bits in any batch; a single
-point is a batch of one.
+_MAX_ROUND intervals.  Every operation on the nodes is elementwise and
+rounds each node alike at any array length, so a point gets the same
+bits in any batch; a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,12 +34,11 @@ import numpy as np
 from .model import WireParams, secular_validity_margin
 from .results import SteadyStateResult
 
-#: (node index, momentum flag) for each quadrature (X_c, P_c, X_h, P_h)
-_NODE = (0, 0, 1, 1)
-_IS_MOMENTUM = (False, True, False, True)
-
-#: upper-triangular element order used internally
+#: upper-triangular element order of (X_c, P_c, X_h, P_h) used internally
 _ELEMENTS = [(i, j) for i in range(4) for j in range(i, 4)]
+#: the elements with a live integrand: all but the same-node X-P pairs
+#: (0, 1) and (2, 3), whose covariances are exactly +0.0
+_LIVE = [0, 2, 3, 4, 5, 6, 7, 9]
 
 #: the 21-point Gauss-Kronrod rule that quad_vec applies on finite
 #: intervals, with QUADPACK's decimal digits: abscissae, Kronrod weights,
@@ -51,7 +55,7 @@ _GK21_HALF = (0.995657163025808080735527280689003,
               0.294392862701460198131126603103866,
               0.148874338981631210884826001129720)
 _GK21_NODES = np.array(_GK21_HALF + (0.0,)
-                       + tuple(-x for x in reversed(_GK21_HALF)))
+                       + tuple(-x for x in reversed(_GK21_HALF)))[:, None]
 _KRONROD_HALF = (0.011694638867371874278064396062192,
                  0.032558162307964727478818972459390,
                  0.054755896574351996031381300244580,
@@ -77,7 +81,12 @@ _MAX_ROUND = 128
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
+    """Adaptive quadrature failed to converge to the requested tolerance.
+    diagnostics holds its quadrature_error, neval and subintervals."""
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 @dataclass(frozen=True)
@@ -100,14 +109,8 @@ class QuadratureSpec:
             raise ValueError("max_omega must exceed the cutoff")
 
 
-def shifted_frequency_sq(params: WireParams, node: str) -> float:
-    """Bare frequency squared plus the bath-induced shift lambda^2 cutoff."""
-    om = params.omega_c if node == "c" else params.omega_h
-    return om**2 + params.lambda_sq * params.cutoff
-
-
 class _Kernel(NamedTuple):
-    """The constants of the ten integrands for a batch of points.
+    """The constants of the integrands for a batch of points.
 
     A field is a float where every point of the batch has the same value
     and otherwise an array with one entry per point, so that a batch of
@@ -119,27 +122,26 @@ class _Kernel(NamedTuple):
     lorentz: float      # lambda^2 cutoff^2
     cutoff_sq: float
     guard: float        # below it, the noise weight takes its w -> 0 limit
-    shifted_c: float    # shifted_frequency_sq(params, "c")
+    shifted_c: float    # omega_c^2 + lambda^2 cutoff, the shifted frequency
     shifted_h: float
     k: float
     k_sq: float
     two_t_c: float
     two_t_h: float
+    varies: bool = False   # some field is an array
 
     @classmethod
     def of(cls, points) -> "_Kernel":
-        columns = zip(*((p.cutoff, p.lambda_sq * p.cutoff**2, p.cutoff**2,
-                         1e-8 * p.cutoff, shifted_frequency_sq(p, "c"),
-                         shifted_frequency_sq(p, "h"), p.k, p.k**2,
-                         2.0 * p.t_c, 2.0 * p.t_h) for p in points))
+        rows = [(p.cutoff, p.lambda_sq * p.cutoff**2, p.cutoff**2,
+                 1e-8 * p.cutoff, p.omega_c**2 + p.lambda_sq * p.cutoff,
+                 p.omega_h**2 + p.lambda_sq * p.cutoff, p.k, p.k**2,
+                 2.0 * p.t_c, 2.0 * p.t_h) for p in points]
+        if len(rows) == 1:
+            return cls(*rows[0])
         # equal means equal bits: k = 0.0 and k = -0.0 round differently
-        return cls(*(column[0] if len({float(v).hex() for v in column}) == 1
-                     else np.array(column, dtype=float)
-                     for column in columns))
-
-    @property
-    def varies(self) -> bool:
-        return np.ndarray in map(type, self)
+        values = [column[0] if len({float(v).hex() for v in column}) == 1
+                  else np.array(column, dtype=float) for column in zip(*rows)]
+        return cls(*values, varies=np.ndarray in map(type, values))
 
     def take(self, index) -> "_Kernel":
         """The constants of the points at index (an array of indices)."""
@@ -151,84 +153,67 @@ def _chi(omega, kernel: _Kernel):
     return kernel.lorentz / (kernel.cutoff - 1j * omega)
 
 
-def chi_hat(omega, params: WireParams):
-    """Fourier-domain dissipation kernel lambda^2 cutoff^2 / (cutoff - i w).
-
-    Its imaginary part equals the (odd) spectral density for all real w
-    and its real part obeys the Kramers-Kronig relation.
-    """
-    return _chi(np.asarray(omega), _Kernel.of([params]))
-
-
-def _response_inverse(omega, kernel: _Kernel):
-    """Inverse of the 2x2 response matrix, vectorized over omega.
-
-    A(w) = [[wc~^2 - w^2 + k - chi, -k], [-k, wh~^2 - w^2 + k - chi]].
-    Returns the three independent entries (inv11, inv22, inv12).
-    """
-    chi = _chi(omega, kernel)
-    d_c = kernel.shifted_c - omega**2 + kernel.k - chi
-    d_h = kernel.shifted_h - omega**2 + kernel.k - chi
-    # d_c * d_h in real arithmetic: numpy's vectorized complex product may
-    # fuse multiply-adds, which would round differently at different
-    # array lengths
-    det = np.asarray(d_c.real * d_h.real - d_c.imag * d_h.imag
-                     - kernel.k_sq, dtype=complex)
-    det.imag = d_c.real * d_h.imag + d_c.imag * d_h.real
-    return d_h / det, d_c / det, kernel.k / det
-
-
-def _noise_weight(omega, kernel: _Kernel, two_t):
-    """J(w) coth(w / 2T) with the analytic w -> 0 limit substituted.
-
-    The limit is 2 T lambda^2 cutoff^2 / (w^2 + cutoff^2).
-    """
-    lorentz = kernel.lorentz / (omega**2 + kernel.cutoff_sq)
-    small = np.abs(omega) < kernel.guard
-    x = np.where(small, 1.0, omega / two_t)
-    out = np.where(small, two_t * lorentz, lorentz * omega / np.tanh(x))
-    return out
-
-
-def _times_conj(x, y) -> tuple:
-    """Re and Im of x * conj(y), in real arithmetic (see _response_inverse)."""
-    return x.real * y.real + x.imag * y.imag, x.imag * y.real - x.real * y.imag
-
-
 def _integrand_matrix(omega, kernel: _Kernel) -> np.ndarray:
-    """All ten covariance integrands at one frequency or an array of them.
+    """The eight live covariance integrands (the elements _LIVE) at one
+    frequency or an array of them.
 
     Gamma_ij = int_0^inf dw (1/pi) Re[f_i(w) f_j(-w) sum_a
-               G_{m(i),a}(w) conj(G_{m(j),a}(w)) J(w) coth(w/2T_a)].
+               G_{m(i),a}(w) conj(G_{m(j),a}(w)) J(w) coth(w/2T_a)],
 
-    The array fields of kernel are aligned with omega.  Every operation
-    is elementwise and rounds the same way at any array length, so a
-    batch of nodes, of one point or of many, gives the per-node values
-    bit for bit.
+    G = A^-1, A(w) = [[wc~^2 - w^2 + k - chi, -k], [-k, wh~^2 - w^2 + k -
+    chi]], f_i = 1 for a position and -i w for a momentum.  The same-node
+    X-P integrands are Re[-i w |G_ma|^2 ...] of a real |G_ma|^2, zero:
+    computed, they are w (x_i x_r - x_r x_i) terms, +-0.0 wherever the
+    live ones are finite, and integrate to +0.0.
+
+    The array fields of kernel are aligned with omega.  Every term is
+    formed once, elementwise in a fixed order: complex divisions as
+    numpy's, complex products in real arithmetic (numpy's may fuse
+    multiply-adds, which round differently at different array lengths).
+    So a batch of nodes, of one point or of many, gives the per-node
+    values bit for bit.
     """
     omega = np.asarray(omega, dtype=float)
-    inv11, inv22, inv12 = _response_inverse(omega, kernel)
-    g = ((inv11, inv12), (inv12, inv22))
-    w_c = _noise_weight(omega, kernel, kernel.two_t_c)
-    w_h = _noise_weight(omega, kernel, kernel.two_t_h)
-    corr = {}   # (m, n) -> Re, Im of sum_a G_{m,a} conj(G_{n,a}) J coth_a
-    for m, n in ((0, 0), (0, 1), (1, 1)):
-        re_c, im_c = _times_conj(g[m][0], g[n][0])
-        re_h, im_h = _times_conj(g[m][1], g[n][1])
-        corr[m, n] = re_c * w_c + re_h * w_h, im_c * w_c + im_h * w_h
-    out = []
-    for i, j in _ELEMENTS:
-        re, im = corr[_NODE[i], _NODE[j]]
-        # f_i(w) f_j(-w): positions contribute 1, momenta -i w and +i w
-        if _IS_MOMENTUM[i] and _IS_MOMENTUM[j]:
-            val = omega**2 * re
-        elif _IS_MOMENTUM[i] != _IS_MOMENTUM[j]:
-            sign = 1.0 if _IS_MOMENTUM[j] else -1.0
-            val = sign * omega * (-im)
-        else:
-            val = re
-        out.append(val / math.pi)
-    return np.array(out)
+    nodes = omega.reshape(-1)   # a lone frequency is a batch of one node
+    omega_sq = nodes**2
+    chi = _chi(nodes, kernel)
+    d_c = kernel.shifted_c - omega_sq + kernel.k - chi
+    d_h = kernel.shifted_h - omega_sq + kernel.k - chi
+    c_re, c_im, h_re, h_im = d_c.real, d_c.imag, d_h.real, d_h.imag
+    det = np.asarray(c_re * h_re - c_im * h_im - kernel.k_sq, dtype=complex)
+    det.imag = c_re * h_im + c_im * h_re
+    g11, g22, g12 = d_h / det, d_c / det, kernel.k / det
+    r11, i11, r12, i12 = g11.real, g11.imag, g12.real, g12.imag
+    r22, i22 = g22.real, g22.imag
+    # J(w) coth(w / 2T_a), with its w -> 0 limit 2 T_a J(w) / w
+    lorentz = kernel.lorentz / (omega_sq + kernel.cutoff_sq)
+    small = np.abs(nodes) < kernel.guard
+    lorentz_omega = lorentz * nodes
+    if small.any():
+        w_c, w_h = (np.where(small, two_t * lorentz, lorentz_omega / np.tanh(
+            np.where(small, 1.0, nodes / two_t)))
+            for two_t in (kernel.two_t_c, kernel.two_t_h))
+    else:
+        w_c, w_h = (lorentz_omega / np.tanh(nodes / two_t)
+                    for two_t in (kernel.two_t_c, kernel.two_t_h))
+    # |G_ma|^2, and Re, Im of G_1a conj(G_2a), weighted by the baths a
+    g11_sq = r11 * r11 + i11 * i11
+    g12_sq = r12 * r12 + i12 * i12
+    g22_sq = r22 * r22 + i22 * i22
+    cross_im = (i11 * r12 - r11 * i12) * w_c + (i12 * r22 - r12 * i22) * w_h
+    # rows of _LIVE: X_c X_c, X_c X_h, X_c P_h, P_c P_c, P_c X_h, P_c P_h,
+    # X_h X_h, P_h P_h
+    out = np.empty((len(_LIVE), nodes.size))
+    np.add(g11_sq * w_c, g12_sq * w_h, out=out[0])
+    np.add((r11 * r12 + i11 * i12) * w_c, (r12 * r22 + i12 * i22) * w_h,
+           out=out[1])
+    np.add(g12_sq * w_c, g22_sq * w_h, out=out[6])
+    np.multiply(nodes, cross_im, out=out[4])
+    np.negative(out[4], out=out[2])
+    for xx, pp in ((0, 3), (1, 5), (6, 7)):
+        np.multiply(omega_sq, out[xx], out=out[pp])
+    out /= math.pi
+    return out.reshape((len(_LIVE),) + omega.shape)
 
 
 def _breakpoints(params: WireParams, max_omega: float) -> list:
@@ -239,44 +224,43 @@ def _breakpoints(params: WireParams, max_omega: float) -> list:
     pts = {nm.omega_plus, nm.omega_minus,
            math.sqrt(nm.omega_plus**2 + shift),
            math.sqrt(nm.omega_minus**2 + shift),
-           math.sqrt(shifted_frequency_sq(params, "c") + params.k),
-           math.sqrt(shifted_frequency_sq(params, "h") + params.k),
+           math.sqrt(params.omega_c**2 + shift + params.k),
+           math.sqrt(params.omega_h**2 + shift + params.k),
            params.cutoff}
     return sorted(p for p in pts if 0.0 < p < max_omega)
 
 
-def _added_in_order(terms: np.ndarray) -> np.ndarray:
-    """0.0 + terms[0] + terms[1] + ..., one term at a time, as quad_vec's
-    loops add them; np.sum and @ would reorder the additions."""
-    terms[0] += 0.0
-    return np.add.accumulate(terms, axis=0)[-1]
-
-
 def _gk21(a: np.ndarray, b: np.ndarray, kernel: _Kernel, owner) -> tuple:
-    """GK21 integrals of the ten integrands over n intervals [a, b].
+    """GK21 integrals of the live integrands over n intervals [a, b].
 
     owner[i] is the index, in kernel's batch, of interval i's point.
     Evaluates the 21 nodes of every interval in one _integrand_matrix
-    call.  Every sum is accumulated node by node from 0.0, in quad_vec's
-    order, and the error shaping is done on Python floats, so each
-    interval gets quad_vec's (integral, error, rounding error) bit for
-    bit.  Returns an (n, 10) array and two lists of n floats.
+    call.  Every sum adds node by node, in quad_vec's order, and the
+    error shaping runs on Python floats, so each interval gets quad_vec's
+    (integral, error, rounding error) bit for bit; the dead integrands
+    would add only zeros.  Returns an (n, 8) array and two float lists.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     if kernel.varies:
         kernel = kernel.take(np.tile(owner, len(_GK21_NODES)))
-    f = _integrand_matrix((c + h * _GK21_NODES[:, None]).ravel(), kernel)
+    f = _integrand_matrix((c + h * _GK21_NODES).ravel(), kernel)
     # axes: node, element, interval
-    f = f.reshape(10, 21, len(a)).transpose(1, 0, 2)
-    s_k = _added_in_order(_KRONROD * f)
-    s_k_abs = _added_in_order(_KRONROD * np.abs(f))
-    s_g = _added_in_order(_GAUSS * f[1::2])
-    s_k_dabs = _added_in_order(_KRONROD * np.abs(f - s_k / 2.0))
-    err = np.abs((s_k - s_g) * h).max(axis=0).tolist()
-    dabs = np.abs(s_k_dabs * h).max(axis=0).tolist()
-    rounding = np.abs(50 * sys.float_info.epsilon * h * s_k_abs).max(
-        axis=0).tolist()
+    f = f.reshape(len(_LIVE), 21, len(a)).transpose(1, 0, 2)
+    # quad_vec adds each sum's terms to 0.0, and 0.0 + x is x but for
+    # x = -0.0: only s_k needs it, as the absolute sums add terms >= +0.0
+    # and s_k - s_g is the same for s_g = +-0.0
+    kronrod = _KRONROD * f
+    kronrod[0] += 0.0
+    s_k = np.add.accumulate(kronrod)[-1]
+    s_k_abs = np.add.accumulate(_KRONROD * np.abs(f))[-1]
+    s_g = np.add.accumulate(_GAUSS * f[1::2])[-1]
+    s_k_dabs = np.add.accumulate(_KRONROD * np.abs(f - s_k / 2.0))[-1]
+    bounds = np.empty((3,) + s_k.shape)
+    np.multiply(s_k - s_g, h, out=bounds[0])
+    np.multiply(s_k_dabs, h, out=bounds[1])
+    np.multiply(50 * sys.float_info.epsilon * h, s_k_abs, out=bounds[2])
+    err, dabs, rounding = np.abs(bounds, out=bounds).max(axis=1).tolist()
     for i, (e, d, r) in enumerate(zip(err, dabs, rounding)):
         if d != 0 and e != 0:
             e = d * min(1.0, (200 * e / d)**1.5)
@@ -289,23 +273,22 @@ def _gk21(a: np.ndarray, b: np.ndarray, kernel: _Kernel, owner) -> tuple:
 def _evaluate(kernel: _Kernel, requests: list) -> list:
     """_gk21 over the intervals of every (point index, a, b) request, in
     calls of at most _MAX_ROUND intervals.  Returns, per request, its
-    intervals' integrals (rows of an array, or a list of rows) and the
-    lists of their errors and rounding errors."""
+    intervals' integrals (an (n, 8) array) and the lists of their errors
+    and rounding errors."""
+    if len(requests) == 1 and len(requests[0][1]) <= _MAX_ROUND:
+        i, a, b = requests[0]
+        return [_gk21(np.array(a), np.array(b), kernel, [i] * len(a))]
     lo, hi, owner = [], [], []
     for i, a, b in requests:
         lo += a
         hi += b
         owner += [i] * len(a)
-    if len(requests) == 1 and len(lo) <= _MAX_ROUND:   # as _gk21 gives it
-        return [_gk21(np.array(lo), np.array(hi), kernel, owner)]
-    igs, errs, roundings = [], [], []
-    for start in range(0, len(lo), _MAX_ROUND):
-        part = slice(start, start + _MAX_ROUND)
-        ig, err, rnd = _gk21(np.array(lo[part]), np.array(hi[part]), kernel,
-                             owner[part])
-        igs.extend(ig)
-        errs += err
-        roundings += rnd
+    parts = [slice(s, s + _MAX_ROUND) for s in range(0, len(lo), _MAX_ROUND)]
+    parts = [_gk21(np.array(lo[p]), np.array(hi[p]), kernel, owner[p])
+             for p in parts]
+    igs = np.concatenate([ig for ig, _, _ in parts])
+    errs = [e for _, err, _ in parts for e in err]
+    roundings = [r for _, _, rnd in parts for r in rnd]
     out, start = [], 0
     for _, a, _ in requests:
         part = slice(start, start + len(a))
@@ -328,9 +311,14 @@ class _Quadrature:
     def success(self) -> bool:
         return self.status == 0
 
+    @property
+    def work(self) -> dict:
+        return {"quadrature_error": self.error, "neval": self.neval,
+                "subintervals": len(self.intervals)}
+
 
 def _replay(params: WireParams, spec: QuadratureSpec):
-    """quad_vec's adaptive GK21 scheme for the ten integrands of one point
+    """quad_vec's adaptive GK21 scheme for the live integrands of one point
     on [0, max_omega], as a generator: it yields the lists (a, b) of the
     intervals it needs, is sent their (integrals, errors, rounding
     errors) from _gk21, and returns its _Quadrature.
@@ -350,10 +338,9 @@ def _replay(params: WireParams, spec: QuadratureSpec):
     edges = [0.0, *_breakpoints(params, max_omega), max_omega]
     igs, errs, roundings = yield edges[:-1], edges[1:]
     neval = 21 * len(igs)
-    total = igs[0].copy()
+    total = np.add.accumulate(igs)[-1]
     global_error, rounding = errs[0], roundings[0]
-    for ig, err, rnd in zip(igs[1:], errs[1:], roundings[1:]):
-        total += ig
+    for err, rnd in zip(errs[1:], roundings[1:]):
         global_error += err
         rounding += rnd
     cache = dict(zip(zip(edges, edges[1:]), igs))
@@ -363,9 +350,9 @@ def _replay(params: WireParams, spec: QuadratureSpec):
     def tolerance():
         return max(spec.abs_tol, spec.rel_tol * float(np.abs(total).max()))
 
+    tol = tolerance()
     status = 1
     while heap and len(heap) < spec.limit:
-        tol = tolerance()
         popped = []
         err_sum = 0.0
         while heap and len(popped) < _MAX_ROUND and not (
@@ -374,30 +361,41 @@ def _replay(params: WireParams, spec: QuadratureSpec):
             popped.append((-neg_err, a, 0.5 * (a + b), b,
                            cache.pop((a, b), None)))
             err_sum += -neg_err
+        # both halves of every popped interval, then again each popped
+        # interval that is not in the cache (a repeated degenerate one)
         lo, hi = [], []
-        for _, a, c, b, old in popped:
+        for _, a, c, b, _ in popped:
             lo += (a, c)
             hi += (c, b)
-            if old is None:   # a repeated degenerate interval
+        for _, a, _, b, old in popped:
+            if old is None:
                 lo.append(a)
                 hi.append(b)
         igs, errs, roundings = yield lo, hi
         neval += 21 * len(igs)
-        n = 0
-        for old_err, a, c, b, old in popped:
-            left, right = n, n + 1
-            n += 2
+        m = len(popped)
+        repeated = 2 * m
+        olds = []
+        for n, (old_err, a, c, b, old) in enumerate(popped):
+            left, right = 2 * n, 2 * n + 1
             if old is None:
-                old = igs[n]
-                n += 1
-            total += igs[left] + igs[right] - old
+                old = igs[repeated]
+                repeated += 1
+            olds.append(old)
             global_error += errs[left] + errs[right] - old_err
             rounding += roundings[left] + roundings[right]
-            for x1, x2, m in ((a, c, left), (c, b, right)):
-                cache[x1, x2] = igs[m]
-                heapq.heappush(heap, (-errs[m], x1, x2))
+            for x1, x2, i in ((a, c, left), (c, b, right)):
+                cache[x1, x2] = igs[i]
+                heapq.heappush(heap, (-errs[i], x1, x2))
+        # total + step_1 + step_2 + ..., one step per popped interval in
+        # pop order, step_n = (left_n + right_n) - old_n
+        steps = igs[0:2 * m:2] + igs[1:2 * m:2]
+        steps -= olds
+        steps[0] += total
+        total = np.add.accumulate(steps)[-1]
+        tol = tolerance()
         if len(heap) >= 2:
-            if global_error < tolerance() / 8:
+            if global_error < tol / 8:
                 status = 0
                 break
             if global_error < rounding:
@@ -406,7 +404,9 @@ def _replay(params: WireParams, spec: QuadratureSpec):
         if not (math.isfinite(global_error) and math.isfinite(rounding)):
             status = 3
             break
-    return _Quadrature(total, global_error + rounding, status, neval,
+    values = np.zeros(len(_ELEMENTS))
+    values[_LIVE] = total
+    return _Quadrature(values, global_error + rounding, status, neval,
                        np.array([[a, b] for _, a, b in heap]))
 
 
@@ -443,7 +443,7 @@ def _covariance(quad: _Quadrature) -> np.ndarray:
     if not quad.success:
         raise QuadratureError(
             "covariance quadrature did not converge; "
-            f"error estimate {quad.error:.3g}")
+            f"error estimate {quad.error:.3g}", quad.work)
     gamma = np.zeros((4, 4))
     for (i, j), v in zip(_ELEMENTS, quad.values):
         gamma[i, j] = gamma[j, i] = v
@@ -476,9 +476,7 @@ def _steady_state(params: WireParams, quad: _Quadrature) -> SteadyStateResult:
         covariance=gamma,
         heat_currents=exact_heat_current(gamma, params.k),
         diagnostics={"secular_margin": secular_validity_margin(params),
-                     "quadrature_error": quad.error,
-                     "neval": quad.neval,
-                     "subintervals": len(quad.intervals)},
+                     **quad.work},
     )
 
 
@@ -493,15 +491,11 @@ def exact_steady_states(points: list,
     """exact_steady_state of every point, their quadratures run in
     lockstep (see _integrate_batch).  Where a quadrature fails, the list
     holds SteadyStateResult.failed for the QuadratureError that
-    exact_steady_state raises there: NaN covariance and currents,
-    diagnostics["error"] = "QuadratureError: ..." and the quadrature's
-    quadrature_error, neval and subintervals."""
+    exact_steady_state raises there, with the error's diagnostics."""
     out = []
     for params, quad in zip(points, _integrate_batch(points, spec)):
         try:
             out.append(_steady_state(params, quad))
         except QuadratureError as exc:
-            out.append(SteadyStateResult.failed(
-                "exact", exc, quadrature_error=quad.error, neval=quad.neval,
-                subintervals=len(quad.intervals)))
+            out.append(SteadyStateResult.failed("exact", exc))
     return out

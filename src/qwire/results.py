@@ -32,14 +32,14 @@ class SteadyStateResult:
             raise ValueError(f"unknown method {self.method!r}")
 
     @classmethod
-    def failed(cls, method: str, exc: Exception,
-               **diagnostics) -> "SteadyStateResult":
+    def failed(cls, method: str, exc: Exception) -> "SteadyStateResult":
         """Placeholder for a solver that raised exc: NaN covariance and
-        currents, the reason in diagnostics["error"], and diagnostics."""
+        currents, the reason in diagnostics["error"], and the diagnostics
+        that exc carries, if any (see exact.QuadratureError)."""
         return cls(method=method, covariance=np.full((4, 4), np.nan),
                    heat_currents=(math.nan, math.nan),
                    diagnostics={"error": f"{type(exc).__name__}: {exc}",
-                                **diagnostics})
+                                **getattr(exc, "diagnostics", {})})
 
     @property
     def qdot_c(self) -> float:

@@ -34,9 +34,10 @@ def pool_mismatches(ids=None) -> list:
                                    for point in points])
     out = []
     for point, result in zip(points, results):
-        # a failed point's NaN placeholder equals no frozen value
-        if ([float(result.covariance[i, j]) for i, j in _UPPER]
-                != point["exact"]):
+        # bit patterns, so that a zero's sign counts; a failed point's
+        # NaN placeholder matches no frozen value
+        if ([float(result.covariance[i, j]).hex() for i, j in _UPPER]
+                != [float(v).hex() for v in point["exact"]]):
             out.append(point["id"])
     return out
 

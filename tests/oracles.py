@@ -4,10 +4,11 @@ Almost everything here works on truncated Fock-space matrices and
 deliberately avoids the covariance-level formulas of the package, so
 agreement between the two is meaningful evidence of correctness.  The
 exceptions are the last three sections: the local heat current solved
-from its moment equations in mpmath, quad_vec evaluating node by node,
-the reference of the exact solver's numpy replay of its scheme, and the
-grid search with a scipy Nelder-Mead polish and the 60-digit Adesso-Datta
-closed form, the two references of the closed-form discord.
+from its moment equations in mpmath; the dissipation kernel, and quad_vec
+evaluating the exact solver's integrands node by node, the reference of
+its numpy replay; and the grid search with a scipy Nelder-Mead polish
+and the 60-digit Adesso-Datta closed form, the two references of the
+closed-form discord.
 """
 
 from __future__ import annotations
@@ -308,11 +309,33 @@ def local_current_mpmath(params, dps: int = 60) -> float:
 # ---------------------------------------------------------------------------
 # exact solver
 
+def chi_hat(omega, params):
+    """Fourier-domain dissipation kernel lambda^2 cutoff^2 / (cutoff - i w).
+
+    Its imaginary part equals the (odd) spectral density for all real w
+    and its real part obeys the Kramers-Kronig relation.
+    """
+    return (params.lambda_sq * params.cutoff**2
+            / (params.cutoff - 1j * np.asarray(omega)))
+
+
+def exact_integrands(kernel):
+    """The exact solver's ten integrands at one frequency, the dead
+    same-node X-P ones as 0.0, as a function of that frequency."""
+    from qwire.exact import _ELEMENTS, _LIVE, _integrand_matrix
+
+    def integrands(omega: float) -> np.ndarray:
+        out = np.zeros(len(_ELEMENTS))
+        out[_LIVE] = _integrand_matrix(float(omega), kernel)
+        return out
+    return integrands
+
+
 def integrand_probe(omega: float, i: int, j: int, params) -> float:
     """Value of the half-line integrand of Gamma_ij at one frequency."""
-    from qwire.exact import _ELEMENTS, _Kernel, _integrand_matrix
+    from qwire.exact import _ELEMENTS, _Kernel
     idx = _ELEMENTS.index((min(i, j), max(i, j)))
-    return float(_integrand_matrix(float(omega), _Kernel.of([params]))[idx])
+    return float(exact_integrands(_Kernel.of([params]))(omega)[idx])
 
 
 def per_node_exact_integral(params, spec) -> tuple:
@@ -323,11 +346,10 @@ def per_node_exact_integral(params, spec) -> tuple:
     status, neval and intervals bit for bit.
     """
     from scipy.integrate import quad_vec
-    from qwire.exact import _Kernel, _breakpoints, _integrand_matrix
-    kernel = _Kernel.of([params])
+    from qwire.exact import _Kernel, _breakpoints
     max_omega = spec.max_omega_factor * params.cutoff
-    return quad_vec(lambda w: _integrand_matrix(float(w), kernel),
-                    0.0, max_omega, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+    return quad_vec(exact_integrands(_Kernel.of([params])), 0.0, max_omega,
+                    epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                     limit=spec.limit, points=_breakpoints(params, max_omega),
                     norm="max", full_output=True)
 

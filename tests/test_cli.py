@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qwire import cli, compare
+from qwire import cli, compare, exact_steady_states
 from qwire.cli import (CSV_COLUMNS, PRESETS, main, parse_log_grid,
                        load_config, CliError)
 from conftest import NARROW_CUTOFF
@@ -247,6 +247,22 @@ class TestSteady:
         for entry in strict_json(out)["methods"].values():
             assert entry["diagnostics"]["error"].startswith(
                 "NonPhysicalStateError: exact state: ")
+
+    def test_failed_exact_point_keeps_its_diagnostics(self, capsys):
+        """A lone point whose exact quadrature fails reports its error
+        estimate and work, as the same point in a sweep does."""
+        code, out, _ = run(capsys, "steady", "--omega-c", "1", "--omega-h",
+                           "2", "--k", "2154.4346900318847", "--t-c", "0.1",
+                           "--t-h", "0.15", "--lambda-sq", "1e-4",
+                           "--cutoff", "3")
+        assert code == 0
+        diagnostics = strict_json(out)["methods"]["exact"]["diagnostics"]
+        assert set(diagnostics) == {"error", "quadrature_error", "neval",
+                                    "subintervals"}
+        [in_sweep] = exact_steady_states(
+            [dataclasses.replace(NARROW_CUTOFF, k=2154.4346900318847)])
+        assert diagnostics == in_sweep.diagnostics
+        assert diagnostics["subintervals"] > 2000
 
     def test_exact_work_counts(self, capsys):
         code, out, _ = run(capsys, "steady", "--scenario", "fig1a",

@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from qwire import (WireParams, exact_covariance, exact_heat_current,
-                   exact_steady_state, redfield_steady_state,
-                   spectral_density)
-from qwire.exact import (QuadratureError, QuadratureSpec, _integrate,
-                         _integrate_batch, chi_hat, shifted_frequency_sq)
+                   exact_steady_state, exact_steady_states,
+                   redfield_steady_state, spectral_density)
+from qwire.exact import (QuadratureError, QuadratureSpec, _Kernel,
+                         _breakpoints, _chi, _integrand_matrix, _integrate,
+                         _integrate_batch)
 from qwire import gaussian
 from check_exact_pool import pool_mismatches
 from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
-from oracles import integrand_probe, per_node_exact_integral
+from oracles import chi_hat, integrand_probe, per_node_exact_integral
 
 #: a low-temperature benchmark pool point whose breakpoints
 #: 1.1521177586249618 and 1.152117758624962 nearly coincide, so that
@@ -81,10 +82,20 @@ class TestDissipationKernel:
         re_chi = (2.0 / math.pi) * val
         assert re_chi == pytest.approx(chi_hat(w0, p).real, rel=1e-6)
 
-    def test_frequency_shift(self):
+    def test_solver_kernel_is_the_oracle(self):
+        """The solver's private kernel rounds as the oracle's formula."""
         p = WIDE_GAP
-        assert shifted_frequency_sq(p, "c") == pytest.approx(
-            p.omega_c**2 + p.lambda_sq * p.cutoff)
+        w = np.linspace(0.0, 3e3, 13)
+        assert _chi(w, _Kernel.of([p])).tobytes() == chi_hat(w, p).tobytes()
+
+    def test_frequency_shift(self):
+        """The nodes' frequencies squared plus lambda^2 cutoff, the
+        bath-induced shift."""
+        p = WIDE_GAP
+        kernel = _Kernel.of([p])
+        assert (kernel.shifted_c, kernel.shifted_h) == pytest.approx(
+            (p.omega_c**2 + p.lambda_sq * p.cutoff,
+             p.omega_h**2 + p.lambda_sq * p.cutoff))
 
 
 class TestIntegrandTails:
@@ -116,9 +127,14 @@ class TestSteadyState:
         assert gaussian.is_physical(res.covariance)
 
     def test_same_node_cross_covariances_vanish(self):
-        gamma = exact_steady_state(with_k(WIDE_GAP, 0.1)).covariance
-        assert gamma[0, 1] == 0.0
-        assert gamma[2, 3] == 0.0
+        """<X_c P_c> and <X_h P_h> are +0.0, sign included, at every
+        BATCH_CASES point, alone and in one lockstep batch."""
+        cases = [with_k(WIDE_GAP, 0.1), *BATCH_CASES.values()]
+        lone = [exact_steady_state(params) for params in cases]
+        for result in lone + exact_steady_states(cases):
+            gamma = result.covariance
+            assert [gamma[0, 1].hex(), gamma[2, 3].hex()] == \
+                ["0x0.0p+0"] * 2
 
     def test_label_swap_symmetry(self):
         p = with_k(WIDE_GAP, 0.2)
@@ -188,6 +204,44 @@ def assert_replays_quad_vec(params, spec):
     assert quad.intervals.shape == info.intervals.shape
     assert quad.intervals.tobytes() == info.intervals.tobytes()
     return quad
+
+
+def sample_nodes(params) -> np.ndarray:
+    """Frequencies that reach every branch of the integrands: 0 and one
+    below the small-w guard, then four inside each interval between the
+    quadrature's breakpoints, out to the far tail."""
+    max_omega = QuadratureSpec().max_omega_factor * params.cutoff
+    edges = np.array([0.0, *_breakpoints(params, max_omega), max_omega])
+    inside = np.array([0.002, 0.3, 0.5, 0.99])[:, None]
+    return np.concatenate([[0.0, 1e-9 * params.cutoff],
+                           (edges[:-1] + np.diff(edges) * inside).ravel()])
+
+
+class TestIntegrandMatrix:
+    """The kernel's rounding contract, which the replay's batching rests
+    on."""
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CASES))
+    def test_array_of_nodes_equals_per_node_calls(self, name):
+        params = BATCH_CASES[name]
+        kernel = _Kernel.of([params])
+        nodes = sample_nodes(params)
+        per_node = np.array([_integrand_matrix(float(w), kernel)
+                             for w in nodes]).T
+        assert per_node.tobytes() == _integrand_matrix(nodes,
+                                                       kernel).tobytes()
+
+    def test_lockstep_kernel_equals_lone_kernels(self):
+        """The nodes of all BATCH_CASES in one call, each with its own
+        point's constants, give each point's lone values bit for bit."""
+        cases = list(BATCH_CASES.values())
+        nodes = [sample_nodes(params) for params in cases]
+        owner = np.repeat(np.arange(len(cases)), [len(w) for w in nodes])
+        batch = _integrand_matrix(np.concatenate(nodes),
+                                  _Kernel.of(cases).take(owner))
+        lone = np.concatenate([_integrand_matrix(w, _Kernel.of([params]))
+                               for params, w in zip(cases, nodes)], axis=1)
+        assert batch.tobytes() == lone.tobytes()
 
 
 class TestBatchedQuadrature:
