@@ -1,12 +1,13 @@
 """Run all four solvers on one parameter point or a sweep.
 
-Rows are pure functions of their parameter point.  A sweep solves its
-grid in process, in consecutive slices: the exact quadratures of a slice
-advance in lockstep rounds (exact.exact_steady_states).  Then all its
-states are measured as one gaussian.StateStack (point_metrics), so a
-sweep of any length takes the same few spectrum and measure calls.  A
-solver that fails, the exact one included, leaves NaN cells and a reason
-in its row; nothing raises past solve_all.
+Only sweep solves and measures points; steady, validate and
+correlation_deltas read the row of a sweep of one point (sweep_row).  A
+sweep solves its grid in process, in consecutive slices: the exact
+quadratures of a slice advance in lockstep rounds (exact_steady_states).
+Then all its states are measured as one gaussian.StateStack, so a sweep
+of any length takes the same few spectrum and measure calls.  A solver
+that fails, the exact one included, leaves NaN cells and a reason in its
+row; nothing raises past solve_all.  Rows are pure functions of a point.
 """
 
 from __future__ import annotations
@@ -49,9 +50,14 @@ class SweepRow:
 
     axis_value: float
     secular_margin: float
+    results: tuple = field(compare=False)  # 4 SteadyStateResults, exact last
     metrics: dict                 # method -> dict of scalar metrics
-    exact_quad_error: float
+    margins: dict                 # method -> nu_min - 1/2 of its state
     errors: dict = field(default_factory=dict)   # method -> message
+
+    @property
+    def exact_quad_error(self) -> float:
+        return self.results[-1].diagnostics.get("quadrature_error", math.nan)
 
 
 def solve_all(params: WireParams, exact=None) -> list:
@@ -97,15 +103,10 @@ def correlation_report(covariance, exact,
                                       measured_node=measured_node)
 
 
-def _with_axis(params: WireParams, axis: str, value: float) -> WireParams:
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}")
-    return dataclasses.replace(params, **{axis: value})
-
-
-def point_metrics(points: list, measured_node: str = "h") -> list:
-    """One (table, errors) pair per solve_all result list in points: the
-    METRIC_KEYS values of each method, and the reason behind its NaN cells.
+def _point_metrics(points: list, measured_node: str) -> list:
+    """One (table, margins, errors) triple per solve_all result list in
+    points: each method's METRIC_KEYS values, its state's nu_min - 1/2
+    (-1/2 without a spectrum) and the reason behind its NaN cells.
 
     All states are measured as one stack, each with its point's exact
     state as fidelity partner.  A failed solver gives NaN everywhere; a
@@ -124,11 +125,13 @@ def point_metrics(points: list, measured_node: str = "h") -> list:
         (-1, 4, 4)), labels)
     columns = {key: values.tolist() for key, values in
                _measures(states, partners, measured_node).items()}
+    nu_margins = (states.nus[:, -1] - 0.5).tolist()
     out, i = [], 0
     for results in points:
-        table, errors = {}, {}
+        table, margins, errors = {}, {}, {}
         for res in results:
             table[res.method] = values = dict.fromkeys(METRIC_KEYS, math.nan)
+            margins[res.method] = nu_margins[i]
             error = res.diagnostics.get("error")
             if error is None:
                 values.update({k: v[i] for k, v in columns.items()},
@@ -138,7 +141,7 @@ def point_metrics(points: list, measured_node: str = "h") -> list:
             if error:
                 errors[res.method] = error
             i += 1
-        out.append((table, errors))
+        out.append((table, margins, errors))
     return out
 
 
@@ -147,8 +150,10 @@ def sweep(params: WireParams, axis: str, grid,
     """Sweep one parameter over a grid; order-preserving and deterministic:
     a row is bit for bit the same in any grid.  The grid is validated up
     front, then solved in slices of _SLICE points, then measured."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
     grid = [float(v) for v in grid]
-    points = [_with_axis(params, axis, value) for value in grid]
+    points = [dataclasses.replace(params, **{axis: v}) for v in grid]
     results = []
     for start in range(0, len(grid), _SLICE):
         batch = points[start:start + _SLICE]
@@ -156,12 +161,11 @@ def sweep(params: WireParams, axis: str, grid,
                     in zip(batch, exact_steady_states(batch))]
     return [SweepRow(axis_value=value,
                      secular_margin=secular_validity_margin(point),
-                     metrics=table,
-                     exact_quad_error=res[-1].diagnostics.get(
-                         "quadrature_error", math.nan),
+                     results=tuple(res), metrics=table, margins=margins,
                      errors=errors)
-            for value, point, res, (table, errors) in zip(
-                grid, points, results, point_metrics(results, measured_node))]
+            for value, point, res, (table, margins, errors) in zip(
+                grid, points, results,
+                _point_metrics(results, measured_node))]
 
 
 def sweep_row(params: WireParams, axis: str, value: float,
@@ -178,22 +182,18 @@ def correlation_deltas(params: WireParams, measured_node: str = "h") -> dict:
     covariances Gamma_14 and Gamma_13, or the error that left it without
     metrics.  The differences are NaN if the exact state is non-physical.
     """
-    results = solve_all(params)
-    [(table, errors)] = point_metrics([results], measured_node)
-    exact = results[-1]
+    row = sweep_row(params, "k", params.k, measured_node)
+    exact, exact_values = row.results[-1], row.metrics["exact"]
     out = {}
-    for res in results[:-1]:
-        if res.method in errors:
-            out[res.method] = {"error": errors[res.method]}
+    for res in row.results[:-1]:
+        if res.method in row.errors:
+            out[res.method] = {"error": row.errors[res.method]}
             continue
-        values = table[res.method]
-        d_i = values["mutual_info"] - table["exact"]["mutual_info"]
-        d_c = values["classical"] - table["exact"]["classical"]
+        values = row.metrics[res.method]
+        d_i = values["mutual_info"] - exact_values["mutual_info"]
+        d_c = values["classical"] - exact_values["classical"]
         out[res.method] = {
-            "d_mutual_info": d_i,
-            "d_classical": d_c,
-            "d_discord": d_i - d_c,
+            "d_mutual_info": d_i, "d_classical": d_c, "d_discord": d_i - d_c,
             "d_gamma_14": res.covariance[0, 3] - exact.covariance[0, 3],
-            "d_gamma_13": res.covariance[0, 2] - exact.covariance[0, 2],
-        }
+            "d_gamma_13": res.covariance[0, 2] - exact.covariance[0, 2]}
     return out

@@ -24,6 +24,8 @@ PHYSICALITY_TOL = 1e-9
 #: finite one.  The kernel's rounding there is up to about 1e-8 of the
 #: conditional entropy; the frozen benchmark cells were searched at it.
 _S_HOMODYNE = 1e9
+#: strong_coupling_asymptote's resonance test: |w_h^2 - w_c^2| <= it * sum
+_RESONANCE_TOL = 1e-9
 
 
 class NonPhysicalStateError(ValueError):
@@ -353,7 +355,7 @@ def log_negativity(states):
     return e_n if stack is states else float(e_n[0])
 
 
-def strong_coupling_asymptote(params: WireParams, tol: float = 1e-9) -> float:
+def strong_coupling_asymptote(params: WireParams) -> float:
     """Large-k limit of the global-solution log-negativity, resonant nodes.
 
     E = (1/4) ln[2k (1 - e^(w/T_c))^2 (1 - e^(w/T_h))^2
@@ -362,7 +364,7 @@ def strong_coupling_asymptote(params: WireParams, tol: float = 1e-9) -> float:
     means no entanglement is predicted at that coupling.
     """
     d = abs(params.omega_h**2 - params.omega_c**2)
-    if d > tol * (params.omega_h**2 + params.omega_c**2):
+    if d > _RESONANCE_TOL * (params.omega_h**2 + params.omega_c**2):
         raise ValueError("asymptote only defined for resonant nodes")
     if params.k <= 0:
         raise ValueError("asymptote requires k > 0")

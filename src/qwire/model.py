@@ -68,7 +68,7 @@ class NormalModes:
     theta is the principal value in [0, pi/2]; omega_plus >= omega_minus.
     cos_sq, sin_sq and sin_cos are cos^2, sin^2 and sin cos of theta,
     formed without subtraction, so they keep their relative accuracy
-    where theta rounds to 0 or pi/2.
+    where theta rounds to 0 or pi/2.  splitting = Omega_+^2 - Omega_-^2.
     """
 
     theta: float
@@ -77,6 +77,7 @@ class NormalModes:
     cos_sq: float
     sin_sq: float
     sin_cos: float
+    splitting: float
 
 
 def normal_modes(params: WireParams) -> NormalModes:
@@ -106,7 +107,8 @@ def normal_modes(params: WireParams) -> NormalModes:
     om_p = math.sqrt(0.5 * (tr + root))
     om_m = math.sqrt(0.5 * (tr - root))
     return NormalModes(theta=theta, omega_plus=om_p, omega_minus=om_m,
-                       cos_sq=cos2, sin_sq=sin2, sin_cos=sin_cos)
+                       cos_sq=cos2, sin_sq=sin2, sin_cos=sin_cos,
+                       splitting=root)
 
 
 def spectral_density(omega, params: WireParams):
@@ -134,13 +136,12 @@ def occupation(omega: float, temperature: float) -> float:
 def secular_validity_margin(params: WireParams) -> float:
     """Ratio of dissipation strength to the +/- normal-mode gap.
 
-    r = lambda^2 / sqrt((4k^2 + d^2) / (2 (omega_h^2 + omega_c^2))).
+    r = lambda^2 / sqrt(splitting^2 / (2 (omega_h^2 + omega_c^2))).
     r << 1 means the secular approximation (and hence the global GKLS
     solution) is trustworthy; r >~ 1 flags its breakdown.
     """
-    d = params.omega_h**2 - params.omega_c**2
-    gap = math.sqrt((4.0 * params.k**2 + d**2)
-                    / (2.0 * (params.omega_h**2 + params.omega_c**2)))
+    gap = (normal_modes(params).splitting
+           / math.sqrt(2.0 * (params.omega_h**2 + params.omega_c**2)))
     if gap == 0.0:
         return math.inf
     return params.lambda_sq / gap

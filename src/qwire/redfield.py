@@ -41,8 +41,7 @@ def redfield_steady_state(params: WireParams) -> SteadyStateResult:
     rates = [j / om for j, om in zip(coeffs.j, coeffs.omegas)]
     kappa = -0.5 * sum(rates)
     # Omega_+ - Omega_- = (Omega_+^2 - Omega_-^2) / (Omega_+ + Omega_-)
-    delta = (math.hypot(2.0 * params.k, params.omega_h**2 - params.omega_c**2)
-             / (om_p + om_m))
+    delta = modes.splitting / (om_p + om_m)
     bias = thermal_bias(coeffs)
     b4 = -modes.sin_cos * bias / math.sqrt(om_p * om_m)
     norm = delta**2 + kappa**2

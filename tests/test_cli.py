@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from qwire import cli, compare, exact_steady_states
+from qwire import (METHODS, WireParams, cli, compare,
+                   exact_steady_states)
 from qwire.cli import (CSV_COLUMNS, PRESETS, main, parse_log_grid,
                        load_config, CliError)
-from conftest import NARROW_CUTOFF
+from conftest import NARROW_CUTOFF, count_spectra
 
 
 def run(capsys, *argv):
@@ -32,6 +33,18 @@ def fail_local_solver(monkeypatch):
     def broken(params):
         raise RuntimeError("synthetic failure")
     monkeypatch.setitem(compare._SOLVERS, "local", broken)
+
+
+def non_physical(result):
+    """result with the covariance 0.4 I, which has nu = 0.4 < 1/2."""
+    return dataclasses.replace(result, covariance=0.4 * np.eye(4))
+
+
+def break_exact_state(monkeypatch):
+    """Every exact state of a sweep non-physical, currents kept."""
+    exact_steady_states = compare.exact_steady_states
+    monkeypatch.setattr(compare, "exact_steady_states", lambda points: [
+        non_physical(res) for res in exact_steady_states(points)])
 
 
 def test_import_loads_no_scipy():
@@ -235,12 +248,7 @@ class TestSteady:
                        for key in compare.METRIC_KEYS)
 
     def test_non_physical_exact_state_is_named(self, capsys, monkeypatch):
-        exact_steady_state = compare._SOLVERS["exact"]
-
-        def broken_exact(params):
-            return dataclasses.replace(exact_steady_state(params),
-                                       covariance=0.4 * np.eye(4))
-        monkeypatch.setitem(compare._SOLVERS, "exact", broken_exact)
+        break_exact_state(monkeypatch)
         code, out, _ = run(capsys, "steady", "--scenario", "fig1a",
                            "--k", "0.01")
         assert code == 0
@@ -263,6 +271,19 @@ class TestSteady:
             [dataclasses.replace(NARROW_CUTOFF, k=2154.4346900318847)])
         assert diagnostics == in_sweep.diagnostics
         assert diagnostics["subintervals"] > 2000
+
+    @pytest.mark.parametrize("node", ["c", "h"])
+    def test_metrics_are_the_sweep_rows(self, capsys, node):
+        """Each method's six metrics are its sweep row's, bit for bit."""
+        code, out, _ = run(capsys, "steady", "--scenario", "fig1a",
+                           "--k", "0.01", "--measured-node", node)
+        assert code == 0
+        preset = {k: v for k, v in PRESETS["fig1a"].items() if k != "grid"}
+        row = compare.sweep_row(WireParams(k=0.01, **preset), "k", 0.01,
+                                node)
+        for method, entry in json.loads(out)["methods"].items():
+            assert {key: entry[key] for key in compare.METRIC_KEYS} == \
+                row.metrics[method]
 
     def test_exact_work_counts(self, capsys):
         code, out, _ = run(capsys, "steady", "--scenario", "fig1a",
@@ -395,16 +416,47 @@ class TestValidate:
 
     def test_physicality_is_the_gaussian_state_check(self, capsys,
                                                      monkeypatch):
-        """`<method>_physical` is decided by gaussian.is_physical, and a
-        failed one exits with code 3."""
-        monkeypatch.setattr(cli.gaussian, "is_physical", lambda g: False)
+        """`<method>_physical` fails for every state that the Gaussian
+        check rejects, and a failed one exits with code 3.  A non-physical
+        exact state also fails the two checks that measure it."""
+        for method in METHODS[:-1]:
+            monkeypatch.setitem(compare._SOLVERS, method,
+                                lambda params, solve=compare._SOLVERS[method]:
+                                non_physical(solve(params)))
+        break_exact_state(monkeypatch)
         code, out, _ = run(capsys, "validate", "--scenario", "fig1a",
                            "--k", "0.05")
         assert code == 3
         failed = [c["name"] for c in json.loads(out)["checks"]
                   if not c["passed"]]
-        assert failed == [f"{m}_physical" for m in
-                          ("global", "local", "redfield", "exact")]
+        assert failed == [f"{m}_physical" for m in METHODS] + [
+            "exact_self_fidelity", "exact_correlations_ordered"]
+
+    def test_non_physical_exact_state_prints_its_checks(self, capsys,
+                                                        monkeypatch):
+        """The exact state's three checks fail with their details, the
+        others pass, and the verdict is exit 3."""
+        break_exact_state(monkeypatch)
+        code, out, _ = run(capsys, "validate", "--scenario", "fig1a",
+                           "--k", "0.05")
+        assert code == 3
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        failed = [name for name, c in checks.items() if not c["passed"]]
+        assert failed == ["exact_physical", "exact_self_fidelity",
+                          "exact_correlations_ordered"]
+        assert checks["exact_physical"]["detail"] == \
+            "min symplectic eigenvalue - 1/2 = -1.000e-01"
+        assert checks["exact_self_fidelity"]["detail"] == \
+            "F(exact, exact) = nan"
+
+    def test_takes_the_rows_two_spectra(self, capsys, monkeypatch):
+        """The states with their partial transposes, then their node
+        blocks: the spectra of sweep_row, and no others."""
+        spectra = count_spectra(monkeypatch)
+        code, _, _ = run(capsys, "validate", "--scenario", "fig1a",
+                         "--k", "0.05")
+        assert code == 0
+        assert spectra == [(8, 4, 4), (8, 2, 2)]
 
     @pytest.mark.parametrize("overrides", (
         ("--k", "1e-4"), ("--k", "1e-3"), ("--k", "1e-2"),

@@ -11,7 +11,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from qwire import (METHODS, SteadyStateResult, WireParams,
                    correlation_deltas, exact_steady_state,
                    exact_steady_states, solve_all, sweep)
-from qwire import compare, exact
+from qwire import compare, exact, gaussian
 from qwire.compare import (METRIC_KEYS, _SLICE, _SOLVERS, correlation_report,
                            sweep_row)
 from qwire.exact import QuadratureError, QuadratureSpec
@@ -83,6 +83,30 @@ class TestMetrics:
                 "classical": report.classical_arrow,
                 "log_neg": report.log_negativity,
             }
+
+    def test_row_keeps_its_states_and_their_margins(self, monkeypatch):
+        """results are the point's four steady states, exact last; each
+        margin is nu_min - 1/2 of the method's own state, bit for bit,
+        and -1/2 for a failed solver's; exact_quad_error is the exact
+        result's estimate."""
+        def boom(params):
+            raise RuntimeError("synthetic failure")
+
+        params = with_k(WIDE_GAP, 0.05)
+        [exact] = exact_steady_states([params])
+        monkeypatch.setitem(_SOLVERS, "local", boom)
+        row = sweep_row(WIDE_GAP, "k", 0.05)
+        for res, alone in zip(row.results, solve_all(params, exact),
+                              strict=True):
+            assert (res.method, res.heat_currents, res.diagnostics) == \
+                (alone.method, alone.heat_currents, alone.diagnostics)
+            assert res.covariance.tobytes() == alone.covariance.tobytes()
+        assert row.margins["local"] == -0.5
+        for res in row.results:
+            if res.method != "local":
+                assert row.margins[res.method] == \
+                    gaussian.symplectic_eigenvalues(res.covariance)[-1] - 0.5
+        assert row.exact_quad_error == exact.diagnostics["quadrature_error"]
 
     def test_solver_error_gives_nan_everywhere(self, monkeypatch):
         def boom(params):
@@ -315,5 +339,6 @@ class TestCorrelationTools:
     def test_sweep_row_is_pure(self):
         row1 = sweep_row(WIDE_GAP, "k", 1e-2)
         row2 = sweep_row(WIDE_GAP, "k", 1e-2)
+        assert row1 == row2
         assert row1.metrics == row2.metrics
         assert row1.secular_margin == row2.secular_margin

@@ -64,6 +64,7 @@ class TestNormalModes:
         nm = normal_modes(p)
         assert nm.omega_plus**2 == pytest.approx(evals[1], rel=1e-12)
         assert nm.omega_minus**2 == pytest.approx(evals[0], rel=1e-12)
+        assert nm.splitting == pytest.approx(evals[1] - evals[0], rel=1e-12)
         # the high-frequency eigenvector is (cos, -sin) up to overall sign
         vec = evecs[:, 1] * np.sign(evecs[0, 1])
         assert vec[0] == pytest.approx(math.cos(nm.theta), rel=1e-12)
