@@ -9,8 +9,7 @@ from .results import SteadyStateResult, METHODS
 from .gme import gme_steady_state, gme_heat_currents
 from .lme import lme_steady_state, lme_heat_currents
 from .redfield import redfield_steady_state
-from .exact import (exact_steady_state, exact_steady_states, exact_covariance,
-                    exact_heat_current, QuadratureSpec)
+from .exact import exact_steady_state, exact_steady_states, exact_heat_current
 from .compare import solve_all, sweep, correlation_deltas, correlation_report
 from . import gaussian
 
@@ -21,9 +20,7 @@ __all__ = [
     "gme_steady_state", "gme_heat_currents",
     "lme_steady_state", "lme_heat_currents",
     "redfield_steady_state",
-    "exact_steady_state", "exact_steady_states", "exact_covariance",
-    "exact_heat_current",
-    "QuadratureSpec",
+    "exact_steady_state", "exact_steady_states", "exact_heat_current",
     "solve_all", "sweep", "correlation_deltas", "correlation_report",
     "gaussian",
 ]

@@ -211,6 +211,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
         }
     doc = {"spec_version": SPEC_VERSION,
            "scenario": scenario.as_dict(),
+           "secular_margin": row.secular_margin,
            "measured_node": args.measured_node,
            "methods": methods}
     print(json.dumps(_strict(doc), allow_nan=False))

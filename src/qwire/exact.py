@@ -26,12 +26,12 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import WireParams, secular_validity_margin
+from .model import WireParams, normal_modes
 from .results import SteadyStateResult
 
 #: upper-triangular element order of (X_c, P_c, X_h, P_h) used internally
@@ -79,6 +79,14 @@ _GAUSS = np.array(_GAUSS_HALF + tuple(reversed(_GAUSS_HALF)))[:, None, None]
 #: call evaluates at most this many, which bounds its memory
 _MAX_ROUND = 128
 
+#: the tolerances of the covariance integrals, the most subintervals a
+#: point may use, and the upper limit of the frequency axis in units of
+#: the cutoff
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-14
+_LIMIT = 2000
+_MAX_OMEGA_FACTOR = 100.0
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge to the requested tolerance.
@@ -87,26 +95,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and limits of the covariance integrals."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-14
-    max_omega_factor: float = 100.0   # upper limit in units of the cutoff
-    limit: int = 2000                 # max number of subintervals
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_omega_factor <= 1:
-            raise ValueError("max_omega must exceed the cutoff")
 
 
 class _Kernel(NamedTuple):
@@ -218,7 +206,6 @@ def _integrand_matrix(omega, kernel: _Kernel) -> np.ndarray:
 
 def _breakpoints(params: WireParams, max_omega: float) -> list:
     """Mandatory subdivision points: resonances, shifted bare lines, cutoff."""
-    from .model import normal_modes
     nm = normal_modes(params)
     shift = params.lambda_sq * params.cutoff
     pts = {nm.omega_plus, nm.omega_minus,
@@ -317,7 +304,7 @@ class _Quadrature:
                 "subintervals": len(self.intervals)}
 
 
-def _replay(params: WireParams, spec: QuadratureSpec):
+def _replay(params: WireParams):
     """quad_vec's adaptive GK21 scheme for the live integrands of one point
     on [0, max_omega], as a generator: it yields the lists (a, b) of the
     intervals it needs, is sent their (integrals, errors, rounding
@@ -332,9 +319,10 @@ def _replay(params: WireParams, spec: QuadratureSpec):
     therefore returns quad_vec's values, error, status, neval and
     intervals bit for bit.  quad_vec's cache is an LRU dict that evicts
     beyond about 5e5 interval integrals; this one never does, which
-    matters only for limits far beyond any spec in use.
+    matters only for limits far beyond _LIMIT.  The tolerances and limits
+    are the module constants _REL_TOL, _ABS_TOL, _LIMIT, _MAX_OMEGA_FACTOR.
     """
-    max_omega = spec.max_omega_factor * params.cutoff
+    max_omega = _MAX_OMEGA_FACTOR * params.cutoff
     edges = [0.0, *_breakpoints(params, max_omega), max_omega]
     igs, errs, roundings = yield edges[:-1], edges[1:]
     neval = 21 * len(igs)
@@ -348,11 +336,11 @@ def _replay(params: WireParams, spec: QuadratureSpec):
     heapq.heapify(heap)
 
     def tolerance():
-        return max(spec.abs_tol, spec.rel_tol * float(np.abs(total).max()))
+        return max(_ABS_TOL, _REL_TOL * float(np.abs(total).max()))
 
     tol = tolerance()
     status = 1
-    while heap and len(heap) < spec.limit:
+    while heap and len(heap) < _LIMIT:
         popped = []
         err_sum = 0.0
         while heap and len(popped) < _MAX_ROUND and not (
@@ -410,7 +398,7 @@ def _replay(params: WireParams, spec: QuadratureSpec):
                        np.array([[a, b] for _, a, b in heap]))
 
 
-def _integrate_batch(points: list, spec: QuadratureSpec) -> list:
+def _integrate_batch(points: list) -> list:
     """One _replay per point, run in lockstep rounds.
 
     Every point keeps its own heap, cache, rounds and termination tests;
@@ -419,7 +407,7 @@ def _integrate_batch(points: list, spec: QuadratureSpec) -> list:
     point's _Quadrature, bit for bit the one it gets alone.
     """
     kernel = _Kernel.of(points)
-    replays = [_replay(p, spec) for p in points]
+    replays = [_replay(p) for p in points]
     requests = [(i, *next(replay)) for i, replay in enumerate(replays)]
     out = [None] * len(points)
     while requests:
@@ -433,11 +421,6 @@ def _integrate_batch(points: list, spec: QuadratureSpec) -> list:
     return out
 
 
-def _integrate(params: WireParams, spec: QuadratureSpec) -> _Quadrature:
-    """quad_vec's adaptive GK21 scheme for one point: a batch of one."""
-    return _integrate_batch([params], spec)[0]
-
-
 def _covariance(quad: _Quadrature) -> np.ndarray:
     """The stationary covariance matrix of a converged quadrature."""
     if not quad.success:
@@ -448,13 +431,6 @@ def _covariance(quad: _Quadrature) -> np.ndarray:
     for (i, j), v in zip(_ELEMENTS, quad.values):
         gamma[i, j] = gamma[j, i] = v
     return gamma
-
-
-def exact_covariance(params: WireParams,
-                     spec: QuadratureSpec = QuadratureSpec()) -> tuple:
-    """Stationary covariance matrix and quadrature error estimate."""
-    quad = _integrate(params, spec)
-    return _covariance(quad), quad.error
 
 
 def exact_heat_current(gamma: np.ndarray, k: float) -> tuple:
@@ -475,25 +451,22 @@ def _steady_state(params: WireParams, quad: _Quadrature) -> SteadyStateResult:
         method="exact",
         covariance=gamma,
         heat_currents=exact_heat_current(gamma, params.k),
-        diagnostics={"secular_margin": secular_validity_margin(params),
-                     **quad.work},
+        diagnostics=quad.work,
     )
 
 
-def exact_steady_state(params: WireParams,
-                       spec: QuadratureSpec = QuadratureSpec()) -> SteadyStateResult:
+def exact_steady_state(params: WireParams) -> SteadyStateResult:
     """Exact non-equilibrium steady state (ground truth for this model)."""
-    return _steady_state(params, _integrate(params, spec))
+    return _steady_state(params, _integrate_batch([params])[0])
 
 
-def exact_steady_states(points: list,
-                        spec: QuadratureSpec = QuadratureSpec()) -> list:
+def exact_steady_states(points: list) -> list:
     """exact_steady_state of every point, their quadratures run in
     lockstep (see _integrate_batch).  Where a quadrature fails, the list
     holds SteadyStateResult.failed for the QuadratureError that
     exact_steady_state raises there, with the error's diagnostics."""
     out = []
-    for params, quad in zip(points, _integrate_batch(points, spec)):
+    for params, quad in zip(points, _integrate_batch(points)):
         try:
             out.append(_steady_state(params, quad))
         except QuadratureError as exc:

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (WireParams, NormalModes, normal_modes, occupation,
-                    rotation_matrix, secular_validity_margin,
-                    spectral_density)
+                    rotation_matrix, spectral_density)
 from .moments import moment_equations, moments
 from .results import SteadyStateResult
 
@@ -136,6 +135,5 @@ def gme_steady_state(params: WireParams) -> SteadyStateResult:
         method="global",
         covariance=rot @ gamma_nm @ rot.T,
         heat_currents=gme_heat_currents(params, coeffs),
-        diagnostics={"secular_margin": secular_validity_margin(params),
-                     "residual": residual},
+        diagnostics={"residual": residual},
     )

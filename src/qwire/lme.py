@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (WireParams, occupation, secular_validity_margin,
-                    spectral_density)
+from .model import WireParams, occupation, spectral_density
 from .moments import covariance, moment_equations, stationary
 from .results import SteadyStateResult
 
@@ -98,6 +97,5 @@ def lme_steady_state(params: WireParams) -> SteadyStateResult:
         method="local",
         covariance=covariance(y),
         heat_currents=lme_heat_currents(params),
-        diagnostics={"secular_margin": secular_validity_margin(params),
-                     "residual": residual},
+        diagnostics={"residual": residual},
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .model import WireParams, rotation_matrix, secular_validity_margin
+from .model import WireParams, rotation_matrix
 from .gme import gme_coefficients, gme_normal_mode_covariance, thermal_bias
 from .results import SteadyStateResult
 
@@ -70,6 +70,5 @@ def redfield_steady_state(params: WireParams) -> SteadyStateResult:
         method="redfield",
         covariance=rot @ g_nm @ rot.T,
         heat_currents=(-qdot_h, qdot_h),
-        diagnostics={"secular_margin": secular_validity_margin(params),
-                     "residual": residual},
+        diagnostics={"residual": residual},
     )

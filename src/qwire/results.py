@@ -17,9 +17,9 @@ class SteadyStateResult:
     method        : one of METHODS
     covariance    : 4x4 symmetric matrix in (X_c, P_c, X_h, P_h) ordering
     heat_currents : incoming currents (Qdot_c, Qdot_h); they sum to zero
-    diagnostics   : solver-specific figures of merit (secular margin,
-                    quadrature error estimate or linear-solve residual);
-                    "error" holds the reason of a solver that failed
+    diagnostics   : solver-specific figures of merit (quadrature error
+                    estimate or linear-solve residual); "error" holds the
+                    reason of a solver that failed
     """
 
     method: str

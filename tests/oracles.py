@@ -338,19 +338,22 @@ def integrand_probe(omega: float, i: int, j: int, params) -> float:
     return float(exact_integrands(_Kernel.of([params]))(omega)[idx])
 
 
-def per_node_exact_integral(params, spec) -> tuple:
+def per_node_exact_integral(params) -> tuple:
     """quad_vec of the exact solver's ten integrands, one call per node.
 
     This is how quad_vec evaluates an integrand by itself; the solver's
-    replay, qwire.exact._integrate, must reproduce its values, error,
-    status, neval and intervals bit for bit.
+    replay, qwire.exact._integrate_batch of one point, must reproduce its
+    values, error, status, neval and intervals bit for bit.  It reads the
+    solver's tolerances and limits from qwire.exact at each call, so it
+    follows any override of them.
     """
     from scipy.integrate import quad_vec
-    from qwire.exact import _Kernel, _breakpoints
-    max_omega = spec.max_omega_factor * params.cutoff
-    return quad_vec(exact_integrands(_Kernel.of([params])), 0.0, max_omega,
-                    epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                    limit=spec.limit, points=_breakpoints(params, max_omega),
+    from qwire import exact
+    max_omega = exact._MAX_OMEGA_FACTOR * params.cutoff
+    return quad_vec(exact_integrands(exact._Kernel.of([params])), 0.0,
+                    max_omega, epsabs=exact._ABS_TOL, epsrel=exact._REL_TOL,
+                    limit=exact._LIMIT,
+                    points=exact._breakpoints(params, max_omega),
                     norm="max", full_output=True)
 
 

@@ -258,32 +258,42 @@ class TestSteady:
 
     def test_failed_exact_point_keeps_its_diagnostics(self, capsys):
         """A lone point whose exact quadrature fails reports its error
-        estimate and work, as the same point in a sweep does."""
+        estimate and work, as the same point in a sweep does, and the
+        point's secular margin, which no method's diagnostics repeat."""
         code, out, _ = run(capsys, "steady", "--omega-c", "1", "--omega-h",
                            "2", "--k", "2154.4346900318847", "--t-c", "0.1",
                            "--t-h", "0.15", "--lambda-sq", "1e-4",
                            "--cutoff", "3")
         assert code == 0
-        diagnostics = strict_json(out)["methods"]["exact"]["diagnostics"]
+        doc = strict_json(out)
+        diagnostics = doc["methods"]["exact"]["diagnostics"]
         assert set(diagnostics) == {"error", "quadrature_error", "neval",
                                     "subintervals"}
-        [in_sweep] = exact_steady_states(
-            [dataclasses.replace(NARROW_CUTOFF, k=2154.4346900318847)])
+        params = dataclasses.replace(NARROW_CUTOFF, k=2154.4346900318847)
+        [in_sweep] = exact_steady_states([params])
         assert diagnostics == in_sweep.diagnostics
         assert diagnostics["subintervals"] > 2000
+        assert doc["secular_margin"] == compare.sweep_row(
+            params, "k", params.k).secular_margin
+        for entry in doc["methods"].values():
+            assert "secular_margin" not in entry["diagnostics"]
 
     @pytest.mark.parametrize("node", ["c", "h"])
     def test_metrics_are_the_sweep_rows(self, capsys, node):
-        """Each method's six metrics are its sweep row's, bit for bit."""
+        """Each method's six metrics are its sweep row's, bit for bit, and
+        the point's one secular margin is the row's."""
         code, out, _ = run(capsys, "steady", "--scenario", "fig1a",
                            "--k", "0.01", "--measured-node", node)
         assert code == 0
         preset = {k: v for k, v in PRESETS["fig1a"].items() if k != "grid"}
         row = compare.sweep_row(WireParams(k=0.01, **preset), "k", 0.01,
                                 node)
-        for method, entry in json.loads(out)["methods"].items():
+        doc = json.loads(out)
+        assert doc["secular_margin"] == row.secular_margin
+        for method, entry in doc["methods"].items():
             assert {key: entry[key] for key in compare.METRIC_KEYS} == \
                 row.metrics[method]
+            assert "secular_margin" not in entry["diagnostics"]
 
     def test_exact_work_counts(self, capsys):
         code, out, _ = run(capsys, "steady", "--scenario", "fig1a",

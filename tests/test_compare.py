@@ -14,7 +14,7 @@ from qwire import (METHODS, SteadyStateResult, WireParams,
 from qwire import compare, exact, gaussian
 from qwire.compare import (METRIC_KEYS, _SLICE, _SOLVERS, correlation_report,
                            sweep_row)
-from qwire.exact import QuadratureError, QuadratureSpec
+from qwire.exact import QuadratureError
 from conftest import (NARROW_CUTOFF, NEAR_DEGENERATE, RESONANT_STRONG,
                       WIDE_GAP, count_spectra, with_k)
 
@@ -221,7 +221,7 @@ class TestFailingPoint:
             try:
                 lone = exact_steady_state(params)
             except QuadratureError as exc:
-                quad = exact._integrate(params, QuadratureSpec())
+                quad = exact._integrate_batch([params])[0]
                 assert math.isfinite(quad.error) and quad.neval > 0
                 assert result.diagnostics == {
                     "error": f"QuadratureError: {exc}",

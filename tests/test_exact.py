@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from qwire import (WireParams, exact_covariance, exact_heat_current,
-                   exact_steady_state, exact_steady_states,
-                   redfield_steady_state, spectral_density)
-from qwire.exact import (QuadratureError, QuadratureSpec, _Kernel,
-                         _breakpoints, _chi, _integrand_matrix, _integrate,
-                         _integrate_batch)
-from qwire import gaussian
+from qwire import (WireParams, exact_heat_current, exact_steady_state,
+                   exact_steady_states, redfield_steady_state,
+                   spectral_density)
+from qwire.exact import (QuadratureError, _Kernel, _breakpoints, _chi,
+                         _integrand_matrix, _integrate_batch)
+from qwire import exact, gaussian
 from check_exact_pool import pool_mismatches
 from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
 from oracles import chi_hat, integrand_probe, per_node_exact_integral
@@ -36,15 +35,28 @@ BATCH_CASES = {
     "pool point 2": POOL_POINT_2,
 }
 
-#: specs under which the replay does not converge at fig1a k=0.01: limit=8
-#: stops before the first round; limit=150 at an unreachable rel_tol stops
-#: after rounds that pop the full 128 intervals; rel_tol=1e-15 alone ends
-#: on quad_vec's rounding-error test at fig1b k=1e-4
+#: overrides of qwire.exact's quadrature constants under which the replay
+#: does not converge at fig1a k=0.01: limit=8 stops before the first round;
+#: limit=150 at an unreachable rel_tol stops after rounds that pop the full
+#: 128 intervals; rel_tol=1e-15 alone ends on quad_vec's rounding-error
+#: test at fig1b k=1e-4
 NON_CONVERGENCE_SPECS = {
-    "limit=8": QuadratureSpec(limit=8),
-    "limit=150": QuadratureSpec(rel_tol=1e-15, limit=150),
-    "rel_tol=1e-15": QuadratureSpec(rel_tol=1e-15),
+    "limit=8": {"_LIMIT": 8},
+    "limit=150": {"_REL_TOL": 1e-15, "_LIMIT": 150},
+    "rel_tol=1e-15": {"_REL_TOL": 1e-15},
 }
+
+
+def override_constants(monkeypatch, spec_name: str) -> None:
+    """Set qwire.exact's constants to NON_CONVERGENCE_SPECS[spec_name]
+    for one test."""
+    for name, value in NON_CONVERGENCE_SPECS[spec_name].items():
+        monkeypatch.setattr(exact, name, value)
+
+
+def lone_replay(params):
+    """The quadrature of one point: a batch of one."""
+    return _integrate_batch([params])[0]
 
 
 class TestDissipationKernel:
@@ -170,16 +182,6 @@ class TestSteadyState:
         gamma[0, 3] = gamma[3, 0] = 0.1
         assert exact_heat_current(gamma, 2.0) == pytest.approx((-0.2, 0.2))
 
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_omega_factor=0.5)
-        for field in ("rel_tol", "abs_tol", "max_omega_factor", "limit"):
-            for bad in (math.nan, math.inf):
-                with pytest.raises(ValueError, match="finite"):
-                    QuadratureSpec(**{field: bad})
-
 
 def assert_same_quadrature(quad, other):
     """Two replays agree bit for bit: values, error, status, neval and
@@ -192,11 +194,12 @@ def assert_same_quadrature(quad, other):
     assert quad.intervals.tobytes() == other.intervals.tobytes()
 
 
-def assert_replays_quad_vec(params, spec):
+def assert_replays_quad_vec(params):
     """The replay gives quad_vec's values, error, status, neval and
-    intervals (in heap order) bit for bit, signs of zeros included."""
-    quad = _integrate(params, spec)
-    values, err, info = per_node_exact_integral(params, spec)
+    intervals (in heap order) bit for bit, signs of zeros included, under
+    qwire.exact's constants as they stand."""
+    quad = lone_replay(params)
+    values, err, info = per_node_exact_integral(params)
     assert quad.values.tobytes() == values.tobytes()
     assert quad.error == err
     assert (quad.success, quad.status) == (info.success, info.status)
@@ -210,7 +213,7 @@ def sample_nodes(params) -> np.ndarray:
     """Frequencies that reach every branch of the integrands: 0 and one
     below the small-w guard, then four inside each interval between the
     quadrature's breakpoints, out to the far tail."""
-    max_omega = QuadratureSpec().max_omega_factor * params.cutoff
+    max_omega = exact._MAX_OMEGA_FACTOR * params.cutoff
     edges = np.array([0.0, *_breakpoints(params, max_omega), max_omega])
     inside = np.array([0.002, 0.3, 0.5, 0.99])[:, None]
     return np.concatenate([[0.0, 1e-9 * params.cutoff],
@@ -250,38 +253,42 @@ class TestBatchedQuadrature:
 
     @pytest.mark.parametrize("name", sorted(BATCH_CASES))
     def test_matches_per_node_oracle_bit_for_bit(self, name):
-        assert_replays_quad_vec(BATCH_CASES[name], QuadratureSpec())
+        assert_replays_quad_vec(BATCH_CASES[name])
 
     def test_probe_work(self):
         """The benchmark's probe point: 2352 nodes on 60 subintervals."""
-        quad = _integrate(with_k(WIDE_GAP, 0.01), QuadratureSpec())
+        quad = lone_replay(with_k(WIDE_GAP, 0.01))
         assert (quad.neval, len(quad.intervals)) == (2352, 60)
 
     @pytest.mark.parametrize("name, spec_name", [
         ("fig1a k=0.01", "limit=8"), ("fig1a k=0.01", "limit=150"),
         ("fig1b k=1e-4", "rel_tol=1e-15")],
         ids=["limit=8", "limit=150", "rel_tol=1e-15"])
-    def test_non_convergence_matches_quad_vec(self, name, spec_name):
+    def test_non_convergence_matches_quad_vec(self, name, spec_name,
+                                              monkeypatch):
         """See NON_CONVERGENCE_SPECS."""
-        params, spec = BATCH_CASES[name], NON_CONVERGENCE_SPECS[spec_name]
-        quad = assert_replays_quad_vec(params, spec)
+        params = BATCH_CASES[name]
+        override_constants(monkeypatch, spec_name)
+        quad = assert_replays_quad_vec(params)
         assert not quad.success
         with pytest.raises(QuadratureError, match="did not converge"):
-            exact_covariance(params, spec)
+            exact_steady_state(params)
 
     @pytest.mark.parametrize("spec_name", ["default",
                                            *NON_CONVERGENCE_SPECS])
-    def test_lockstep_batch_equals_lone_replays(self, spec_name):
+    def test_lockstep_batch_equals_lone_replays(self, spec_name,
+                                                monkeypatch):
         """All BATCH_CASES run as one batch: each gets its lone replay,
         which the tests above hold to quad_vec, bit for bit.  The cases
         differ in k, omega_h, t_c, t_h, lambda_sq and their rounds, and
         some stop while others go on."""
-        spec = NON_CONVERGENCE_SPECS.get(spec_name, QuadratureSpec())
+        if spec_name != "default":
+            override_constants(monkeypatch, spec_name)
         cases = list(BATCH_CASES.values())
-        batch = _integrate_batch(cases, spec)
+        batch = _integrate_batch(cases)
         assert len(batch) == len(cases)
         for params, quad in zip(cases, batch):
-            assert_same_quadrature(quad, _integrate(params, spec))
+            assert_same_quadrature(quad, lone_replay(params))
 
     @pytest.mark.slow
     @settings(max_examples=25, deadline=None)
@@ -295,7 +302,7 @@ class TestBatchedQuadrature:
         params = WireParams(omega_c=1.0, omega_h=omega_h, k=10.0**log_k,
                             t_c=t_ratio, t_h=1.5 * t_ratio,
                             lambda_sq=10.0**log_lambda_sq, cutoff=1e3)
-        assert_replays_quad_vec(params, QuadratureSpec())
+        assert_replays_quad_vec(params)
 
     def test_frozen_benchmark_covariances_reproduced(self):
         """Every exact covariance frozen in perfbench/data/points.json,
@@ -371,6 +378,6 @@ class TestDiscretizedBathOracle:
         # transient oscillation
         samples = np.linspace(130.0, 150.0, 17)
         time_domain = np.mean([covariance_at(t) for t in samples], axis=0)
-        reference, _ = exact_covariance(p)
+        reference = exact_steady_state(p).covariance
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(time_domain - reference)) < 0.05 * scale

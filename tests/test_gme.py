@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -172,10 +173,16 @@ class TestHeatCurrents:
         """The closed form against the per-bath form, and against the
         dissipator averages Qdot_a = (1/2) sum_s [Delta^a_s (Omega_s^2
         <eta_s^2> + <Pi_s^2>) + Omega_s Sigma^a_s] of the oracle's rates
-        on the closed-form covariance."""
+        on the closed-form covariance.
+
+        A current read off a float covariance carries a relative error of
+        order eps / (sin^2(theta) cos^2(theta)), the current's own factor
+        (at WIDE_GAP, k=1e-3 the worst seen is 2.6 such units), so the
+        average is held to 8 of them and no absolute slack."""
         for params in (OFF_RESONANT, with_k(WIDE_GAP, 0.1),
                        with_k(WIDE_GAP, 1e-3)):
             coeffs = gme_coefficients(params)
+            rel = 8 * sys.float_info.epsilon / coeffs.modes.sin_cos**2
             closed = gme_heat_currents(params, coeffs)
             per_bath = gme_heat_currents_per_bath(coeffs)
             rates = mode_rates(params, coeffs.modes)
@@ -189,7 +196,7 @@ class TestHeatCurrents:
                         + om * (w_neg + w_pos))
                 assert closed[i] == pytest.approx(per_bath[i], rel=1e-12,
                                                   abs=0.0)
-                assert closed[i] == pytest.approx(average, rel=1e-12)
+                assert closed[i] == pytest.approx(average, rel=rel, abs=0.0)
 
     def test_currents_balance_and_sign(self):
         res = gme_steady_state(with_k(WIDE_GAP, 0.1))
