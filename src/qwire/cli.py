@@ -1,8 +1,10 @@
 """Command-line front end: presets, config parsing, sweeps, CSV/JSON output.
 
 steady and validate format or check the row of a sweep of one point.
-Exit codes: 0 success, 1 invalid arguments or config, 2 solver failure,
-3 physicality-check failure.  Errors go to stderr as single-line JSON.
+Exit codes: 0 success, 1 invalid arguments or config (a parameter or grid
+point outside WireParams' domain too), 2 solver failure or a failed check
+other than physicality, 3 physicality-check failure.  Errors go to stderr
+as single-line JSON.
 steady and sweep report a failed method in their output and exit 0; only
 validate exits 2 or 3, and it prints its checks unless a solver failed.
 """
@@ -183,6 +185,8 @@ def resolve_scenario(args: argparse.Namespace, config: dict,
                        "(set them via flags, a config file or a scenario)")
     try:
         params = WireParams(**{k: float(values[k]) for k in _PARAM_KEYS})
+        for value in grid:  # every grid point must be a wire, too
+            dataclasses.replace(params, **{axis: value})
     except ValueError as exc:
         raise CliError(str(exc)) from None
     return Scenario(name=name, params=params, axis=axis, grid=tuple(grid))
@@ -211,9 +215,11 @@ def cmd_steady(args: argparse.Namespace) -> int:
         }
     doc = {"spec_version": SPEC_VERSION,
            "scenario": scenario.as_dict(),
-           "secular_margin": row.secular_margin,
-           "measured_node": args.measured_node,
-           "methods": methods}
+           "secular_margin": row.secular_margin}
+    if not math.isfinite(row.secular_margin):
+        doc["secular_margin_reason"] = ("infinite: the normal modes are "
+                                        "degenerate (zero splitting)")
+    doc.update(measured_node=args.measured_node, methods=methods)
     print(json.dumps(_strict(doc), allow_nan=False))
     return 0
 

@@ -5,9 +5,9 @@ correlation_deltas read the row of a sweep of one point (sweep_row).  A
 sweep solves its grid in process, in consecutive slices: the exact
 quadratures of a slice advance in lockstep rounds (exact_steady_states).
 Then all its states are measured as one gaussian.StateStack, so a sweep
-of any length takes the same few spectrum and measure calls.  A solver
-that fails, the exact one included, leaves NaN cells and a reason in its
-row; nothing raises past solve_all.  Rows are pure functions of a point.
+of any length takes the same few spectrum and measure calls.  No solver
+raises: a failed exact quadrature or a non-physical state leaves NaN
+cells and a reason in its row.  Rows are pure functions of a point.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .gme import gme_steady_state
 from .lme import lme_steady_state
 from .model import WireParams, secular_validity_margin
 from .redfield import redfield_steady_state
-from .results import SteadyStateResult, METHODS
+from .results import METHODS
 
 SWEEP_AXES = ("k", "t_c", "t_h", "omega_h", "lambda_sq")
 
@@ -60,23 +60,9 @@ class SweepRow:
         return self.results[-1].diagnostics.get("quadrature_error", math.nan)
 
 
-def solve_all(params: WireParams, exact=None) -> list:
-    """All four steady states, exact last.
-
-    A solver that fails leaves a SteadyStateResult.failed placeholder.
-    exact is the point's entry of exact_steady_states, if it has been
-    solved already.
-    """
-    out = []
-    for method in METHODS:
-        if method == "exact" and exact is not None:
-            out.append(exact)
-            continue
-        try:
-            out.append(_SOLVERS[method](params))
-        except Exception as exc:  # per-method capture, deliberate
-            out.append(SteadyStateResult.failed(method, exc))
-    return out
+def solve_all(params: WireParams) -> list:
+    """All four steady states, exact last."""
+    return [_SOLVERS[method](params) for method in METHODS]
 
 
 def _measures(states, partners, measured_node: str) -> dict:
@@ -157,7 +143,8 @@ def sweep(params: WireParams, axis: str, grid,
     results = []
     for start in range(0, len(grid), _SLICE):
         batch = points[start:start + _SLICE]
-        results += [solve_all(point, exact) for point, exact
+        results += [[_SOLVERS[method](point) for method in METHODS[:-1]]
+                    + [exact] for point, exact
                     in zip(batch, exact_steady_states(batch))]
     return [SweepRow(axis_value=value,
                      secular_margin=secular_validity_margin(point),

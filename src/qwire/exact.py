@@ -19,6 +19,9 @@ subintervals of every live point together, in kernel calls of at most
 _MAX_ROUND intervals.  Every operation on the nodes is elementwise and
 rounds each node alike at any array length, so a point gets the same
 bits in any batch; a single point is a batch of one.
+
+Nothing here raises on a WireParams: a quadrature that does not converge
+gives a result of NaNs with its reason and work in its diagnostics.
 """
 
 from __future__ import annotations
@@ -86,15 +89,6 @@ _REL_TOL = 1e-9
 _ABS_TOL = 1e-14
 _LIMIT = 2000
 _MAX_OMEGA_FACTOR = 100.0
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge to the requested tolerance.
-    diagnostics holds its quadrature_error, neval and subintervals."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 class _Kernel(NamedTuple):
@@ -308,7 +302,7 @@ def _replay(params: WireParams):
     """quad_vec's adaptive GK21 scheme for the live integrands of one point
     on [0, max_omega], as a generator: it yields the lists (a, b) of the
     intervals it needs, is sent their (integrals, errors, rounding
-    errors) from _gk21, and returns its _Quadrature.
+    errors) from _gk21, and yields its _Quadrature last.
 
     This is quad_vec(f, 0, max_omega, epsabs, epsrel, limit, points,
     norm="max", full_output=True) step for step: the same heap of
@@ -394,8 +388,8 @@ def _replay(params: WireParams):
             break
     values = np.zeros(len(_ELEMENTS))
     values[_LIVE] = total
-    return _Quadrature(values, global_error + rounding, status, neval,
-                       np.array([[a, b] for _, a, b in heap]))
+    yield _Quadrature(values, global_error + rounding, status, neval,
+                      np.array([[a, b] for _, a, b in heap]))
 
 
 def _integrate_batch(points: list) -> list:
@@ -408,29 +402,15 @@ def _integrate_batch(points: list) -> list:
     """
     kernel = _Kernel.of(points)
     replays = [_replay(p) for p in points]
-    requests = [(i, *next(replay)) for i, replay in enumerate(replays)]
-    out = [None] * len(points)
-    while requests:
-        asked = []
-        for (i, _, _), result in zip(requests, _evaluate(kernel, requests)):
-            try:
-                asked.append((i, *replays[i].send(result)))
-            except StopIteration as done:
-                out[i] = done.value
-        requests = asked
-    return out
-
-
-def _covariance(quad: _Quadrature) -> np.ndarray:
-    """The stationary covariance matrix of a converged quadrature."""
-    if not quad.success:
-        raise QuadratureError(
-            "covariance quadrature did not converge; "
-            f"error estimate {quad.error:.3g}", quad.work)
-    gamma = np.zeros((4, 4))
-    for (i, j), v in zip(_ELEMENTS, quad.values):
-        gamma[i, j] = gamma[j, i] = v
-    return gamma
+    # a replay's last step is its _Quadrature, every other one a request
+    steps = [next(replay) for replay in replays]
+    live = list(range(len(points)))
+    while live:
+        requests = [(i, *steps[i]) for i in live]
+        for i, result in zip(live, _evaluate(kernel, requests)):
+            steps[i] = replays[i].send(result)
+        live = [i for i in live if not isinstance(steps[i], _Quadrature)]
+    return steps
 
 
 def exact_heat_current(gamma: np.ndarray, k: float) -> tuple:
@@ -446,29 +426,29 @@ def exact_heat_current(gamma: np.ndarray, k: float) -> tuple:
 
 
 def _steady_state(params: WireParams, quad: _Quadrature) -> SteadyStateResult:
-    gamma = _covariance(quad)
-    return SteadyStateResult(
-        method="exact",
-        covariance=gamma,
-        heat_currents=exact_heat_current(gamma, params.k),
-        diagnostics=quad.work,
-    )
+    """The result of one point's quadrature: where it did not converge,
+    a NaN covariance and currents, the reason in diagnostics["error"]."""
+    gamma = np.full((4, 4), math.nan)
+    diagnostics = quad.work
+    if quad.success:
+        for (i, j), v in zip(_ELEMENTS, quad.values):
+            gamma[i, j] = gamma[j, i] = v
+    else:
+        diagnostics = {"error": "QuadratureError: covariance quadrature did "
+                       f"not converge; error estimate {quad.error:.3g}",
+                       **diagnostics}
+    return SteadyStateResult("exact", gamma,
+                             exact_heat_current(gamma, params.k), diagnostics)
 
 
 def exact_steady_state(params: WireParams) -> SteadyStateResult:
-    """Exact non-equilibrium steady state (ground truth for this model)."""
+    """Exact non-equilibrium steady state (ground truth for this model);
+    it never raises (see _steady_state)."""
     return _steady_state(params, _integrate_batch([params])[0])
 
 
 def exact_steady_states(points: list) -> list:
-    """exact_steady_state of every point, their quadratures run in
-    lockstep (see _integrate_batch).  Where a quadrature fails, the list
-    holds SteadyStateResult.failed for the QuadratureError that
-    exact_steady_state raises there, with the error's diagnostics."""
-    out = []
-    for params, quad in zip(points, _integrate_batch(points)):
-        try:
-            out.append(_steady_state(params, quad))
-        except QuadratureError as exc:
-            out.append(SteadyStateResult.failed("exact", exc))
-    return out
+    """exact_steady_state of every point, bit for bit, their quadratures
+    run in lockstep (see _integrate_batch)."""
+    return [_steady_state(params, quad)
+            for params, quad in zip(points, _integrate_batch(points))]

@@ -12,16 +12,30 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+#: WireParams' domain: the ranges of each node frequency and of lambda_sq,
+#: and the largest k / omega_min^2, cutoff / omega_min and T / omega_min.
+#: Beyond, a solver raises or every method is NaN without a reason:
+#: omega^2 under- or overflows, the exact set-up or the Redfield solver
+#: overflows, or the local solver divides by zero
+FREQUENCY_RANGE = (1e-8, 1e8)
+LAMBDA_SQ_RANGE = (1e-12, 1e100)
+MAX_RATIO = 1e8
+
 
 @dataclass(frozen=True)
 class WireParams:
     """Full configuration of the wire + baths.
 
-    omega_c, omega_h : bare node frequencies (> 0)
+    omega_c, omega_h : bare node frequencies, in FREQUENCY_RANGE
     k                : inter-node coupling strength (>= 0, frequency^2)
     t_c, t_h         : bath temperatures (> 0)
-    lambda_sq        : dissipation strength lambda^2 (> 0)
-    cutoff           : high-frequency cutoff of the Ohmic spectral density
+    lambda_sq        : dissipation strength lambda^2, in LAMBDA_SQ_RANGE
+    cutoff           : high-frequency cutoff of the Ohmic spectral density,
+                       above both node frequencies
+
+    k / omega_min^2, cutoff / omega_min and T / omega_min are at most
+    MAX_RATIO.  A value outside this domain raises ValueError naming the
+    bound and the value given.
     """
 
     omega_c: float
@@ -37,16 +51,27 @@ class WireParams:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.omega_c <= 0 or self.omega_h <= 0:
-            raise ValueError("node frequencies must be positive")
         if self.k < 0:
             raise ValueError("coupling k must be non-negative")
         if self.t_c <= 0 or self.t_h <= 0:
             raise ValueError("bath temperatures must be positive")
-        if self.lambda_sq <= 0:
-            raise ValueError("dissipation strength lambda_sq must be positive")
+        for name, (lo, hi) in (("omega_c", FREQUENCY_RANGE),
+                               ("omega_h", FREQUENCY_RANGE),
+                               ("lambda_sq", LAMBDA_SQ_RANGE)):
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ValueError(f"{name} must be in [{lo:g}, {hi:g}], "
+                                 f"got {value!r}")
         if self.cutoff <= max(self.omega_c, self.omega_h):
             raise ValueError("cutoff must exceed both node frequencies")
+        omega_min = min(self.omega_c, self.omega_h)
+        for name, ratio in (("k / omega_min^2", self.k / omega_min**2),
+                            ("cutoff / omega_min", self.cutoff / omega_min),
+                            ("t_c / omega_min", self.t_c / omega_min),
+                            ("t_h / omega_min", self.t_h / omega_min)):
+            if ratio > MAX_RATIO:
+                raise ValueError(f"{name} must be at most {MAX_RATIO:g}, "
+                                 f"got {ratio!r}")
 
     def temperature(self, node: str) -> float:
         if node == "c":

@@ -1,8 +1,11 @@
-"""Common result container shared by the four steady-state solvers."""
+"""Common result container shared by the four steady-state solvers.
+
+No solver raises on a WireParams: a failure is a value.  The one solver
+that can fail on valid input, the exact quadrature, returns NaNs with the
+reason in diagnostics["error"]."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +22,7 @@ class SteadyStateResult:
     heat_currents : incoming currents (Qdot_c, Qdot_h); they sum to zero
     diagnostics   : solver-specific figures of merit (quadrature error
                     estimate or linear-solve residual); "error" holds the
-                    reason of a solver that failed
+                    reason of a failed solve, whose numbers are NaN
     """
 
     method: str
@@ -30,16 +33,6 @@ class SteadyStateResult:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-
-    @classmethod
-    def failed(cls, method: str, exc: Exception) -> "SteadyStateResult":
-        """Placeholder for a solver that raised exc: NaN covariance and
-        currents, the reason in diagnostics["error"], and the diagnostics
-        that exc carries, if any (see exact.QuadratureError)."""
-        return cls(method=method, covariance=np.full((4, 4), np.nan),
-                   heat_currents=(math.nan, math.nan),
-                   diagnostics={"error": f"{type(exc).__name__}: {exc}",
-                                **getattr(exc, "diagnostics", {})})
 
     @property
     def qdot_c(self) -> float:

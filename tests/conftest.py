@@ -7,7 +7,9 @@ import pathlib
 
 import pytest
 
-from qwire import WireParams, gaussian
+import numpy as np
+
+from qwire import SteadyStateResult, WireParams, gaussian
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -29,6 +31,15 @@ NARROW_CUTOFF = WireParams(omega_c=1.0, omega_h=2.0, k=0.01, t_c=0.1,
 
 def with_k(params: WireParams, k: float) -> WireParams:
     return dataclasses.replace(params, k=k)
+
+
+def failed_result(method: str) -> SteadyStateResult:
+    """The result a solver returns where it fails: NaN covariance and
+    currents, and its reason."""
+    return SteadyStateResult(method=method,
+                             covariance=np.full((4, 4), math.nan),
+                             heat_currents=(math.nan, math.nan),
+                             diagnostics={"error": "synthetic failure"})
 
 
 def count_spectra(monkeypatch) -> list:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -13,7 +14,11 @@ from qwire import (METHODS, WireParams, cli, compare,
                    exact_steady_states)
 from qwire.cli import (CSV_COLUMNS, PRESETS, main, parse_log_grid,
                        load_config, CliError)
-from conftest import NARROW_CUTOFF, count_spectra
+from conftest import (NARROW_CUTOFF, NEAR_DEGENERATE, RESONANT_STRONG,
+                      WIDE_GAP, count_spectra, failed_result)
+
+POINTS = (pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data"
+          / "points.json")
 
 
 def run(capsys, *argv):
@@ -30,9 +35,8 @@ def strict_json(text: str):
 
 
 def fail_local_solver(monkeypatch):
-    def broken(params):
-        raise RuntimeError("synthetic failure")
-    monkeypatch.setitem(compare._SOLVERS, "local", broken)
+    monkeypatch.setitem(compare._SOLVERS, "local",
+                        lambda params: failed_result("local"))
 
 
 def non_physical(result):
@@ -256,6 +260,21 @@ class TestSteady:
             assert entry["diagnostics"]["error"].startswith(
                 "NonPhysicalStateError: exact state: ")
 
+    @pytest.mark.parametrize("omega_h, reason", [
+        ("1", "infinite: the normal modes are degenerate (zero splitting)"),
+        ("2", None)], ids=["resonant", "detuned"])
+    def test_secular_margin_reason(self, capsys, omega_h, reason):
+        """An infinite margin prints as null with its reason; a finite one
+        has no reason key."""
+        code, out, _ = run(capsys, "steady", "--omega-c", "1",
+                           "--omega-h", omega_h, "--k", "0", "--t-c", "0.1",
+                           "--t-h", "0.15", "--lambda-sq", "1e-3",
+                           "--cutoff", "50")
+        assert code == 0
+        doc = strict_json(out)
+        assert doc.get("secular_margin_reason") == reason
+        assert (doc["secular_margin"] is None) == (reason is not None)
+
     def test_failed_exact_point_keeps_its_diagnostics(self, capsys):
         """A lone point whose exact quadrature fails reports its error
         estimate and work, as the same point in a sweep does, and the
@@ -352,6 +371,19 @@ class TestSweepCommand:
                            "1e-3", "--cutoff", "1e3")
         assert code == 1
         assert "grid" in json.loads(err.strip().splitlines()[-1])["message"]
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0.5:1e4:3", "cutoff must exceed both node frequencies"),
+        ("1e-9:1:2", "omega_h must be in [1e-08, 1e+08], got 1e-09")])
+    def test_rejected_grid_point_is_exit_1(self, capsys, grid, message):
+        """A grid point outside WireParams' domain is an invalid argument:
+        one JSON line, before any point is solved."""
+        code, out, err = run(capsys, "sweep", "--scenario", "fig1a",
+                             "--k", "0.01", "--axis", "omega_h",
+                             "--log-grid", grid)
+        assert (code, out) == (1, "")
+        assert [strict_json(line) for line in err.splitlines()] == [
+            {"error": "invalid_arguments", "message": message}]
 
     def test_method_errors_go_to_stderr(self, tmp_path, capsys,
                                         monkeypatch):
@@ -480,3 +512,71 @@ class TestValidate:
                            *overrides)
         assert code == 0
         assert all(check["passed"] for check in json.loads(out)["checks"])
+
+
+#: inputs on which, without WireParams' bounds, a solver raises or every
+#: method is NaN with no reason, and the bound that rejects each: the node
+#: frequencies and every other input scaled to 1e-200 (omega^2 underflows)
+#: or 1e150 (it overflows), k, the cutoff, a temperature and lambda_sq
+#: beyond their bounds (the exact set-up overflows, all four methods are
+#: NaN, the local solver divides by zero, the Redfield solver overflows)
+_BASE = dict(omega_c=1.0, omega_h=2.0, k=0.1, t_c=1.0, t_h=2.0,
+             lambda_sq=1e-3, cutoff=10.0)
+FAILING_INPUTS = {
+    "scaled 1e-200": (dict(omega_c=1e-200, omega_h=2e-200, k=0.0,
+                           t_c=1e-200, t_h=2e-200, lambda_sq=1e-3,
+                           cutoff=1e-199),
+                      "omega_c must be in [1e-08, 1e+08], got 1e-200"),
+    "scaled 1e150": (dict(omega_c=1e150, omega_h=2e150, k=1e299,
+                          t_c=1e150, t_h=2e150, lambda_sq=1e-3,
+                          cutoff=1e151),
+                     "omega_c must be in [1e-08, 1e+08], got 1e+150"),
+    "omega 1e-200": (dict(_BASE, omega_c=1e-200, omega_h=2e-200, k=0.0,
+                          cutoff=1.0),
+                     "omega_c must be in [1e-08, 1e+08], got 1e-200"),
+    "k 1e200": (dict(_BASE, k=1e200),
+                "k / omega_min^2 must be at most 1e+08, got 1e+200"),
+    "cutoff 1e200": (dict(_BASE, cutoff=1e200),
+                     "cutoff / omega_min must be at most 1e+08, got 1e+200"),
+    "cutoff 1e300": (dict(_BASE, cutoff=1e300),
+                     "cutoff / omega_min must be at most 1e+08, got 1e+300"),
+    "t_h 1e300": (dict(_BASE, t_h=1e300),
+                  "t_h / omega_min must be at most 1e+08, got 1e+300"),
+    "lambda_sq 1e-300": (dict(_BASE, lambda_sq=1e-300),
+                         "lambda_sq must be in [1e-12, 1e+100], "
+                         "got 1e-300"),
+    "lambda_sq 1e200": (dict(_BASE, lambda_sq=1e200),
+                        "lambda_sq must be in [1e-12, 1e+100], got 1e+200"),
+}
+
+
+class TestDomainContract:
+    @pytest.mark.parametrize("name", FAILING_INPUTS)
+    def test_failing_input_is_rejected_with_its_bound(self, capsys, name):
+        """WireParams names the bound; `qwire steady` exits 1 with it as
+        one strict-JSON line."""
+        values, message = FAILING_INPUTS[name]
+        with pytest.raises(ValueError) as rejected:
+            WireParams(**values)
+        assert str(rejected.value) == message
+        flags = [f"--{key.replace('_', '-')}={value!r}"
+                 for key, value in values.items()]
+        code, out, err = run(capsys, "steady", *flags)
+        assert (code, out) == (1, "")
+        assert [strict_json(line) for line in err.splitlines()] == [
+            {"error": "invalid_arguments", "message": message}]
+
+    def test_inputs_in_use_are_accepted(self):
+        """The benchmark pool, every preset's default grid and the test
+        points all construct."""
+        points = json.loads(POINTS.read_text())["points"]
+        assert len(points) == 306
+        for point in points:
+            WireParams(**point["params"])
+        for preset in PRESETS.values():
+            values = {k: v for k, v in preset.items() if k != "grid"}
+            for k in parse_log_grid("{}:{}:60".format(*preset["grid"])):
+                WireParams(k=k, **values)
+        for params in (WIDE_GAP, NEAR_DEGENERATE, RESONANT_STRONG,
+                       NARROW_CUTOFF):
+            assert WireParams(**dataclasses.asdict(params)) == params

@@ -13,8 +13,8 @@ from scipy.integrate import quad
 from qwire import (WireParams, exact_heat_current, exact_steady_state,
                    exact_steady_states, redfield_steady_state,
                    spectral_density)
-from qwire.exact import (QuadratureError, _Kernel, _breakpoints, _chi,
-                         _integrand_matrix, _integrate_batch)
+from qwire.exact import (_Kernel, _breakpoints, _chi, _integrand_matrix,
+                         _integrate_batch)
 from qwire import exact, gaussian
 from check_exact_pool import pool_mismatches
 from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
@@ -271,8 +271,8 @@ class TestBatchedQuadrature:
         override_constants(monkeypatch, spec_name)
         quad = assert_replays_quad_vec(params)
         assert not quad.success
-        with pytest.raises(QuadratureError, match="did not converge"):
-            exact_steady_state(params)
+        assert "did not converge" in \
+            exact_steady_state(params).diagnostics["error"]
 
     @pytest.mark.parametrize("spec_name", ["default",
                                            *NON_CONVERGENCE_SPECS])
