@@ -217,8 +217,8 @@ def cmd_steady(args: argparse.Namespace) -> int:
            "scenario": scenario.as_dict(),
            "secular_margin": row.secular_margin}
     if not math.isfinite(row.secular_margin):
-        doc["secular_margin_reason"] = ("infinite: the normal modes are "
-                                        "degenerate (zero splitting)")
+        doc["secular_margin_reason"] = ("infinite: splitting zero or "
+                                        "negligible against lambda_sq")
     doc.update(measured_node=args.measured_node, methods=methods)
     print(json.dumps(_strict(doc), allow_nan=False))
     return 0

@@ -211,6 +211,9 @@ def _breakpoints(params: WireParams, max_omega: float) -> list:
     return sorted(p for p in pts if 0.0 < p < max_omega)
 
 
+# w / 2T overflows far above a bath temperature (tanh(inf) = 1 is right);
+# any other float fault fails the point, its error estimate inf or nan
+@np.errstate(all="ignore")
 def _gk21(a: np.ndarray, b: np.ndarray, kernel: _Kernel, owner) -> tuple:
     """GK21 integrals of the live integrands over n intervals [a, b].
 

@@ -12,13 +12,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-#: WireParams' domain: the ranges of each node frequency and of lambda_sq,
-#: and the largest k / omega_min^2, cutoff / omega_min and T / omega_min.
-#: Beyond, a solver raises or every method is NaN without a reason:
-#: omega^2 under- or overflows, the exact set-up or the Redfield solver
-#: overflows, or the local solver divides by zero
+#: WireParams' domain.  Beyond a bound a solver raised or every method was
+#: NaN with no reason: omega^2 under- or overflowed, exact or Redfield
+#: overflowed, Omega_-^2 rounded to 0 or the local moment matrix was singular
 FREQUENCY_RANGE = (1e-8, 1e8)
-LAMBDA_SQ_RANGE = (1e-12, 1e100)
+MAX_LAMBDA_SQ = 1e100
 MAX_RATIO = 1e8
 
 
@@ -29,13 +27,13 @@ class WireParams:
     omega_c, omega_h : bare node frequencies, in FREQUENCY_RANGE
     k                : inter-node coupling strength (>= 0, frequency^2)
     t_c, t_h         : bath temperatures (> 0)
-    lambda_sq        : dissipation strength lambda^2, in LAMBDA_SQ_RANGE
+    lambda_sq        : dissipation strength lambda^2, <= MAX_LAMBDA_SQ
     cutoff           : high-frequency cutoff of the Ohmic spectral density,
                        above both node frequencies
 
-    k / omega_min^2, cutoff / omega_min and T / omega_min are at most
-    MAX_RATIO.  A value outside this domain raises ValueError naming the
-    bound and the value given.
+    omega_max^2 / omega_min^2, k / omega_min^2, cutoff / omega_min,
+    T / omega_min and omega_max / lambda_sq are at most MAX_RATIO; a value
+    outside this domain raises ValueError naming the bound and the value.
     """
 
     omega_c: float
@@ -55,17 +53,19 @@ class WireParams:
             raise ValueError("coupling k must be non-negative")
         if self.t_c <= 0 or self.t_h <= 0:
             raise ValueError("bath temperatures must be positive")
-        for name, (lo, hi) in (("omega_c", FREQUENCY_RANGE),
-                               ("omega_h", FREQUENCY_RANGE),
-                               ("lambda_sq", LAMBDA_SQ_RANGE)):
+        omega_min, omega_max = sorted((self.omega_c, self.omega_h))
+        for name, (lo, hi) in (
+                ("omega_c", FREQUENCY_RANGE), ("omega_h", FREQUENCY_RANGE),
+                ("lambda_sq", (omega_max / MAX_RATIO, MAX_LAMBDA_SQ))):
             value = getattr(self, name)
             if not lo <= value <= hi:
                 raise ValueError(f"{name} must be in [{lo:g}, {hi:g}], "
                                  f"got {value!r}")
-        if self.cutoff <= max(self.omega_c, self.omega_h):
+        if self.cutoff <= omega_max:
             raise ValueError("cutoff must exceed both node frequencies")
-        omega_min = min(self.omega_c, self.omega_h)
-        for name, ratio in (("k / omega_min^2", self.k / omega_min**2),
+        for name, ratio in (("omega_max^2 / omega_min^2",
+                             omega_max**2 / omega_min**2),
+                            ("k / omega_min^2", self.k / omega_min**2),
                             ("cutoff / omega_min", self.cutoff / omega_min),
                             ("t_c / omega_min", self.t_c / omega_min),
                             ("t_h / omega_min", self.t_h / omega_min)):

@@ -1,8 +1,7 @@
 """Common result container shared by the four steady-state solvers.
 
-No solver raises on a WireParams: a failure is a value.  The one solver
-that can fail on valid input, the exact quadrature, returns NaNs with the
-reason in diagnostics["error"]."""
+No solver raises on a WireParams: a failed solve, of which only the exact
+quadrature has any, is NaNs with the reason in diagnostics["error"]."""
 
 from __future__ import annotations
 

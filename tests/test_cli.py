@@ -179,6 +179,9 @@ class TestLogGrid:
                 parse_log_grid(bad)
 
 
+INFINITE_MARGIN = "infinite: splitting zero or negligible against lambda_sq"
+
+
 class TestSteady:
     def test_equilibrium_decoupled(self, capsys):
         code, out, _ = run(capsys, "steady", "--omega-c", "1",
@@ -260,15 +263,18 @@ class TestSteady:
             assert entry["diagnostics"]["error"].startswith(
                 "NonPhysicalStateError: exact state: ")
 
-    @pytest.mark.parametrize("omega_h, reason", [
-        ("1", "infinite: the normal modes are degenerate (zero splitting)"),
-        ("2", None)], ids=["resonant", "detuned"])
-    def test_secular_margin_reason(self, capsys, omega_h, reason):
+    @pytest.mark.parametrize("omega_h, k, lambda_sq, reason", [
+        ("1", "0", "1e-3", INFINITE_MARGIN),
+        # lambda_sq / gap overflows although the splitting is 2e-250
+        ("1", "1e-250", "1e100", INFINITE_MARGIN),
+        ("2", "0", "1e-3", None)], ids=["resonant", "overflow", "detuned"])
+    def test_secular_margin_reason(self, capsys, omega_h, k, lambda_sq,
+                                   reason):
         """An infinite margin prints as null with its reason; a finite one
         has no reason key."""
         code, out, _ = run(capsys, "steady", "--omega-c", "1",
-                           "--omega-h", omega_h, "--k", "0", "--t-c", "0.1",
-                           "--t-h", "0.15", "--lambda-sq", "1e-3",
+                           "--omega-h", omega_h, "--k", k, "--t-c", "0.1",
+                           "--t-h", "0.15", "--lambda-sq", lambda_sq,
                            "--cutoff", "50")
         assert code == 0
         doc = strict_json(out)
@@ -543,10 +549,23 @@ FAILING_INPUTS = {
     "t_h 1e300": (dict(_BASE, t_h=1e300),
                   "t_h / omega_min must be at most 1e+08, got 1e+300"),
     "lambda_sq 1e-300": (dict(_BASE, lambda_sq=1e-300),
-                         "lambda_sq must be in [1e-12, 1e+100], "
-                         "got 1e-300"),
+                         "lambda_sq must be in [2e-08, 1e+100], got 1e-300"),
+    # omega_max / lambda_sq = 5.4e15: the damping is lost against the
+    # frequency in the local moment matrix, which turns singular
+    "lambda_sq below omega_max / 1e8": (
+        dict(omega_c=22191.255502176922, omega_h=22191.255502176922, k=0.0,
+             t_c=22191.255502176922, t_h=22191.255502176922,
+             lambda_sq=4.099833510632314e-12, cutoff=22191.255524368178),
+        "lambda_sq must be in [0.000221913, 1e+100], "
+        "got 4.099833510632314e-12"),
     "lambda_sq 1e200": (dict(_BASE, lambda_sq=1e200),
-                        "lambda_sq must be in [1e-12, 1e+100], got 1e+200"),
+                        "lambda_sq must be in [2e-08, 1e+100], got 1e+200"),
+    # omega_c^2 is under half an ulp of omega_h^2, so Omega_-^2 rounds to 0
+    "omega spread 9.6e7": (dict(omega_c=1.0417e-8, omega_h=1.0000001,
+                                k=0.0, t_c=1.0, t_h=1.0, lambda_sq=1e-3,
+                                cutoff=1.0000002),
+                           "omega_max^2 / omega_min^2 must be at most "
+                           "1e+08, got 9215412047392478.0"),
 }
 
 

@@ -14,7 +14,7 @@ from qwire import (METHODS, SteadyStateResult, WireParams,
 from qwire import compare, exact, gaussian
 from qwire.compare import (METRIC_KEYS, _SLICE, _SOLVERS, correlation_report,
                            sweep_row)
-from qwire.model import FREQUENCY_RANGE, LAMBDA_SQ_RANGE, MAX_RATIO
+from qwire.model import FREQUENCY_RANGE, MAX_LAMBDA_SQ, MAX_RATIO
 from conftest import (NARROW_CUTOFF, NEAR_DEGENERATE, RESONANT_STRONG,
                       WIDE_GAP, count_spectra, failed_result, with_k)
 
@@ -278,13 +278,15 @@ def _log_edges(lo: float, hi: float):
 def accepted_points(draw) -> WireParams:
     """Anywhere in WireParams' domain, up to its bounds: omega_min over
     FREQUENCY_RANGE, cutoff / omega_min up to MAX_RATIO, omega_max from
-    omega_min (resonant) to just below the cutoff, k / omega_min^2 zero
-    or up to MAX_RATIO, T / omega_min from 1e-300 up to MAX_RATIO and
-    lambda_sq over LAMBDA_SQ_RANGE."""
+    omega_min (resonant) to just below the cutoff or omega_max^2 /
+    omega_min^2 = MAX_RATIO, k / omega_min^2 zero or up to MAX_RATIO,
+    T / omega_min from 1e-300 up to MAX_RATIO and lambda_sq from
+    omega_max / MAX_RATIO up to MAX_LAMBDA_SQ."""
     omega_min = draw(_log_edges(*FREQUENCY_RANGE))
     cutoff = omega_min * draw(_log_edges(1.0 + 1e-9, MAX_RATIO * _EDGE))
     omega_max = min(omega_min * draw(_log_edges(
-        1.0, cutoff / omega_min / (1.0 + 1e-9))), FREQUENCY_RANGE[1])
+        1.0, min(cutoff / omega_min / (1.0 + 1e-9),
+                 math.sqrt(MAX_RATIO) * _EDGE))), FREQUENCY_RANGE[1])
     omegas = (omega_min, omega_max)
     omega_c, omega_h = draw(st.sampled_from([omegas, omegas[::-1]]))
     k = draw(st.one_of(st.just(0.0), _log_edges(1e-20, MAX_RATIO * _EDGE)))
@@ -292,7 +294,8 @@ def accepted_points(draw) -> WireParams:
                 for _ in range(2))
     return WireParams(omega_c=omega_c, omega_h=omega_h,
                       k=k * omega_min**2, t_c=t_c, t_h=t_h,
-                      lambda_sq=draw(_log_edges(*LAMBDA_SQ_RANGE)),
+                      lambda_sq=draw(_log_edges(
+                          omega_max / (MAX_RATIO * _EDGE), MAX_LAMBDA_SQ)),
                       cutoff=cutoff)
 
 
@@ -316,13 +319,16 @@ class TestDomain:
     @seed(7)
     @settings(max_examples=100, deadline=None)
     @given(accepted_points())
+    # the widest spread, with omega_max^2 just above a power of two
+    @example(WireParams(omega_c=1.0000001e-4 * (1.0 + 1e-12),
+                        omega_h=1.0000001, k=0.0, t_c=1.0, t_h=1.0,
+                        lambda_sq=1e-3, cutoff=1.0000002))
     def test_up_to_the_bounds(self, params):
         """The same anywhere WireParams accepts, with no capture left in
-        the library: the bounds keep out every input that would raise."""
+        the library: the bounds keep out every input that would raise.  No
+        numpy warning reaches stderr either."""
         with warnings.catch_warnings():
-            # far below the node frequencies, w / 2T in the exact integrand
-            # overflows to inf, and tanh(inf) = 1 is the right limit
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             assert_nans_have_reasons(params)
 
 
