@@ -12,6 +12,7 @@ validate exits 2 or 3, and it prints its checks unless a solver failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -227,28 +228,29 @@ def cmd_steady(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(args, load_config(args.config),
                                 need_grid=True)
-    _echo_scenario(scenario)
-    rows = sweep(scenario.params, scenario.axis, scenario.grid,
-                 measured_node=args.measured_node)
-    for row in rows:
-        for method, message in row.errors.items():
-            print(json.dumps({"warning": "method_failed",
-                              "axis_value": row.axis_value,
-                              "method": method, "message": message},
-                             allow_nan=False), file=sys.stderr)
-    lines = [",".join([scenario.axis] + CSV_COLUMNS[1:])]
-    for row in rows:
-        cells = [_fmt(row.axis_value), _fmt(row.secular_margin)]
-        for method in METHODS:
-            cells += [_fmt(row.metrics[method][key]) for key in METRIC_KEYS]
-        cells.append(_fmt(row.exact_quad_error))
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    try:  # before any solving, so that an unwritable path fails at once
+        out = (contextlib.nullcontext(sys.stdout) if args.output == "-" else
+               open(args.output, "w", encoding="utf-8", newline=""))
+    except OSError as exc:
+        raise CliError(f"cannot write {args.output!r}: {exc}") from None
+    with out as fh:
+        _echo_scenario(scenario)
+        rows = sweep(scenario.params, scenario.axis, scenario.grid,
+                     measured_node=args.measured_node)
+        for row in rows:
+            for method, message in row.errors.items():
+                print(json.dumps({"warning": "method_failed",
+                                  "axis_value": row.axis_value,
+                                  "method": method, "message": message},
+                                 allow_nan=False), file=sys.stderr)
+        lines = [",".join([scenario.axis] + CSV_COLUMNS[1:])]
+        for row in rows:
+            cells = [_fmt(row.axis_value), _fmt(row.secular_margin)]
+            cells += [_fmt(row.metrics[method][key])
+                      for method in METHODS for key in METRIC_KEYS]
+            cells.append(_fmt(row.exact_quad_error))
+            lines.append(",".join(cells))
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 

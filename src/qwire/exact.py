@@ -247,7 +247,8 @@ def _gk21(a: np.ndarray, b: np.ndarray, kernel: _Kernel, owner) -> tuple:
     err, dabs, rounding = np.abs(bounds, out=bounds).max(axis=1).tolist()
     for i, (e, d, r) in enumerate(zip(err, dabs, rounding)):
         if d != 0 and e != 0:
-            e = d * min(1.0, (200 * e / d)**1.5)
+            # min first: (200 e / d)**1.5 overflows for d tiny against e
+            e = d * min(1.0, 200 * e / d)**1.5
         if r > sys.float_info.min:
             e = max(e, r)
         err[i] = e

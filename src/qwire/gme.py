@@ -130,7 +130,7 @@ def gme_steady_state(params: WireParams) -> SteadyStateResult:
     m, c = moment_equations(*gme_drift_diffusion(coeffs))
     y = moments(gamma_nm)
     residual = np.max(np.abs(m @ y + c)) / np.max(np.abs(y))
-    rot = rotation_matrix(coeffs.modes.theta)
+    rot = rotation_matrix(coeffs.modes)
     return SteadyStateResult(
         method="global",
         covariance=rot @ gamma_nm @ rot.T,

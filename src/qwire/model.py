@@ -88,15 +88,14 @@ class WireParams:
 
 @dataclass(frozen=True)
 class NormalModes:
-    """Mixing angle and frequencies of the two normal modes.
+    """Mixing weights and frequencies of the two normal modes.
 
-    theta is the principal value in [0, pi/2]; omega_plus >= omega_minus.
-    cos_sq, sin_sq and sin_cos are cos^2, sin^2 and sin cos of theta,
-    formed without subtraction, so they keep their relative accuracy
-    where theta rounds to 0 or pi/2.  splitting = Omega_+^2 - Omega_-^2.
+    omega_plus >= omega_minus.  cos_sq, sin_sq and sin_cos are cos^2, sin^2
+    and sin cos of the mixing angle in [0, pi/2], formed without
+    subtraction, so they keep their relative accuracy where the angle
+    nears 0 or pi/2.  splitting = Omega_+^2 - Omega_-^2.
     """
 
-    theta: float
     omega_plus: float
     omega_minus: float
     cos_sq: float
@@ -114,8 +113,7 @@ def normal_modes(params: WireParams) -> NormalModes:
     cancel (sin^2 likewise for d < 0), sin cos = k / root and
     Omega_pm^2 = (omega_c^2 + omega_h^2 + 2k +- root) / 2.
 
-    The doubly degenerate point k = 0, d = 0 returns theta = pi/4
-    (continuous resonant limit).
+    k = 0, d = 0 returns equal weights (the continuous resonant limit).
     """
     k = params.k
     d = params.omega_h**2 - params.omega_c**2
@@ -127,13 +125,11 @@ def normal_modes(params: WireParams) -> NormalModes:
         small = 2.0 * sin_cos * k / (root + abs(d))
         large = (root + abs(d)) / (2.0 * root)
         cos2, sin2 = (small, large) if d > 0 else (large, small)
-    theta = math.atan2(math.sqrt(sin2), math.sqrt(cos2))
     tr = params.omega_c**2 + params.omega_h**2 + 2.0 * k
     om_p = math.sqrt(0.5 * (tr + root))
     om_m = math.sqrt(0.5 * (tr - root))
-    return NormalModes(theta=theta, omega_plus=om_p, omega_minus=om_m,
-                       cos_sq=cos2, sin_sq=sin2, sin_cos=sin_cos,
-                       splitting=root)
+    return NormalModes(omega_plus=om_p, omega_minus=om_m, cos_sq=cos2,
+                       sin_sq=sin2, sin_cos=sin_cos, splitting=root)
 
 
 def spectral_density(omega, params: WireParams):
@@ -172,14 +168,14 @@ def secular_validity_margin(params: WireParams) -> float:
     return params.lambda_sq / gap
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
+def rotation_matrix(modes: NormalModes) -> np.ndarray:
     """Orthogonal map from normal-mode quadratures to local ones.
 
-    Maps (eta_+, Pi_+, eta_-, Pi_-) to (X_c, P_c, X_h, P_h):
-    X_c = cos(t) eta_+ + sin(t) eta_-,  X_h = -sin(t) eta_+ + cos(t) eta_-,
-    and identically for the momenta.
+    Maps (eta_+, Pi_+, eta_-, Pi_-) to (X_c, P_c, X_h, P_h): with
+    c = sqrt(cos_sq) and s = sqrt(sin_sq), X_c = c eta_+ + s eta_-,
+    X_h = -s eta_+ + c eta_-, and identically for the momenta.
     """
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = math.sqrt(modes.cos_sq), math.sqrt(modes.sin_sq)
     return np.array([
         [c, 0.0, s, 0.0],
         [0.0, c, 0.0, s],

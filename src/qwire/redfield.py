@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 
 from .model import WireParams, rotation_matrix
-from .gme import gme_coefficients, gme_normal_mode_covariance, thermal_bias
+from .gme import (gme_coefficients, gme_heat_currents,
+                  gme_normal_mode_covariance, thermal_bias)
 from .results import SteadyStateResult
 
 
@@ -42,8 +43,7 @@ def redfield_steady_state(params: WireParams) -> SteadyStateResult:
     kappa = -0.5 * sum(rates)
     # Omega_+ - Omega_- = (Omega_+^2 - Omega_-^2) / (Omega_+ + Omega_-)
     delta = modes.splitting / (om_p + om_m)
-    bias = thermal_bias(coeffs)
-    b4 = -modes.sin_cos * bias / math.sqrt(om_p * om_m)
+    b4 = -modes.sin_cos * thermal_bias(coeffs) / math.sqrt(om_p * om_m)
     norm = delta**2 + kappa**2
     d_pm, s_pm = -delta * b4 / norm, -kappa * b4 / norm
 
@@ -62,10 +62,10 @@ def redfield_steady_state(params: WireParams) -> SteadyStateResult:
     g_nm[0, 3] = g_nm[3, 0] = 0.5 * math.sqrt(om_p / om_m) * d_pm
     g_nm[1, 2] = g_nm[2, 1] = -0.5 * math.sqrt(om_m / om_p) * d_pm
     g_nm[1, 3] = g_nm[3, 1] = 0.5 * math.sqrt(om_p * om_m) * s_pm
-    rot = rotation_matrix(modes.theta)
-    # the global current sin^2 cos^2 * bias (gme_heat_currents), scaled by
-    # a ratio <= 1 so that 0 <= Qdot_h <= global also holds in floats
-    qdot_h = modes.sin_cos**2 * bias * (delta**2 / norm)
+    rot = rotation_matrix(modes)
+    # the global current scaled by a ratio <= 1, so that
+    # 0 <= Qdot_h <= global also holds in floats
+    qdot_h = gme_heat_currents(params, coeffs)[1] * (delta**2 / norm)
     return SteadyStateResult(
         method="redfield",
         covariance=rot @ g_nm @ rot.T,

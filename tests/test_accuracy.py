@@ -1,0 +1,204 @@
+"""Accuracy of the global and Redfield covariances against 50-digit twins.
+
+Each twin evaluates in mpmath, from the same float inputs, the closed
+forms that the library evaluates in floats: the weights from d and the
+root, Omega_+-, the occupations, the Redfield coherence and the rotation
+back to the local quadratures.  Alongside each value it carries a
+first-order bound on the library's relative error, in units of the unit
+roundoff u = eps/2 (class Rounded).  Every float operation adds its own
+rounding to its operands' errors weighted by their conditioning, so the
+bound is derived from how each entry is formed and is never fitted.  It
+is some tens of u where nothing cancels, and grows only where a formula
+cancels: Omega_-^2 = (tr - root)/2 at strong coupling, and the X_c-X_h
+and P_c-P_h entries, differences of two near-equal mode variances.
+
+Checked: every nonzero entry of the global covariance, and every X-X and
+P-P entry of the Redfield covariance.  The Redfield X-P entries carry the
+time-reversed coherence (CHANGES.md FOUND) and wait for its fix.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from qwire import WireParams, gme_steady_state
+from qwire.redfield import redfield_steady_state
+
+DIGITS = 50
+
+#: omega_h / omega_c away from degeneracy, where d = omega_h^2 - omega_c^2
+#: is well conditioned, in both node orders; k over eleven decades
+RATIOS = (2.0, 0.5, 1.5, 0.3)
+COUPLINGS = tuple(float(k) for k in np.geomspace(1e-9, 30.0, 22))
+
+#: the checked entries: (X_c, X_c), (X_c, X_h), (X_h, X_h) and the same
+#: for the momenta, as ((i, j) in the 4x4 covariance, (a, b) in its block)
+BLOCK_ENTRIES = {"X": (((0, 0), (0, 0)), ((0, 2), (0, 1)), ((2, 2), (1, 1))),
+                 "P": (((1, 1), (0, 0)), ((1, 3), (0, 1)), ((3, 3), (1, 1)))}
+
+
+def _power_of_two(v) -> bool:
+    return (isinstance(v, float) and v != 0.0
+            and abs(math.frexp(v)[0]) == 0.5)
+
+
+class Rounded:
+    """An exact value x and a bound r: the float the library computes for x
+    lies within r u |x| of it, to first order in u.
+
+    Inputs are exact (r = 0).  +, -, *, / and sqrt round once (correctly
+    rounded in IEEE arithmetic); ** 2, hypot and expm1 are held to one ulp
+    (two u).  A product with a power of two is exact.
+    """
+
+    def __init__(self, x, r=0.0):
+        self.x, self.r = mp.mpf(x), r
+
+    @staticmethod
+    def lift(v) -> "Rounded":
+        return v if isinstance(v, Rounded) else Rounded(v)
+
+    def _plus(self, other) -> "Rounded":
+        x = self.x + other.x
+        return Rounded(x, (abs(self.x) * self.r + abs(other.x) * other.r)
+                       / abs(x) + 1)
+
+    def __add__(self, other):
+        return self._plus(self.lift(other))
+
+    def __sub__(self, other):
+        return self._plus(-self.lift(other))
+
+    def __neg__(self):
+        return Rounded(-self.x, self.r)
+
+    def __abs__(self):
+        return Rounded(abs(self.x), self.r)
+
+    def __mul__(self, other):
+        rounding = 0 if _power_of_two(other) else 1
+        other = self.lift(other)
+        return Rounded(self.x * other.x, self.r + other.r + rounding)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self.lift(other)
+        return Rounded(self.x / other.x, self.r + other.r + 1)
+
+    def __rtruediv__(self, other):
+        return self.lift(other) / self
+
+    def __pow__(self, two):
+        assert two == 2
+        return Rounded(self.x**2, 2 * self.r + 2)
+
+
+def sqrt(a: Rounded) -> Rounded:
+    return Rounded(mp.sqrt(a.x), a.r / 2 + 1)
+
+
+def hypot(a: Rounded, b: Rounded) -> Rounded:
+    sq = a.x**2 + b.x**2
+    return Rounded(mp.sqrt(sq), (a.x**2 * a.r + b.x**2 * b.r) / sq + 2)
+
+
+def expm1(a: Rounded) -> Rounded:
+    """expm1 at one ulp; its condition number is x e^x / (e^x - 1)."""
+    value = mp.expm1(a.x)
+    return Rounded(value, a.x * mp.exp(a.x) / value * a.r + 2)
+
+
+def matmul(a: list, b: list) -> list:
+    """A product of square matrices of Rounded entries, exact zeros
+    (Rounded(0)) skipped as the float sums skip them."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = [a[i][m] * b[m][j] for m in range(n)
+                     if a[i][m].x != 0 and b[m][j].x != 0]
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
+            row.append(total)
+        out.append(row)
+    return out
+
+
+def twins(params: WireParams) -> dict:
+    """{(method, "X" or "P"): 2x2 block of Rounded} for the global and the
+    Redfield covariance, each operation in the library's order."""
+    wc, wh, k = (Rounded(v) for v in (params.omega_c, params.omega_h,
+                                      params.k))
+    # model.normal_modes
+    d = wh**2 - wc**2
+    root = hypot(2.0 * k, d)
+    sin_cos = k / root
+    small = 2.0 * sin_cos * k / (root + abs(d))
+    large = (root + abs(d)) / (2.0 * root)
+    cos_sq, sin_sq = (small, large) if d.x > 0 else (large, small)
+    tr = wc**2 + wh**2 + 2.0 * k
+    om_p, om_m = sqrt(0.5 * (tr + root)), sqrt(0.5 * (tr - root))
+    omegas = (om_p, om_m)
+
+    # gme.gme_coefficients: model.occupation and model.spectral_density
+    n = [[1.0 / expm1(om / Rounded(t)) for om in omegas]
+         for t in (params.t_c, params.t_h)]
+    cutoff_sq = Rounded(params.cutoff)**2
+    j = [Rounded(params.lambda_sq) * om * cutoff_sq / (om**2 + cutoff_sq)
+         for om in omegas]
+    w = (cos_sq, sin_sq), (sin_sq, cos_sq)
+    occ = [w[0][s] * n[0][s] + w[1][s] * n[1][s] for s in (0, 1)]
+    eta_sq = [(occ[s] + 0.5) / omegas[s] for s in (0, 1)]
+    pi_sq = [omegas[s] * (occ[s] + 0.5) for s in (0, 1)]
+
+    # redfield.redfield_steady_state: the coherence s_+- and its two
+    # entries in the position and the momentum block
+    rates = [j[s] / omegas[s] for s in (0, 1)]
+    kappa = -0.5 * (rates[0] + rates[1])
+    delta = root / (om_p + om_m)
+    bias = j[0] * (n[1][0] - n[0][0]) + j[1] * (n[1][1] - n[0][1])
+    b4 = -sin_cos * bias / sqrt(om_p * om_m)
+    s_pm = -kappa * b4 / (delta**2 + kappa**2)
+    cross = {"X": s_pm / (2.0 * sqrt(om_p * om_m)),
+             "P": 0.5 * sqrt(om_p * om_m) * s_pm}
+
+    # model.rotation_matrix, rot @ gamma_nm @ rot.T block by block
+    c, s = sqrt(cos_sq), sqrt(sin_sq)
+    rot, rot_t = [[c, s], [-s, c]], [[c, -s], [s, c]]
+    out = {}
+    for name, (plus, minus) in (("X", eta_sq), ("P", pi_sq)):
+        for method, x in (("global", Rounded(0)), ("redfield", cross[name])):
+            block = [[plus, x], [x, minus]]
+            out[method, name] = matmul(matmul(rot, block), rot_t)
+    return out
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_covariances_within_their_rounding_bound(ratio):
+    """Every checked entry lies within its derived bound of the twin.
+
+    The bound is first order in u and counts the worst case of every
+    rounding, so it holds with room; a relative error in the rotation's
+    weights or in Omega_+- beyond their roundings breaks it."""
+    u = mp.mpf(np.finfo(float).eps) / 2
+    with mp.workdps(DIGITS):
+        for k in COUPLINGS:
+            params = WireParams(omega_c=1.0, omega_h=ratio, k=k, t_c=2.0,
+                                t_h=3.0, lambda_sq=1e-3, cutoff=1e3)
+            twin = twins(params)
+            for method, solve in (("global", gme_steady_state),
+                                  ("redfield", redfield_steady_state)):
+                gamma = solve(params).covariance
+                for name, entries in BLOCK_ENTRIES.items():
+                    for (i, jj), (a, b) in entries:
+                        ref = twin[method, name][a][b]
+                        err = abs(mp.mpf(gamma[i, jj]) - ref.x) / abs(ref.x)
+                        assert err <= ref.r * u, (
+                            f"{method} Gamma[{i},{jj}] at k={k!r}: "
+                            f"{float(err / u):.3g} u > bound "
+                            f"{float(ref.r):.3g} u")

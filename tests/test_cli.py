@@ -1,6 +1,7 @@
 """Command-line front end: presets, config grammar, outputs, exit codes."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import pathlib
@@ -17,8 +18,8 @@ from qwire.cli import (CSV_COLUMNS, PRESETS, main, parse_log_grid,
 from conftest import (NARROW_CUTOFF, NEAR_DEGENERATE, RESONANT_STRONG,
                       WIDE_GAP, count_spectra, failed_result)
 
-POINTS = (pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data"
-          / "points.json")
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+POINTS = PERFBENCH / "data" / "points.json"
 
 
 def run(capsys, *argv):
@@ -390,6 +391,41 @@ class TestSweepCommand:
         assert (code, out) == (1, "")
         assert [strict_json(line) for line in err.splitlines()] == [
             {"error": "invalid_arguments", "message": message}]
+
+    @pytest.mark.parametrize("scenario", ["fig1a", "fig1b"])
+    def test_preset_passes_the_benchmark_check(self, tmp_path, capsys,
+                                               scenario):
+        """The cli-sweep workload's check: every row of the preset sweep
+        against perfbench/data, with no failure of any kind."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_checks", PERFBENCH / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        out_path = tmp_path / f"{scenario}.csv"
+        code, _, _ = run(capsys, "sweep", "--scenario", scenario,
+                         "-o", str(out_path))
+        assert code == 0
+        ref = (PERFBENCH / "data" / f"{scenario}.csv").read_text(
+            encoding="utf-8")
+        rows = checks.check_sweep(out_path.read_text(encoding="utf-8"), ref)
+        assert len(rows) == 60
+        assert [(i, f) for i, f in enumerate(rows) if f] == []
+
+    def test_unwritable_output_is_exit_1(self, tmp_path, capsys,
+                                         monkeypatch):
+        """An output path that cannot be opened is an invalid argument:
+        one JSON line naming the path, before any point is solved."""
+        monkeypatch.setattr(cli, "sweep", lambda *a, **kw: pytest.fail(
+            "the grid was solved"))
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "sweep", "--scenario", "fig1a",
+                             "--log-grid", "1e-4:1:2", "-o", str(path))
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        doc = strict_json(line)
+        assert doc["error"] == "invalid_arguments"
+        assert repr(str(path)) in doc["message"]
+        assert not path.parent.exists()
 
     def test_method_errors_go_to_stderr(self, tmp_path, capsys,
                                         monkeypatch):

@@ -274,6 +274,28 @@ class TestBatchedQuadrature:
         assert "did not converge" in \
             exact_steady_state(params).diagnostics["error"]
 
+    def test_error_shaping_cannot_overflow(self, monkeypatch):
+        """quad_vec's error shaping d min(1, (200 e / d)**1.5) raises
+        OverflowError where 200 e / d is finite and above about 1e205.  A
+        constant 3 has Kronrod sum 6 and Gauss sum 6 + 1 ulp but zero
+        spread about its mean, and 1e-300 w sets d, so 200 e / d is
+        1e282 to 1e293 on the eight intervals of fig1a's breakpoints.  The
+        shaping returns, and limit=8 ends the replay before its first
+        round, in the NaN placeholder."""
+        def regime(omega, kernel):
+            nodes = np.asarray(omega, dtype=float).reshape(-1)
+            f = np.zeros((len(exact._LIVE), len(nodes)))
+            f[0], f[1] = 3.0, 1e-300 * nodes
+            return f
+
+        monkeypatch.setattr(exact, "_integrand_matrix", regime)
+        override_constants(monkeypatch, "limit=8")
+        res = exact_steady_state(BATCH_CASES["fig1a k=0.01"])
+        assert np.isnan(res.covariance).all()
+        assert np.isnan(res.heat_currents).all()
+        assert res.diagnostics["error"].startswith(
+            "QuadratureError: covariance quadrature did not converge")
+
     @pytest.mark.parametrize("spec_name", ["default",
                                            *NON_CONVERGENCE_SPECS])
     def test_lockstep_batch_equals_lone_replays(self, spec_name,

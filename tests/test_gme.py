@@ -73,7 +73,6 @@ class TestCoefficients:
         nm = normal_modes(params)
         rates = mode_rates(params, nm)
         a_mat, d_mat = gme_drift_diffusion(gme_coefficients(params))
-        c2 = math.cos(nm.theta)**2
 
         def gamma_ind(w, t):
             j = params.lambda_sq * abs(w) * params.cutoff**2 \
@@ -86,7 +85,8 @@ class TestCoefficients:
             delta = sigma = 0.0
             for alpha in ("c", "h"):
                 t = params.temperature(alpha)
-                weight = c2 if (alpha == "c") == (sign == "+") else 1 - c2
+                weight = (nm.cos_sq if (alpha == "c") == (sign == "+")
+                          else 1 - nm.cos_sq)
                 w_neg, w_pos = rates[alpha, sign]
                 assert w_pos == pytest.approx(
                     weight * gamma_ind(om, t) / (2 * om), rel=1e-12)
@@ -160,12 +160,11 @@ class TestSteadyState:
         eta2_plus, _, eta2_minus, _ = np.diag(
             gme_normal_mode_covariance(coeffs))
         gamma = gme_steady_state(OFF_RESONANT).covariance
-        c = math.cos(coeffs.modes.theta)
-        s = math.sin(coeffs.modes.theta)
+        modes = coeffs.modes
         assert gamma[0, 0] == pytest.approx(
-            c**2 * eta2_plus + s**2 * eta2_minus, rel=1e-13)
+            modes.cos_sq * eta2_plus + modes.sin_sq * eta2_minus, rel=1e-13)
         assert gamma[0, 2] == pytest.approx(
-            c * s * (eta2_minus - eta2_plus), rel=1e-13)
+            modes.sin_cos * (eta2_minus - eta2_plus), rel=1e-13)
 
 
 class TestHeatCurrents:

@@ -1,6 +1,7 @@
 """Parameterization, bath statistics and normal-mode geometry."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -67,15 +68,16 @@ class TestNormalModes:
         assert nm.splitting == pytest.approx(evals[1] - evals[0], rel=1e-12)
         # the high-frequency eigenvector is (cos, -sin) up to overall sign
         vec = evecs[:, 1] * np.sign(evecs[0, 1])
-        assert vec[0] == pytest.approx(math.cos(nm.theta), rel=1e-12)
-        assert vec[1] == pytest.approx(-math.sin(nm.theta), rel=1e-12)
+        assert vec[0] == pytest.approx(math.sqrt(nm.cos_sq), rel=1e-12)
+        assert vec[1] == pytest.approx(-math.sqrt(nm.sin_sq), rel=1e-12)
+        assert vec[0] * -vec[1] == pytest.approx(nm.sin_cos, rel=1e-12)
 
     def test_reference_point(self):
         nm = normal_modes(wire(k=1.0))
         assert nm.omega_plus**2 == pytest.approx(5.3028, abs=1e-4)
         assert nm.omega_minus**2 == pytest.approx(1.6972, abs=1e-4)
         # cos^2 = (-3 + sqrt(13)) / (2 sqrt(13))
-        assert math.cos(nm.theta)**2 == pytest.approx(0.08397485, abs=1e-7)
+        assert nm.cos_sq == pytest.approx(0.08397485, abs=1e-7)
 
     @given(freqs, freqs, couplings)
     @settings(max_examples=100, deadline=None)
@@ -87,11 +89,14 @@ class TestNormalModes:
             np.trace(v), rel=1e-12)
         assert nm.omega_plus**2 * nm.omega_minus**2 == pytest.approx(
             np.linalg.det(v), rel=1e-10, abs=1e-12)
-        assert 0.0 <= nm.theta <= math.pi / 2
+        assert 0.0 <= nm.cos_sq <= 1.0 and 0.0 <= nm.sin_sq <= 1.0
+        # each weight is a few roundings from exact, so the sum is 1 to 4 eps
+        assert nm.cos_sq + nm.sin_sq == pytest.approx(
+            1.0, rel=4 * sys.float_info.epsilon, abs=0.0)
 
     def test_degenerate_point_angle(self):
         nm = normal_modes(wire(omega_c=1.0, omega_h=1.0, k=0.0))
-        assert nm.theta == pytest.approx(math.pi / 4)
+        assert nm.cos_sq == nm.sin_sq == nm.sin_cos == 0.5
         assert nm.omega_plus == nm.omega_minus == pytest.approx(1.0)
 
     # k well above the cancellation corner k^2 << eps * delta^2, where the
@@ -101,15 +106,14 @@ class TestNormalModes:
     def test_rotation_diagonalizes_potential(self, oc, oh, k):
         p = wire(omega_c=oc, omega_h=oh, k=k)
         nm = normal_modes(p)
-        c, s = math.cos(nm.theta), math.sin(nm.theta)
-        r = np.array([[c, s], [-s, c]])
+        r = rotation_matrix(nm)[::2, ::2]
         diag = r.T @ potential_matrix(p) @ r
         assert abs(diag[0, 1]) < 1e-10 * max(1.0, np.max(np.abs(diag)))
         assert diag[0, 0] == pytest.approx(nm.omega_plus**2, rel=1e-10)
         assert diag[1, 1] == pytest.approx(nm.omega_minus**2, rel=1e-10)
 
     def test_rotation_matrix_is_orthogonal(self):
-        r = rotation_matrix(0.7)
+        r = rotation_matrix(normal_modes(wire(k=1.0)))
         assert np.allclose(r @ r.T, np.eye(4), atol=1e-14)
 
 

@@ -55,7 +55,7 @@ def redfield_averages(params: WireParams) -> np.ndarray:
     inverting its normal-mode assembly."""
     modes = normal_modes(params)
     om_p, om_m = modes.omega_plus, modes.omega_minus
-    rot = rotation_matrix(modes.theta)
+    rot = rotation_matrix(modes)
     g_nm = rot.T @ redfield_steady_state(params).covariance @ rot
     return np.array([g_nm[1, 1] / om_p - 0.5, g_nm[3, 3] / om_m - 0.5,
                      2.0 * g_nm[0, 3] / math.sqrt(om_p / om_m),
@@ -75,10 +75,8 @@ def full_mode_dynamics(params: WireParams, dims=(12, 12)) -> tuple:
     a_m = embed(destroy(dims[1]), 1, dims)
     apd, amd = a_p.T.conj(), a_m.T.conj()
     h = om_p * (apd @ a_p) + om_m * (amd @ a_m)
-    weight = {("c", "+"): math.cos(modes.theta),
-              ("h", "+"): -math.sin(modes.theta),
-              ("c", "-"): math.sin(modes.theta),
-              ("h", "-"): math.cos(modes.theta)}
+    c, s = math.sqrt(modes.cos_sq), math.sqrt(modes.sin_sq)
+    weight = {("c", "+"): c, ("h", "+"): -s, ("c", "-"): s, ("h", "-"): c}
     jump = {}
     for alpha in ("c", "h"):
         jump[(alpha, "+")] = weight[(alpha, "+")] * a_p / math.sqrt(2 * om_p)
@@ -192,7 +190,7 @@ class TestSteadyState:
         # the normal-mode diagonal is the global one, and the trace, which
         # is basis independent, is that of the occupations W_-s / (-Delta_s)
         coeffs = gme_coefficients(ORACLE_PARAMS)
-        rot = rotation_matrix(coeffs.modes.theta)
+        rot = rotation_matrix(coeffs.modes)
         gamma = redfield_steady_state(ORACLE_PARAMS).covariance
         g_nm = rot.T @ gamma @ rot
         expected = np.diag(gme_normal_mode_covariance(coeffs))
