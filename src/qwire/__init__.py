@@ -9,7 +9,7 @@ from .results import SteadyStateResult, METHODS
 from .gme import gme_steady_state, gme_heat_currents
 from .lme import lme_steady_state, lme_heat_currents
 from .redfield import redfield_steady_state
-from .exact import exact_steady_state, exact_steady_states, exact_heat_current
+from .exact import exact_steady_state, exact_steady_states
 from .compare import solve_all, sweep, correlation_deltas, correlation_report
 from . import gaussian
 
@@ -20,7 +20,7 @@ __all__ = [
     "gme_steady_state", "gme_heat_currents",
     "lme_steady_state", "lme_heat_currents",
     "redfield_steady_state",
-    "exact_steady_state", "exact_steady_states", "exact_heat_current",
+    "exact_steady_state", "exact_steady_states",
     "solve_all", "sweep", "correlation_deltas", "correlation_report",
     "gaussian",
 ]

@@ -118,10 +118,9 @@ class _Kernel(NamedTuple):
                  1e-8 * p.cutoff, p.omega_c**2 + p.lambda_sq * p.cutoff,
                  p.omega_h**2 + p.lambda_sq * p.cutoff, p.k, p.k**2,
                  2.0 * p.t_c, 2.0 * p.t_h) for p in points]
-        if len(rows) == 1:
-            return cls(*rows[0])
         # equal means equal bits: k = 0.0 and k = -0.0 round differently
-        values = [column[0] if len({float(v).hex() for v in column}) == 1
+        values = [column[0] if all(float(v).hex() == float(column[0]).hex()
+                                   for v in column)
                   else np.array(column, dtype=float) for column in zip(*rows)]
         return cls(*values, varies=np.ndarray in map(type, values))
 
@@ -231,15 +230,19 @@ def _gk21(a: np.ndarray, b: np.ndarray, kernel: _Kernel, owner) -> tuple:
     f = _integrand_matrix((c + h * _GK21_NODES).ravel(), kernel)
     # axes: node, element, interval
     f = f.reshape(len(_LIVE), 21, len(a)).transpose(1, 0, 2)
-    # quad_vec adds each sum's terms to 0.0, and 0.0 + x is x but for
-    # x = -0.0: only s_k needs it, as the absolute sums add terms >= +0.0
-    # and s_k - s_g is the same for s_g = +-0.0
-    kronrod = _KRONROD * f
-    kronrod[0] += 0.0
-    s_k = np.add.accumulate(kronrod)[-1]
-    s_k_abs = np.add.accumulate(_KRONROD * np.abs(f))[-1]
-    s_g = np.add.accumulate(_GAUSS * f[1::2])[-1]
-    s_k_dabs = np.add.accumulate(_KRONROD * np.abs(f - s_k / 2.0))[-1]
+    # the terms of s_k, s_k_abs and s_g (zero at the Kronrod-only nodes,
+    # which leaves a sum that starts at +0.0 unchanged); numpy reduces an
+    # outer axis row by row, so each sum is quad_vec's 0.0 + t_0 + t_1 ...
+    terms = np.empty((21, 3) + f.shape[1:])
+    np.multiply(_KRONROD, f, out=terms[:, 0])
+    np.multiply(_KRONROD, np.abs(f), out=terms[:, 1])
+    terms[::2, 2] = 0.0
+    np.multiply(_GAUSS, f[1::2], out=terms[1::2, 2])
+    s_k, s_k_abs, s_g = np.add.reduce(terms, axis=0, initial=0.0)
+    dev = terms[:, 0]
+    np.abs(np.subtract(f, s_k / 2.0, out=dev), out=dev)
+    s_k_dabs = np.add.reduce(np.multiply(_KRONROD, dev, out=dev), axis=0,
+                             initial=0.0)
     bounds = np.empty((3,) + s_k.shape)
     np.multiply(s_k - s_g, h, out=bounds[0])
     np.multiply(s_k_dabs, h, out=bounds[1])
@@ -253,33 +256,6 @@ def _gk21(a: np.ndarray, b: np.ndarray, kernel: _Kernel, owner) -> tuple:
             e = max(e, r)
         err[i] = e
     return (h * s_k).T, err, rounding
-
-
-def _evaluate(kernel: _Kernel, requests: list) -> list:
-    """_gk21 over the intervals of every (point index, a, b) request, in
-    calls of at most _MAX_ROUND intervals.  Returns, per request, its
-    intervals' integrals (an (n, 8) array) and the lists of their errors
-    and rounding errors."""
-    if len(requests) == 1 and len(requests[0][1]) <= _MAX_ROUND:
-        i, a, b = requests[0]
-        return [_gk21(np.array(a), np.array(b), kernel, [i] * len(a))]
-    lo, hi, owner = [], [], []
-    for i, a, b in requests:
-        lo += a
-        hi += b
-        owner += [i] * len(a)
-    parts = [slice(s, s + _MAX_ROUND) for s in range(0, len(lo), _MAX_ROUND)]
-    parts = [_gk21(np.array(lo[p]), np.array(hi[p]), kernel, owner[p])
-             for p in parts]
-    igs = np.concatenate([ig for ig, _, _ in parts])
-    errs = [e for _, err, _ in parts for e in err]
-    roundings = [r for _, _, rnd in parts for r in rnd]
-    out, start = [], 0
-    for _, a, _ in requests:
-        part = slice(start, start + len(a))
-        out.append((igs[part], errs[part], roundings[part]))
-        start += len(a)
-    return out
 
 
 @dataclass(frozen=True)
@@ -399,10 +375,11 @@ def _replay(params: WireParams):
 def _integrate_batch(points: list) -> list:
     """One _replay per point, run in lockstep rounds.
 
-    Every point keeps its own heap, cache, rounds and termination tests;
-    each round evaluates the intervals that all live points ask for
-    together (see _evaluate), which is what saves the time.  Returns each
-    point's _Quadrature, bit for bit the one it gets alone.
+    Every point keeps its own heap, cache, rounds and termination tests.
+    A round joins the intervals that the live points ask for, evaluates
+    them in _gk21 calls of at most _MAX_ROUND intervals, which is what
+    saves the time, and sends each replay its slice of the results.
+    Returns each point's _Quadrature, bit for bit the one it gets alone.
     """
     kernel = _Kernel.of(points)
     replays = [_replay(p) for p in points]
@@ -410,23 +387,24 @@ def _integrate_batch(points: list) -> list:
     steps = [next(replay) for replay in replays]
     live = list(range(len(points)))
     while live:
-        requests = [(i, *steps[i]) for i in live]
-        for i, result in zip(live, _evaluate(kernel, requests)):
-            steps[i] = replays[i].send(result)
+        lo = [a for i in live for a in steps[i][0]]
+        hi = [b for i in live for b in steps[i][1]]
+        owner = [i for i in live for _ in steps[i][0]]
+        parts = [_gk21(np.array(lo[s:s + _MAX_ROUND]),
+                       np.array(hi[s:s + _MAX_ROUND]), kernel,
+                       owner[s:s + _MAX_ROUND])
+                 for s in range(0, len(lo), _MAX_ROUND)]
+        igs = np.concatenate([ig for ig, _, _ in parts])
+        errs = [e for _, err, _ in parts for e in err]
+        roundings = [r for _, _, rnd in parts for r in rnd]
+        start = 0
+        for i in live:
+            part = slice(start, start + len(steps[i][0]))
+            steps[i] = replays[i].send((igs[part], errs[part],
+                                        roundings[part]))
+            start = part.stop
         live = [i for i in live if not isinstance(steps[i], _Quadrature)]
     return steps
-
-
-def exact_heat_current(gamma: np.ndarray, k: float) -> tuple:
-    """Stationary currents from the cross covariances of the bond.
-
-    The energy flow from the hot node into the coupling bond is
-    -k <X_c P_h> and the flow out of the bond into the cold node is
-    k <X_h P_c>; at stationarity both equal the hot-bath current, so
-    Qdot_h = (k/2)(Gamma_23 - Gamma_14) and Qdot_c = -Qdot_h.
-    """
-    qdot_h = 0.5 * k * (gamma[1, 2] - gamma[0, 3])
-    return (-qdot_h, qdot_h)
 
 
 def _steady_state(params: WireParams, quad: _Quadrature) -> SteadyStateResult:
@@ -441,8 +419,9 @@ def _steady_state(params: WireParams, quad: _Quadrature) -> SteadyStateResult:
         diagnostics = {"error": "QuadratureError: covariance quadrature did "
                        f"not converge; error estimate {quad.error:.3g}",
                        **diagnostics}
-    return SteadyStateResult("exact", gamma,
-                             exact_heat_current(gamma, params.k), diagnostics)
+    # the hot-bath current is both -k<X_c P_h> and k<X_h P_c>: their mean
+    qdot_h = 0.5 * params.k * (gamma[1, 2] - gamma[0, 3])
+    return SteadyStateResult("exact", gamma, (-qdot_h, qdot_h), diagnostics)
 
 
 def exact_steady_state(params: WireParams) -> SteadyStateResult:

@@ -4,9 +4,10 @@ Almost everything here works on truncated Fock-space matrices and
 deliberately avoids the covariance-level formulas of the package, so
 agreement between the two is meaningful evidence of correctness.  The
 exceptions are the last three sections: the local heat current solved
-from its moment equations in mpmath; the dissipation kernel, and quad_vec
+from its moment equations in mpmath; the dissipation kernel, quad_vec
 evaluating the exact solver's integrands node by node, the reference of
-its numpy replay; and the grid search with a scipy Nelder-Mead polish
+its numpy replay, and the equal-temperature covariance as Matsubara sums
+in mpmath; and the grid search with a scipy Nelder-Mead polish
 and the 60-digit Adesso-Datta closed form, the two references of the
 closed-form discord.
 """
@@ -355,6 +356,55 @@ def per_node_exact_integral(params) -> tuple:
                     limit=exact._LIMIT,
                     points=exact._breakpoints(params, max_omega),
                     norm="max", full_output=True)
+
+
+def equilibrium_covariance_mpmath(params, dps: int = 30) -> np.ndarray:
+    """The exact covariance at equal bath temperatures T = t_c = t_h as
+    Matsubara sums at dps digits, sharing no code with the solver.
+
+    On the imaginary axis the response is G(i nu)^-1 = K + nu^2 -
+    lambda^2 cutoff^2 / (cutoff + |nu|), K the stiffness with the shifted
+    frequencies omega_a^2 + lambda^2 cutoff on the diagonal and -k off
+    it.  With nu_n = 2 pi n T,
+
+        Gamma_XX = T sum_n G(i nu_n),
+        Gamma_PP = T sum_n (1 - nu_n^2 G(i nu_n)),
+
+    summed over all integers n (the n and -n terms are equal) by mpmath
+    nsum.  The Gibbs state is time-reversal even, so every X-P entry is
+    zero.  Returns the 4x4 matrix in the order (X_c, P_c, X_h, P_h).
+    """
+    import mpmath
+    assert params.t_c == params.t_h
+    with mpmath.workdps(dps):
+        temp, k = mpmath.mpf(params.t_c), mpmath.mpf(params.k)
+        cut = mpmath.mpf(params.cutoff)
+        lam_sq = mpmath.mpf(params.lambda_sq)
+        k_c = mpmath.mpf(params.omega_c)**2 + lam_sq * cut + k
+        k_h = mpmath.mpf(params.omega_h)**2 + lam_sq * cut + k
+
+        def response(n):
+            """nu_n and G_cc, G_ch, G_hh at i nu_n."""
+            nu = 2 * mpmath.pi * temp * n
+            memory = lam_sq * cut**2 / (cut + nu) - nu**2
+            a, d = k_c - memory, k_h - memory
+            det = a * d - k**2
+            return nu, (d / det, k / det, a / det)
+
+        def matsubara(term):
+            """T sum_n term(nu_n, G(i nu_n)) over all integers n."""
+            def at(n):
+                return term(*response(n))
+            tail = mpmath.nsum(at, [1, mpmath.inf])
+            return float(temp * (at(0) + 2 * tail))
+
+        gamma = np.zeros((4, 4))
+        for entry, (i, j) in enumerate(((0, 0), (0, 2), (2, 2))):
+            one = 1 if i == j else 0
+            gamma[i, j] = gamma[j, i] = matsubara(lambda nu, g: g[entry])
+            gamma[i + 1, j + 1] = gamma[j + 1, i + 1] = matsubara(
+                lambda nu, g: one - nu**2 * g[entry])
+        return gamma
 
 
 # ---------------------------------------------------------------------------
