@@ -2,12 +2,12 @@
 
 Only sweep solves and measures points; steady, validate and
 correlation_deltas read the row of a sweep of one point (sweep_row).  A
-sweep solves its grid in process, in consecutive slices: the exact
-quadratures of a slice advance in lockstep rounds (exact_steady_states).
-Then all its states are measured as one gaussian.StateStack, so a sweep
-of any length takes the same few spectrum and measure calls.  No solver
-raises: a failed exact quadrature or a non-physical state leaves NaN
-cells and a reason in its row.  Rows are pure functions of a point.
+sweep solves its grid in process, its exact quadratures as one
+exact_steady_states batch.  Then all its states are measured as one
+gaussian.StateStack, so a sweep of any length takes the same few
+spectrum and measure calls.  No solver raises: a failed exact quadrature
+or a non-physical state leaves NaN cells and a reason in its row.  Rows
+are pure functions of a point.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ _SOLVERS = {
     "redfield": redfield_steady_state,
     "exact": exact_steady_state,
 }
-
-#: grid points per exact_steady_states batch in a sweep: peak RSS grows
-#: with it, while the exact time is flat from about 6 points on
-_SLICE = 6
 
 
 @dataclass(frozen=True)
@@ -135,17 +131,13 @@ def sweep(params: WireParams, axis: str, grid,
           measured_node: str = "h") -> list:
     """Sweep one parameter over a grid; order-preserving and deterministic:
     a row is bit for bit the same in any grid.  The grid is validated up
-    front, then solved in slices of _SLICE points, then measured."""
+    front, solved (exact_steady_states takes it whole), then measured."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     grid = [float(v) for v in grid]
     points = [dataclasses.replace(params, **{axis: v}) for v in grid]
-    results = []
-    for start in range(0, len(grid), _SLICE):
-        batch = points[start:start + _SLICE]
-        results += [[_SOLVERS[method](point) for method in METHODS[:-1]]
-                    + [exact] for point, exact
-                    in zip(batch, exact_steady_states(batch))]
+    results = [[_SOLVERS[method](point) for method in METHODS[:-1]] + [exact]
+               for point, exact in zip(points, exact_steady_states(points))]
     return [SweepRow(axis_value=value,
                      secular_margin=secular_validity_margin(point),
                      results=tuple(res), metrics=table, margins=margins,

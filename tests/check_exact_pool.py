@@ -3,8 +3,11 @@
 perfbench/data/points.json freezes the exact covariance at 306 parameter
 points.  At some of them the frozen heat current is quadrature noise, so
 the benchmark accepts only output that is bit-identical to the frozen
-one.  This script recomputes every point, all in one lockstep batch, and
-lists those that differ in any bit.  From the repository root:
+one.  This script recomputes every point in one exact_steady_states
+call, which runs a rolling window of exact._WINDOW replays, and lists
+those that differ in any bit.  Tier-1 runs the same check
+(test_exact.py::TestBatchedQuadrature::
+test_frozen_benchmark_covariances_reproduced).  From the repository root:
 
     PYTHONPATH=src python3 tests/check_exact_pool.py
 

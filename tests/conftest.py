@@ -4,12 +4,13 @@ import dataclasses
 import json
 import math
 import pathlib
+import weakref
 
 import pytest
 
 import numpy as np
 
-from qwire import SteadyStateResult, WireParams, gaussian
+from qwire import SteadyStateResult, WireParams, exact, gaussian
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -52,6 +53,31 @@ def count_spectra(monkeypatch) -> list:
         return spectrum(gamma)
     monkeypatch.setattr(gaussian, "symplectic_eigenvalues", counted)
     return spectra
+
+
+def trace_replays(monkeypatch) -> tuple:
+    """(log, refs): wrap qwire.exact._replay so that each replay logs
+    ("start", params) when it asks for its first intervals and
+    ("finish", params) when it yields its _Quadrature; refs maps params
+    to a weakref of its replay."""
+    log, refs = [], {}
+    replay = exact._replay
+
+    def steps(params):
+        inner = replay(params)
+        step = next(inner)
+        log.append(("start", params))
+        while not isinstance(step, exact._Quadrature):
+            step = inner.send((yield step))
+        log.append(("finish", params))
+        yield step
+
+    def traced(params):
+        outer = steps(params)
+        refs[params] = weakref.ref(outer)
+        return outer
+    monkeypatch.setattr(exact, "_replay", traced)
+    return log, refs
 
 
 @pytest.fixture(scope="session")

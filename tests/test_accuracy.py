@@ -1,22 +1,37 @@
-"""Accuracy of the global and Redfield covariances against 50-digit twins.
+"""Accuracy of the normal modes, and of the global and Redfield
+covariances, against high-precision twins.
 
-Each twin evaluates in mpmath, from the same float inputs, the closed
-forms that the library evaluates in floats: the weights from d and the
-root, Omega_+-, the occupations, the Redfield coherence and the rotation
-back to the local quadratures.  Alongside each value it carries a
-first-order bound on the library's relative error, in units of the unit
-roundoff u = eps/2 (class Rounded).  Every float operation adds its own
-rounding to its operands' errors weighted by their conditioning, so the
-bound is derived from how each entry is formed and is never fitted.  It
-is some tens of u where nothing cancels, and grows only where a formula
-cancels: Omega_-^2 = (tr - root)/2 at strong coupling, and the X_c-X_h
-and P_c-P_h entries, differences of two near-equal mode variances.
+The normal modes are checked against their defining equation: mpmath's
+eigsy, at 40 digits, of the potential [[omega_c^2 + k, -k], [-k, omega_h^2
++ k]], from the same float inputs.  Each output's tolerance is the
+first-order rounding bound of evaluating it without cancellation: d as
+(omega_h - omega_c)(omega_h + omega_c) and Omega_-^2 as the product of
+the roots over Omega_+^2 (ROADMAP item 9's forms), every other step as
+the library takes it.  The inputs are exact floats, so this bound is the
+accuracy that the point's conditioning allows.  The rows on the two
+cancellations that item 9 removes are strict xfails.
 
-Checked: every nonzero entry of the global covariance, and every X-X and
-P-P entry of the Redfield covariance.  The Redfield X-P entries carry the
-time-reversed coherence (CHANGES.md FOUND) and wait for its fix.
+The covariances are checked against 50-digit twins that evaluate, in
+mpmath, the closed forms that the library evaluates in floats: the
+weights from d and the root, Omega_+-, the occupations, the Redfield
+coherence and the rotation back to the local quadratures.
+
+Alongside each value a twin carries a first-order bound on the library's
+relative error, in units of the unit roundoff u = eps/2 (class Rounded).
+Every float operation adds its own rounding to its operands' errors
+weighted by their conditioning, so the bound is derived from how each
+entry is formed and is never fitted.  It is some tens of u where nothing
+cancels, and grows only where a formula cancels: Omega_-^2 = (tr -
+root)/2 at strong coupling, and the X_c-X_h and P_c-P_h entries,
+differences of two near-equal mode variances.
+
+Checked: every normal-mode output, every nonzero entry of the global
+covariance, and every X-X and P-P entry of the Redfield covariance.  The
+Redfield X-P entries carry the time-reversed coherence (CHANGES.md FOUND)
+and wait for its fix.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -24,6 +39,7 @@ import numpy as np
 import pytest
 
 from qwire import WireParams, gme_steady_state
+from qwire.model import normal_modes, secular_validity_margin
 from qwire.redfield import redfield_steady_state
 
 DIGITS = 50
@@ -202,3 +218,110 @@ def test_covariances_within_their_rounding_bound(ratio):
                             f"{method} Gamma[{i},{jj}] at k={k!r}: "
                             f"{float(err / u):.3g} u > bound "
                             f"{float(ref.r):.3g} u")
+
+
+#: the normal-mode rows: omega_h / omega_c - 1 from near degeneracy to
+#: well apart, in both node orders, and k from far below omega^2 to far
+#: above it; lambda^2 enters only the secular margin, as a factor
+NEAR, APART = (1e-9, 1e-6, 1e-3), (0.1, 0.5, 1.0, 3.0)
+WEAK, MODERATE, STRONG = ((1e-12, 1e-9, 1e-6, 1e-3), (0.1, 1.0, 10.0),
+                          (1e3, 1e5))
+MODE_LAMBDA_SQ = 1e-3
+#: outputs that read d = omega_h^2 - omega_c^2 beyond Omega_+-^2
+MIXING = ("cos_sq", "sin_sq", "sin_cos", "splitting", "secular_margin")
+
+
+def mode_points(detunings, couplings) -> list:
+    return [(omega_c, omega_h, k) for delta in detunings
+            for omega_c, omega_h in ((1.0, 1.0 + delta), (1.0 + delta, 1.0))
+            for k in couplings]
+
+
+@functools.lru_cache(maxsize=None)
+def eigsy_modes(omega_c: float, omega_h: float, k: float) -> dict:
+    """Every normal-mode output from mp.eigsy of the potential, at 40
+    digits: Omega_+- are the square roots of its eigenvalues, as
+    normal_modes returns them.  The + mode is the local vector (cos, -sin)
+    (see model.rotation_matrix), so cos^2, sin^2 and sin cos are read off
+    the larger eigenvalue's eigenvector, whose sign eigsy leaves open."""
+    with mp.workdps(40):
+        wc, wh, k = mp.mpf(omega_c), mp.mpf(omega_h), mp.mpf(k)
+        e, q = mp.eigsy(mp.matrix([[wc**2 + k, -k], [-k, wh**2 + k]]))
+        splitting = e[1] - e[0]
+        return {"omega_plus": mp.sqrt(e[1]), "omega_minus": mp.sqrt(e[0]),
+                "cos_sq": q[0, 1]**2, "sin_sq": q[1, 1]**2,
+                "sin_cos": -q[0, 1] * q[1, 1], "splitting": splitting,
+                "secular_margin": MODE_LAMBDA_SQ * mp.sqrt(2 * (wh**2 + wc**2))
+                / splitting}
+
+
+def stable_mode_bounds(omega_c: float, omega_h: float, k: float) -> dict:
+    """Each output's rounding bound, in u, evaluated without cancellation
+    (module docstring)."""
+    wc, wh, k = (Rounded(v) for v in (omega_c, omega_h, k))
+    d = (wh - wc) * (wh + wc)
+    root = hypot(2.0 * k, d)
+    sin_cos = k / root
+    small = 2.0 * sin_cos * k / (root + abs(d))
+    large = (root + abs(d)) / (2.0 * root)
+    cos_sq, sin_sq = (small, large) if d.x > 0 else (large, small)
+    plus_sq = 0.5 * (wc**2 + wh**2 + 2.0 * k + root)
+    minus_sq = (wc**2 * wh**2 + k * (wc**2 + wh**2)) / plus_sq
+    gap = root / sqrt(2.0 * (wh**2 + wc**2))
+    return {"omega_plus": sqrt(plus_sq).r, "omega_minus": sqrt(minus_sq).r,
+            "cos_sq": cos_sq.r, "sin_sq": sin_sq.r, "sin_cos": sin_cos.r,
+            "splitting": root.r,
+            "secular_margin": (Rounded(MODE_LAMBDA_SQ) / gap).r}
+
+
+def library_modes(omega_c: float, omega_h: float, k: float) -> dict:
+    params = WireParams(omega_c=omega_c, omega_h=omega_h, k=k, t_c=2.0,
+                        t_h=3.0, lambda_sq=MODE_LAMBDA_SQ, cutoff=1e3)
+    modes = normal_modes(params)
+    return {"omega_plus": modes.omega_plus, "omega_minus": modes.omega_minus,
+            "cos_sq": modes.cos_sq, "sin_sq": modes.sin_sq,
+            "sin_cos": modes.sin_cos, "splitting": modes.splitting,
+            "secular_margin": secular_validity_margin(params)}
+
+
+D_CANCELS = pytest.mark.xfail(strict=True, reason=(
+    "d = omega_h^2 - omega_c^2 is formed from two rounded squares "
+    "(CHANGES.md FOUND: `model.normal_modes` forms d = ω_h² − ω_c² from "
+    "two rounded squares); ROADMAP item 9 forms (omega_h - omega_c)"
+    "(omega_h + omega_c)"))
+MINUS_CANCELS = pytest.mark.xfail(strict=True, reason=(
+    "Omega_-^2 = (tr - root)/2 cancels at k >> omega^2 (CHANGES.md "
+    "FOUND: `model.normal_modes` forms Ω₋² = (tr − root)/2); ROADMAP item "
+    "9 forms the product of the roots over Omega_+^2"))
+
+NORMAL_MODE_ROWS = [
+    pytest.param("omega_plus", mode_points(NEAR + APART,
+                                           WEAK + MODERATE + STRONG),
+                 id="omega_plus"),
+    pytest.param("omega_minus", mode_points(NEAR + APART, WEAK + MODERATE),
+                 id="omega_minus-weak_moderate"),
+    pytest.param("omega_minus", mode_points(NEAR + APART, STRONG),
+                 marks=MINUS_CANCELS, id="omega_minus-strong"),
+    *(pytest.param(name, mode_points(APART, WEAK + MODERATE + STRONG)
+                   + mode_points(NEAR, MODERATE + STRONG), id=name)
+      for name in MIXING),
+    *(pytest.param(name, mode_points(NEAR, WEAK), marks=D_CANCELS,
+                   id=f"{name}-near_degenerate_weak")
+      for name in MIXING),
+]
+
+
+@pytest.mark.parametrize("output, points", NORMAL_MODE_ROWS)
+def test_normal_modes_within_their_rounding_bound(output, points):
+    """The output at every point of the row lies within its
+    cancellation-free rounding bound of the eigsy value."""
+    u = mp.mpf(np.finfo(float).eps) / 2
+    misses = []
+    for point in points:
+        ref = eigsy_modes(*point)[output]
+        bound = stable_mode_bounds(*point)[output]
+        err = abs(mp.mpf(library_modes(*point)[output]) - ref) / abs(ref)
+        if err > bound * u:
+            misses.append(f"(omega_c, omega_h, k)={point}: "
+                          f"{float(err / u):.3g} u > {float(bound):.3g} u")
+    assert not misses, misses

@@ -12,11 +12,12 @@ from qwire import (METHODS, SteadyStateResult, WireParams,
                    correlation_deltas, exact_steady_state,
                    exact_steady_states, solve_all, sweep)
 from qwire import compare, exact, gaussian
-from qwire.compare import (METRIC_KEYS, _SLICE, _SOLVERS, correlation_report,
+from qwire.compare import (METRIC_KEYS, _SOLVERS, correlation_report,
                            sweep_row)
 from qwire.model import FREQUENCY_RANGE, MAX_LAMBDA_SQ, MAX_RATIO
 from conftest import (NARROW_CUTOFF, NEAR_DEGENERATE, RESONANT_STRONG,
-                      WIDE_GAP, count_spectra, failed_result, with_k)
+                      WIDE_GAP, count_spectra, failed_result, trace_replays,
+                      with_k)
 
 #: k values at NARROW_CUTOFF: the exact quadrature fails at the second
 #: and the fourth, with different error estimates
@@ -148,15 +149,27 @@ class TestSweep:
             assert row.metrics["exact"]["fidelity_to_exact"] == \
                 pytest.approx(1.0, abs=1e-9)
 
-    def test_parallel_equals_sequential(self):
+    def test_window_rows_equal_lone_rows(self, monkeypatch):
         """Every field of every row (metrics, exact_quad_error and
-        errors), bit for bit, whether the rows are solved one at a time
-        or in lockstep slices: one full slice and one partial one."""
-        grid = [float(v) for v in np.logspace(-4, -1, _SLICE + 4)]
+        errors), bit for bit, whether the row is solved alone or in one
+        sweep of 2 _WINDOW + 3 points.  k falls from 1e2 to 1e-9, and
+        the replays of the largest k take the most rounds, so they finish
+        in another order than they start; a point past the window starts
+        only once another one has finished."""
+        grid = [float(v) for v in np.logspace(2, -9, 2 * exact._WINDOW + 3)]
         lone = [repr(sweep_row(WIDE_GAP, "k", v)) for v in grid]
+        log, _ = trace_replays(monkeypatch)
         rows = sweep(WIDE_GAP, "k", grid)
         assert [row.axis_value for row in rows] == grid
         assert [repr(row) for row in rows] == lone
+        events = [(event, params.k) for event, params in log]
+        starts = [k for event, k in events if event == "start"]
+        finishes = [k for event, k in events if event == "finish"]
+        assert starts == grid
+        assert sorted(finishes, key=grid.index) == grid
+        assert finishes != grid
+        assert events.index(("start", grid[exact._WINDOW])) > min(
+            events.index(("finish", k)) for k in grid)
 
     @pytest.mark.parametrize("params", [WIDE_GAP, NEAR_DEGENERATE,
                                         RESONANT_STRONG],

@@ -18,7 +18,8 @@ from qwire.exact import (_Kernel, _breakpoints, _chi, _gk21,
                          _integrand_matrix, _integrate_batch)
 from qwire import exact, gaussian
 from check_exact_pool import pool_mismatches
-from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
+from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP,
+                      trace_replays, with_k)
 from oracles import (chi_hat, equilibrium_covariance_mpmath, integrand_probe,
                      per_node_exact_integral)
 
@@ -410,9 +411,43 @@ class TestBatchedQuadrature:
                             lambda_sq=10.0**log_lambda_sq, cutoff=1e3)
         assert_replays_quad_vec(params)
 
+    def test_empty_batch(self):
+        assert exact_steady_states([]) == []
+
+    def test_window_bounds_running_replays(self, monkeypatch):
+        """Of 2 _WINDOW + 3 points, at most _WINDOW replays run at once
+        (started and not yet finished), every point runs once, and a
+        finished replay is released before the next round evaluates.
+        The last point takes the fewest rounds (12 against 15), so it
+        finishes, and must be released, while earlier ones still run."""
+        points = [with_k(RESONANT_STRONG, float(k))
+                  for k in np.logspace(-9, 2, 2 * exact._WINDOW + 2)]
+        points.append(with_k(WIDE_GAP, 0.01))
+        log, refs = trace_replays(monkeypatch)
+        released = []
+        gk21 = exact._gk21
+
+        def checked(*args):
+            finished = [params for event, params in log if event == "finish"]
+            assert all(refs[params]() is None for params in finished)
+            released[:] = finished
+            return gk21(*args)
+        monkeypatch.setattr(exact, "_gk21", checked)
+        _integrate_batch(points)
+        running = peak = 0
+        for event, _ in log:
+            running += 1 if event == "start" else -1
+            peak = max(peak, running)
+        assert peak == exact._WINDOW
+        for event in ("start", "finish"):
+            assert sorted((params for e, params in log if e == event),
+                          key=points.index) == points
+        assert points[-1] in released
+
     def test_frozen_benchmark_covariances_reproduced(self):
         """Every exact covariance frozen in perfbench/data/points.json,
-        bit for bit, all 306 points solved as one lockstep batch."""
+        bit for bit, all 306 points solved as one exact_steady_states
+        batch."""
         assert pool_mismatches() == []
 
 
