@@ -5,7 +5,8 @@ symmetrized second moments [G]_kl = <{R_k, R_l}>/2 of a zero-mean state.
 All entropic quantities are in nats.  The four measures take a StateStack
 and return one value per state, NaN where the state fails the
 physicality check.  Given one 4x4 covariance they run on a stack of one
-and return a float, or raise NonPhysicalStateError with the reason.
+and return a float, or raise NonPhysicalStateError with the reason.  A
+stack takes one symplectic spectrum call.
 """
 
 from __future__ import annotations
@@ -16,16 +17,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import WireParams
-
 # nu may sit this far below 1/2 from round-off and still be clamped
 PHYSICALITY_TOL = 1e-9
 #: squeezing of the homodyne (s -> inf) discord seed, and the cap of the
 #: finite one.  The kernel's rounding there is up to about 1e-8 of the
 #: conditional entropy; the frozen benchmark cells were searched at it.
 _S_HOMODYNE = 1e9
-#: strong_coupling_asymptote's resonance test: |w_h^2 - w_c^2| <= it * sum
-_RESONANCE_TOL = 1e-9
 
 
 class NonPhysicalStateError(ValueError):
@@ -35,14 +32,12 @@ class NonPhysicalStateError(ValueError):
 _J1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 #: the symplectic forms of one and two modes, block diagonal in
 #: [[0, 1], [-1, 0]], the partial transpose diag(1, -1, 1, 1) that flips
-#: the cold momentum, and two terms of the fidelity; all read-only
+#: the cold momentum, and a term of the fidelity; all read-only
 SYMPLECTIC_FORMS = {1: _J1, 2: np.block([[_J1, np.zeros((2, 2))],
                                          [np.zeros((2, 2)), _J1]])}
 _PARTIAL_TRANSPOSE = np.diag([1.0, -1.0, 1.0, 1.0])
 _QUARTER = np.eye(4) / 4.0
-_HALF_IJ = 1j * SYMPLECTIC_FORMS[2] / 2.0
-for _m in (*SYMPLECTIC_FORMS.values(), _PARTIAL_TRANSPOSE, _QUARTER,
-           _HALF_IJ):
+for _m in (*SYMPLECTIC_FORMS.values(), _PARTIAL_TRANSPOSE, _QUARTER):
     _m.setflags(write=False)
 
 
@@ -93,6 +88,11 @@ def _entropy(nus) -> float:
     return out
 
 
+def _node_nu(x11: float, x12: float, x21: float, x22: float) -> float:
+    # a one-mode spectrum; a failed state's det may be negative or not finite
+    return math.sqrt(max(x11 * x22 - x12 * x21, 0.0))
+
+
 def _reason(label: str, gamma: np.ndarray, nu_min: float):
     """Why a covariance fails the physicality check, led by label; None if
     it passes.  Only a matrix without a spectrum has nu_min = 0."""
@@ -110,8 +110,8 @@ class StateStack:
     state's reason for failing the physicality check.  The measures take
     the first `measured` states, all by default; the others are only
     checked, as fidelity partners.  The spectra of the states and of the
-    measured ones' partial transposes take one call; the node entropies,
-    on first use, one more."""
+    measured ones' partial transposes take the stack's one call; a node's
+    symplectic eigenvalue is sqrt(det) of its 2x2 block."""
 
     def __init__(self, covariances, labels=None, measured=None):
         g = self.covariances = np.asarray(covariances, dtype=float)
@@ -137,9 +137,9 @@ class StateStack:
         """(S(G_ch), S(G_c), S(G_h)) of the measured states."""
         m = self.measured
         g = self.covariances[:m]
-        nodes = symplectic_eigenvalues(
-            np.concatenate((g[:, :2, :2], g[:, 2:, 2:]))).tolist()
-        s = np.array([_entropy(nus) for nus in self.nus[:m].tolist() + nodes])
+        nodes = np.concatenate((g[:, :2, :2], g[:, 2:, 2:])).reshape(-1, 4)
+        s = np.array([_entropy(nus) for nus in self.nus[:m].tolist()]
+                     + [_entropy((_node_nu(*x),)) for x in nodes.tolist()])
         return s[:m], s[m:2 * m], s[2 * m:]
 
 
@@ -179,7 +179,8 @@ def fidelity(states, partners):
 
     F = (x + sqrt(x^2 - a)) / a with x = sqrt(b) + sqrt(c),
     a = det(G1 + G2), b = 2^4 det[(J G1)(J G2) - 1/4],
-    c = 2^4 det(G1 + iJ/2) det(G2 + iJ/2).
+    c = 2^4 det(G1 + iJ/2) det(G2 + iJ/2) = 2^4 prod_k (nu_k^2 - 1/4)
+    over both spectra (Williamson; Marian & Marian, PRA 86, 022340 (2012)).
     """
     if not isinstance(states, StateStack):
         stack = StateStack([states, partners], measured=1)
@@ -193,10 +194,10 @@ def fidelity(states, partners):
     jj = SYMPLECTIC_FORMS[2]
     a, b = np.linalg.det(np.stack((g1 + g2,
                                    (jj @ g1) @ (jj @ g2) - _QUARTER)))
-    d1, d2 = np.linalg.det(np.stack((g1, g2)) + _HALF_IJ)
-    # the real part of d1 d2 in real arithmetic, since a complex array
-    # product may fuse multiply-adds and change the last bit
-    b, c = 16.0 * b, 16.0 * (d1.real * d2.real - d1.imag * d2.imag)
+    nu = np.concatenate((states.nus[:states.measured][ok],
+                         states.nus[partners[ok]]), axis=1)
+    q = (nu - 0.5) * (nu + 0.5)
+    b, c = 16.0 * b, 16.0 * (q[:, 0] * q[:, 1] * q[:, 2] * q[:, 3])
     f = np.full(len(ok), np.nan)
     f[ok] = [_fidelity(*abc) for abc in zip(a.tolist(), b.tolist(),
                                             c.tolist())]
@@ -353,27 +354,6 @@ def log_negativity(states):
                     zip(stack.transposed_nus.tolist(),
                         stack.physical[:stack.measured])])
     return e_n if stack is states else float(e_n[0])
-
-
-def strong_coupling_asymptote(params: WireParams) -> float:
-    """Large-k limit of the global-solution log-negativity, resonant nodes.
-
-    E = (1/4) ln[2k (1 - e^(w/T_c))^2 (1 - e^(w/T_h))^2
-                 / ((1 - e^(2w/Tbar))^2 w^2)]
-    with Tbar the harmonic mean of the two temperatures.  A negative value
-    means no entanglement is predicted at that coupling.
-    """
-    d = abs(params.omega_h**2 - params.omega_c**2)
-    if d > _RESONANCE_TOL * (params.omega_h**2 + params.omega_c**2):
-        raise ValueError("asymptote only defined for resonant nodes")
-    if params.k <= 0:
-        raise ValueError("asymptote requires k > 0")
-    w = params.omega_c
-    t_bar = 2.0 / (1.0 / params.t_c + 1.0 / params.t_h)
-    num = 2.0 * params.k * (1.0 - math.exp(w / params.t_c))**2 \
-        * (1.0 - math.exp(w / params.t_h))**2
-    den = (1.0 - math.exp(2.0 * w / t_bar))**2 * w**2
-    return 0.25 * math.log(num / den)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ import numpy as np
 from qwire import SteadyStateResult, WireParams, exact, gaussian
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+POOL = (pathlib.Path(__file__).resolve().parent.parent
+        / "perfbench" / "data" / "states.json")
 
 #: benchmark parameter sets (k is point-specific and set via with_k)
 WIDE_GAP = WireParams(omega_c=1.0, omega_h=2.0, k=0.1, t_c=2.0, t_h=3.0,
@@ -41,6 +43,21 @@ def failed_result(method: str) -> SteadyStateResult:
                              covariance=np.full((4, 4), math.nan),
                              heat_currents=(math.nan, math.nan),
                              diagnostics={"error": "synthetic failure"})
+
+
+def pool_states() -> list:
+    """The benchmark's frozen pool of 448 covariance matrices, as
+    (id, covariance, exact covariance) triples."""
+    doc = json.loads(POOL.read_text(encoding="utf-8"))
+    upper = [(i, j) for i in range(4) for j in range(i, 4)]
+
+    def matrix(entries):
+        gamma = np.zeros((4, 4))
+        for (i, j), value in zip(upper, entries):
+            gamma[i, j] = gamma[j, i] = value
+        return gamma
+    return [(state["id"], matrix(state["cov"]), matrix(state["exact_cov"]))
+            for state in doc["states"]]
 
 
 def count_spectra(monkeypatch) -> list:

@@ -3,13 +3,14 @@
 Almost everything here works on truncated Fock-space matrices and
 deliberately avoids the covariance-level formulas of the package, so
 agreement between the two is meaningful evidence of correctness.  The
-exceptions are the last three sections: the local heat current solved
+exceptions are the last four sections: the local heat current solved
 from its moment equations in mpmath; the dissipation kernel, quad_vec
 evaluating the exact solver's integrands node by node, the reference of
 its numpy replay, and the equal-temperature covariance as Matsubara sums
-in mpmath; and the grid search with a scipy Nelder-Mead polish
+in mpmath; the grid search with a scipy Nelder-Mead polish
 and the 60-digit Adesso-Datta closed form, the two references of the
-closed-form discord.
+closed-form discord; and the paper's large-k limit of the global
+log-negativity at resonant nodes.
 """
 
 from __future__ import annotations
@@ -506,3 +507,31 @@ def adesso_datta_min_entropy(a, b, c) -> float:
         if nu > 0.5:
             out -= (nu - 0.5) * mpmath.log(nu - 0.5)
         return float(out)
+
+
+# ---------------------------------------------------------------------------
+# strong-coupling entanglement
+
+#: strong_coupling_asymptote's resonance test: |w_h^2 - w_c^2| <= it * sum
+_RESONANCE_TOL = 1e-9
+
+
+def strong_coupling_asymptote(params) -> float:
+    """Large-k limit of the global-solution log-negativity, resonant nodes.
+
+    E = (1/4) ln[2k (1 - e^(w/T_c))^2 (1 - e^(w/T_h))^2
+                 / ((1 - e^(2w/Tbar))^2 w^2)]
+    with Tbar the harmonic mean of the two temperatures.  A negative value
+    means no entanglement is predicted at that coupling.
+    """
+    d = abs(params.omega_h**2 - params.omega_c**2)
+    if d > _RESONANCE_TOL * (params.omega_h**2 + params.omega_c**2):
+        raise ValueError("asymptote only defined for resonant nodes")
+    if params.k <= 0:
+        raise ValueError("asymptote requires k > 0")
+    w = params.omega_c
+    t_bar = 2.0 / (1.0 / params.t_c + 1.0 / params.t_h)
+    num = 2.0 * params.k * (1.0 - math.exp(w / params.t_c))**2 \
+        * (1.0 - math.exp(w / params.t_h))**2
+    den = (1.0 - math.exp(2.0 * w / t_bar))**2 * w**2
+    return 0.25 * math.log(num / den)

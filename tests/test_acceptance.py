@@ -190,7 +190,7 @@ class TestAcceptance:
         p5 = at_k(FIG2C, 1e5)
         p4 = at_k(FIG2C, 1e4)
         en_global = gaussian.log_negativity(gme_steady_state(p5).covariance)
-        asymptote = gaussian.strong_coupling_asymptote(p5)
+        asymptote = oracles.strong_coupling_asymptote(p5)
         d_asym = abs(en_global - asymptote)
         en_local5 = gaussian.log_negativity(lme_steady_state(p5).covariance)
         en_local4 = gaussian.log_negativity(lme_steady_state(p4).covariance)

@@ -1,5 +1,6 @@
-"""Accuracy of the normal modes, and of the global and Redfield
-covariances, against high-precision twins.
+"""Accuracy of the normal modes, of the global and Redfield
+covariances, and of the node spectra and the fidelity, against
+high-precision twins.
 
 The normal modes are checked against their defining equation: mpmath's
 eigsy, at 40 digits, of the potential [[omega_c^2 + k, -k], [-k, omega_h^2
@@ -25,10 +26,22 @@ cancels, and grows only where a formula cancels: Omega_-^2 = (tr -
 root)/2 at strong coupling, and the X_c-X_h and P_c-P_h entries,
 differences of two near-equal mode variances.
 
+The measures are checked against 50-digit evaluations of their formulas
+on the float states.  A node's symplectic eigenvalue, sqrt(x11 x22 - x12
+x21), carries the Rounded bound of that expression.  The fidelity's twin
+takes det(G + iJ/2) from a complex LU rather than from the symplectic
+spectrum, as the library does, and its bound (fidelity_twin) adds the
+backward errors of numpy's LU determinants and of the symplectic
+eigensolve, each from its textbook bound, to the roundings of the
+closed form.
+
 Checked: every normal-mode output, every nonzero entry of the global
-covariance, and every X-X and P-P entry of the Redfield covariance.  The
-Redfield X-P entries carry the time-reversed coherence (CHANGES.md FOUND)
-and wait for its fix.
+covariance, every X-X and P-P entry of the Redfield covariance, every
+node's symplectic eigenvalue of the physical pool states and of random
+states, and the fidelity of every state of the fig1a, fig1b and strongly
+coupled fig2c sweeps and of the pool to its exact partner.  The Redfield
+X-P entries carry the time-reversed coherence (CHANGES.md FOUND) and
+wait for its fix.
 """
 
 import functools
@@ -37,10 +50,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 
-from qwire import WireParams, gme_steady_state
+from qwire import WireParams, gaussian, gme_steady_state, sweep
+from qwire.cli import PRESETS, parse_log_grid
 from qwire.model import normal_modes, secular_validity_margin
 from qwire.redfield import redfield_steady_state
+from conftest import pool_states
 
 DIGITS = 50
 
@@ -324,4 +340,204 @@ def test_normal_modes_within_their_rounding_bound(output, points):
         if err > bound * u:
             misses.append(f"(omega_c, omega_h, k)={point}: "
                           f"{float(err / u):.3g} u > {float(bound):.3g} u")
+    assert not misses, misses
+
+
+# ---------------------------------------------------------------------------
+# the measures: node spectra and fidelity
+
+#: mixes of the random states 1/2 + mix g g^T, from near pure to hot
+RANDOM_MIXES = tuple(float(m) for m in np.geomspace(1e-8, 10.0, 19))
+
+
+def random_states(seed: int = 11, per_mix: int = 8) -> list:
+    rng = np.random.default_rng(seed)
+    out = []
+    for mix in RANDOM_MIXES:
+        for _ in range(per_mix):
+            g = rng.normal(size=(4, 4))
+            out.append(0.5 * np.eye(4) + mix * (g @ g.T))
+    return out
+
+
+def node_states(source: str) -> list:
+    if source == "random":
+        return random_states()
+    return [gamma for _, gamma, _ in pool_states()
+            if gaussian.StateStack([gamma]).physical[0]]
+
+
+@pytest.mark.parametrize("source", ("pool", "random"))
+def test_node_spectrum_within_its_rounding_bound(source):
+    """Each node's symplectic eigenvalue, sqrt(x11 x22 - x12 x21) of its
+    2x2 block, lies within its rounding bound of 50 digits of the same
+    expression on the float block."""
+    u = mp.mpf(np.finfo(float).eps) / 2
+    misses = []
+    with mp.workdps(DIGITS):
+        for gamma in node_states(source):
+            for block in (gamma[:2, :2], gamma[2:, 2:]):
+                (x11, x12), (x21, x22) = block.tolist()
+                ref = sqrt(Rounded(x11) * x22 - Rounded(x12) * x21)
+                nu = gaussian._node_nu(x11, x12, x21, x22)
+                err = abs(mp.mpf(nu) - ref.x) / ref.x
+                if err > ref.r * u:
+                    misses.append(f"{block.tolist()}: {float(err / u):.3g} u"
+                                  f" > {float(ref.r):.3g} u")
+    assert not misses, misses
+
+
+def spectrum_errors(gamma: np.ndarray, u: float) -> list:
+    """A bound on the absolute error of each symplectic eigenvalue that
+    gaussian.symplectic_eigenvalues returns, first order in u.  Each of
+    its three steps adds its own:
+
+    - cholesky(2G) is exact for 2G + E with |E| <= 5u |L||L^T| (Higham,
+      Accuracy and Stability of Numerical Algorithms, Thm 10.3, n + 1 =
+      5).  The spectrum is monotone in G (Loewner order) and of degree
+      one, so nu moves by at most eta nu, with eta = || |W| |E| |W| ||_2
+      and W = (2G)^(-1/2);
+    - the product (L^T J) L is exact in J and adds |F| <= 4u |L^T||J||L|;
+    - eigvalsh is backward stable, |d lambda| <= p u ||H||_2 (LAPACK
+      Users' Guide, 4.7), with p taken as n^2 = 16.
+    The Hermitian matrix's eigenvalues are +-2 nu, so the last two halve.
+    """
+    low = np.linalg.cholesky(2.0 * gamma)
+    w, v = np.linalg.eigh(2.0 * gamma)
+    inv_sqrt = np.abs((v / np.sqrt(w)) @ v.T)
+    eta = 5 * np.linalg.norm(inv_sqrt @ np.abs(low) @ np.abs(low.T)
+                             @ inv_sqrt, 2)
+    jj = np.abs(gaussian.SYMPLECTIC_FORMS[2])
+    product = 4 * np.linalg.norm(np.abs(low.T) @ jj @ np.abs(low), 2)
+    nus = gaussian.symplectic_eigenvalues(gamma)
+    return [u * (nu * eta + (product + 16 * 2 * nus[0]) / 2) for nu in nus]
+
+
+def det_error(m: np.ndarray, formed: np.ndarray, u: float) -> float:
+    """A bound on the relative error of np.linalg.det of M, first order in
+    u, where u formed bounds the error of M's entries as the library forms
+    them.  LU with partial pivoting is exact for M + dM with |dM| <= 4u
+    P|L||U| (Higham, Thm 9.3), and det M moves by det M sum (M^-1)_ji
+    dM_ij.  numpy then takes det = sign exp(sum ln|U_ii|): each log to an
+    ulp, their running sum to 3u of sum |ln|U_ii||, and the exp to an
+    ulp."""
+    perm, low, up = scipy.linalg.lu(m)
+    backward = formed + 4 * perm @ np.abs(low) @ np.abs(up)
+    logs = np.sum(np.abs(np.log(np.abs(np.diag(up)))))
+    return u * (np.sum(np.abs(np.linalg.inv(m).T) * backward)
+                + 5 * logs + 2)
+
+
+def clamped_sqrt(x, err, u) -> tuple:
+    """sqrt(max(x, 0)) and its error bound, given that the library's x is
+    within err of it: |sqrt x' - sqrt x| <= min(err / sqrt x, sqrt err)
+    holds also where x is near or below zero, and the root rounds once."""
+    root = mp.sqrt(max(x, 0))
+    spread = min(err / root, mp.sqrt(err)) if root > 0 else mp.sqrt(err)
+    return root, spread + u * root
+
+
+def lu_det(rows: list):
+    """det of a square matrix of mp numbers, given as rows, by LU with
+    partial pivoting at the working precision."""
+    rows, det = [list(r) for r in rows], mp.mpf(1)
+    for k in range(len(rows)):
+        p = max(range(k, len(rows)), key=lambda i: abs(rows[i][k]))
+        if p != k:
+            rows[k], rows[p], det = rows[p], rows[k], -det
+        det *= rows[k][k]
+        for row in rows[k + 1:]:
+            f = row[k] / rows[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], rows[k][k:])]
+    return det
+
+
+def mp_rows(m: np.ndarray) -> list:
+    return [[mp.mpf(v) for v in row] for row in m.tolist()]
+
+
+def half_ij_det(gamma: np.ndarray):
+    """det(G + iJ/2) by a complex LU at 50 digits; it is real."""
+    jj = gaussian.SYMPLECTIC_FORMS[2].tolist()
+    g = gamma.tolist()
+    with mp.workdps(DIGITS):
+        return mp.re(lu_det([[mp.mpc(g[i][j], jj[i][j] / 2)
+                              for j in range(4)] for i in range(4)]))
+
+
+def fidelity_twin(g1: np.ndarray, g2: np.ndarray) -> tuple:
+    """(F, bound): F at 50 digits of the float states, its c from an mp
+    complex LU of G + iJ/2 rather than from the spectrum, and a bound on
+    the error of gaussian.fidelity, first order in u.  a and b carry
+    det_error; c = 2^4 prod_k (nu_k - 1/2)(nu_k + 1/2) carries
+    spectrum_errors through each factor and the roundings of its
+    products; then every step of gaussian._fidelity adds its own."""
+    u = np.finfo(float).eps / 2
+    jj = gaussian.SYMPLECTIC_FORMS[2]
+    j1, j2 = jj @ g1, jj @ g2
+    m = j1 @ j2 - np.eye(4) / 4.0
+    m_formed = 4 * np.abs(j1) @ np.abs(j2) + np.diag(np.abs(np.diag(m)))
+    with mp.workdps(DIGITS):
+        r1, r2 = mp_rows(g1), mp_rows(g2)
+        a = lu_det([[x + y for x, y in zip(*rows)] for rows in zip(r1, r2)])
+        # (J G1)(J G2) - 1/4; J G is exact in floats
+        jr1, jr2 = mp_rows(j1), mp_rows(j2)
+        b = 16 * lu_det([[mp.fsum(jr1[i][k] * jr2[k][j] for k in range(4))
+                          - (0.25 if i == j else 0) for j in range(4)]
+                         for i in range(4)])
+        c = 16 * half_ij_det(g1) * half_ij_det(g2)
+        err_a = abs(a) * det_error(g1 + g2, np.abs(g1 + g2), u)
+        err_b = abs(b) * det_error(m, m_formed, u)
+        nus = [mp.mpf(v) for g in (g1, g2)
+               for v in gaussian.symplectic_eigenvalues(g)]
+        errs = spectrum_errors(g1, u) + spectrum_errors(g2, u)
+        q = [(nu - 0.5) * (nu + 0.5) for nu in nus]
+        q_err = [2 * nu * e + 3 * u * abs(f)
+                 for nu, e, f in zip(nus, errs, q)]
+        err_c = 16 * sum(q_err[k] * mp.fprod(abs(q[j]) + q_err[j]
+                                             for j in range(4) if j != k)
+                         for k in range(4)) + 3 * u * abs(c)
+        root_b, err_rb = clamped_sqrt(b, err_b, u)
+        root_c, err_rc = clamped_sqrt(c, err_c, u)
+        x = root_b + root_c
+        err_x = err_rb + err_rc + u * x
+        y = x * x - a
+        root_y, err_ry = clamped_sqrt(y, 2 * x * err_x + u * x * x + err_a
+                                      + u * abs(y), u)
+        num = x + root_y
+        f = num / a
+        return min(f, 1), (err_x + err_ry + u * num) / a \
+            + num * err_a / a**2 + u * f
+
+
+def fidelity_pairs(source: str) -> list:
+    """(state, partner, the library's fidelity) of each physical pool
+    state and its exact state, or of each state of a preset's 60-point
+    sweep and the row's exact state; of fig2c only k >= 1e3, where both
+    states are nearly pure and c is about 1e-26."""
+    if source == "pool":
+        return [(g, e, gaussian.fidelity(g, e)) for _, g, e in pool_states()
+                if gaussian.StateStack([g, e]).physical.all()]
+    name = source.split("-")[0]
+    preset = dict(PRESETS[name])
+    grid = parse_log_grid("{}:{}:60".format(*preset.pop("grid")))
+    if name == "fig2c":
+        grid = [k for k in grid if k >= 1e3]
+    rows = sweep(WireParams(k=grid[0], **preset), "k", grid)
+    return [(res.covariance, row.results[-1].covariance,
+             row.metrics[res.method]["fidelity_to_exact"])
+            for row in rows for res in row.results]
+
+
+@pytest.mark.parametrize("source", ("fig1a", "fig1b", "fig2c-strong",
+                                    "pool"))
+def test_fidelity_within_its_rounding_bound(source):
+    """Every fidelity lies within its derived bound of the 50-digit twin
+    (fidelity_twin)."""
+    misses = []
+    for g1, g2, f in fidelity_pairs(source):
+        ref, bound = fidelity_twin(g1, g2)
+        if not abs(mp.mpf(f) - ref) <= bound:
+            misses.append(f"F = {f!r}, twin {mp.nstr(ref, 17)}, bound "
+                          f"{mp.nstr(bound, 3)}")
     assert not misses, misses

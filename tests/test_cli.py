@@ -533,14 +533,14 @@ class TestValidate:
         assert checks["exact_self_fidelity"]["detail"] == \
             "F(exact, exact) = nan"
 
-    def test_takes_the_rows_two_spectra(self, capsys, monkeypatch):
-        """The states with their partial transposes, then their node
-        blocks: the spectra of sweep_row, and no others."""
+    def test_takes_the_rows_one_spectrum(self, capsys, monkeypatch):
+        """The states with their partial transposes: the spectrum call of
+        sweep_row, and no other."""
         spectra = count_spectra(monkeypatch)
         code, _, _ = run(capsys, "validate", "--scenario", "fig1a",
                          "--k", "0.05")
         assert code == 0
-        assert spectra == [(8, 4, 4), (8, 2, 2)]
+        assert spectra == [(8, 4, 4)]
 
     @pytest.mark.parametrize("overrides", (
         ("--k", "1e-4"), ("--k", "1e-3"), ("--k", "1e-2"),

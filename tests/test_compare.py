@@ -367,12 +367,11 @@ class TestCorrelationTools:
             assert d["d_discord"] == pytest.approx(
                 d["d_mutual_info"] - d["d_classical"], abs=1e-12)
 
-    def test_sweep_row_takes_two_spectra(self, monkeypatch):
-        """One of the four states with their partial transposes, one of
-        their node blocks."""
+    def test_sweep_row_takes_one_spectrum(self, monkeypatch):
+        """The four states with their partial transposes, in one call."""
         spectra = count_spectra(monkeypatch)
         sweep_row(WIDE_GAP, "k", 0.01)
-        assert spectra == [(8, 4, 4), (8, 2, 2)]
+        assert spectra == [(8, 4, 4)]
 
     def test_sweep_takes_the_same_spectra_at_any_length(self, monkeypatch):
         """A 60-point sweep measures its states in as many spectrum calls
@@ -382,7 +381,7 @@ class TestCorrelationTools:
             spectra = count_spectra(monkeypatch)
             sweep(WIDE_GAP, "k", np.logspace(-4, 0, n))
             counts.append(len(spectra))
-        assert counts == [2, 2]
+        assert counts == [1, 1]
 
     def test_sweep_row_is_pure(self):
         row1 = sweep_row(WIDE_GAP, "k", 1e-2)

@@ -1,14 +1,12 @@
 """Gaussian state toolkit against independent density-matrix references."""
 
-import json
 import math
-import pathlib
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from qwire import (WireParams, correlation_report, exact_steady_state,
@@ -17,10 +15,7 @@ from qwire import (WireParams, correlation_report, exact_steady_state,
 from qwire import gaussian
 import oracles
 from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP,
-                      count_spectra, with_k)
-
-POOL = (pathlib.Path(__file__).resolve().parent.parent
-        / "perfbench" / "data" / "states.json")
+                      count_spectra, pool_states, with_k)
 
 
 def random_physical_covariance(rng: np.random.Generator,
@@ -59,21 +54,6 @@ def finite_squeezing_states() -> list:
     out.append(("two-mode squeezed", squeezed_state(0.8, 0.0, 0.0, 0.0,
                                                     (0.9, 0.9))))
     return out
-
-
-def pool_states() -> list:
-    """The benchmark's frozen pool of 448 covariance matrices, as
-    (id, covariance, exact covariance) triples."""
-    doc = json.loads(POOL.read_text(encoding="utf-8"))
-    upper = [(i, j) for i in range(4) for j in range(i, 4)]
-
-    def matrix(entries):
-        gamma = np.zeros((4, 4))
-        for (i, j), value in zip(upper, entries):
-            gamma[i, j] = gamma[j, i] = value
-        return gamma
-    return [(state["id"], matrix(state["cov"]), matrix(state["exact_cov"]))
-            for state in doc["states"]]
 
 
 def min_conditional_entropy(gamma, node: str) -> float:
@@ -189,13 +169,14 @@ class TestPhysicality:
 
 
 class TestStateStack:
-    def test_report_takes_two_spectra(self, monkeypatch):
+    def test_report_takes_one_spectrum(self, monkeypatch):
         """The state, the exact state and the state's partial transpose in
-        one call; the state's node blocks in one more."""
+        one call, and no other: the node entropies and the fidelity's
+        det(G + iJ/2) follow from it."""
         results = solve_all(with_k(WIDE_GAP, 0.01))
         spectra = count_spectra(monkeypatch)
         correlation_report(results[0].covariance, results[-1].covariance)
-        assert spectra == [(3, 4, 4), (2, 2, 2)]
+        assert spectra == [(3, 4, 4)]
 
     def test_report_equals_the_standalone_measures(self):
         """Shared spectra change no bit of any measure, and a report
@@ -281,23 +262,37 @@ def mixed_covariances(draw) -> np.ndarray:
     return gamma
 
 
+@st.composite
+def stacks(draw) -> tuple:
+    """(covariances, partner indices) of a stack of 1 to 50 states."""
+    n = draw(st.integers(1, 50))
+    covs = draw(st.lists(mixed_covariances(), min_size=n, max_size=n))
+    return covs, draw(st.lists(st.integers(0, n - 1), min_size=n,
+                               max_size=n))
+
+
 def bits(value) -> bytes:
     return np.float64(value).tobytes()
+
+
+#: a state that is not finite and one that is not positive definite, whose
+#: hot node's determinant is negative, with a physical state for partner
+FAILED_STATES = ([np.diag([1.0, np.inf, 1.0, 1.0]),
+                  np.diag([1.0, 1.0, -1.0, 1.0]), 0.7 * np.eye(4)],
+                 [2, 2, 0])
 
 
 class TestStackInvariance:
     @seed(17)
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 50), st.data())
-    def test_each_state_measures_as_if_alone(self, n, data):
+    @given(stacks())
+    @example(FAILED_STATES)
+    def test_each_state_measures_as_if_alone(self, stack_draw):
         """Every state's measures and reason in a stack of n are bit for
         bit those of the state alone and of its correlation report, on
         both nodes; a failed state is NaN with its own reason; no numpy
         warning escapes."""
-        covs = data.draw(st.lists(mixed_covariances(), min_size=n,
-                                  max_size=n))
-        partners = data.draw(st.lists(st.integers(0, n - 1), min_size=n,
-                                      max_size=n))
+        covs, partners = stack_draw
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stack = gaussian.StateStack(covs)
@@ -529,14 +524,14 @@ class TestLogNegativity:
 class TestStrongCouplingAsymptote:
     def test_requires_resonance_and_coupling(self):
         with pytest.raises(ValueError):
-            gaussian.strong_coupling_asymptote(
+            oracles.strong_coupling_asymptote(
                 WireParams(1.0, 2.0, 1.0, 1.0, 2.0, 1e-3, 1e3))
         with pytest.raises(ValueError):
-            gaussian.strong_coupling_asymptote(
+            oracles.strong_coupling_asymptote(
                 WireParams(1.0, 1.0, 0.0, 1.0, 2.0, 1e-3, 1e3))
 
     def test_matches_global_solution_at_large_k(self):
         params = with_k(RESONANT_STRONG, 1e5)
         e_n = gaussian.log_negativity(gme_steady_state(params).covariance)
-        asym = gaussian.strong_coupling_asymptote(params)
+        asym = oracles.strong_coupling_asymptote(params)
         assert abs(e_n - asym) < 1e-2
