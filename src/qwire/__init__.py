@@ -10,7 +10,7 @@ from .gme import gme_steady_state, gme_heat_currents
 from .lme import lme_steady_state, lme_heat_currents
 from .redfield import redfield_steady_state
 from .exact import exact_steady_state, exact_steady_states
-from .compare import solve_all, sweep, correlation_deltas, correlation_report
+from .compare import solve_all, sweep, correlation_report
 from . import gaussian
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "lme_steady_state", "lme_heat_currents",
     "redfield_steady_state",
     "exact_steady_state", "exact_steady_states",
-    "solve_all", "sweep", "correlation_deltas", "correlation_report",
+    "solve_all", "sweep", "correlation_report",
     "gaussian",
 ]
 

@@ -1,13 +1,12 @@
 """Run all four solvers on one parameter point or a sweep.
 
-Only sweep solves and measures points; steady, validate and
-correlation_deltas read the row of a sweep of one point (sweep_row).  A
-sweep solves its grid in process, its exact quadratures as one
-exact_steady_states batch.  Then all its states are measured as one
-gaussian.StateStack, so a sweep of any length takes the same few
-spectrum and measure calls.  No solver raises: a failed exact quadrature
-or a non-physical state leaves NaN cells and a reason in its row.  Rows
-are pure functions of a point.
+Only sweep solves and measures points; steady and validate read the row
+of a sweep of one point (sweep_row).  A sweep solves its grid in
+process, its exact quadratures as one exact_steady_states batch.  Then
+all its states are measured as one gaussian.StateStack, so a sweep of
+any length takes the same few spectrum and measure calls.  No solver
+raises: a failed exact quadrature or a non-physical state leaves NaN
+cells and a reason in its row.  Rows are pure functions of a point.
 """
 
 from __future__ import annotations
@@ -151,28 +150,3 @@ def sweep_row(params: WireParams, axis: str, value: float,
               measured_node: str = "h") -> SweepRow:
     """One fully-populated sweep row: the sweep of one grid point."""
     return sweep(params, axis, [value], measured_node)[0]
-
-
-def correlation_deltas(params: WireParams, measured_node: str = "h") -> dict:
-    """Approximate-minus-exact correlation differences per method.
-
-    Returns, for each approximate method, the differences in mutual
-    information, classical and quantum correlations and in the
-    covariances Gamma_14 and Gamma_13, or the error that left it without
-    metrics.  The differences are NaN if the exact state is non-physical.
-    """
-    row = sweep_row(params, "k", params.k, measured_node)
-    exact, exact_values = row.results[-1], row.metrics["exact"]
-    out = {}
-    for res in row.results[:-1]:
-        if res.method in row.errors:
-            out[res.method] = {"error": row.errors[res.method]}
-            continue
-        values = row.metrics[res.method]
-        d_i = values["mutual_info"] - exact_values["mutual_info"]
-        d_c = values["classical"] - exact_values["classical"]
-        out[res.method] = {
-            "d_mutual_info": d_i, "d_classical": d_c, "d_discord": d_i - d_c,
-            "d_gamma_14": res.covariance[0, 3] - exact.covariance[0, 3],
-            "d_gamma_13": res.covariance[0, 2] - exact.covariance[0, 2]}
-    return out

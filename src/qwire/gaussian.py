@@ -152,18 +152,6 @@ def _stack(states) -> StateStack:
     return stack
 
 
-def is_physical(gamma: np.ndarray) -> bool:
-    return _reason("", gamma, symplectic_eigenvalues(gamma)[-1]) is None
-
-
-def entropy(gamma: np.ndarray) -> float:
-    """Von Neumann entropy of a Gaussian state (nats)."""
-    nus = symplectic_eigenvalues(gamma)
-    if (reason := _reason("", gamma, nus[-1])) is not None:
-        raise NonPhysicalStateError(reason)
-    return _entropy(nus.tolist())
-
-
 def mutual_information(states):
     """I = S(G_c) + S(G_h) - S(G_ch) of each two-mode state."""
     stack = _stack(states)

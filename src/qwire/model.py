@@ -80,11 +80,6 @@ class WireParams:
             return self.t_h
         raise ValueError(f"unknown node {node!r}")
 
-    def swapped(self) -> "WireParams":
-        """Same wire with the c/h labels exchanged."""
-        return WireParams(self.omega_h, self.omega_c, self.k,
-                          self.t_h, self.t_c, self.lambda_sq, self.cutoff)
-
 
 @dataclass(frozen=True)
 class NormalModes:

@@ -36,6 +36,13 @@ def with_k(params: WireParams, k: float) -> WireParams:
     return dataclasses.replace(params, k=k)
 
 
+def swapped(params: WireParams) -> WireParams:
+    """The same wire with the c/h labels exchanged."""
+    return dataclasses.replace(params, omega_c=params.omega_h,
+                               omega_h=params.omega_c, t_c=params.t_h,
+                               t_h=params.t_c)
+
+
 def failed_result(method: str) -> SteadyStateResult:
     """The result a solver returns where it fails: NaN covariance and
     currents, and its reason."""

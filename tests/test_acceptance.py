@@ -239,8 +239,8 @@ class TestAcceptance:
                         "with tests/generate_reference_states.py")
         doc = json.loads(path.read_text())
         worst_s = max(
-            abs(gaussian.entropy(np.array(state["covariance"]))
-                - state["entropy"])
+            abs(gaussian.StateStack([np.array(state["covariance"])])
+                .entropies[0][0] - state["entropy"])
             for state in doc["states"])
         worst_f = max(
             abs(gaussian.fidelity(np.array(doc["states"][pair["i"]]
@@ -273,7 +273,7 @@ class TestAcceptance:
                        at_k(FIG2C, 10.0)):
             for res in solve_all(params):
                 all_physical = all_physical and \
-                    gaussian.is_physical(res.covariance)
+                    gaussian.StateStack([res.covariance]).physical[0]
                 if res.method == "exact":
                     scale = np.max(np.abs(res.covariance))
                     worst_quad = max(

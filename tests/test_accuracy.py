@@ -1,6 +1,6 @@
 """Accuracy of the normal modes, of the global and Redfield
-covariances, and of the node spectra and the fidelity, against
-high-precision twins.
+covariances and hot currents, and of the node spectra and the fidelity,
+against high-precision twins.
 
 The normal modes are checked against their defining equation: mpmath's
 eigsy, at 40 digits, of the potential [[omega_c^2 + k, -k], [-k, omega_h^2
@@ -36,7 +36,8 @@ eigensolve, each from its textbook bound, to the roundings of the
 closed form.
 
 Checked: every normal-mode output, every nonzero entry of the global
-covariance, every X-X and P-P entry of the Redfield covariance, every
+covariance, every X-X and P-P entry of the Redfield covariance, both
+closed-form hot currents (also where n_h - n_c cancels), every
 node's symplectic eigenvalue of the physical pool states and of random
 states, and the fidelity of every state of the fig1a, fig1b and strongly
 coupled fig2c sweeps and of the pool to its exact partner.  The Redfield
@@ -52,7 +53,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qwire import WireParams, gaussian, gme_steady_state, sweep
+from qwire import (WireParams, gaussian, gme_heat_currents, gme_steady_state,
+                   sweep)
 from qwire.cli import PRESETS, parse_log_grid
 from qwire.model import normal_modes, secular_validity_margin
 from qwire.redfield import redfield_steady_state
@@ -163,7 +165,8 @@ def matmul(a: list, b: list) -> list:
 
 def twins(params: WireParams) -> dict:
     """{(method, "X" or "P"): 2x2 block of Rounded} for the global and the
-    Redfield covariance, each operation in the library's order."""
+    Redfield covariance, and {(method, "qdot_h"): Rounded} for their hot
+    currents, each operation in the library's order."""
     wc, wh, k = (Rounded(v) for v in (params.omega_c, params.omega_h,
                                       params.k))
     # model.normal_modes
@@ -195,14 +198,19 @@ def twins(params: WireParams) -> dict:
     delta = root / (om_p + om_m)
     bias = j[0] * (n[1][0] - n[0][0]) + j[1] * (n[1][1] - n[0][1])
     b4 = -sin_cos * bias / sqrt(om_p * om_m)
-    s_pm = -kappa * b4 / (delta**2 + kappa**2)
+    norm = delta**2 + kappa**2
+    s_pm = -kappa * b4 / norm
     cross = {"X": s_pm / (2.0 * sqrt(om_p * om_m)),
              "P": 0.5 * sqrt(om_p * om_m) * s_pm}
+
+    # gme.gme_heat_currents, and the Redfield current scaled from it
+    qdot_g = sin_cos**2 * bias
+    out = {("global", "qdot_h"): qdot_g,
+           ("redfield", "qdot_h"): qdot_g * (delta**2 / norm)}
 
     # model.rotation_matrix, rot @ gamma_nm @ rot.T block by block
     c, s = sqrt(cos_sq), sqrt(sin_sq)
     rot, rot_t = [[c, s], [-s, c]], [[c, -s], [s, c]]
-    out = {}
     for name, (plus, minus) in (("X", eta_sq), ("P", pi_sq)):
         for method, x in (("global", Rounded(0)), ("redfield", cross[name])):
             block = [[plus, x], [x, minus]]
@@ -234,6 +242,35 @@ def test_covariances_within_their_rounding_bound(ratio):
                             f"{method} Gamma[{i},{jj}] at k={k!r}: "
                             f"{float(err / u):.3g} u > bound "
                             f"{float(ref.r):.3g} u")
+
+
+#: the current rows: the covariance grid, plus t_h = t_c (1 + 1e-6), where
+#: n_h - n_c cancels and the bound grows with it
+CURRENT_POINTS = [WireParams(omega_c=1.0, omega_h=ratio, k=k, t_c=2.0,
+                             t_h=3.0, lambda_sq=1e-3, cutoff=1e3)
+                  for ratio in RATIOS for k in COUPLINGS] + [
+    WireParams(omega_c=1.0, omega_h=2.0, k=0.01, t_c=2.0,
+               t_h=2.0 * (1 + 1e-6), lambda_sq=1e-3, cutoff=1e3)]
+
+
+@pytest.mark.parametrize("method, current", (
+    ("global", lambda p: gme_heat_currents(p)[1]),
+    ("redfield", lambda p: redfield_steady_state(p).qdot_h)),
+    ids=("global", "redfield"))
+def test_currents_within_their_rounding_bound(method, current):
+    """Each closed-form hot current lies within its derived bound of the
+    twin: Q_G = sin_cos^2 sum_s J_s (n_h - n_c) and
+    Q_R = Q_G delta^2 / (delta^2 + kappa^2)."""
+    u = mp.mpf(np.finfo(float).eps) / 2
+    misses = []
+    with mp.workdps(DIGITS):
+        for params in CURRENT_POINTS:
+            ref = twins(params)[method, "qdot_h"]
+            err = abs(mp.mpf(current(params)) - ref.x) / abs(ref.x)
+            if err > ref.r * u:
+                misses.append(f"{params}: {float(err / u):.3g} u > "
+                              f"{float(ref.r):.3g} u")
+    assert not misses, misses
 
 
 #: the normal-mode rows: omega_h / omega_c - 1 from near degeneracy to

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import qwire
 from qwire import (METHODS, WireParams, cli, compare,
                    exact_steady_states)
 from qwire.cli import (CSV_COLUMNS, PRESETS, main, parse_log_grid,
@@ -20,6 +21,7 @@ from conftest import (NARROW_CUTOFF, NEAR_DEGENERATE, RESONANT_STRONG,
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 POINTS = PERFBENCH / "data" / "points.json"
+README = PERFBENCH.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -71,6 +73,19 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_public_names_resolve():
+    """Every name in qwire.__all__ is there after `import qwire`."""
+    assert [name for name in qwire.__all__ if not hasattr(qwire, name)] == []
+
+
+def test_readme_library_block_runs(capsys):
+    """README's Library example runs as written."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    assert capsys.readouterr().out.count("[[") == len(METHODS)
 
 
 #: the frozen preset table the package must expose

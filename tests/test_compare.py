@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from qwire import (METHODS, SteadyStateResult, WireParams,
-                   correlation_deltas, exact_steady_state,
-                   exact_steady_states, solve_all, sweep)
+                   exact_steady_state, exact_steady_states, solve_all, sweep)
 from qwire import compare, exact, gaussian
 from qwire.compare import (METRIC_KEYS, _SOLVERS, correlation_report,
                            sweep_row)
@@ -356,16 +355,22 @@ class TestCorrelationTools:
             report.mutual_information - report.discord_arrow, abs=1e-12)
 
     def test_deltas_in_breakdown_window(self):
-        deltas = correlation_deltas(with_k(NEAR_DEGENERATE, 1e-3))
-        assert set(deltas) == {"global", "local", "redfield"}
+        """Approximate minus exact, read off one sweep row."""
+        row = sweep_row(with_k(NEAR_DEGENERATE, 1e-3), "k", 1e-3)
+        assert row.errors == {}
+        exact_gamma, exact_values = (row.results[-1].covariance,
+                                     row.metrics["exact"])
+        d_gamma_14 = {res.method: res.covariance[0, 3] - exact_gamma[0, 3]
+                      for res in row.results[:-1]}
         # the global solution misses the position-momentum cross
         # covariance entirely; the local one captures it well
-        assert abs(deltas["global"]["d_gamma_14"]) > 0.1
-        assert abs(deltas["local"]["d_gamma_14"]) < 1e-3
+        assert abs(d_gamma_14["global"]) > 0.1
+        assert abs(d_gamma_14["local"]) < 1e-3
         for method in ("global", "local", "redfield"):
-            d = deltas[method]
-            assert d["d_discord"] == pytest.approx(
-                d["d_mutual_info"] - d["d_classical"], abs=1e-12)
+            d = {key: row.metrics[method][key] - exact_values[key]
+                 for key in ("mutual_info", "classical", "discord")}
+            assert d["discord"] == pytest.approx(
+                d["mutual_info"] - d["classical"], abs=1e-12)
 
     def test_sweep_row_takes_one_spectrum(self, monkeypatch):
         """The four states with their partial transposes, in one call."""

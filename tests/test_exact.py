@@ -18,7 +18,7 @@ from qwire.exact import (_Kernel, _breakpoints, _chi, _gk21,
                          _integrand_matrix, _integrate_batch)
 from qwire import exact, gaussian
 from check_exact_pool import pool_mismatches
-from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP,
+from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, swapped,
                       trace_replays, with_k)
 from oracles import (chi_hat, equilibrium_covariance_mpmath, integrand_probe,
                      per_node_exact_integral)
@@ -144,7 +144,7 @@ class TestSteadyState:
         res = exact_steady_state(with_k(WIDE_GAP, 0.1))
         scale = np.max(np.abs(res.covariance))
         assert res.diagnostics["quadrature_error"] < 1e-8 * scale
-        assert gaussian.is_physical(res.covariance)
+        assert gaussian.StateStack([res.covariance]).physical[0]
 
     def test_same_node_cross_covariances_vanish(self):
         """<X_c P_c> and <X_h P_h> are +0.0, sign included, at every
@@ -159,7 +159,7 @@ class TestSteadyState:
     def test_label_swap_symmetry(self):
         p = with_k(WIDE_GAP, 0.2)
         res = exact_steady_state(p)
-        res_swapped = exact_steady_state(p.swapped())
+        res_swapped = exact_steady_state(swapped(p))
         perm = np.zeros((4, 4))
         perm[0, 2] = perm[1, 3] = perm[2, 0] = perm[3, 1] = 1.0
         assert np.allclose(res_swapped.covariance,

@@ -115,10 +115,12 @@ class TestSymplecticEigenvalues:
                             (np.full((4, 4), np.nan), "finite"),
                             (np.diag([1.0, np.inf, 1.0, 1.0]), "finite")):
             assert np.all(gaussian.symplectic_eigenvalues(gamma) == 0.0)
-            assert not gaussian.is_physical(gamma)
+            stack = gaussian.StateStack([gamma])
+            assert not stack.physical[0]
+            assert stack.reasons[0] == f"covariance is not {kind}"
             with pytest.raises(gaussian.NonPhysicalStateError,
                                match=f"^covariance is not {kind}$"):
-                gaussian.entropy(gamma)
+                gaussian.mutual_information(gamma)
 
     def test_stack_is_taken_in_one_call_and_never_raises(self):
         """A stack's spectra are its matrices' one at a time, bit for bit,
@@ -139,23 +141,28 @@ class TestSymplecticEigenvalues:
 
 class TestPhysicality:
     def test_vacuum_is_physical(self):
-        assert gaussian.is_physical(0.5 * np.eye(4))
+        assert gaussian.StateStack([0.5 * np.eye(4)]).physical[0]
 
     def test_below_bound_raises(self):
         gamma = 0.4 * np.eye(4)
-        assert not gaussian.is_physical(gamma)
+        assert not gaussian.StateStack([gamma]).physical[0]
         with pytest.raises(gaussian.NonPhysicalStateError):
-            gaussian.entropy(gamma)
+            gaussian.mutual_information(gamma)
 
     def test_roundoff_below_half_is_clamped(self):
-        gamma = (0.5 - 1e-12) * np.eye(4)
-        assert gaussian.entropy(gamma) == 0.0
+        stack = gaussian.StateStack([(0.5 - 1e-12) * np.eye(4)])
+        assert stack.physical[0]
+        assert stack.entropies[0][0] == 0.0
 
     def test_error_reports_margin(self):
         for scale, margin in ((0.4, "-1.000e-01"), (0.5 - 3e-9, "-3.000e-09")):
+            gamma = scale * np.eye(4)
+            assert gaussian.StateStack([gamma]).reasons[0] == \
+                f"smallest symplectic eigenvalue below 1/2: " \
+                f"nu_min - 1/2 = {margin}"
             with pytest.raises(gaussian.NonPhysicalStateError,
                                match=f"nu_min - 1/2 = {margin}$"):
-                gaussian.entropy(scale * np.eye(4))
+                gaussian.mutual_information(gamma)
 
     def test_low_temperature_model_states(self):
         """fig1a at t_c = 0.01: the global and Redfield states sit within
@@ -163,7 +170,7 @@ class TestPhysicality:
         params = WireParams(1.0, 2.0, 0.01, 0.01, 0.015, 1e-3, 1e3)
         for solver in (gme_steady_state, redfield_steady_state):
             gamma = solver(params).covariance
-            assert gaussian.is_physical(gamma)
+            assert gaussian.StateStack([gamma]).physical[0]
             assert abs(gaussian.symplectic_eigenvalues(gamma)[-1]
                        - 0.5) < 1e-12
 
@@ -344,14 +351,23 @@ class TestStackInvariance:
 
 
 class TestEntropy:
+    """A stack's entropies: S(G_ch) from the two-mode spectrum, and each
+    node's S(G_c), S(G_h) from sqrt(det) of its block."""
+
     def test_thermal_closed_form(self):
-        n = 1.7
-        gamma = (n + 0.5) * np.eye(2)
-        expected = (n + 1) * math.log(n + 1) - n * math.log(n)
-        assert gaussian.entropy(gamma) == pytest.approx(expected, rel=1e-12)
+        """Each node thermal, at n = 1.7 and 0.3: the node entries match
+        the closed form and add up to the two-mode one."""
+        ns = (1.7, 0.3)
+        gamma = np.diag([ns[0] + 0.5] * 2 + [ns[1] + 0.5] * 2)
+        s, s_c, s_h = gaussian.StateStack([gamma]).entropies
+        expected = [(n + 1) * math.log(n + 1) - n * math.log(n) for n in ns]
+        assert s_c[0] == pytest.approx(expected[0], rel=1e-12)
+        assert s_h[0] == pytest.approx(expected[1], rel=1e-12)
+        assert s[0] == pytest.approx(sum(expected), rel=1e-12)
 
     def test_pure_state_has_zero_entropy(self):
-        assert gaussian.entropy(0.5 * np.eye(4)) == 0.0
+        entropies = gaussian.StateStack([0.5 * np.eye(4)]).entropies
+        assert [s[0] for s in entropies] == [0.0] * 3
 
     def test_frozen_fock_reference(self, fock_reference):
         for state in fock_reference["states"]:
@@ -359,8 +375,8 @@ class TestEntropy:
             # smaller (exponential convergence)
             assert state["entropy_truncation_delta"] < 1e-5
             gamma = np.array(state["covariance"])
-            assert gaussian.entropy(gamma) == pytest.approx(
-                state["entropy"], abs=1e-6)
+            assert gaussian.StateStack([gamma]).entropies[0][0] == \
+                pytest.approx(state["entropy"], abs=1e-6)
 
 
 class TestFidelity:
@@ -379,7 +395,7 @@ class TestFidelity:
         clamped to zero."""
         gamma = squeezed_state(0.8, 0.3, -0.2, 0.4, (1.2, 0.5 - 1e-10))
         partner = random_physical_covariance(np.random.default_rng(2))
-        assert gaussian.is_physical(gamma)
+        assert gaussian.StateStack([gamma]).physical[0]
         for g1, g2 in ((gamma, partner), (partner, gamma)):
             assert 0.0 < gaussian.fidelity(g1, g2) <= 1.0
 
@@ -444,9 +460,10 @@ class TestDiscord:
     def test_pure_two_mode_squeezed_state(self):
         """On a pure state Q = S(B), the entanglement entropy."""
         gamma = squeezed_state(0.8, 0.3, -0.2, 0.4, (0.5, 0.5))
-        for node, block in (("c", gamma[:2, :2]), ("h", gamma[2:, 2:])):
+        _, s_c, s_h = gaussian.StateStack([gamma]).entropies
+        for node, s_b in (("c", s_c[0]), ("h", s_h[0])):
             assert gaussian.gaussian_discord(gamma, node) == pytest.approx(
-                gaussian.entropy(block), rel=1e-12)
+                s_b, rel=1e-12)
 
     def test_matches_adesso_datta_closed_form(self):
         """The kernel at the closed-form seed against 60 digits of the
@@ -476,7 +493,7 @@ class TestDiscord:
         """I >= Q >= 0 on both nodes of every physical pool state."""
         bad = []
         for state_id, gamma, _ in pool_states():
-            if not gaussian.is_physical(gamma):
+            if not gaussian.StateStack([gamma]).physical[0]:
                 continue
             i = gaussian.mutual_information(gamma)
             for node in "ch":

@@ -14,7 +14,7 @@ from qwire.gme import (GmeCoefficients, gme_coefficients,
                        gme_normal_mode_covariance, gme_steady_state)
 from qwire.moments import moment_equations, moments
 from qwire import gaussian
-from conftest import WIDE_GAP, with_k
+from conftest import WIDE_GAP, swapped, with_k
 from oracles import (destroy, dissipator_adjoint, extract_affine_dynamics,
                      mode_rates, quadratures)
 
@@ -135,7 +135,7 @@ class TestSteadyState:
         # the secular solution carries no position-momentum covariances
         for i, j in [(0, 1), (2, 3), (0, 3), (1, 2)]:
             assert gamma[i, j] == pytest.approx(0.0, abs=1e-16)
-        assert gaussian.is_physical(gamma)
+        assert gaussian.StateStack([gamma]).physical[0]
         assert res.diagnostics["residual"] < 1e-13
 
     def test_rotation_conjugation_symbolic(self):
@@ -205,7 +205,7 @@ class TestHeatCurrents:
     def test_k_squared_scaling_at_weak_coupling(self):
         """Q/k^2 reaches its weak-coupling limit as O(k) in both node
         orders, also where theta rounds to pi/2 (fig1a, k <= 1e-8)."""
-        for params in (WIDE_GAP, WIDE_GAP.swapped()):
+        for params in (WIDE_GAP, swapped(WIDE_GAP)):
             limit = gme_heat_currents(with_k(params, 1e-12))[1] / 1e-24
             assert abs(limit) > 1e-4
             for k in (1e-8, 1e-10):

@@ -73,7 +73,7 @@ class TestSteadyState:
     def test_solve_residual(self):
         res = lme_steady_state(OFF_RESONANT)
         assert res.diagnostics["residual"] < 1e-12
-        assert gaussian.is_physical(res.covariance)
+        assert gaussian.StateStack([res.covariance]).physical[0]
 
     def test_equilibrium_decoupled_limit(self):
         p = WireParams(1.0, 2.0, 0.0, 2.0, 2.0, 1e-3, 1e3)

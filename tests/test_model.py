@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qwire import (WireParams, normal_modes, occupation, rotation_matrix,
                    secular_validity_margin, spectral_density)
-from conftest import WIDE_GAP, with_k
+from conftest import WIDE_GAP, swapped, with_k
 from oracles import decay_rate
 
 
@@ -52,9 +52,10 @@ class TestValidation:
 
     def test_swapped_exchanges_labels(self):
         p = wire()
-        q = p.swapped()
+        q = swapped(p)
         assert (q.omega_c, q.omega_h, q.t_c, q.t_h) == (
             p.omega_h, p.omega_c, p.t_h, p.t_c)
+        assert (q.k, q.lambda_sq, q.cutoff) == (p.k, p.lambda_sq, p.cutoff)
         assert q.temperature("c") == p.temperature("h")
 
 

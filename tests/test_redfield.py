@@ -20,7 +20,8 @@ from qwire import (WireParams, exact_steady_state, gme_heat_currents,
 from qwire.gme import gme_coefficients, gme_normal_mode_covariance
 from qwire.redfield import redfield_steady_state
 from qwire import gaussian
-from conftest import NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, with_k
+from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, swapped,
+                      with_k)
 from oracles import decay_rate, destroy, dissipator_adjoint, embed, \
     extract_affine_dynamics, mode_rates
 
@@ -183,7 +184,7 @@ class TestSteadyState:
     def test_physical_and_stationary(self):
         for params in (ORACLE_PARAMS, with_k(NEAR_DEGENERATE, 1e-4)):
             res = redfield_steady_state(params)
-            assert gaussian.is_physical(res.covariance)
+            assert gaussian.StateStack([res.covariance]).physical[0]
             assert res.diagnostics["residual"] < 1e-12
 
     def test_covariance_assembly_diagonal_blocks(self):
@@ -236,7 +237,7 @@ class TestHeatCurrents:
         """Q/k^2 reaches its weak-coupling limit as O(k) in both node
         orders, and at exactly resonant nodes, where the splitting
         delta ~ k sits far below the damping kappa."""
-        for params in (WIDE_GAP, WIDE_GAP.swapped(), RESONANT_STRONG):
+        for params in (WIDE_GAP, swapped(WIDE_GAP), RESONANT_STRONG):
             limit = redfield_steady_state(with_k(params, 1e-12)).qdot_h
             limit /= 1e-24
             assert abs(limit) > 1e-4
@@ -250,9 +251,9 @@ class TestHeatCurrents:
     def test_balance_antisymmetry_and_second_law(self, params):
         q_glob = gme_heat_currents(params)
         q_red = redfield_steady_state(params).heat_currents
-        swapped = params.swapped()
-        for q, q_sw in ((q_glob, gme_heat_currents(swapped)),
-                        (q_red, redfield_steady_state(swapped).heat_currents)):
+        other = swapped(params)
+        for q, q_sw in ((q_glob, gme_heat_currents(other)),
+                        (q_red, redfield_steady_state(other).heat_currents)):
             assert q[0] == -q[1]
             assert q_sw[1] == pytest.approx(-q[1], rel=1e-12, abs=0.0)
         if params.t_h > params.t_c:
