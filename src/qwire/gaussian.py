@@ -1,12 +1,12 @@
-"""Gaussian state toolkit for one- and two-mode covariance matrices.
+"""Gaussian state toolkit for two-mode covariance matrices.
 
 Quadrature ordering is (X_c, P_c, X_h, P_h) and covariances are the
 symmetrized second moments [G]_kl = <{R_k, R_l}>/2 of a zero-mean state.
 All entropic quantities are in nats.  The four measures take a StateStack
 and return one value per state, NaN where the state fails the
-physicality check.  Given one 4x4 covariance they run on a stack of one
-and return a float, or raise NonPhysicalStateError with the reason.  A
-stack takes one symplectic spectrum call.
+physicality check; the stack's reasons say why, and StateStack.check
+raises NonPhysicalStateError with the reason.  A stack takes one
+symplectic spectrum call.
 """
 
 from __future__ import annotations
@@ -29,39 +29,36 @@ class NonPhysicalStateError(ValueError):
     """Covariance matrix violates the uncertainty bound nu >= 1/2."""
 
 
-_J1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-#: the symplectic forms of one and two modes, block diagonal in
-#: [[0, 1], [-1, 0]], the partial transpose diag(1, -1, 1, 1) that flips
-#: the cold momentum, and a term of the fidelity; all read-only
-SYMPLECTIC_FORMS = {1: _J1, 2: np.block([[_J1, np.zeros((2, 2))],
-                                         [np.zeros((2, 2)), _J1]])}
+#: the two-mode symplectic form, block diagonal in [[0, 1], [-1, 0]], the
+#: partial transpose diag(1, -1, 1, 1) that flips the cold momentum, and a
+#: term of the fidelity; all read-only
+SYMPLECTIC_FORM = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
 _PARTIAL_TRANSPOSE = np.diag([1.0, -1.0, 1.0, 1.0])
 _QUARTER = np.eye(4) / 4.0
-for _m in (*SYMPLECTIC_FORMS.values(), _PARTIAL_TRANSPOSE, _QUARTER):
+for _m in (SYMPLECTIC_FORM, _PARTIAL_TRANSPOSE, _QUARTER):
     _m.setflags(write=False)
 
 
 def symplectic_eigenvalues(gamma) -> np.ndarray:
-    """Symplectic spectrum, descending, of a 2x2 or 4x4 covariance matrix
-    or of each matrix of a stack (m, 2, 2) or (m, 4, 4).
+    """Symplectic spectra (m, 2), descending, of a stack of 4x4
+    covariance matrices (m, 4, 4).
 
     With the Cholesky factor 2G = L L^T, the Hermitian matrix i L^T J L
     has eigenvalues +-2 nu.  Its eigensolve is accurate to rounding even
     near pure states, where the invariant formula
     nu^2 = (D +- sqrt(D^2 - 4 det G))/2 loses about half the digits.
-    Factoring 2G rather than G keeps the vacuum exact: nu = 1/2.  A stack
-    takes one cholesky and one eigvalsh call.  A matrix that is not
+    Factoring 2G rather than G keeps the vacuum exact: nu = 1/2.  The
+    stack takes one cholesky and one eigvalsh call.  A matrix that is not
     positive definite, or not finite, is no covariance; it gets zeros.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape[-2:] not in ((2, 2), (4, 4)) or gamma.ndim not in (2, 3):
-        raise ValueError("expected 2x2 or 4x4 covariance matrices")
-    n = gamma.shape[-1] // 2
-    work = gamma.reshape(-1, 2 * n, 2 * n)
-    bad = ~np.isfinite(work).all(axis=(1, 2))
-    work = 2.0 * work
+    if gamma.ndim != 3 or gamma.shape[1:] != (4, 4):
+        raise ValueError("expected a stack of 4x4 covariance matrices")
+    bad = ~np.isfinite(gamma).all(axis=(1, 2))
+    work = 2.0 * gamma
     if any_bad := bad.any():
-        work[bad] = np.eye(2 * n)
+        work[bad] = np.eye(4)
     try:
         low = np.linalg.cholesky(work)
     except np.linalg.LinAlgError:  # raised for the whole stack
@@ -70,12 +67,12 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
             try:
                 low[i] = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
-                low[i], bad[i], any_bad = np.eye(2 * n), True, True
-    herm = 1j * (np.swapaxes(low, 1, 2) @ SYMPLECTIC_FORMS[n] @ low)
-    nus = 0.5 * np.linalg.eigvalsh(herm)[:, n:][:, ::-1]
+                low[i], bad[i], any_bad = np.eye(4), True, True
+    herm = 1j * (np.swapaxes(low, 1, 2) @ SYMPLECTIC_FORM @ low)
+    nus = 0.5 * np.linalg.eigvalsh(herm)[:, 2:][:, ::-1]
     if any_bad:
         nus[bad] = 0.0
-    return nus.reshape(*gamma.shape[:-2], n)
+    return nus
 
 
 def _entropy(nus) -> float:
@@ -143,43 +140,28 @@ class StateStack:
         return s[:m], s[m:2 * m], s[2 * m:]
 
 
-def _stack(states) -> StateStack:
-    # states itself, or a stack of the one covariance that passes the check
-    if isinstance(states, StateStack):
-        return states
-    stack = StateStack([states])
-    stack.check(0)
-    return stack
+def mutual_information(states: StateStack) -> np.ndarray:
+    """I = S(G_c) + S(G_h) - S(G_ch) of each measured state."""
+    s, s_c, s_h = states.entropies
+    return np.where(states.physical[:states.measured], s_c + s_h - s,
+                    np.nan)
 
 
-def mutual_information(states):
-    """I = S(G_c) + S(G_h) - S(G_ch) of each two-mode state."""
-    stack = _stack(states)
-    s, s_c, s_h = stack.entropies
-    i = np.where(stack.physical[:stack.measured], s_c + s_h - s, np.nan)
-    return i if stack is states else float(i[0])
-
-
-def fidelity(states, partners):
-    """Uhlmann fidelity of two zero-mean two-mode Gaussian states, G1 and
-    G2: each measured state of a StateStack and its partner at the given
-    index, or two covariances.
+def fidelity(states: StateStack, partners) -> np.ndarray:
+    """Uhlmann fidelity of each measured state G1 and its partner G2, the
+    state at the given index of the same stack.
 
     F = (x + sqrt(x^2 - a)) / a with x = sqrt(b) + sqrt(c),
     a = det(G1 + G2), b = 2^4 det[(J G1)(J G2) - 1/4],
     c = 2^4 det(G1 + iJ/2) det(G2 + iJ/2) = 2^4 prod_k (nu_k^2 - 1/4)
     over both spectra (Williamson; Marian & Marian, PRA 86, 022340 (2012)).
+    It is NaN where either state fails the physicality check.
     """
-    if not isinstance(states, StateStack):
-        stack = StateStack([states, partners], measured=1)
-        stack.check(0)
-        stack.check(1)
-        return float(fidelity(stack, [1])[0])
     partners = np.asarray(partners, dtype=int)
     ok = states.physical[:states.measured] & states.physical[partners]
     g1 = states.covariances[:states.measured][ok]
     g2 = states.covariances[partners[ok]]
-    jj = SYMPLECTIC_FORMS[2]
+    jj = SYMPLECTIC_FORM
     a, b = np.linalg.det(np.stack((g1 + g2,
                                    (jj @ g1) @ (jj @ g2) - _QUARTER)))
     nu = np.concatenate((states.nus[:states.measured][ok],
@@ -208,19 +190,17 @@ def _blocks(gamma: np.ndarray, measured_node: str):
 
 
 def _entries(x: np.ndarray, seeds: np.ndarray) -> tuple:
-    """Entries 11, 12, 21, 22 of one 2x2 block, or of a stack (n, 2, 2)
-    each repeated to the seeds' shape (n, k): numpy is slower on a
-    broadcast than on arrays of equal shape."""
-    if x.ndim == 2:
-        return x[0, 0], x[0, 1], x[1, 0], x[1, 1]
+    """Entries 11, 12, 21, 22 of a stack of blocks (n, 2, 2), each
+    repeated to the seeds' shape (n, k): numpy is slower on a broadcast
+    than on arrays of equal shape."""
     return tuple(x.reshape(-1, 4).T[:, :, None].repeat(seeds.shape[-1], 2))
 
 
 def _conditional_entropies(a, b, c, s, phi):
     """Entropy of the unmeasured node after measuring with seeds (s, phi).
 
-    Vectorized over the seeds of one block, or over a stack of blocks
-    (n, 2, 2) with seeds (n, k); the conditional covariance is the Schur
+    Vectorized over a stack of blocks (n, 2, 2) with seeds (n, k); the
+    conditional covariance is the Schur
     complement A - C (B + G_m)^-1 C^T and its entropy only needs its
     determinant.
     """
@@ -313,8 +293,9 @@ def _optimal_seeds(a, b, c) -> tuple:
     return s, 0.5 * np.arctan2(-q[..., 2], -q[..., 1])
 
 
-def gaussian_discord(states, measured_node: str = "h"):
-    """Gaussian quantum discord of each two-mode state, revealed by
+def gaussian_discord(states: StateStack,
+                     measured_node: str = "h") -> np.ndarray:
+    """Gaussian quantum discord of each measured state, revealed by
     measuring one node.
 
     Q = S(G_B) - S(G_AB) + min_m S(A | m) over pure single-mode Gaussian
@@ -322,26 +303,25 @@ def gaussian_discord(states, measured_node: str = "h"):
     et al., PRL 113, 140405 (2014)).  The minimum is the smaller of the
     kernel's values at the two closed-form candidates of _optimal_seeds.
     """
-    stack = _stack(states)
-    ok = stack.physical[:stack.measured]
-    a, b, c = _blocks(stack.covariances[:stack.measured][ok], measured_node)
+    ok = states.physical[:states.measured]
+    a, b, c = _blocks(states.covariances[:states.measured][ok],
+                      measured_node)
     cond = _conditional_entropies(a, b, c, *_optimal_seeds(a, b, c))
-    s, s_c, s_h = stack.entropies
+    s, s_c, s_h = states.entropies
     s_b = s_c if measured_node == "c" else s_h
     q = np.full(len(ok), np.nan)
     q[ok] = np.maximum(s_b[ok] - s[ok] + np.fmin(*cond.T), 0.0)
-    return q if stack is states else float(q[0])
+    return q
 
 
-def log_negativity(states):
-    """Logarithmic negativity of each state, from the symplectic spectrum
-    of its partial transpose G~ = P G P with P = diag(1, -1, 1, 1)."""
-    stack = _stack(states)
-    e_n = np.array([sum(max(0.0, -math.log(2.0 * nu)) for nu in nus)
-                    if ok else math.nan for nus, ok in
-                    zip(stack.transposed_nus.tolist(),
-                        stack.physical[:stack.measured])])
-    return e_n if stack is states else float(e_n[0])
+def log_negativity(states: StateStack) -> np.ndarray:
+    """Logarithmic negativity of each measured state, from the symplectic
+    spectrum of its partial transpose G~ = P G P with
+    P = diag(1, -1, 1, 1)."""
+    return np.array([sum(max(0.0, -math.log(2.0 * nu)) for nu in nus)
+                     if ok else math.nan for nus, ok in
+                     zip(states.transposed_nus.tolist(),
+                         states.physical[:states.measured])])
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,18 @@ def pool_states() -> list:
             for state in doc["states"]]
 
 
+def alone(measure, gamma, *args) -> float:
+    """A measure of the state gamma in a stack of its own: NaN if the
+    state fails the physicality check."""
+    return float(measure(gaussian.StateStack([gamma]), *args)[0])
+
+
+def pair_fidelity(g1, g2) -> float:
+    """F(g1, g2) from a stack of the two states, each the other's partner;
+    NaN if either fails the physicality check."""
+    return float(gaussian.fidelity(gaussian.StateStack([g1, g2]), [1, 0])[0])
+
+
 def count_spectra(monkeypatch) -> list:
     """A list that grows by one at every symplectic spectrum taken."""
     spectra = []

@@ -6,11 +6,12 @@ agreement between the two is meaningful evidence of correctness.  The
 exceptions are the last four sections: the local heat current solved
 from its moment equations in mpmath; the dissipation kernel, quad_vec
 evaluating the exact solver's integrands node by node, the reference of
-its numpy replay, and the equal-temperature covariance as Matsubara sums
-in mpmath; the grid search with a scipy Nelder-Mead polish
-and the 60-digit Adesso-Datta closed form, the two references of the
-closed-form discord; and the paper's large-k limit of the global
-log-negativity at resonant nodes.
+its numpy replay, the equal-temperature covariance as Matsubara sums
+in mpmath, and the whole covariance and current as a sum over the poles
+of the Langevin integrands with digamma weights; the grid search with a
+scipy Nelder-Mead polish and the 60-digit Adesso-Datta closed form, the
+two references of the closed-form discord; and the paper's large-k
+limit of the global log-negativity at resonant nodes.
 """
 
 from __future__ import annotations
@@ -359,7 +360,7 @@ def per_node_exact_integral(params) -> tuple:
                     norm="max", full_output=True)
 
 
-def equilibrium_covariance_mpmath(params, dps: int = 30) -> np.ndarray:
+def equilibrium_covariance_mpmath(params, dps: int = 30):
     """The exact covariance at equal bath temperatures T = t_c = t_h as
     Matsubara sums at dps digits, sharing no code with the solver.
 
@@ -373,7 +374,8 @@ def equilibrium_covariance_mpmath(params, dps: int = 30) -> np.ndarray:
 
     summed over all integers n (the n and -n terms are equal) by mpmath
     nsum.  The Gibbs state is time-reversal even, so every X-P entry is
-    zero.  Returns the 4x4 matrix in the order (X_c, P_c, X_h, P_h).
+    zero.  Returns a 4x4 mpmath matrix in the order (X_c, P_c, X_h,
+    P_h).
     """
     import mpmath
     assert params.t_c == params.t_h
@@ -397,15 +399,117 @@ def equilibrium_covariance_mpmath(params, dps: int = 30) -> np.ndarray:
             def at(n):
                 return term(*response(n))
             tail = mpmath.nsum(at, [1, mpmath.inf])
-            return float(temp * (at(0) + 2 * tail))
+            return temp * (at(0) + 2 * tail)
 
-        gamma = np.zeros((4, 4))
+        gamma = mpmath.matrix(4, 4)
         for entry, (i, j) in enumerate(((0, 0), (0, 2), (2, 2))):
             one = 1 if i == j else 0
             gamma[i, j] = gamma[j, i] = matsubara(lambda nu, g: g[entry])
             gamma[i + 1, j + 1] = gamma[j + 1, i + 1] = matsubara(
                 lambda nu, g: one - nu**2 * g[entry])
         return gamma
+
+
+def _poly_mul(p: list, q: list) -> list:
+    """Product of two polynomials, coefficient lists lowest degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_at(p: list, x):
+    out = 0
+    for a in reversed(p):
+        out = out * x + a
+    return out
+
+
+def exact_covariance_mpmath(params, dps: int = 40):
+    """The exact covariance as a sum over the poles of its integrands, at
+    dps digits: a 4x4 mpmath matrix in the order (X_c, P_c, X_h, P_h).
+
+    This is the frequency-domain Langevin model written in the local basis
+    and summed in closed form; it shares no algebra with a mode
+    decomposition, and none with the solver's quadrature.  With
+    u = cutoff - i w, chi u = lambda^2 cutoff^2 =: l, and
+    K_a = w_a^2 + lambda^2 cutoff + k, the matrix u A(w) has the entries
+    D_a = (K_a - w^2) u - l on its diagonal and -k u off it, and
+    P = u^2 det A = D_c D_h - k^2 u^2 is of degree 6.  So
+    G = A^-1 = u M / P with M = [[D_h, k u], [k u, D_c]], and since
+    J(w) = l w / (u(w) u(-w)), the share of bath a in Gamma_ij is
+
+        (1/2pi) int R(w) w coth(w / 2T_a) dw,
+        R(w) w = f_i(w) f_j(-w) M_ia(w) M_ja(-w) l w / (P(w) P(-w)),
+
+    f = 1 for a position and -i w for a momentum.  R w falls off at least
+    like w^-2, so with its partial fractions sum_q c_q / (w - q) and
+    s_q = sign Im q, the Matsubara expansion of coth gives
+
+        int R w coth(w / 2T) dw
+            = sum_q c_q [2 pi i T s_q / q - 2 psi(1 - i s_q q / (2 pi T))].
+
+    The poles q are the six roots p of P (mp.polyroots), all in the lower
+    half plane, and their negatives, the roots of P(-w).  For q = p and
+    q = -p the bracket is the same, -2 pi i T / p - 2 psi(1 + i p / (2 pi
+    T)), and the residues share the denominator P'(p) P(-p).
+    """
+    import mpmath as mp
+    with mp.workdps(dps):
+        lam_sq, cut = mp.mpf(params.lambda_sq), mp.mpf(params.cutoff)
+        k, ell = mp.mpf(params.k), lam_sq * cut**2
+        u = [cut, mp.mpc(0, -1)]
+        d = [_poly_mul([mp.mpf(w)**2 + lam_sq * cut + k, 0, -1], u)
+             for w in (params.omega_c, params.omega_h)]
+        for poly in d:
+            poly[0] -= ell
+        ku = [k * a for a in u]
+        big_p = _poly_mul(*d)
+        for n, a in enumerate(_poly_mul(ku, ku)):
+            big_p[n] -= a
+        derivative = [n * a for n, a in enumerate(big_p)][1:]
+        m = [[d[1], ku], [ku, d[0]]]
+        roots = mp.polyroots(big_p[::-1], maxsteps=500, extraprec=3 * dps)
+        assert all(mp.im(p) < 0 for p in roots), roots
+        temps = (mp.mpf(params.t_c), mp.mpf(params.t_h))
+        # per root: l p / (P'(p) P(-p)), M(+-p) and the bracket of each bath
+        terms = []
+        for p in roots:
+            weight = ell * p / (_poly_at(derivative, p) * _poly_at(big_p, -p))
+            at = [[[_poly_at(m[r][a], sign * p) for a in range(2)]
+                   for r in range(2)] for sign in (1, -1)]
+            brackets = [-2j * mp.pi * t / p
+                        - 2 * mp.digamma(1 + 1j * p / (2 * mp.pi * t))
+                        for t in temps]
+            terms.append((p, weight, at, brackets))
+
+        def factor(i, w):
+            return 1 if i % 2 == 0 else -1j * w
+
+        gamma = mp.matrix(4, 4)
+        for i in range(4):
+            for j in range(i, 4):
+                total = 0
+                for p, weight, (plus, minus), brackets in terms:
+                    for a in range(2):
+                        c = weight * (
+                            factor(i, p) * factor(j, -p)
+                            * plus[i // 2][a] * minus[j // 2][a]
+                            + factor(i, -p) * factor(j, p)
+                            * minus[i // 2][a] * plus[j // 2][a])
+                        total += c * brackets[a]
+                gamma[i, j] = gamma[j, i] = mp.re(total) / (2 * mp.pi)
+        return gamma
+
+
+def exact_current_mpmath(params, dps: int = 60) -> float:
+    """The exact hot-bath current (k/2)(Gamma_23 - Gamma_14) of
+    exact_covariance_mpmath, differenced at dps digits."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        gamma = exact_covariance_mpmath(params, dps)
+        return float(mp.mpf(params.k) / 2 * (gamma[1, 2] - gamma[0, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +531,10 @@ def _grid_starts(a, b, c) -> tuple:
     s_vals = np.logspace(-math.log10(_GRID_S_MAX), math.log10(_GRID_S_MAX),
                          _N_SQUEEZE)
     phi_vals = np.linspace(0.0, math.pi, _N_ANGLE, endpoint=False)
-    cond = _conditional_entropies(a, b, c, s_vals[:, None], phi_vals[None, :])
+    s_grid, phi_grid = np.meshgrid(s_vals, phi_vals, indexing="ij")
+    cond = _conditional_entropies(
+        a[None], b[None], c[None], s_grid.reshape(1, -1),
+        phi_grid.reshape(1, -1)).reshape(s_grid.shape)
     flat_order = np.argsort(cond, axis=None)
     seeds = []
     for flat in flat_order[:40]:
@@ -452,9 +559,10 @@ def scipy_polish(a, b, c, starts) -> list:
     def cost(z):
         if abs(z[0]) > log_cap:
             return 1e6 + abs(z[0])
-        val = _conditional_entropies(a, b, c, np.array([math.exp(z[0])]),
-                                     np.array([z[1]]))
-        out = float(val[0])
+        val = _conditional_entropies(a[None], b[None], c[None],
+                                     np.array([[math.exp(z[0])]]),
+                                     np.array([[z[1]]]))
+        out = float(val[0, 0])
         return out if math.isfinite(out) else 1e6
 
     return [float(minimize(cost, np.array(start), method="Nelder-Mead",

@@ -21,7 +21,7 @@ from qwire.gme import (gme_coefficients, gme_heat_currents,
                        gme_normal_mode_covariance)
 from qwire import gaussian
 import oracles
-from conftest import DATA_DIR
+from conftest import DATA_DIR, alone, pair_fidelity
 
 pytestmark = pytest.mark.acceptance
 
@@ -42,7 +42,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 def fidelity_to_exact(params, solver):
     exact = exact_steady_state(params)
     approx = solver(params)
-    return gaussian.fidelity(approx.covariance, exact.covariance)
+    return pair_fidelity(approx.covariance, exact.covariance)
 
 
 class TestAcceptance:
@@ -84,9 +84,9 @@ class TestAcceptance:
         for k in np.logspace(-5, -3, 9):
             p = at_k(FIG1B, k)
             exact = exact_steady_state(p)
-            infid_g = 1.0 - gaussian.fidelity(
+            infid_g = 1.0 - pair_fidelity(
                 gme_steady_state(p).covariance, exact.covariance)
-            infid_l = 1.0 - gaussian.fidelity(
+            infid_l = 1.0 - pair_fidelity(
                 lme_steady_state(p).covariance, exact.covariance)
             if infid_g >= 1e-4 and infid_l <= 1e-4:
                 trigger = (k, infid_g, infid_l)
@@ -189,11 +189,13 @@ class TestAcceptance:
         large-k asymptote while the local one saturates."""
         p5 = at_k(FIG2C, 1e5)
         p4 = at_k(FIG2C, 1e4)
-        en_global = gaussian.log_negativity(gme_steady_state(p5).covariance)
+        en_global = alone(gaussian.log_negativity,
+                          gme_steady_state(p5).covariance)
         asymptote = oracles.strong_coupling_asymptote(p5)
         d_asym = abs(en_global - asymptote)
-        en_local5 = gaussian.log_negativity(lme_steady_state(p5).covariance)
-        en_local4 = gaussian.log_negativity(lme_steady_state(p4).covariance)
+        en_local5, en_local4 = (
+            alone(gaussian.log_negativity, lme_steady_state(p).covariance)
+            for p in (p5, p4))
         d_sat = abs(en_local5 - en_local4)
         ok = d_asym <= 0.01 and d_sat <= 0.01
         report(7, ok, f"|E_N(global) - asymptote| = {d_asym:.2e}, "
@@ -214,9 +216,10 @@ class TestAcceptance:
             assert glob.covariance[0, 3] == 0.0
             d_gamma.append(abs(glob.covariance[0, 3]
                                - exact.covariance[0, 3]))
-            d_info.append(gaussian.mutual_information(glob.covariance)
-                          - gaussian.mutual_information(exact.covariance))
-            fid = gaussian.fidelity(glob.covariance, exact.covariance)
+            d_info.append(
+                alone(gaussian.mutual_information, glob.covariance)
+                - alone(gaussian.mutual_information, exact.covariance))
+            fid = pair_fidelity(glob.covariance, exact.covariance)
             breakdown.append(1.0 - fid >= 1e-4)
         peak = int(np.argmax(d_gamma))
         peak_inside = bool(breakdown[peak])
@@ -243,10 +246,10 @@ class TestAcceptance:
                 .entropies[0][0] - state["entropy"])
             for state in doc["states"])
         worst_f = max(
-            abs(gaussian.fidelity(np.array(doc["states"][pair["i"]]
-                                           ["covariance"]),
-                                  np.array(doc["states"][pair["j"]]
-                                           ["covariance"]))
+            abs(pair_fidelity(np.array(doc["states"][pair["i"]]
+                                       ["covariance"]),
+                              np.array(doc["states"][pair["j"]]
+                                       ["covariance"]))
                 - pair["fidelity"])
             for pair in doc["pairs"])
         worst_q = 0.0
@@ -254,7 +257,8 @@ class TestAcceptance:
             gamma = exact_steady_state(at_k(FIG1B, k)).covariance
             a, b, c = gaussian._blocks(gamma, "h")
             closed = np.fmin(*gaussian._conditional_entropies(
-                a, b, c, *gaussian._optimal_seeds(a, b, c)))
+                a[None], b[None], c[None],
+                *gaussian._optimal_seeds(a[None], b[None], c[None])).T)[0]
             search = oracles.min_conditional_entropy(a, b, c)
             worst_q = max(worst_q, abs(closed - search))
         ok = worst_s <= 1e-6 and worst_f <= 1e-6 and worst_q <= 1e-6

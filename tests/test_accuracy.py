@@ -35,8 +35,15 @@ backward errors of numpy's LU determinants and of the symplectic
 eigensolve, each from its textbook bound, to the roundings of the
 closed form.
 
+The local and the global state are also checked against their defining
+equation: an mp LU, at 50 digits, of the ten moment equations built from
+the float entries of their own drift and diffusion, the global one
+rotated back in mp.  Those bounds are first order in u and carry the
+condition number kappa of the 10x10 moment matrix.
+
 Checked: every normal-mode output, every nonzero entry of the global
-covariance, every X-X and P-P entry of the Redfield covariance, both
+covariance, every X-X and P-P entry of the Redfield covariance, the
+whole local and global covariance against their moment equations, both
 closed-form hot currents (also where n_h - n_c cancels), every
 node's symplectic eigenvalue of the physical pool states and of random
 states, and the fidelity of every state of the fig1a, fig1b and strongly
@@ -56,9 +63,13 @@ import scipy.linalg
 from qwire import (WireParams, gaussian, gme_heat_currents, gme_steady_state,
                    sweep)
 from qwire.cli import PRESETS, parse_log_grid
-from qwire.model import normal_modes, secular_validity_margin
+from qwire.gme import gme_coefficients, gme_drift_diffusion
+from qwire.lme import lme_drift_diffusion, lme_steady_state
+from qwire.model import (normal_modes, rotation_matrix,
+                         secular_validity_margin)
+from qwire.moments import MOMENTS, moment_equations, moments
 from qwire.redfield import redfield_steady_state
-from conftest import pool_states
+from conftest import pair_fidelity, pool_states
 
 DIGITS = 50
 
@@ -444,9 +455,9 @@ def spectrum_errors(gamma: np.ndarray, u: float) -> list:
     inv_sqrt = np.abs((v / np.sqrt(w)) @ v.T)
     eta = 5 * np.linalg.norm(inv_sqrt @ np.abs(low) @ np.abs(low.T)
                              @ inv_sqrt, 2)
-    jj = np.abs(gaussian.SYMPLECTIC_FORMS[2])
+    jj = np.abs(gaussian.SYMPLECTIC_FORM)
     product = 4 * np.linalg.norm(np.abs(low.T) @ jj @ np.abs(low), 2)
-    nus = gaussian.symplectic_eigenvalues(gamma)
+    nus = gaussian.symplectic_eigenvalues(gamma[None])[0]
     return [u * (nu * eta + (product + 16 * 2 * nus[0]) / 2) for nu in nus]
 
 
@@ -495,7 +506,7 @@ def mp_rows(m: np.ndarray) -> list:
 
 def half_ij_det(gamma: np.ndarray):
     """det(G + iJ/2) by a complex LU at 50 digits; it is real."""
-    jj = gaussian.SYMPLECTIC_FORMS[2].tolist()
+    jj = gaussian.SYMPLECTIC_FORM.tolist()
     g = gamma.tolist()
     with mp.workdps(DIGITS):
         return mp.re(lu_det([[mp.mpc(g[i][j], jj[i][j] / 2)
@@ -510,7 +521,7 @@ def fidelity_twin(g1: np.ndarray, g2: np.ndarray) -> tuple:
     spectrum_errors through each factor and the roundings of its
     products; then every step of gaussian._fidelity adds its own."""
     u = np.finfo(float).eps / 2
-    jj = gaussian.SYMPLECTIC_FORMS[2]
+    jj = gaussian.SYMPLECTIC_FORM
     j1, j2 = jj @ g1, jj @ g2
     m = j1 @ j2 - np.eye(4) / 4.0
     m_formed = 4 * np.abs(j1) @ np.abs(j2) + np.diag(np.abs(np.diag(m)))
@@ -526,7 +537,7 @@ def fidelity_twin(g1: np.ndarray, g2: np.ndarray) -> tuple:
         err_a = abs(a) * det_error(g1 + g2, np.abs(g1 + g2), u)
         err_b = abs(b) * det_error(m, m_formed, u)
         nus = [mp.mpf(v) for g in (g1, g2)
-               for v in gaussian.symplectic_eigenvalues(g)]
+               for v in gaussian.symplectic_eigenvalues(g[None])[0]]
         errs = spectrum_errors(g1, u) + spectrum_errors(g2, u)
         q = [(nu - 0.5) * (nu + 0.5) for nu in nus]
         q_err = [2 * nu * e + 3 * u * abs(f)
@@ -553,7 +564,7 @@ def fidelity_pairs(source: str) -> list:
     sweep and the row's exact state; of fig2c only k >= 1e3, where both
     states are nearly pure and c is about 1e-26."""
     if source == "pool":
-        return [(g, e, gaussian.fidelity(g, e)) for _, g, e in pool_states()
+        return [(g, e, pair_fidelity(g, e)) for _, g, e in pool_states()
                 if gaussian.StateStack([g, e]).physical.all()]
     name = source.split("-")[0]
     preset = dict(PRESETS[name])
@@ -577,4 +588,121 @@ def test_fidelity_within_its_rounding_bound(source):
         if not abs(mp.mpf(f) - ref) <= bound:
             misses.append(f"F = {f!r}, twin {mp.nstr(ref, 17)}, bound "
                           f"{mp.nstr(bound, 3)}")
+    assert not misses, misses
+
+
+#: the moment-equation rows: the covariance grid at every third k, fig1b's
+#: near-degenerate nodes on the same k, and resonant fig2c nodes up to
+#: k = 1e5
+MOMENT_POINTS = [WireParams(omega_c=1.0, omega_h=ratio, k=k, t_c=2.0,
+                            t_h=3.0, lambda_sq=1e-3, cutoff=1e3)
+                 for ratio in RATIOS + (math.sqrt(1.0 + 2e-6),)
+                 for k in COUPLINGS[::3]] + [
+    WireParams(omega_c=10.0, omega_h=10.0, k=k, t_c=1.0, t_h=2.0,
+               lambda_sq=1e-3, cutoff=1e3) for k in (1e-3, 1.0, 1e3, 1e5)]
+UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
+
+
+def lyapunov_twin(a: np.ndarray, d: np.ndarray):
+    """The covariance G with A G + G A^T + D = 0, as a 4x4 mp matrix: the
+    ten equations of its upper entries, built in mp from the float entries
+    of A and D, solved by an mp LU."""
+    a, d = mp_rows(a), mp_rows(d)
+    slot = {ij: n for n, ij in enumerate(UPPER)}
+    lhs, rhs = mp.matrix(10, 10), mp.matrix(10, 1)
+    for r, (i, j) in enumerate(UPPER):
+        for m in range(4):
+            lhs[r, slot[min(m, j), max(m, j)]] += a[i][m]
+            lhs[r, slot[min(i, m), max(i, m)]] += a[j][m]
+        rhs[r] = -d[i][j]
+    upper = mp.lu_solve(lhs, rhs)
+    gamma = mp.matrix(4, 4)
+    for n, (i, j) in enumerate(UPPER):
+        gamma[i, j] = gamma[j, i] = upper[n]
+    return gamma
+
+
+def inf_norm(m):
+    return max(sum(abs(x) for x in row) for row in m.tolist())
+
+
+def kappa_inf(m: np.ndarray):
+    """The condition number ||M|| ||M^-1|| in the max-row-sum norm of the
+    library's float moment matrix, at the working precision."""
+    exact = mp.matrix(mp_rows(m))
+    return inf_norm(exact) * inf_norm(exact**-1)
+
+
+def local_bound(m: np.ndarray, u):
+    """A first-order bound on max|y - y'| / max|y'| of the local moment
+    vector y that np.linalg.solve returns, against the exact solution y'
+    of the same float entries.  Forming M adds at most one rounding per
+    entry, |dM| <= u |M| (a sum of two drift entries of one sign; the
+    weights are powers of two), and c = w d is exact.  LU with partial
+    pivoting solves M + E with |E| <= 3n u |L||U|, n = 10 (Higham,
+    Thm 9.4), and a perturbation dM moves y by at most
+    kappa ||dM|| / ||M|| of ||y||."""
+    _, low, up = scipy.linalg.lu(m)
+    growth = (np.max(np.sum(np.abs(low) @ np.abs(up), axis=1))
+              / np.max(np.sum(np.abs(m), axis=1)))
+    return kappa_inf(m) * u * (1 + 30 * growth)
+
+
+def global_bound(m: np.ndarray, rot: np.ndarray, twin, u):
+    """An entrywise first-order bound on the global covariance, R G R^T
+    in floats, against the twin R G' R^T rotated in mp, where G' solves
+    the mode-basis moment equations of the float drift and diffusion.
+
+    The closed form (occ + 1/2) / Omega and Omega (occ + 1/2) rounds
+    twice, 2u |G'|.  The float drift entries -J / 2 Omega and -Omega^2
+    are within 2u of their values at the float J, Omega and occ, so every
+    entry of M is; the diffusion J (occ + 1/2) / Omega^2 is within 5u.
+    These move G' by at most kappa (2u + 5u) of max|y'|, in any entry.
+    The two float 4x4 products add 2 gamma_4 = 8u of |R||G'||R^T|."""
+    y_norm = max(abs(w * twin[i, j]) for i, j, w in MOMENTS)
+    spread = 7 * u * kappa_inf(m) * y_norm
+    r_abs = mp.matrix(mp_rows(np.abs(rot)))
+    twin_abs = mp.matrix([[abs(x) for x in row] for row in twin.tolist()])
+    moved = mp.matrix([[2 * u * x + spread for x in row]
+                       for row in twin_abs.tolist()])
+    return r_abs * moved * r_abs.T + 8 * u * r_abs * twin_abs * r_abs.T
+
+
+@pytest.mark.parametrize("method", ("local", "global"))
+def test_state_within_its_moment_equation_bound(method):
+    """The local and the global state against an mp LU of the ten moment
+    equations of their own drift and diffusion, at 50 digits.  The local
+    state is the float solve of those equations, held to max|y| times
+    local_bound; the global state is a closed form rotated back to the
+    local quadratures, held entry by entry to global_bound."""
+    u = mp.mpf(np.finfo(float).eps) / 2
+    misses = []
+    with mp.workdps(DIGITS):
+        for params in MOMENT_POINTS:
+            if method == "local":
+                a, d = lme_drift_diffusion(params)
+                m, _ = moment_equations(a, d)
+                twin = lyapunov_twin(a, d)
+                y = [w * twin[i, j] for i, j, w in MOMENTS]
+                y_lib = moments(lme_steady_state(params).covariance)
+                err = (max(abs(mp.mpf(v) - t) for v, t in zip(y_lib, y))
+                       / max(abs(t) for t in y))
+                bound = local_bound(m, u)
+            else:
+                coeffs = gme_coefficients(params)
+                a, d = gme_drift_diffusion(coeffs)
+                rot = rotation_matrix(coeffs.modes)
+                twin = lyapunov_twin(a, d)
+                ref = mp.matrix(mp_rows(rot)) * twin * mp.matrix(
+                    mp_rows(rot.T))
+                bounds = global_bound(moment_equations(a, d)[0], rot, twin,
+                                      u)
+                gamma = gme_steady_state(params).covariance
+                err, bound = max(
+                    ((abs(mp.mpf(gamma[i, j]) - ref[i, j]), bounds[i, j])
+                     for i in range(4) for j in range(4)),
+                    key=lambda pair: pair[0] / pair[1])
+            if not err <= bound:
+                misses.append(f"{params}: {mp.nstr(err, 3)} > "
+                              f"{mp.nstr(bound, 3)}")
     assert not misses, misses

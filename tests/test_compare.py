@@ -88,7 +88,7 @@ class TestMetrics:
         for res in row.results:
             if res.method != "local":
                 assert row.margins[res.method] == \
-                    gaussian.symplectic_eigenvalues(res.covariance)[-1] - 0.5
+                    gaussian.StateStack([res.covariance]).nus[0, -1] - 0.5
         assert row.exact_quad_error == exact.diagnostics["quadrature_error"]
 
     def test_solver_error_gives_nan_everywhere(self, monkeypatch):

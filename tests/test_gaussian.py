@@ -14,8 +14,8 @@ from qwire import (WireParams, correlation_report, exact_steady_state,
                    solve_all)
 from qwire import gaussian
 import oracles
-from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP,
-                      count_spectra, pool_states, with_k)
+from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, alone,
+                      count_spectra, pair_fidelity, pool_states, with_k)
 
 
 def random_physical_covariance(rng: np.random.Generator,
@@ -57,39 +57,49 @@ def finite_squeezing_states() -> list:
 
 
 def min_conditional_entropy(gamma, node: str) -> float:
-    """The library's minimum of S(A | m): its kernel at its seeds."""
-    a, b, c = gaussian._blocks(gamma, node)
+    """The library's minimum of S(A | m): its kernel at its seeds, on a
+    stack of one state."""
+    a, b, c = gaussian._blocks(gamma[None], node)
     cond = gaussian._conditional_entropies(a, b, c,
                                            *gaussian._optimal_seeds(a, b, c))
-    return float(np.fmin(*cond))
+    return float(np.fmin(*cond.T)[0])
 
 
 class TestSymplecticEigenvalues:
     def test_against_general_eigensolver(self):
         rng = np.random.default_rng(42)
-        jj = gaussian.SYMPLECTIC_FORMS[2]
+        jj = gaussian.SYMPLECTIC_FORM
         for _ in range(50):
             gamma = random_physical_covariance(rng)
-            closed = gaussian.symplectic_eigenvalues(gamma)
+            closed = gaussian.symplectic_eigenvalues(gamma[None])[0]
             general = np.sort(np.abs(np.linalg.eigvals(
                 np.linalg.inv(jj) @ gamma).imag))[::2][::-1]
             assert np.max(np.abs(closed - general)) < 1e-10
 
     def test_forms_are_read_only_constants(self):
-        j1, j2 = gaussian.SYMPLECTIC_FORMS[1], gaussian.SYMPLECTIC_FORMS[2]
-        assert not j1.flags.writeable and not j2.flags.writeable
-        assert np.array_equal(j2, np.kron(np.eye(2), j1))
-        assert np.array_equal(j2 @ j2, -np.eye(4))
+        jj = gaussian.SYMPLECTIC_FORM
+        assert not jj.flags.writeable
+        assert np.array_equal(jj, np.kron(np.eye(2), [[0.0, 1.0],
+                                                      [-1.0, 0.0]]))
+        assert np.array_equal(jj @ jj, -np.eye(4))
         with pytest.raises(ValueError):
-            j2[0, 1] = 2.0
+            jj[0, 1] = 2.0
 
     def test_single_mode(self):
-        gamma = np.diag([2.0, 0.5])
-        assert gaussian.symplectic_eigenvalues(gamma)[0] == pytest.approx(1.0)
+        """Each mode of a product state is squeezed thermal with nu =
+        sqrt(det) = 1: the two-mode spectrum and the node's sqrt(det)."""
+        gamma = np.diag([2.0, 0.5, 0.5, 2.0])
+        assert gaussian.symplectic_eigenvalues(gamma[None])[0] == \
+            pytest.approx([1.0, 1.0])
+        assert gaussian._node_nu(2.0, 0.0, 0.0, 0.5) == 1.0
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            gaussian.symplectic_eigenvalues(np.eye(3))
+        """Only a stack (m, 4, 4) has spectra: not a lone matrix, 2x2 or
+        4x4, and not a stack of 2x2 blocks."""
+        for gamma in (np.eye(3), np.eye(2), np.eye(4), np.zeros((3, 2, 2)),
+                      np.zeros((2, 3, 4, 4))):
+            with pytest.raises(ValueError):
+                gaussian.symplectic_eigenvalues(gamma)
 
     def test_near_pure_state_against_mpmath(self):
         """nu - 1/2 = 1e-10 is resolved to rounding; the invariant
@@ -98,12 +108,12 @@ class TestSymplecticEigenvalues:
         gamma = squeezed_state(r=1.2, s_c=0.7, s_h=-0.4, theta=0.3,
                                nus=(0.5 + 2e-8, 0.5 + 1e-10))
         with mpmath.workdps(50):
-            jj = mpmath.matrix(gaussian.SYMPLECTIC_FORMS[2].tolist())
+            jj = mpmath.matrix(gaussian.SYMPLECTIC_FORM.tolist())
             evals = mpmath.eig(jj * mpmath.matrix(gamma.tolist()),
                                left=False, right=False)
             ref = sorted((float(abs(mpmath.im(e)) - mpmath.mpf(0.5))
                           for e in evals), reverse=True)[::2]
-        margins = gaussian.symplectic_eigenvalues(gamma) - 0.5
+        margins = gaussian.symplectic_eigenvalues(gamma[None])[0] - 0.5
         assert ref[1] == pytest.approx(1e-10, rel=1e-4)
         assert np.max(np.abs(margins - ref)) < 1e-14
 
@@ -114,13 +124,14 @@ class TestSymplecticEigenvalues:
                              "positive definite"),
                             (np.full((4, 4), np.nan), "finite"),
                             (np.diag([1.0, np.inf, 1.0, 1.0]), "finite")):
-            assert np.all(gaussian.symplectic_eigenvalues(gamma) == 0.0)
+            assert not gaussian.symplectic_eigenvalues(gamma[None]).any()
             stack = gaussian.StateStack([gamma])
             assert not stack.physical[0]
             assert stack.reasons[0] == f"covariance is not {kind}"
+            assert math.isnan(alone(gaussian.mutual_information, gamma))
             with pytest.raises(gaussian.NonPhysicalStateError,
                                match=f"^covariance is not {kind}$"):
-                gaussian.mutual_information(gamma)
+                stack.check(0)
 
     def test_stack_is_taken_in_one_call_and_never_raises(self):
         """A stack's spectra are its matrices' one at a time, bit for bit,
@@ -132,11 +143,9 @@ class TestSymplecticEigenvalues:
         nus = gaussian.symplectic_eigenvalues(stack)
         assert nus.shape == (7, 2)
         for gamma, nu in zip(stack, nus):
-            assert gaussian.symplectic_eigenvalues(gamma).tobytes() == \
-                nu.tobytes()
+            assert gaussian.symplectic_eigenvalues(gamma[None]).tobytes() \
+                == nu.tobytes()
         assert np.all(nus[[2, 5]] == 0.0) and np.all(nus[[0, 1, 3, 4, 6]] > 0)
-        blocks = gaussian.symplectic_eigenvalues(stack[:, :2, :2])
-        assert blocks.shape == (7, 1)
 
 
 class TestPhysicality:
@@ -144,10 +153,18 @@ class TestPhysicality:
         assert gaussian.StateStack([0.5 * np.eye(4)]).physical[0]
 
     def test_below_bound_raises(self):
+        """A state below the bound is NaN in every measure; its check and
+        its correlation report raise."""
         gamma = 0.4 * np.eye(4)
-        assert not gaussian.StateStack([gamma]).physical[0]
+        stack = gaussian.StateStack([gamma])
+        assert not stack.physical[0]
+        assert all(math.isnan(alone(measure, gamma)) for measure in
+                   (gaussian.mutual_information, gaussian.gaussian_discord,
+                    gaussian.log_negativity))
         with pytest.raises(gaussian.NonPhysicalStateError):
-            gaussian.mutual_information(gamma)
+            stack.check(0)
+        with pytest.raises(gaussian.NonPhysicalStateError):
+            correlation_report(gamma, 0.5 * np.eye(4))
 
     def test_roundoff_below_half_is_clamped(self):
         stack = gaussian.StateStack([(0.5 - 1e-12) * np.eye(4)])
@@ -156,23 +173,22 @@ class TestPhysicality:
 
     def test_error_reports_margin(self):
         for scale, margin in ((0.4, "-1.000e-01"), (0.5 - 3e-9, "-3.000e-09")):
-            gamma = scale * np.eye(4)
-            assert gaussian.StateStack([gamma]).reasons[0] == \
+            stack = gaussian.StateStack([scale * np.eye(4)])
+            assert stack.reasons[0] == \
                 f"smallest symplectic eigenvalue below 1/2: " \
                 f"nu_min - 1/2 = {margin}"
             with pytest.raises(gaussian.NonPhysicalStateError,
                                match=f"nu_min - 1/2 = {margin}$"):
-                gaussian.mutual_information(gamma)
+                stack.check(0)
 
     def test_low_temperature_model_states(self):
         """fig1a at t_c = 0.01: the global and Redfield states sit within
         rounding of the vacuum bound and must not be rejected."""
         params = WireParams(1.0, 2.0, 0.01, 0.01, 0.015, 1e-3, 1e3)
         for solver in (gme_steady_state, redfield_steady_state):
-            gamma = solver(params).covariance
-            assert gaussian.StateStack([gamma]).physical[0]
-            assert abs(gaussian.symplectic_eigenvalues(gamma)[-1]
-                       - 0.5) < 1e-12
+            stack = gaussian.StateStack([solver(params).covariance])
+            assert stack.physical[0]
+            assert abs(stack.nus[0, -1] - 0.5) < 1e-12
 
 
 class TestStateStack:
@@ -187,22 +203,19 @@ class TestStateStack:
 
     def test_report_equals_the_standalone_measures(self):
         """Shared spectra change no bit of any measure, and a report
-        fails exactly when a measure on either state does."""
+        fails exactly when the fidelity of the two states is NaN."""
         for state_id, gamma, exact in pool_states():
-            try:
-                measures = (gaussian.mutual_information(gamma),
-                            gaussian.fidelity(gamma, exact),
-                            gaussian.log_negativity(gamma))
-            except gaussian.NonPhysicalStateError:
-                measures = None
+            measures = (alone(gaussian.mutual_information, gamma),
+                        pair_fidelity(gamma, exact),
+                        alone(gaussian.log_negativity, gamma))
             for node in "ch":
-                if measures is None:
+                if math.isnan(measures[1]):
                     with pytest.raises(gaussian.NonPhysicalStateError):
                         correlation_report(gamma, exact, node)
                     continue
                 report = correlation_report(gamma, exact, node)
                 mi, fid, log_neg = measures
-                q = gaussian.gaussian_discord(gamma, node)
+                q = alone(gaussian.gaussian_discord, gamma, node)
                 assert (report.mutual_information, report.discord_arrow,
                         report.classical_arrow, report.fidelity_to_exact,
                         report.log_negativity) == \
@@ -235,10 +248,10 @@ class TestStateStack:
                                                  False]
         fid = gaussian.fidelity(stack, [4, 1, 0, 0, 0])
         assert np.isnan(fid).tolist() == [False, True, True, True, False]
-        assert fid[0] == gaussian.fidelity(covs[0], covs[4])
+        assert fid[0] == pair_fidelity(covs[0], covs[4])
         with pytest.raises(gaussian.NonPhysicalStateError,
                            match="^smallest symplectic"):
-            gaussian.fidelity(0.5 * np.eye(4), 0.4 * np.eye(4))
+            correlation_report(0.5 * np.eye(4), 0.4 * np.eye(4))
 
     def test_rejects_wrong_shape(self):
         for covs in (np.eye(4), np.zeros((2, 2, 2)), np.zeros((3, 4, 3))):
@@ -296,9 +309,10 @@ class TestStackInvariance:
     @example(FAILED_STATES)
     def test_each_state_measures_as_if_alone(self, stack_draw):
         """Every state's measures and reason in a stack of n are bit for
-        bit those of the state alone and of its correlation report, on
-        both nodes; a failed state is NaN with its own reason; no numpy
-        warning escapes."""
+        bit those of the state in a stack of its own (with its partner for
+        the fidelity) and of its correlation report, on both nodes; a
+        failed state is NaN with its own reason, which its check and its
+        report raise; no numpy warning escapes."""
         covs, partners = stack_draw
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -317,18 +331,25 @@ class TestStackInvariance:
     @staticmethod
     def compare_alone(stack, i, gamma, partner, measures, discord):
         reason = stack.reasons[i]
-        assert gaussian.StateStack([gamma]).reasons == [reason]
-        alone = {"mutual_information": gaussian.mutual_information,
-                 "log_negativity": gaussian.log_negativity,
-                 "fidelity_to_exact": lambda g: gaussian.fidelity(g, partner)}
+        own = gaussian.StateStack([gamma])
+        assert own.reasons == [reason]
+        single = {"mutual_information":
+                  lambda g: alone(gaussian.mutual_information, g),
+                  "log_negativity":
+                  lambda g: alone(gaussian.log_negativity, g),
+                  "fidelity_to_exact": lambda g: pair_fidelity(g, partner)}
         if reason is not None:
             assert all(math.isnan(v[i]) for v in
                        (*measures.values(), *discord.values()))
-            for measure in (*alone.values(), gaussian.gaussian_discord,
-                            lambda g: correlation_report(g, partner)):
-                with pytest.raises(gaussian.NonPhysicalStateError,
-                                   match=f"^{re.escape(reason)}$"):
-                    measure(gamma)
+            assert all(math.isnan(measure(gamma))
+                       for measure in single.values())
+            assert all(math.isnan(alone(gaussian.gaussian_discord, gamma,
+                                        node)) for node in "ch")
+            match = f"^{re.escape(reason)}$"
+            with pytest.raises(gaussian.NonPhysicalStateError, match=match):
+                own.check(0)
+            with pytest.raises(gaussian.NonPhysicalStateError, match=match):
+                correlation_report(gamma, partner)
             return
         partner_reason = gaussian.StateStack([partner]).reasons[0]
         if partner_reason is not None:
@@ -336,11 +357,12 @@ class TestStackInvariance:
             with pytest.raises(gaussian.NonPhysicalStateError,
                                match=f"^{re.escape(partner_reason)}$"):
                 correlation_report(gamma, partner)
-            del alone["fidelity_to_exact"]
-        for key, measure in alone.items():
+            assert math.isnan(pair_fidelity(gamma, partner))
+            del single["fidelity_to_exact"]
+        for key, measure in single.items():
             assert bits(measures[key][i]) == bits(measure(gamma)), key
         for node in "ch":
-            q = gaussian.gaussian_discord(gamma, node)
+            q = alone(gaussian.gaussian_discord, gamma, node)
             assert bits(discord[node][i]) == bits(q)
             if partner_reason is not None:
                 continue
@@ -384,10 +406,12 @@ class TestFidelity:
         rng = np.random.default_rng(1)
         g1 = random_physical_covariance(rng)
         g2 = random_physical_covariance(rng)
-        assert gaussian.fidelity(g1, g1) == pytest.approx(1.0, abs=1e-9)
-        assert gaussian.fidelity(g1, g2) == pytest.approx(
-            gaussian.fidelity(g2, g1), rel=1e-10)
-        assert 0.0 < gaussian.fidelity(g1, g2) <= 1.0
+        stack = gaussian.StateStack([g1, g2])
+        same = gaussian.fidelity(stack, [0, 1])
+        f12, f21 = gaussian.fidelity(stack, [1, 0])
+        assert same == pytest.approx([1.0, 1.0], abs=1e-9)
+        assert f12 == pytest.approx(f21, rel=1e-10)
+        assert 0.0 < f12 <= 1.0
 
     def test_state_within_round_off_below_the_bound(self):
         """A state that the check lets sit 1e-10 below nu = 1/2 has a
@@ -396,14 +420,15 @@ class TestFidelity:
         gamma = squeezed_state(0.8, 0.3, -0.2, 0.4, (1.2, 0.5 - 1e-10))
         partner = random_physical_covariance(np.random.default_rng(2))
         assert gaussian.StateStack([gamma]).physical[0]
-        for g1, g2 in ((gamma, partner), (partner, gamma)):
-            assert 0.0 < gaussian.fidelity(g1, g2) <= 1.0
+        for f in gaussian.fidelity(gaussian.StateStack([gamma, partner]),
+                                   [1, 0]):
+            assert 0.0 < f <= 1.0
 
     def test_thermal_pair_from_fock_reference(self, fock_reference):
         th = fock_reference["thermal"]
         assert th["fidelity_truncation_delta"] < 1e-8
-        f = gaussian.fidelity(np.array(th["covariance_1"]),
-                              np.array(th["covariance_2"]))
+        f = pair_fidelity(np.array(th["covariance_1"]),
+                          np.array(th["covariance_2"]))
         assert f == pytest.approx(th["fidelity"], abs=1e-6)
 
     def test_frozen_fock_reference_pairs(self, fock_reference):
@@ -412,20 +437,20 @@ class TestFidelity:
             assert pair["fidelity_truncation_delta"] < 1e-6
             g1 = np.array(states[pair["i"]]["covariance"])
             g2 = np.array(states[pair["j"]]["covariance"])
-            assert gaussian.fidelity(g1, g2) == pytest.approx(
-                pair["fidelity"], abs=1e-6)
+            assert pair_fidelity(g1, g2) == pytest.approx(pair["fidelity"],
+                                                          abs=1e-6)
 
 
 class TestMutualInformation:
     def test_product_state_has_none(self):
         gamma = np.diag([1.0, 1.0, 2.0, 2.0])
-        assert gaussian.mutual_information(gamma) == pytest.approx(0.0,
-                                                                   abs=1e-12)
+        assert alone(gaussian.mutual_information, gamma) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_dual_entropy_path(self):
         """Recompute I from eigensolver-based symplectic spectra."""
         gamma = gme_steady_state(with_k(NEAR_DEGENERATE, 1e-2)).covariance
-        jj = gaussian.SYMPLECTIC_FORMS[2]
+        jj = gaussian.SYMPLECTIC_FORM
 
         def entropy_eig(g):
             n = g.shape[0] // 2
@@ -437,7 +462,7 @@ class TestMutualInformation:
 
         alt = (entropy_eig(gamma[:2, :2]) + entropy_eig(gamma[2:, 2:])
                - entropy_eig(gamma))
-        assert gaussian.mutual_information(gamma) == pytest.approx(
+        assert alone(gaussian.mutual_information, gamma) == pytest.approx(
             alt, rel=1e-9, abs=1e-12)
 
 
@@ -445,7 +470,7 @@ class TestDiscord:
     def test_product_state_has_none(self):
         gamma = np.diag([1.0, 1.0, 2.0, 2.0])
         for node in "ch":
-            assert gaussian.gaussian_discord(gamma, node) == 0.0
+            assert alone(gaussian.gaussian_discord, gamma, node) == 0.0
 
     def test_uncoupled_and_vacuum_node_have_none(self):
         """The uncoupled exact state, and a vacuum measured node, where
@@ -455,15 +480,15 @@ class TestDiscord:
         vacuum_h = np.diag([1.0, 1.0, 0.5, 0.5])
         for gamma in (exact_k0, vacuum_h):
             for node in "ch":
-                assert gaussian.gaussian_discord(gamma, node) == 0.0
+                assert alone(gaussian.gaussian_discord, gamma, node) == 0.0
 
     def test_pure_two_mode_squeezed_state(self):
         """On a pure state Q = S(B), the entanglement entropy."""
         gamma = squeezed_state(0.8, 0.3, -0.2, 0.4, (0.5, 0.5))
         _, s_c, s_h = gaussian.StateStack([gamma]).entropies
         for node, s_b in (("c", s_c[0]), ("h", s_h[0])):
-            assert gaussian.gaussian_discord(gamma, node) == pytest.approx(
-                s_b, rel=1e-12)
+            assert alone(gaussian.gaussian_discord, gamma, node) == \
+                pytest.approx(s_b, rel=1e-12)
 
     def test_matches_adesso_datta_closed_form(self):
         """The kernel at the closed-form seed against 60 digits of the
@@ -473,8 +498,7 @@ class TestDiscord:
         for label, gamma in finite_squeezing_states():
             for node in "ch":
                 a, b, c = gaussian._blocks(gamma, node)
-                assert gaussian.symplectic_eigenvalues(b)[0] - 0.5 > 1e-3, \
-                    label
+                assert gaussian._node_nu(*b.ravel()) - 0.5 > 1e-3, label
                 ref = oracles.adesso_datta_min_entropy(a, b, c)
                 worst = max(worst,
                             abs(min_conditional_entropy(gamma, node) - ref))
@@ -495,9 +519,9 @@ class TestDiscord:
         for state_id, gamma, _ in pool_states():
             if not gaussian.StateStack([gamma]).physical[0]:
                 continue
-            i = gaussian.mutual_information(gamma)
+            i = alone(gaussian.mutual_information, gamma)
             for node in "ch":
-                q = gaussian.gaussian_discord(gamma, node)
+                q = alone(gaussian.gaussian_discord, gamma, node)
                 if not 0.0 <= q <= i * (1 + 1e-6) + 1e-12:
                     bad.append((state_id, node, q, i))
         assert bad == []
@@ -506,8 +530,8 @@ class TestDiscord:
         rng = np.random.default_rng(5)
         for _ in range(5):
             gamma = random_physical_covariance(rng)
-            q = gaussian.gaussian_discord(gamma)
-            i = gaussian.mutual_information(gamma)
+            q = alone(gaussian.gaussian_discord, gamma)
+            i = alone(gaussian.mutual_information, gamma)
             assert -1e-10 <= q <= i + 1e-9
             c = correlation_report(gamma, gamma).classical_arrow
             assert c == pytest.approx(i - q, abs=1e-9)
@@ -515,16 +539,17 @@ class TestDiscord:
     def test_measured_node_selects_block(self):
         rng = np.random.default_rng(9)
         gamma = random_physical_covariance(rng)
-        qc = gaussian.gaussian_discord(gamma, measured_node="c")
-        qh = gaussian.gaussian_discord(gamma, measured_node="h")
+        qc, qh = (alone(gaussian.gaussian_discord, gamma, node)
+                  for node in "ch")
         assert qc != pytest.approx(qh, abs=1e-12)
         with pytest.raises(ValueError):
-            gaussian.gaussian_discord(gamma, measured_node="x")
+            gaussian.gaussian_discord(gaussian.StateStack([gamma]),
+                                      measured_node="x")
 
 
 class TestLogNegativity:
     def test_product_state_is_separable(self):
-        assert gaussian.log_negativity(np.diag([1., 1., 2., 2.])) == 0.0
+        assert alone(gaussian.log_negativity, np.diag([1., 1., 2., 2.])) == 0.0
 
     def test_squeezed_thermal_state(self):
         # symmetric squeezed thermal state: the partially transposed
@@ -534,8 +559,8 @@ class TestLogNegativity:
         gamma = f * np.array([[ch, 0, sh, 0], [0, ch, 0, -sh],
                               [sh, 0, ch, 0], [0, -sh, 0, ch]])
         expected = 2 * r - math.log(2 * f)
-        assert gaussian.log_negativity(gamma) == pytest.approx(expected,
-                                                               rel=1e-10)
+        assert alone(gaussian.log_negativity, gamma) == pytest.approx(
+            expected, rel=1e-10)
 
 
 class TestStrongCouplingAsymptote:
@@ -549,6 +574,7 @@ class TestStrongCouplingAsymptote:
 
     def test_matches_global_solution_at_large_k(self):
         params = with_k(RESONANT_STRONG, 1e5)
-        e_n = gaussian.log_negativity(gme_steady_state(params).covariance)
+        e_n = alone(gaussian.log_negativity,
+                    gme_steady_state(params).covariance)
         asym = oracles.strong_coupling_asymptote(params)
         assert abs(e_n - asym) < 1e-2
