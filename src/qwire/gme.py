@@ -25,7 +25,6 @@ import numpy as np
 
 from .model import (WireParams, NormalModes, normal_modes, occupation,
                     rotation_matrix, spectral_density)
-from .moments import moment_equations, moments
 from .results import SteadyStateResult
 
 
@@ -57,19 +56,6 @@ def gme_coefficients(params: WireParams) -> GmeCoefficients:
         j=tuple(spectral_density(om, params) for om in omegas), n=n,
         weights=w, occ=tuple(w[0][s] * n[0][s] + w[1][s] * n[1][s]
                              for s in (0, 1)))
-
-
-def gme_drift_diffusion(coeffs: GmeCoefficients) -> tuple:
-    """Drift A and diffusion D over (eta_+, Pi_+, eta_-, Pi_-): mode s
-    decays at J(Omega_s) / Omega_s and is heated toward occ_s."""
-    a, d = np.zeros((2, 4, 4))
-    for x, om, j, occ in zip((0, 2), coeffs.omegas, coeffs.j, coeffs.occ):
-        a[x, x] = a[x + 1, x + 1] = -j / (2.0 * om)
-        a[x, x + 1] = 1.0
-        a[x + 1, x] = -om**2
-        d[x, x] = j * (occ + 0.5) / om**2
-        d[x + 1, x + 1] = j * (occ + 0.5)
-    return a, d
 
 
 def gme_normal_mode_covariance(coeffs: GmeCoefficients) -> np.ndarray:
@@ -120,20 +106,12 @@ def gme_heat_currents_per_bath(coeffs: GmeCoefficients) -> tuple:
 
 
 def gme_steady_state(params: WireParams) -> SteadyStateResult:
-    """Global GKLS steady state in the local quadratures.
-
-    The residual of the closed form is max|M y + c| / max|y| over its
-    moment equations.
-    """
+    """Global GKLS steady state in the local quadratures.  A closed form,
+    so its diagnostics are empty."""
     coeffs = gme_coefficients(params)
-    gamma_nm = gme_normal_mode_covariance(coeffs)
-    m, c = moment_equations(*gme_drift_diffusion(coeffs))
-    y = moments(gamma_nm)
-    residual = np.max(np.abs(m @ y + c)) / np.max(np.abs(y))
     rot = rotation_matrix(coeffs.modes)
     return SteadyStateResult(
         method="global",
-        covariance=rot @ gamma_nm @ rot.T,
+        covariance=rot @ gme_normal_mode_covariance(coeffs) @ rot.T,
         heat_currents=gme_heat_currents(params, coeffs),
-        diagnostics={"residual": residual},
     )

@@ -31,11 +31,8 @@ from .results import SteadyStateResult
 
 
 def redfield_steady_state(params: WireParams) -> SteadyStateResult:
-    """Partial-Redfield steady state in the local quadratures.
-
-    The residual is max|B y + b| / max|b| of the four-variable system that
-    the closed form solves, y = (n_+, n_-, d_+-, s_+-).
-    """
+    """Partial-Redfield steady state in the local quadratures.  A closed
+    form, so its diagnostics are empty."""
     coeffs = gme_coefficients(params)
     modes = coeffs.modes
     om_p, om_m = coeffs.omegas
@@ -46,12 +43,6 @@ def redfield_steady_state(params: WireParams) -> SteadyStateResult:
     b4 = -modes.sin_cos * thermal_bias(coeffs) / math.sqrt(om_p * om_m)
     norm = delta**2 + kappa**2
     d_pm, s_pm = -delta * b4 / norm, -kappa * b4 / norm
-
-    # the occupation rows -r_s n_s + r_s occ_s vanish identically at the
-    # global n_s = occ_s; the source r_s occ_s still sets the scale
-    balance = (kappa * d_pm - delta * s_pm, delta * d_pm + kappa * s_pm + b4)
-    residual = max(map(abs, balance)) / max(
-        *(r * occ for r, occ in zip(rates, coeffs.occ)), abs(b4), 1e-300)
 
     # normal-mode covariance over (eta_+, Pi_+, eta_-, Pi_-): the global
     # diagonal plus the cross entries of the coherence (d, s).  The two d
@@ -70,5 +61,4 @@ def redfield_steady_state(params: WireParams) -> SteadyStateResult:
         method="redfield",
         covariance=rot @ g_nm @ rot.T,
         heat_currents=(-qdot_h, qdot_h),
-        diagnostics={"residual": residual},
     )

@@ -3,15 +3,17 @@
 Almost everything here works on truncated Fock-space matrices and
 deliberately avoids the covariance-level formulas of the package, so
 agreement between the two is meaningful evidence of correctness.  The
-exceptions are the last four sections: the local heat current solved
-from its moment equations in mpmath; the dissipation kernel, quad_vec
-evaluating the exact solver's integrands node by node, the reference of
-its numpy replay, the equal-temperature covariance as Matsubara sums
-in mpmath, and the whole covariance and current as a sum over the poles
-of the Langevin integrands with digamma weights; the grid search with a
-scipy Nelder-Mead polish and the 60-digit Adesso-Datta closed form, the
-two references of the closed-form discord; and the paper's large-k
-limit of the global log-negativity at resonant nodes.
+exceptions are the last five sections: the drift and diffusion of the
+global equation, whose fixed point the closed-form global state is; the
+local heat current solved from its moment equations in mpmath; the
+dissipation kernel, quad_vec evaluating the exact solver's integrands
+node by node, the reference of its numpy replay, the equal-temperature
+covariance as Matsubara sums in mpmath, and the whole covariance and
+current as a sum over the poles of the Langevin integrands with digamma
+weights; the grid search with a scipy Nelder-Mead polish and the
+60-digit Adesso-Datta closed form, the two references of the
+closed-form discord; and the paper's large-k limit of the global
+log-negativity at resonant nodes.
 """
 
 from __future__ import annotations
@@ -258,6 +260,24 @@ def thermal_product_gibbs(n_c: float, n_h: float) -> np.ndarray:
         nu = n + 0.5
         return math.log((nu + 0.5) / (nu - 0.5))
     return np.diag([beta(n_c), beta(n_c), beta(n_h), beta(n_h)])
+
+
+# ---------------------------------------------------------------------------
+# global moment equations
+
+def gme_drift_diffusion(coeffs) -> tuple:
+    """Drift A and diffusion D over (eta_+, Pi_+, eta_-, Pi_-) of the
+    global equation, from qwire.gme.GmeCoefficients: mode s decays at
+    J(Omega_s) / Omega_s and is heated toward occ_s.  The closed-form
+    global state is their fixed point."""
+    a, d = np.zeros((2, 4, 4))
+    for x, om, j, occ in zip((0, 2), coeffs.omegas, coeffs.j, coeffs.occ):
+        a[x, x] = a[x + 1, x + 1] = -j / (2.0 * om)
+        a[x, x + 1] = 1.0
+        a[x + 1, x] = -om**2
+        d[x, x] = j * (occ + 0.5) / om**2
+        d[x + 1, x + 1] = j * (occ + 0.5)
+    return a, d
 
 
 # ---------------------------------------------------------------------------

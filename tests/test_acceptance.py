@@ -20,8 +20,10 @@ from qwire.gme import (gme_coefficients, gme_heat_currents,
                        gme_heat_currents_per_bath,
                        gme_normal_mode_covariance)
 from qwire import gaussian
+from qwire.moments import moment_equations, moments
 import oracles
 from conftest import DATA_DIR, alone, pair_fidelity
+from test_redfield import closed_form_system, redfield_averages
 
 pytestmark = pytest.mark.acceptance
 
@@ -37,6 +39,28 @@ def at_k(params, k):
 def report(criterion: int, passed: bool, detail: str) -> None:
     print(f"criterion {criterion:02d} {'PASS' if passed else 'FAIL'}: "
           f"{detail}")
+
+
+def closed_form_residuals(params) -> tuple:
+    """The residuals of the two closed forms in the oracles' equations.
+
+    Global: max|M y + c| / max|y| of its normal-mode moments in the ten
+    moment equations of oracles.gme_drift_diffusion.  Redfield: the
+    normwise backward error max|B y + b| / (||B|| max|y| + max|b|) of its
+    four averages, read back from the covariance, in test_redfield's
+    four-variable system.  Not relative to max|b| alone: the covariance
+    stores the coherence s_+- only to about eps max|Gamma|, so at fig2c,
+    k = 10 (s = -5.9e-9) that ratio reads 1.5e-11, and 2.3e-11 with a
+    40-digit readback."""
+    coeffs = gme_coefficients(params)
+    y = moments(gme_normal_mode_covariance(coeffs))
+    m, c = moment_equations(*oracles.gme_drift_diffusion(coeffs))
+    b_mat, b_vec = closed_form_system(params)
+    y4 = redfield_averages(params)
+    return (np.max(np.abs(m @ y + c)) / np.max(np.abs(y)),
+            np.max(np.abs(b_mat @ y4 + b_vec))
+            / (np.max(np.sum(np.abs(b_mat), axis=1)) * np.max(np.abs(y4))
+               + np.max(np.abs(b_vec))))
 
 
 def fidelity_to_exact(params, solver):
@@ -283,8 +307,9 @@ class TestAcceptance:
                     worst_quad = max(
                         worst_quad,
                         res.diagnostics["quadrature_error"] / (1e-8 * scale))
-                else:
+                elif res.method == "local":
                     worst_res = max(worst_res, res.diagnostics["residual"])
+            worst_res = max(worst_res, *closed_form_residuals(params))
         ok = worst_res <= 1e-11 and worst_quad <= 1.0 and all_physical
         report(10, ok, f"worst solver residual {worst_res:.2e} (tol 1e-11), "
                f"quadrature error at {worst_quad:.3f} of its 1e-8 scale "

@@ -63,13 +63,14 @@ import scipy.linalg
 from qwire import (WireParams, gaussian, gme_heat_currents, gme_steady_state,
                    sweep)
 from qwire.cli import PRESETS, parse_log_grid
-from qwire.gme import gme_coefficients, gme_drift_diffusion
+from qwire.gme import gme_coefficients
 from qwire.lme import lme_drift_diffusion, lme_steady_state
 from qwire.model import (normal_modes, rotation_matrix,
                          secular_validity_margin)
 from qwire.moments import MOMENTS, moment_equations, moments
 from qwire.redfield import redfield_steady_state
 from conftest import pair_fidelity, pool_states
+from oracles import gme_drift_diffusion
 
 DIGITS = 50
 

@@ -507,17 +507,17 @@ class TestValidate:
         assert doc["passed"]
         assert all(check["passed"] for check in doc["checks"])
         assert [check["name"] for check in doc["checks"]] == [
-            f"{m}_{check}" for m in ("global", "local", "redfield")
-            for check in ("physical", "stationary", "current_balance")] + [
-            "exact_physical", "exact_current_balance",
-            "global_current_forms_agree", "global_second_law",
-            "exact_self_fidelity", "exact_correlations_ordered"]
+            "global_physical", "local_physical", "local_stationary",
+            "redfield_physical", "exact_physical",
+            "global_current_forms_agree", "local_current_forms_agree",
+            "global_second_law", "exact_correlations_ordered"]
 
     def test_physicality_is_the_gaussian_state_check(self, capsys,
                                                      monkeypatch):
         """`<method>_physical` fails for every state that the Gaussian
-        check rejects, and a failed one exits with code 3.  A non-physical
-        exact state also fails the two checks that measure it."""
+        check rejects, and a failed one exits with code 3.  The replaced
+        local state also fails the bond form of the local current, and a
+        non-physical exact state the check that measures it."""
         for method in METHODS[:-1]:
             monkeypatch.setitem(compare._SOLVERS, method,
                                 lambda params, solve=compare._SOLVERS[method]:
@@ -529,11 +529,30 @@ class TestValidate:
         failed = [c["name"] for c in json.loads(out)["checks"]
                   if not c["passed"]]
         assert failed == [f"{m}_physical" for m in METHODS] + [
-            "exact_self_fidelity", "exact_correlations_ordered"]
+            "local_current_forms_agree", "exact_correlations_ordered"]
+
+    def test_local_current_reads_the_local_state(self, capsys, monkeypatch):
+        """A local state scaled by 1 + 1e-9 fails the bond form of the
+        local current, and only that check: the local residual was taken
+        in the solve, before the scaling."""
+        solve = compare._SOLVERS["local"]
+
+        def scaled(params):
+            res = solve(params)
+            return dataclasses.replace(
+                res, covariance=(1.0 + 1e-9) * res.covariance)
+
+        monkeypatch.setitem(compare._SOLVERS, "local", scaled)
+        code, out, _ = run(capsys, "validate", "--scenario", "fig1a",
+                           "--k", "0.05")
+        assert code == 2
+        failed = [c["name"] for c in json.loads(out)["checks"]
+                  if not c["passed"]]
+        assert failed == ["local_current_forms_agree"]
 
     def test_non_physical_exact_state_prints_its_checks(self, capsys,
                                                         monkeypatch):
-        """The exact state's three checks fail with their details, the
+        """The exact state's two checks fail with their details, the
         others pass, and the verdict is exit 3."""
         break_exact_state(monkeypatch)
         code, out, _ = run(capsys, "validate", "--scenario", "fig1a",
@@ -541,12 +560,11 @@ class TestValidate:
         assert code == 3
         checks = {c["name"]: c for c in strict_json(out)["checks"]}
         failed = [name for name, c in checks.items() if not c["passed"]]
-        assert failed == ["exact_physical", "exact_self_fidelity",
-                          "exact_correlations_ordered"]
+        assert failed == ["exact_physical", "exact_correlations_ordered"]
         assert checks["exact_physical"]["detail"] == \
             "min symplectic eigenvalue - 1/2 = -1.000e-01"
-        assert checks["exact_self_fidelity"]["detail"] == \
-            "F(exact, exact) = nan"
+        assert checks["exact_correlations_ordered"]["detail"] == \
+            "I = nan, Q = nan"
 
     def test_takes_the_rows_one_spectrum(self, capsys, monkeypatch):
         """The states with their partial transposes: the spectrum call of
@@ -559,12 +577,15 @@ class TestValidate:
 
     @pytest.mark.parametrize("overrides", (
         ("--k", "1e-4"), ("--k", "1e-3"), ("--k", "1e-2"),
-        ("--k", "1e-2", "--t-c", "0.01", "--t-h", "0.015")))
+        ("--k", "1e-2", "--t-c", "0.01", "--t-h", "0.015"),
+        ("--k", "0.05", "--lambda-sq", "1e5")))
     def test_current_forms_agree_at_weak_coupling_and_low_t(self, capsys,
                                                             overrides):
         """The per-bath current forms each mode's O(k^2) excess over its
         bath as a product, so it meets the closed form to 1e-11 where the
-        current is a small difference of large terms."""
+        current is a small difference of large terms.  At lambda^2 = 1e5
+        every check passes too: no check reads a closed form's residual
+        relative to max|y|, which grows with lambda^2."""
         code, out, _ = run(capsys, "validate", "--scenario", "fig1a",
                            *overrides)
         assert code == 0

@@ -8,21 +8,21 @@ import numpy as np
 import pytest
 
 from qwire import WireParams, normal_modes, occupation
-from qwire.gme import (GmeCoefficients, gme_coefficients,
-                       gme_drift_diffusion, gme_heat_currents,
+from qwire.gme import (GmeCoefficients, gme_coefficients, gme_heat_currents,
                        gme_heat_currents_per_bath,
                        gme_normal_mode_covariance, gme_steady_state)
 from qwire.moments import moment_equations, moments
 from qwire import gaussian
 from conftest import WIDE_GAP, swapped, with_k
 from oracles import (destroy, dissipator_adjoint, extract_affine_dynamics,
-                     mode_rates, quadratures)
+                     gme_drift_diffusion, mode_rates, quadratures)
 
 OFF_RESONANT = WireParams(1.0, 1.3, 0.4, 0.8, 1.6, 0.05, 50.0)
 
 
 def implementation_dynamics_blocks(coeffs: GmeCoefficients) -> dict:
-    """Per-mode (M, c) of the implemented moment equations.
+    """Per-mode (M, c) of the moment equations of gme_drift_diffusion,
+    the equations whose fixed point the closed form is.
 
     The same-mode moments (0, 1, 2) and (3, 4, 5) must not read the
     cross-mode moments 6-9.
@@ -66,9 +66,9 @@ class TestGeneratorOracle:
 class TestCoefficients:
     def test_dual_rate_implementation(self):
         """The oracle's GKLS rates against an independent J coth
-        expression, and each mode's drift and diffusion, which the library
-        forms from J and n, against the drift W_- - W_+ and diffusion
-        W_- + W_+ of those rates."""
+        expression, and each mode's drift and diffusion, which
+        gme_drift_diffusion forms from the library's J and n, against the
+        drift W_- - W_+ and diffusion W_- + W_+ of those rates."""
         params = with_k(WIDE_GAP, 0.1)
         nm = normal_modes(params)
         rates = mode_rates(params, nm)
@@ -102,12 +102,26 @@ class TestCoefficients:
             assert a_mat[x, x] < 0.0 < d_mat[x, x]
 
 
+def closed_form_residual(coeffs: GmeCoefficients) -> tuple:
+    """|M y + c| of the closed-form moments y in the oracle's moment
+    equations, with max|y| and max|c|."""
+    y = moments(gme_normal_mode_covariance(coeffs))
+    m, c = moment_equations(*gme_drift_diffusion(coeffs))
+    return np.abs(m @ y + c), np.max(np.abs(y)), np.max(np.abs(c))
+
+
 class TestSteadyState:
     def test_closed_form_is_fixed_point(self):
-        coeffs = gme_coefficients(OFF_RESONANT)
-        y = moments(gme_normal_mode_covariance(coeffs))
-        m, c = moment_equations(*gme_drift_diffusion(coeffs))
-        assert np.max(np.abs(m @ y + c)) < 1e-13 * np.max(np.abs(y))
+        """The closed form solves its moment equations to the rounding of
+        their source c, over fifty decades of lambda^2: relative to max|y|
+        the residual would grow as lambda^2 (1.9e-11 at lambda^2 = 1e5)."""
+        residual, y_max, _ = closed_form_residual(
+            gme_coefficients(OFF_RESONANT))
+        assert np.max(residual) < 1e-13 * y_max
+        for lambda_sq in (1e-3, 1e5, 1e50):
+            residual, _, c_max = closed_form_residual(gme_coefficients(
+                WireParams(1.0, 2.0, 0.05, 2.0, 3.0, lambda_sq, 1e3)))
+            assert np.max(residual) <= 8 * sys.float_info.epsilon * c_max
 
     def test_forward_euler_converges_to_closed_form(self):
         coeffs = gme_coefficients(OFF_RESONANT)
@@ -136,7 +150,9 @@ class TestSteadyState:
         for i, j in [(0, 1), (2, 3), (0, 3), (1, 2)]:
             assert gamma[i, j] == pytest.approx(0.0, abs=1e-16)
         assert gaussian.StateStack([gamma]).physical[0]
-        assert res.diagnostics["residual"] < 1e-13
+        residual, y_max, _ = closed_form_residual(
+            gme_coefficients(with_k(WIDE_GAP, 0.1)))
+        assert np.max(residual) < 1e-13 * y_max
 
     def test_rotation_conjugation_symbolic(self):
         """Conjugating the diagonal normal-mode covariance with the mode
