@@ -90,21 +90,6 @@ def gme_heat_currents(params: WireParams,
     return (-qdot_h, qdot_h)
 
 
-def gme_heat_currents_per_bath(coeffs: GmeCoefficients) -> tuple:
-    """(Qdot_c, Qdot_h) bath by bath, as the dissipator averages
-
-        Qdot_a = -sum_s w^a_s J(Omega_s) (occ_s - n_a(Omega_s)),
-
-    with each mode's excess over the bath formed as the product
-    occ_s - n_a = w^b_s (n_b - n_a), b the other bath, so that the O(k^2)
-    excess does not cancel against occ_s.
-    """
-    w, n, j = coeffs.weights, coeffs.n, coeffs.j
-    return tuple(-sum(w[a][s] * j[s] * (w[b][s] * (n[b][s] - n[a][s]))
-                      for s in (0, 1))
-                 for a, b in ((0, 1), (1, 0)))
-
-
 def gme_steady_state(params: WireParams) -> SteadyStateResult:
     """Global GKLS steady state in the local quadratures.  A closed form,
     so its diagnostics are empty."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import WireParams, occupation, spectral_density
-from .moments import covariance, moment_equations, stationary
+from .moments import covariance, moment_equations
 from .results import SteadyStateResult
 
 
@@ -90,12 +90,11 @@ def lme_heat_currents(params: WireParams) -> tuple:
 
 
 def lme_steady_state(params: WireParams) -> SteadyStateResult:
-    """Solve the stationary moment equations and package covariance plus
-    heat currents."""
-    y, residual = stationary(*moment_equations(*lme_drift_diffusion(params)))
+    """Solve the stationary moment equations M y = -c (LU with partial
+    pivoting) and package covariance plus heat currents."""
+    m, c = moment_equations(*lme_drift_diffusion(params))
     return SteadyStateResult(
         method="local",
-        covariance=covariance(y),
+        covariance=covariance(np.linalg.solve(m, -c)),
         heat_currents=lme_heat_currents(params),
-        diagnostics={"residual": residual},
     )

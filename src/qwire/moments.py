@@ -44,9 +44,3 @@ def moments(gamma: np.ndarray) -> np.ndarray:
     """The moment vector y of the 4x4 covariance gamma."""
     return _W * gamma[_I, _J]
 
-
-def stationary(m: np.ndarray, c: np.ndarray) -> tuple:
-    """Solve m y = -c; return y and max|m y + c| / max|c|."""
-    y = np.linalg.solve(m, -c)
-    residual = np.max(np.abs(m @ y + c)) / max(np.max(np.abs(c)), 1e-300)
-    return y, residual

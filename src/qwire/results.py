@@ -19,11 +19,11 @@ class SteadyStateResult:
     method        : one of METHODS
     covariance    : 4x4 symmetric matrix in (X_c, P_c, X_h, P_h) ordering
     heat_currents : incoming currents (Qdot_c, Qdot_h); they sum to zero
-    diagnostics   : figures of merit of a numerical solve: the local
-                    solve's "residual", the exact quadrature's error
-                    estimate and work; empty for the global and Redfield
-                    closed forms.  "error" holds the reason of a failed
-                    solve, whose numbers are NaN
+    diagnostics   : figures of merit of a numerical solve; only the
+                    exact quadrature reports any, its error estimate and
+                    work.  Empty for the global and Redfield closed forms
+                    and the local dense solve.  "error" holds the reason
+                    of a failed solve, whose numbers are NaN
     """
 
     method: str

@@ -1,0 +1,100 @@
+"""Pieces of the exact steady state in closed form, numpy only and
+vectorised over points: the complex digamma and the stable poles of the
+Langevin integrands.
+
+Both baths share lambda^2 and the cutoff Lambda, so the response of
+normal mode s has the denominator
+D_s(w) = (K_s - w^2)(Lambda - i w) - lambda^2 Lambda^2 with
+K_s = Omega_s^2 + lambda^2 Lambda.  Its three zeros lie in the lower half
+plane, and each weights a digamma psi(1 + i p / (2 pi T)) in the pole sum
+of the covariance (tests/oracles.py::exact_covariance_mpmath writes the
+same sum in mpmath).  The pieces live here, beside their tests, until the
+exact solver is rewritten on them.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+
+EPS = sys.float_info.epsilon
+
+#: B_2n / (2n) for n = 1..7, the terms of psi's asymptotic series; the
+#: first term left out, -0.44 / z^16 (B_16 / 16 = -0.44), is below 5e-17
+#: at |z| > 10
+_BERNOULLI = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760,
+              1 / 12)
+
+#: Newton's method on the real pole takes 2 to 9 steps at the benchmark
+#: pool's modes.  Far out in the domain (three real poles) it can take
+#: tens, and a few points stall on rounding just above the stopping test
+#: with poles still within a few eps; the cap ends those
+_MAX_NEWTON = 60
+
+
+def digamma(z):
+    """psi(z) for complex z with Re z > 0, elementwise.
+
+    The recurrence psi(z) = psi(z + 1) - 1/z lifts Re z above 10, where
+    psi(z) = ln z - 1/(2z) - sum_n B_2n / (2n z^2n) to seven terms.
+    """
+    z = np.array(z, dtype=complex)
+    shift = np.zeros_like(z)
+    low = z.real <= 10.0
+    while low.any():
+        shift[low] -= 1.0 / z[low]
+        z[low] += 1.0
+        low = z.real <= 10.0
+    w = 1.0 / (z * z)
+    series = np.zeros_like(z)
+    for b in reversed(_BERNOULLI):
+        series = (series + b) * w
+    return shift + np.log(z) - 0.5 / z - series
+
+
+def poles(omega_sq, lambda_sq, cutoff) -> np.ndarray:
+    """The three zeros p of D_s(w), all with Im p < 0, elementwise over
+    broadcast arrays of Omega_s^2, lambda^2 and Lambda: an array of shape
+    (..., 3), the pole -i(Lambda - e) on the imaginary axis first.
+
+    With w = -i z, D_s = 0 is the cubic z^3 - Lambda z^2 + K_s z -
+    Lambda Omega_s^2 = 0, whose roots have Re z > 0.  Its real root is
+    z_1 = t = Lambda - e with e (t^2 + K_s) = lambda^2 Lambda^2, solved by
+    Newton's method from e = lambda^2 Lambda^2 / (Lambda^2 + K_s), a lower
+    bound, and t = Lambda (Lambda^2 + Omega_s^2) / (Lambda^2 + K_s), the
+    same start without a difference.  e and t move by the same step, and
+    the residual is formed so that the smaller of them keeps its relative
+    accuracy: as above while e <= t (weak damping, e close to lambda^2),
+    and as e t^2 - t K_s + Lambda Omega_s^2, the same function, while
+    t < e (strong damping, t close to Omega_s^2 / lambda^2).  A point
+    stops at its own last step, so its poles do not depend on the stack.
+
+    The other two roots have the sum e and, by Vieta, the product
+    c = Lambda Omega_s^2 / t, which equals K_s - e t without its
+    cancellation.  So they are e/2 +- i sqrt(c - e^2/4) when c >= e^2/4,
+    and else the real pair e/2 + sqrt(e^2/4 - c) and c over it.
+    """
+    omega_sq, lambda_sq, cutoff = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (omega_sq, lambda_sq, cutoff)))
+    k_s = omega_sq + lambda_sq * cutoff
+    drive = lambda_sq * cutoff**2
+    e = drive / (cutoff**2 + k_s)
+    t = cutoff * (cutoff**2 + omega_sq) / (cutoff**2 + k_s)
+    active = np.ones(e.shape, dtype=bool)
+    for _ in range(_MAX_NEWTON):
+        residual = np.where(e <= t, e * (t * t + k_s) - drive,
+                            e * t * t - t * k_s + cutoff * omega_sq)
+        step = np.where(active, residual / (t * t + k_s - 2.0 * e * t), 0.0)
+        e, t = e - step, t + step
+        active &= np.abs(step) > EPS * np.minimum(e, t)
+        if not active.any():
+            break
+    c = cutoff * omega_sq / t
+    q = c - e * e / 4.0
+    y = np.sqrt(np.abs(q))
+    under = q >= 0.0
+    fast = e / 2.0 + y
+    return np.stack([-1j * t, np.where(under, y - 0.5j * e, -1j * fast),
+                     np.where(under, -y - 0.5j * e, -1j * c / fast)],
+                    axis=-1)

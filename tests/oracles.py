@@ -4,16 +4,16 @@ Almost everything here works on truncated Fock-space matrices and
 deliberately avoids the covariance-level formulas of the package, so
 agreement between the two is meaningful evidence of correctness.  The
 exceptions are the last five sections: the drift and diffusion of the
-global equation, whose fixed point the closed-form global state is; the
-local heat current solved from its moment equations in mpmath; the
-dissipation kernel, quad_vec evaluating the exact solver's integrands
-node by node, the reference of its numpy replay, the equal-temperature
-covariance as Matsubara sums in mpmath, and the whole covariance and
-current as a sum over the poles of the Langevin integrands with digamma
-weights; the grid search with a scipy Nelder-Mead polish and the
-60-digit Adesso-Datta closed form, the two references of the
-closed-form discord; and the paper's large-k limit of the global
-log-negativity at resonant nodes.
+global equation, whose fixed point the closed-form global state is, and
+its currents bath by bath; the local heat current solved from its moment
+equations in mpmath; the dissipation kernel, quad_vec evaluating the
+exact solver's integrands node by node, the reference of its numpy
+replay, the equal-temperature covariance as Matsubara sums in mpmath,
+and the whole covariance and current as a sum over the poles of the
+Langevin integrands with digamma weights; the grid search with a scipy
+Nelder-Mead polish and the 60-digit Adesso-Datta closed form, the two
+references of the closed-form discord; and the paper's large-k limit of
+the global log-negativity at resonant nodes.
 """
 
 from __future__ import annotations
@@ -280,6 +280,22 @@ def gme_drift_diffusion(coeffs) -> tuple:
     return a, d
 
 
+def gme_heat_currents_per_bath(coeffs) -> tuple:
+    """(Qdot_c, Qdot_h) bath by bath from qwire.gme.GmeCoefficients, as
+    the dissipator averages
+
+        Qdot_a = -sum_s w^a_s J(Omega_s) (occ_s - n_a(Omega_s)),
+
+    with each mode's excess over the bath formed as the product
+    occ_s - n_a = w^b_s (n_b - n_a), b the other bath, so that the O(k^2)
+    excess does not cancel against occ_s.
+    """
+    w, n, j = coeffs.weights, coeffs.n, coeffs.j
+    return tuple(-sum(w[a][s] * j[s] * (w[b][s] * (n[b][s] - n[a][s]))
+                      for s in (0, 1))
+                 for a, b in ((0, 1), (1, 0)))
+
+
 # ---------------------------------------------------------------------------
 # local heat current
 
@@ -392,10 +408,18 @@ def equilibrium_covariance_mpmath(params, dps: int = 30):
         Gamma_XX = T sum_n G(i nu_n),
         Gamma_PP = T sum_n (1 - nu_n^2 G(i nu_n)),
 
-    summed over all integers n (the n and -n terms are equal) by mpmath
-    nsum.  The Gibbs state is time-reversal even, so every X-P entry is
-    zero.  Returns a 4x4 mpmath matrix in the order (X_c, P_c, X_h,
-    P_h).
+    summed over all integers n (the n and -n terms are equal).  The
+    diagonal of G^-1 - nu^2 is omega_a^2 + k + lambda^2 cutoff nu /
+    (cutoff + nu), and 1 - nu^2 G is formed from it, free of the
+    cancellation of 1 - nu^2 G, which loses five of 30 digits at
+    nu = 10 cutoff.  The terms with nu_n <= 10 cutoff are added one by
+    one, and mpmath nsum sums the smooth tail beyond by Euler-Maclaurin.
+    Its default extrapolations misjudge that 1/n^2 tail: at omega =
+    (1, 2), k = 0.1, T = 2, lambda^2 = 1e-3 and cutoff = 1e3 they put
+    <P_h^2> 3.4e-6 low from n = 1, and still 1.2e-6 low from
+    nu_n > 10 cutoff.  The Gibbs state is time-reversal even, so every
+    X-P entry is zero.  Returns a 4x4 mpmath matrix in the order (X_c,
+    P_c, X_h, P_h).
     """
     import mpmath
     assert params.t_c == params.t_h
@@ -403,30 +427,31 @@ def equilibrium_covariance_mpmath(params, dps: int = 30):
         temp, k = mpmath.mpf(params.t_c), mpmath.mpf(params.k)
         cut = mpmath.mpf(params.cutoff)
         lam_sq = mpmath.mpf(params.lambda_sq)
-        k_c = mpmath.mpf(params.omega_c)**2 + lam_sq * cut + k
-        k_h = mpmath.mpf(params.omega_h)**2 + lam_sq * cut + k
+        stiff_c = mpmath.mpf(params.omega_c)**2 + k
+        stiff_h = mpmath.mpf(params.omega_h)**2 + k
 
-        def response(n):
-            """nu_n and G_cc, G_ch, G_hh at i nu_n."""
+        def terms(n):
+            """G_cc, G_ch, G_hh and 1 - nu^2 G of the same entries at
+            i nu_n."""
             nu = 2 * mpmath.pi * temp * n
-            memory = lam_sq * cut**2 / (cut + nu) - nu**2
-            a, d = k_c - memory, k_h - memory
+            shift = lam_sq * cut * nu / (cut + nu)
+            bare_c, bare_h = stiff_c + shift, stiff_h + shift
+            a, d = bare_c + nu**2, bare_h + nu**2
             det = a * d - k**2
-            return nu, (d / det, k / det, a / det)
+            return (d / det, k / det, a / det, (d * bare_c - k**2) / det,
+                    -nu**2 * k / det, (a * bare_h - k**2) / det)
 
-        def matsubara(term):
-            """T sum_n term(nu_n, G(i nu_n)) over all integers n."""
-            def at(n):
-                return term(*response(n))
-            tail = mpmath.nsum(at, [1, mpmath.inf])
-            return temp * (at(0) + 2 * tail)
-
+        last = int(10 * params.cutoff / (2 * math.pi * params.t_c))
+        head = [mpmath.fsum(column) for column in
+                zip(*(terms(n) for n in range(1, last + 1)))]
         gamma = mpmath.matrix(4, 4)
-        for entry, (i, j) in enumerate(((0, 0), (0, 2), (2, 2))):
-            one = 1 if i == j else 0
-            gamma[i, j] = gamma[j, i] = matsubara(lambda nu, g: g[entry])
-            gamma[i + 1, j + 1] = gamma[j + 1, i + 1] = matsubara(
-                lambda nu, g: one - nu**2 * g[entry])
+        for entry, (i, j) in enumerate(((0, 0), (0, 2), (2, 2), (1, 1),
+                                        (1, 3), (3, 3))):
+            tail = mpmath.nsum(lambda n: terms(n)[entry],
+                               [last + 1, mpmath.inf],
+                               method="euler-maclaurin")
+            gamma[i, j] = gamma[j, i] = temp * (
+                terms(0)[entry] + 2 * (head[entry] + tail))
         return gamma
 
 

@@ -507,17 +507,14 @@ class TestValidate:
         assert doc["passed"]
         assert all(check["passed"] for check in doc["checks"])
         assert [check["name"] for check in doc["checks"]] == [
-            "global_physical", "local_physical", "local_stationary",
-            "redfield_physical", "exact_physical",
-            "global_current_forms_agree", "local_current_forms_agree",
-            "global_second_law", "exact_correlations_ordered"]
+            "global_physical", "local_physical", "redfield_physical",
+            "exact_physical", "local_current_forms_agree"]
 
     def test_physicality_is_the_gaussian_state_check(self, capsys,
                                                      monkeypatch):
         """`<method>_physical` fails for every state that the Gaussian
         check rejects, and a failed one exits with code 3.  The replaced
-        local state also fails the bond form of the local current, and a
-        non-physical exact state the check that measures it."""
+        local state also fails the bond form of the local current."""
         for method in METHODS[:-1]:
             monkeypatch.setitem(compare._SOLVERS, method,
                                 lambda params, solve=compare._SOLVERS[method]:
@@ -529,12 +526,11 @@ class TestValidate:
         failed = [c["name"] for c in json.loads(out)["checks"]
                   if not c["passed"]]
         assert failed == [f"{m}_physical" for m in METHODS] + [
-            "local_current_forms_agree", "exact_correlations_ordered"]
+            "local_current_forms_agree"]
 
     def test_local_current_reads_the_local_state(self, capsys, monkeypatch):
         """A local state scaled by 1 + 1e-9 fails the bond form of the
-        local current, and only that check: the local residual was taken
-        in the solve, before the scaling."""
+        local current, and only that check."""
         solve = compare._SOLVERS["local"]
 
         def scaled(params):
@@ -552,19 +548,28 @@ class TestValidate:
 
     def test_non_physical_exact_state_prints_its_checks(self, capsys,
                                                         monkeypatch):
-        """The exact state's two checks fail with their details, the
-        others pass, and the verdict is exit 3."""
+        """The exact state's check fails with its detail, the others
+        pass, and the verdict is exit 3."""
         break_exact_state(monkeypatch)
         code, out, _ = run(capsys, "validate", "--scenario", "fig1a",
                            "--k", "0.05")
         assert code == 3
         checks = {c["name"]: c for c in strict_json(out)["checks"]}
         failed = [name for name, c in checks.items() if not c["passed"]]
-        assert failed == ["exact_physical", "exact_correlations_ordered"]
+        assert failed == ["exact_physical"]
         assert checks["exact_physical"]["detail"] == \
             "min symplectic eigenvalue - 1/2 = -1.000e-01"
-        assert checks["exact_correlations_ordered"]["detail"] == \
-            "I = nan, Q = nan"
+
+    def test_takes_no_measured_node(self, capsys):
+        """No check reads a measure of one node, so validate rejects the
+        flag that steady and sweep take."""
+        code, out, err = run(capsys, "validate", "--scenario", "fig1a",
+                             "--k", "0.05", "--measured-node", "c")
+        assert code == 1
+        assert out == ""
+        doc = strict_json(err.strip().splitlines()[-1])
+        assert doc["error"] == "invalid_arguments"
+        assert "--measured-node" in doc["message"]
 
     def test_takes_the_rows_one_spectrum(self, capsys, monkeypatch):
         """The states with their partial transposes: the spectrum call of
@@ -576,18 +581,22 @@ class TestValidate:
         assert spectra == [(8, 4, 4)]
 
     @pytest.mark.parametrize("overrides", (
-        ("--k", "1e-4"), ("--k", "1e-3"), ("--k", "1e-2"),
-        ("--k", "1e-2", "--t-c", "0.01", "--t-h", "0.015"),
-        ("--k", "0.05", "--lambda-sq", "1e5")))
+        ("fig1a", "--k", "1e-4"), ("fig1a", "--k", "1e-3"),
+        ("fig1a", "--k", "1e-2"),
+        ("fig1a", "--k", "1e-2", "--t-c", "0.01", "--t-h", "0.015"),
+        ("fig1a", "--k", "0.05", "--lambda-sq", "1e5"),
+        ("fig2c", "--k", "1e4"), ("fig2c", "--k", "1e5"),
+        ("fig1a", "--k", "1e-12"), ("fig1b", "--k", "1e-11"),
+        ("fig2c", "--k", "1e-9")))
     def test_current_forms_agree_at_weak_coupling_and_low_t(self, capsys,
                                                             overrides):
-        """The per-bath current forms each mode's O(k^2) excess over its
-        bath as a product, so it meets the closed form to 1e-11 where the
-        current is a small difference of large terms.  At lambda^2 = 1e5
-        every check passes too: no check reads a closed form's residual
-        relative to max|y|, which grows with lambda^2."""
-        code, out, _ = run(capsys, "validate", "--scenario", "fig1a",
-                           *overrides)
+        """Every check passes where the current is a small difference of
+        large terms, at lambda^2 = 1e5, where a closed form's residual
+        relative to max|y| grew with lambda^2, at fig2c's strong coupling,
+        where the local moment equations are ill-conditioned (condition
+        number 4e11 at k = 1e4), and at weak coupling, where the mutual
+        information rounds below zero."""
+        code, out, _ = run(capsys, "validate", "--scenario", *overrides)
         assert code == 0
         assert all(check["passed"] for check in json.loads(out)["checks"])
 

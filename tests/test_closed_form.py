@@ -1,0 +1,113 @@
+"""The closed form's digamma and poles against scipy and mpmath, at the
+points of the pole oracle and at a seeded sample of the benchmark pool."""
+
+import functools
+import json
+import math
+import pathlib
+import random
+
+import mpmath as mp
+import numpy as np
+import pytest
+from scipy.special import psi
+
+from qwire import WireParams, normal_modes
+from closed_form import EPS, digamma, poles
+from test_exact import ORACLE_POINTS
+
+POINTS = (pathlib.Path(__file__).resolve().parent.parent
+          / "perfbench" / "data" / "points.json")
+
+#: Omega_s^2, lambda^2, Lambda beyond the sampled points: overdamped modes,
+#: lambda^2 at its upper bound 1e100, and three real poles close together
+STRESS = ((1e-2, 1.0, 1e3), (1.0, 1e6, 1e8), (1.0, 1e100, 1e8),
+          (1e16, 1e100, 1e16), (1.0, 3.9999, 16.0))
+
+
+@functools.cache
+def sample_points() -> tuple:
+    """The three pole-oracle points and ten seeded pool points."""
+    pool = json.loads(POINTS.read_text(encoding="utf-8"))["points"]
+    return tuple(ORACLE_POINTS.values()) + tuple(
+        WireParams(**point["params"])
+        for point in random.Random(2).sample(pool, 10))
+
+
+def mode_inputs(params) -> list:
+    """(Omega_s^2, lambda^2, Lambda) of both normal modes."""
+    modes = normal_modes(params)
+    return [(om * om, params.lambda_sq, params.cutoff)
+            for om in (modes.omega_plus, modes.omega_minus)]
+
+
+@functools.cache
+def digamma_arguments() -> np.ndarray:
+    """1 + i p / (2 pi T_a) for each pole p of each mode and each bath
+    temperature at sample_points: the arguments of the pole sum."""
+    out = []
+    for params in sample_points():
+        for inputs in mode_inputs(params):
+            for temp in (params.t_c, params.t_h):
+                out += list(1.0 + 1j * poles(*inputs) / (2 * math.pi * temp))
+    return np.array(out)
+
+
+class TestDigamma:
+    """Relative to max(1, |psi|): near psi's real zero at 1.46 the
+    recurrence's O(1) terms set the rounding."""
+
+    def test_against_mpmath(self):
+        z = digamma_arguments()
+        ours = digamma(z)
+        with mp.workdps(30):
+            for arg, value in zip(z, ours):
+                ref = mp.digamma(mp.mpc(arg))
+                scale = max(1.0, float(abs(ref)))
+                assert abs(mp.mpc(value) - ref) <= 8 * EPS * scale, arg
+
+    def test_against_scipy(self):
+        z = digamma_arguments()
+        ref = psi(z)
+        scale = np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(digamma(z) - ref) <= 32 * EPS * scale)
+
+    def test_reaches_the_pole_sum_region(self):
+        """The arguments have Re z > 1, and some lie below the recurrence's
+        threshold while others lie far above it."""
+        z = digamma_arguments()
+        assert np.all(z.real > 1.0)
+        assert z.real.min() < 2.0 and np.abs(z).max() > 100.0
+
+
+class TestPoles:
+    @pytest.mark.parametrize("inputs", [
+        *(inputs for params in sample_points()
+          for inputs in mode_inputs(params)), *STRESS])
+    def test_against_polyroots(self, inputs):
+        """Each pole within 2 eps of a root of D_s = i w^3 - Lambda w^2 -
+        i K_s w + Lambda Omega_s^2 at 40 digits (20 eps where the three
+        real poles lie close together); all in the lower half plane.  At
+        lambda^2 = 1e100 the poles span 150 decades, and polyroots needs
+        400 digits to resolve the smallest."""
+        omega_sq, lambda_sq, cutoff = inputs
+        ours = poles(*inputs)
+        assert np.all(ours.imag < 0.0)
+        with mp.workdps(400 if lambda_sq > 1e50 else 40):
+            big_l, lam_sq = mp.mpf(cutoff), mp.mpf(lambda_sq)
+            k_s = mp.mpf(omega_sq) + lam_sq * big_l
+            roots = mp.polyroots(
+                [1j, -big_l, -1j * k_s, big_l * mp.mpf(omega_sq)],
+                maxsteps=500, extraprec=200)
+            bound = (20 if inputs == STRESS[-1] else 2) * EPS
+            for p in ours:
+                assert min(abs(mp.mpc(p) - r) / abs(r) for r in roots) \
+                    <= bound, (p, roots)
+
+    def test_vectorised(self):
+        """A stack of inputs gives each input's poles bit for bit."""
+        inputs = np.array([row for params in sample_points()
+                           for row in mode_inputs(params)] + list(STRESS))
+        stacked = poles(*inputs.T)
+        for row, expected in zip(inputs, stacked):
+            assert poles(*row).tobytes() == expected.tobytes()

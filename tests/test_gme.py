@@ -9,13 +9,13 @@ import pytest
 
 from qwire import WireParams, normal_modes, occupation
 from qwire.gme import (GmeCoefficients, gme_coefficients, gme_heat_currents,
-                       gme_heat_currents_per_bath,
                        gme_normal_mode_covariance, gme_steady_state)
 from qwire.moments import moment_equations, moments
 from qwire import gaussian
 from conftest import WIDE_GAP, swapped, with_k
 from oracles import (destroy, dissipator_adjoint, extract_affine_dynamics,
-                     gme_drift_diffusion, mode_rates, quadratures)
+                     gme_drift_diffusion, gme_heat_currents_per_bath,
+                     mode_rates, quadratures)
 
 OFF_RESONANT = WireParams(1.0, 1.3, 0.4, 0.8, 1.6, 0.05, 50.0)
 
