@@ -1,6 +1,6 @@
-"""Pieces of the exact steady state in closed form, numpy only and
-vectorised over points: the complex digamma and the stable poles of the
-Langevin integrands.
+"""The exact steady state in closed form, numpy only and vectorised
+over points: the complex digamma, the stable poles of the Langevin
+integrands and the covariance as a sum over those poles.
 
 Both baths share lambda^2 and the cutoff Lambda, so the response of
 normal mode s has the denominator
@@ -8,15 +8,18 @@ D_s(w) = (K_s - w^2)(Lambda - i w) - lambda^2 Lambda^2 with
 K_s = Omega_s^2 + lambda^2 Lambda.  Its three zeros lie in the lower half
 plane, and each weights a digamma psi(1 + i p / (2 pi T)) in the pole sum
 of the covariance (tests/oracles.py::exact_covariance_mpmath writes the
-same sum in mpmath).  The pieces live here, beside their tests, until the
-exact solver is rewritten on them.
+same sum in mpmath, in the local basis).  The pieces live here, beside
+their tests, until the exact solver is rewritten on them.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
+
+from qwire import normal_modes
 
 EPS = sys.float_info.epsilon
 
@@ -98,3 +101,58 @@ def poles(omega_sq, lambda_sq, cutoff) -> np.ndarray:
     return np.stack([-1j * t, np.where(under, y - 0.5j * e, -1j * fast),
                      np.where(under, -y - 0.5j * e, -1j * c / fast)],
                     axis=-1)
+
+
+def covariance(points) -> np.ndarray:
+    """The exact covariances at a sequence of WireParams, shape (m, 4, 4)
+    in the order (X_c, P_c, X_h, P_h).
+
+    With the mode projectors u_s u_s^T of the potential (normal_modes),
+    the response is G(w) = sum_s u_s u_s^T g_s(w), g_s = (Lambda - i w) /
+    D_s(w), and J(w) g_s(w) g_s'(-w) = l w / (D_s(w) D_s'(-w)) with
+    l = lambda^2 Lambda^2.  So bath a adds to Gamma_ij
+
+        sum_{s, s'} (u_s u_s^T)_ia (u_s' u_s'^T)_ja
+            (1/2pi) int f_i(w) f_j(-w) l w coth(w / 2T_a)
+                        / (D_s(w) D_s'(-w)) dw,
+
+    f = 1 for a position and -i w for a momentum.  D_s(w) D_s'(-w) =
+    prod (w - q) over the six poles q: the zeros p of D_s and the
+    negatives of the zeros p' of D_s'.  With the residues
+    c_q = f_i(q) f_j(-q) l q / prod_{r != q} (q - r), the integral is
+    sum_q c_q [2 pi i T s_q / q - 2 psi(1 - i s_q q / (2 pi T))],
+    s_q = sign Im q, and the bracket is B(p) = -2 pi i T / p -
+    2 psi(1 + i p / (2 pi T)) both at q = p and at q = -p'.
+    """
+    modes = [normal_modes(params) for params in points]
+    lam_sq = np.array([params.lambda_sq for params in points])
+    cut = np.array([params.cutoff for params in points])
+    temps = np.array([(params.t_c, params.t_h) for params in points])
+    omega_sq = np.array([(m.omega_plus**2, m.omega_minus**2)
+                         for m in modes])
+    # u_s u_s^T per point and mode, (m, 2, 2, 2): the + mode weighs node c
+    # with cos^2 theta and the - mode with sin^2 theta
+    proj = np.array([[[[m.cos_sq, -m.sin_cos], [-m.sin_cos, m.sin_sq]],
+                      [[m.sin_sq, m.sin_cos], [m.sin_cos, m.cos_sq]]]
+                     for m in modes])
+    p = poles(omega_sq, lam_sq[:, None], cut[:, None])  # (m, s, 3)
+    scaled = 2 * math.pi * temps[:, None, None, :]  # (m, 1, 1, a)
+    brackets = (-1j * scaled / p[..., None]
+                - 2.0 * digamma(1.0 + 1j * p[..., None] / scaled))
+    # the six poles of each mode pair (s, s'), (m, s, s', 6), with the
+    # bracket of each, (m, s, s', 6, a)
+    q = np.concatenate(np.broadcast_arrays(p[:, :, None, :],
+                                           -p[:, None, :, :]), axis=-1)
+    b = np.concatenate(np.broadcast_arrays(brackets[:, :, None],
+                                           brackets[:, None, :]), axis=-2)
+    diff = q[..., :, None] - q[..., None, :]
+    diff[..., range(6), range(6)] = 1.0
+    c = (lam_sq * cut**2)[:, None, None, None] * q / diff.prod(axis=-1)
+    # f_i(q) f_j(-q) for the kinds (position, momentum) of i and j
+    factors = np.stack([np.ones_like(q), 1j * q, -1j * q, q * q], axis=-1)
+    sums = np.einsum("nstq,nstqk,nstqa->nstka", c, factors, b)
+    # sum over s, s' and a of the projector weights: (m, i, j, kinds)
+    nodes = np.einsum("nsia,ntja,nstka->nijk", proj, proj, sums).real
+    gamma = (nodes.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+             .reshape(-1, 4, 4)) / (2 * math.pi)
+    return (gamma + gamma.transpose(0, 2, 1)) / 2
