@@ -121,7 +121,7 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path!r}: {exc}") from None
     out, seen = {}, {}
     for num, raw in enumerate(lines, start=1):

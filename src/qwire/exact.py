@@ -8,9 +8,9 @@ quadrature is the global-error adaptive Gauss-Kronrod scheme of QUADPACK
 (Piessens et al., 1983) as quad_vec implements it, replayed in numpy; it
 gives quad_vec's results bit for bit (see _replay).
 
-Of the ten covariance integrands eight are live (_integrand_matrix): the
-same-node X-P covariances <X_c P_c> and <X_h P_h> are +0.0, the integral
-of a zero.
+Of the ten covariance integrands seven are integrated (_integrand_matrix):
+the same-node X-P covariances <X_c P_c> and <X_h P_h> are +0.0, and
+<X_c P_h> is 0.0 - <P_c X_h>, the integral of the negated integrand.
 
 The replay runs a batch of parameter points in lockstep
 (exact_steady_states), at most _WINDOW at once: each point keeps its own
@@ -41,8 +41,8 @@ from .results import SteadyStateResult
 #: upper-triangular element order of (X_c, P_c, X_h, P_h) used internally
 _ELEMENTS = [(i, j) for i in range(4) for j in range(i, 4)]
 #: the elements with a live integrand: all but the same-node X-P pairs
-#: (0, 1) and (2, 3), whose covariances are exactly +0.0
-_LIVE = [0, 2, 3, 4, 5, 6, 7, 9]
+#: (0, 1) and (2, 3), exactly +0.0, and X_c P_h (0, 3), 0.0 - <P_c X_h>
+_LIVE = [0, 2, 4, 5, 6, 7, 9]
 
 #: the 21-point Gauss-Kronrod rule that quad_vec applies on finite
 #: intervals, with QUADPACK's decimal digits: abscissae, Kronrod weights,
@@ -83,7 +83,7 @@ _GAUSS = np.array(_GAUSS_HALF + tuple(reversed(_GAUSS_HALF)))[:, None, None]
 #: call evaluates at most this many, which bounds its memory
 _MAX_ROUND = 128
 
-#: replays that _integrate_batch runs at once: on a 2-vCPU x86-64 host,
+#: replays that exact_steady_states runs at once: on a 2-vCPU x86-64 host,
 #: preset sweeps took 0.92-0.96x the time of 6-point slices (10 of 10
 #: alternated pairs); 12, 16 and 24 took as long or up to 16% longer
 _WINDOW = 8
@@ -141,7 +141,7 @@ def _chi(omega, kernel: _Kernel):
 
 
 def _integrand_matrix(omega, kernel: _Kernel) -> np.ndarray:
-    """The eight live covariance integrands (the elements _LIVE) at one
+    """The seven live covariance integrands (the elements _LIVE) at one
     frequency or an array of them.
 
     Gamma_ij = int_0^inf dw (1/pi) Re[f_i(w) f_j(-w) sum_a
@@ -151,7 +151,8 @@ def _integrand_matrix(omega, kernel: _Kernel) -> np.ndarray:
     chi]], f_i = 1 for a position and -i w for a momentum.  The same-node
     X-P integrands are Re[-i w |G_ma|^2 ...] of a real |G_ma|^2, zero:
     computed, they are w (x_i x_r - x_r x_i) terms, +-0.0 wherever the
-    live ones are finite, and integrate to +0.0.
+    live ones are finite, and integrate to +0.0.  X_c P_h's, the negated
+    P_c X_h one, is not formed either.
 
     The array fields of kernel are aligned with omega.  Every term is
     formed once, elementwise in a fixed order: complex divisions as
@@ -188,16 +189,15 @@ def _integrand_matrix(omega, kernel: _Kernel) -> np.ndarray:
     g12_sq = r12 * r12 + i12 * i12
     g22_sq = r22 * r22 + i22 * i22
     cross_im = (i11 * r12 - r11 * i12) * w_c + (i12 * r22 - r12 * i22) * w_h
-    # rows of _LIVE: X_c X_c, X_c X_h, X_c P_h, P_c P_c, P_c X_h, P_c P_h,
-    # X_h X_h, P_h P_h
+    # rows of _LIVE: X_c X_c, X_c X_h, P_c P_c, P_c X_h, P_c P_h, X_h X_h,
+    # P_h P_h
     out = np.empty((len(_LIVE), nodes.size))
     np.add(g11_sq * w_c, g12_sq * w_h, out=out[0])
     np.add((r11 * r12 + i11 * i12) * w_c, (r12 * r22 + i12 * i22) * w_h,
            out=out[1])
-    np.add(g12_sq * w_c, g22_sq * w_h, out=out[6])
-    np.multiply(nodes, cross_im, out=out[4])
-    np.negative(out[4], out=out[2])
-    for xx, pp in ((0, 3), (1, 5), (6, 7)):
+    np.add(g12_sq * w_c, g22_sq * w_h, out=out[5])
+    np.multiply(nodes, cross_im, out=out[3])
+    for xx, pp in ((0, 2), (1, 4), (5, 6)):
         np.multiply(omega_sq, out[xx], out=out[pp])
     out /= math.pi
     return out.reshape((len(_LIVE),) + omega.shape)
@@ -227,7 +227,8 @@ def _gk21(a: np.ndarray, b: np.ndarray, kernel: _Kernel, owner) -> tuple:
     call.  Every sum adds node by node, in quad_vec's order, and the
     error shaping runs on Python floats, so each interval gets quad_vec's
     (integral, error, rounding error) bit for bit; the dead integrands
-    would add only zeros.  Returns an (n, 8) array and two float lists.
+    would add only zeros, and X_c P_h's the negated P_c X_h sums.
+    Returns an (n, 7) array and two float lists.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -374,22 +375,43 @@ def _replay(params: WireParams):
             break
     values = np.zeros(len(_ELEMENTS))
     values[_LIVE] = total
+    # X_c P_h, quad_vec's integral of the negated P_c X_h row: +0.0 at 0
+    values[3] = 0.0 - values[5]
     yield _Quadrature(values, global_error + rounding, status, neval,
                       np.array([[a, b] for _, a, b in heap]))
 
 
-def _integrate_batch(points: list) -> list:
-    """One _replay per point, at most _WINDOW of them running at once.
+def _steady_state(params: WireParams, quad: _Quadrature) -> SteadyStateResult:
+    """The result of one point's quadrature: where it did not converge,
+    a NaN covariance and currents, the reason in diagnostics["error"]."""
+    gamma = np.full((4, 4), math.nan)
+    diagnostics = quad.work
+    if quad.success:
+        for (i, j), v in zip(_ELEMENTS, quad.values):
+            gamma[i, j] = gamma[j, i] = v
+    else:
+        diagnostics = {"error": "QuadratureError: covariance quadrature did "
+                       f"not converge; error estimate {quad.error:.3g}",
+                       **diagnostics}
+    # the hot-bath current k<X_h P_c>, the same as -k<X_c P_h>
+    qdot_h = params.k * gamma[1, 2]
+    return SteadyStateResult("exact", gamma, (-qdot_h, qdot_h), diagnostics)
 
-    A round evaluates the intervals that the running points ask for in
+
+def exact_steady_states(points: list) -> list:
+    """The exact steady state of every point, each bit for bit the one it
+    gets alone; it never raises (see _steady_state).
+
+    One _replay per point, at most _WINDOW of them running at once.  A
+    round evaluates the intervals that the running points ask for in
     _gk21 calls of at most _MAX_ROUND intervals and sends each replay its
-    slice of the results; a finished replay is dropped at once.  Returns
-    each point's _Quadrature, bit for bit the one it gets alone.
+    slice of the results; a finished replay is dropped at once, and its
+    _Quadrature turned into the point's result.
     """
     kernel = _Kernel.of(points) if points else None
     waiting = ((i, _replay(p)) for i, p in enumerate(points))
     running = dict(itertools.islice(waiting, _WINDOW))
-    # a replay's last step is its _Quadrature, every other one a request
+    # a running point's request, then its result
     steps = [None] * len(points)
     while running:
         for i in running:   # a replay that has just started asks first
@@ -410,36 +432,12 @@ def _integrate_batch(points: list) -> list:
             steps[i] = running[i].send((igs[cut], errs[cut], roundings[cut]))
             start = cut.stop
             if isinstance(steps[i], _Quadrature):
+                steps[i] = _steady_state(points[i], steps[i])
                 del running[i]
                 running.update(itertools.islice(waiting, 1))
     return steps
 
 
-def _steady_state(params: WireParams, quad: _Quadrature) -> SteadyStateResult:
-    """The result of one point's quadrature: where it did not converge,
-    a NaN covariance and currents, the reason in diagnostics["error"]."""
-    gamma = np.full((4, 4), math.nan)
-    diagnostics = quad.work
-    if quad.success:
-        for (i, j), v in zip(_ELEMENTS, quad.values):
-            gamma[i, j] = gamma[j, i] = v
-    else:
-        diagnostics = {"error": "QuadratureError: covariance quadrature did "
-                       f"not converge; error estimate {quad.error:.3g}",
-                       **diagnostics}
-    # the hot-bath current is both -k<X_c P_h> and k<X_h P_c>: their mean
-    qdot_h = 0.5 * params.k * (gamma[1, 2] - gamma[0, 3])
-    return SteadyStateResult("exact", gamma, (-qdot_h, qdot_h), diagnostics)
-
-
 def exact_steady_state(params: WireParams) -> SteadyStateResult:
-    """Exact non-equilibrium steady state (ground truth for this model);
-    it never raises (see _steady_state)."""
-    return _steady_state(params, _integrate_batch([params])[0])
-
-
-def exact_steady_states(points: list) -> list:
-    """exact_steady_state of every point, bit for bit, their quadratures
-    run in a lockstep window (see _integrate_batch)."""
-    return [_steady_state(params, quad)
-            for params, quad in zip(points, _integrate_batch(points))]
+    """Exact non-equilibrium steady state (ground truth for this model)."""
+    return exact_steady_states([params])[0]

@@ -40,7 +40,8 @@ def digamma(z):
     """psi(z) for complex z with Re z > 0, elementwise.
 
     The recurrence psi(z) = psi(z + 1) - 1/z lifts Re z above 10, where
-    psi(z) = ln z - 1/(2z) - sum_n B_2n / (2n z^2n) to seven terms.
+    psi(z) = ln z - r/2 - sum_n B_2n / (2n) r^2n to seven terms, r = 1/z,
+    which does not overflow at any finite z.
     """
     z = np.array(z, dtype=complex)
     shift = np.zeros_like(z)
@@ -49,11 +50,25 @@ def digamma(z):
         shift[low] -= 1.0 / z[low]
         z[low] += 1.0
         low = z.real <= 10.0
-    w = 1.0 / (z * z)
+    r = 1.0 / z
+    w = r * r
     series = np.zeros_like(z)
     for b in reversed(_BERNOULLI):
         series = (series + b) * w
-    return shift + np.log(z) - 0.5 / z - series
+    return shift + np.log(z) - 0.5 * r - series
+
+
+def pole_digamma(p, scaled):
+    """psi(1 + i p / scaled) for poles p (Im p < 0) and scaled = 2 pi T,
+    broadcast.  Where i p / scaled would overflow (T far below |p|), the 1
+    and the series are far below its rounding: psi is ln(i p) - ln scaled.
+    """
+    p, scaled = np.broadcast_arrays(p, scaled)
+    far = np.abs(p) * 1e-300 > scaled
+    out = np.empty(p.shape, dtype=complex)
+    out[far] = np.log(1j * p[far]) - np.log(scaled[far])
+    out[~far] = digamma(1.0 + 1j * p[~far] / scaled[~far])
+    return out
 
 
 def poles(omega_sq, lambda_sq, cutoff) -> np.ndarray:
@@ -137,8 +152,8 @@ def covariance(points) -> np.ndarray:
                      for m in modes])
     p = poles(omega_sq, lam_sq[:, None], cut[:, None])  # (m, s, 3)
     scaled = 2 * math.pi * temps[:, None, None, :]  # (m, 1, 1, a)
-    brackets = (-1j * scaled / p[..., None]
-                - 2.0 * digamma(1.0 + 1j * p[..., None] / scaled))
+    brackets = -1j * scaled / p[..., None] - 2.0 * pole_digamma(p[..., None],
+                                                                scaled)
     # the six poles of each mode pair (s, s'), (m, s, s', 6), with the
     # bracket of each, (m, s, s', 6, a)
     q = np.concatenate(np.broadcast_arrays(p[:, :, None, :],
@@ -151,8 +166,12 @@ def covariance(points) -> np.ndarray:
     # f_i(q) f_j(-q) for the kinds (position, momentum) of i and j
     factors = np.stack([np.ones_like(q), 1j * q, -1j * q, q * q], axis=-1)
     sums = np.einsum("nstq,nstqk,nstqa->nstka", c, factors, b)
-    # sum over s, s' and a of the projector weights: (m, i, j, kinds)
-    nodes = np.einsum("nsia,ntja,nstka->nijk", proj, proj, sums).real
+    # sum over s and s' of the projector weights, then over the baths a:
+    # where the modes are degenerate, a bath's share in the other node is
+    # +-x terms that cancel exactly, so a hot bath cannot swamp the cold
+    # node's own share by its rounding.  (m, i, j, kinds)
+    nodes = np.einsum("nsia,ntja,nstka->nijka", proj, proj,
+                      sums).real.sum(axis=-1)
     gamma = (nodes.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
              .reshape(-1, 4, 4)) / (2 * math.pi)
     return (gamma + gamma.transpose(0, 2, 1)) / 2

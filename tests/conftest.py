@@ -91,11 +91,24 @@ def count_spectra(monkeypatch) -> list:
     return spectra
 
 
+def lone_replay(params) -> exact._Quadrature:
+    """The quadrature of one point, its _replay driven alone: one _gk21
+    call per request, however many intervals it holds."""
+    kernel = exact._Kernel.of([params])
+    replay = exact._replay(params)
+    step = next(replay)
+    while not isinstance(step, exact._Quadrature):
+        lo, hi = step
+        step = replay.send(exact._gk21(np.array(lo), np.array(hi), kernel,
+                                       [0] * len(lo)))
+    return step
+
+
 def trace_replays(monkeypatch) -> tuple:
     """(log, refs): wrap qwire.exact._replay so that each replay logs
     ("start", params) when it asks for its first intervals and
     ("finish", params) when it yields its _Quadrature; refs maps params
-    to a weakref of its replay."""
+    to weakrefs of its replay and, once it finishes, of its _Quadrature."""
     log, refs = [], {}
     replay = exact._replay
 
@@ -106,11 +119,12 @@ def trace_replays(monkeypatch) -> tuple:
         while not isinstance(step, exact._Quadrature):
             step = inner.send((yield step))
         log.append(("finish", params))
+        refs[params].append(weakref.ref(step))
         yield step
 
     def traced(params):
         outer = steps(params)
-        refs[params] = weakref.ref(outer)
+        refs[params] = [weakref.ref(outer)]
         return outer
     monkeypatch.setattr(exact, "_replay", traced)
     return log, refs

@@ -360,12 +360,15 @@ def chi_hat(omega, params):
 
 def exact_integrands(kernel):
     """The exact solver's ten integrands at one frequency, the dead
-    same-node X-P ones as 0.0, as a function of that frequency."""
+    same-node X-P ones as 0.0 and X_c P_h's as the negated P_c X_h row,
+    as a function of that frequency."""
     from qwire.exact import _ELEMENTS, _LIVE, _integrand_matrix
+    x_c_p_h, p_c_x_h = _ELEMENTS.index((0, 3)), _ELEMENTS.index((1, 2))
 
     def integrands(omega: float) -> np.ndarray:
         out = np.zeros(len(_ELEMENTS))
         out[_LIVE] = _integrand_matrix(float(omega), kernel)
+        out[x_c_p_h] = -out[p_c_x_h]
         return out
     return integrands
 
@@ -381,8 +384,9 @@ def per_node_exact_integral(params) -> tuple:
     """quad_vec of the exact solver's ten integrands, one call per node.
 
     This is how quad_vec evaluates an integrand by itself; the solver's
-    replay, qwire.exact._integrate_batch of one point, must reproduce its
-    values, error, status, neval and intervals bit for bit.  It reads the
+    replay of one point (conftest.lone_replay), X_c P_h derived from
+    P_c X_h included, must reproduce its values, error, status, neval and
+    intervals bit for bit.  It reads the
     solver's tolerances and limits from qwire.exact at each call, so it
     follows any override of them.
     """

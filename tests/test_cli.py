@@ -184,6 +184,19 @@ class TestConfig:
             "error": "invalid_arguments",
             "message": f"{cfg}:4: key 'k' already set on line 2"}
 
+    def test_file_that_is_not_utf8_is_an_error(self, tmp_path, capsys):
+        """Undecodable bytes exit 1 with one JSON line that names the
+        file, not a traceback."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = 1\n\xff = 2\n")
+        code, out, err = run(capsys, "steady", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        [line] = err.splitlines()
+        message = strict_json(line)
+        assert message["error"] == "invalid_arguments"
+        assert message["message"].startswith(f"cannot read config '{cfg}': ")
+
     def test_empty_file_with_full_flags(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("")

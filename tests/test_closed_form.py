@@ -7,15 +7,18 @@ import json
 import math
 import pathlib
 import random
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
 from scipy.special import psi
 
-from qwire import WireParams, normal_modes
+from qwire import WireParams, gaussian, normal_modes
 from closed_form import EPS, covariance, digamma, poles
 from oracles import exact_covariance_mpmath
+from test_compare import WIDEST_SPREAD, accepted_points
 from test_exact import ORACLE_POINTS
 
 POINTS = (pathlib.Path(__file__).resolve().parent.parent
@@ -143,3 +146,20 @@ class TestCovariance:
             assert covariance([params])[0].tobytes() == gamma.tobytes()
             assert again.tobytes() == gamma.tobytes()
             assert np.array_equal(gamma, gamma.T)
+
+    @seed(7)
+    @settings(max_examples=100, deadline=None)
+    @given(accepted_points())
+    @example(WIDEST_SPREAD)
+    def test_finite_and_physical_up_to_the_bounds(self, params):
+        """At the draws of test_compare.py::TestDomain::
+        test_up_to_the_bounds, T down to 1e-300 omega and lambda^2 up to
+        1e100 among them: finite, physical and without a numpy warning.
+        Where i p / 2 pi T would overflow, psi is ln(i p) - ln(2 pi T);
+        at degenerate modes a hot bath's share in the cold node cancels
+        exactly."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            gamma = covariance([params])
+        assert np.isfinite(gamma).all()
+        gaussian.StateStack(gamma).check(0)

@@ -15,8 +15,8 @@ from qwire.compare import (METRIC_KEYS, _SOLVERS, correlation_report,
                            sweep_row)
 from qwire.model import FREQUENCY_RANGE, MAX_LAMBDA_SQ, MAX_RATIO
 from conftest import (NARROW_CUTOFF, NEAR_DEGENERATE, RESONANT_STRONG,
-                      WIDE_GAP, count_spectra, failed_result, trace_replays,
-                      with_k)
+                      WIDE_GAP, count_spectra, failed_result, lone_replay,
+                      trace_replays, with_k)
 
 #: k values at NARROW_CUTOFF: the exact quadrature fails at the second
 #: and the fourth, with different error estimates
@@ -216,7 +216,7 @@ class TestFailingPoint:
             if "error" not in lone.diagnostics:
                 assert result.heat_currents == lone.heat_currents
                 continue
-            quad = exact._integrate_batch([params])[0]
+            quad = lone_replay(params)
             assert math.isfinite(quad.error) and quad.neval > 0
             assert result.diagnostics == {
                 "error": "QuadratureError: covariance quadrature did not "
@@ -280,6 +280,11 @@ def domain_points(draw) -> WireParams:
 #: round one ulp above the bound
 _EDGE = 1.0 - 1e-15
 
+#: the widest spread, with omega_max^2 just above a power of two
+WIDEST_SPREAD = WireParams(omega_c=1.0000001e-4 * (1.0 + 1e-12),
+                           omega_h=1.0000001, k=0.0, t_c=1.0, t_h=1.0,
+                           lambda_sq=1e-3, cutoff=1.0000002)
+
 
 def _log_edges(lo: float, hi: float):
     """Log-uniform over [lo, hi], with both ends drawn as such too."""
@@ -331,10 +336,7 @@ class TestDomain:
     @seed(7)
     @settings(max_examples=100, deadline=None)
     @given(accepted_points())
-    # the widest spread, with omega_max^2 just above a power of two
-    @example(WireParams(omega_c=1.0000001e-4 * (1.0 + 1e-12),
-                        omega_h=1.0000001, k=0.0, t_c=1.0, t_h=1.0,
-                        lambda_sq=1e-3, cutoff=1.0000002))
+    @example(WIDEST_SPREAD)
     def test_up_to_the_bounds(self, params):
         """The same anywhere WireParams accepts, with no capture left in
         the library: the bounds keep out every input that would raise.  No

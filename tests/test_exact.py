@@ -18,12 +18,11 @@ from scipy.integrate import quad
 
 from qwire import (WireParams, exact_steady_state, exact_steady_states,
                    redfield_steady_state, spectral_density)
-from qwire.exact import (_Kernel, _breakpoints, _chi, _gk21,
-                         _integrand_matrix, _integrate_batch)
+from qwire.exact import _Kernel, _breakpoints, _chi, _gk21, _integrand_matrix
 from qwire import exact, gaussian
 from check_exact_pool import pool_mismatches
-from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, swapped,
-                      trace_replays, with_k)
+from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, lone_replay,
+                      swapped, trace_replays, with_k)
 from oracles import (chi_hat, equilibrium_covariance_mpmath,
                      exact_covariance_mpmath, integrand_probe,
                      per_node_exact_integral)
@@ -65,11 +64,6 @@ def override_constants(monkeypatch, spec_name: str) -> None:
     for one test."""
     for name, value in NON_CONVERGENCE_SPECS[spec_name].items():
         monkeypatch.setattr(exact, name, value)
-
-
-def lone_replay(params):
-    """The quadrature of one point: a batch of one."""
-    return _integrate_batch([params])[0]
 
 
 class TestDissipationKernel:
@@ -191,14 +185,18 @@ class TestSteadyState:
 
     def test_heat_current_from_covariance(self):
         """The currents are the bond's, read off the solver's own
-        covariance bit for bit: Qdot_h = (k/2)(Gamma_23 - Gamma_14) and
-        Qdot_c = -Qdot_h."""
-        params = with_k(WIDE_GAP, 0.01)
-        res = exact_steady_state(params)
-        gamma = res.covariance
-        q = float(0.5 * params.k * (gamma[1, 2] - gamma[0, 3]))
-        assert [float(x).hex() for x in res.heat_currents] == \
-            [(-q).hex(), q.hex()]
+        covariance bit for bit: Gamma_14 is 0.0 - Gamma_23, so both bond
+        forms agree, and Qdot_h = k Gamma_23 and Qdot_c = -Qdot_h.  At a
+        wide gap, at k = 0 and at resonant nodes."""
+        for params in (with_k(WIDE_GAP, 0.01), with_k(WIDE_GAP, 0.0),
+                       RESONANT_STRONG):
+            res = exact_steady_state(params)
+            gamma = res.covariance
+            assert float(gamma[0, 3]).hex() == \
+                (0.0 - float(gamma[1, 2])).hex()
+            q = params.k * float(gamma[1, 2])
+            assert [float(x).hex() for x in res.heat_currents] == \
+                [(-q).hex(), q.hex()]
 
 
 class TestEquilibriumMatsubara:
@@ -501,10 +499,17 @@ class TestBatchedQuadrature:
         if spec_name != "default":
             override_constants(monkeypatch, spec_name)
         cases = list(BATCH_CASES.values())
-        batch = _integrate_batch(cases)
-        assert len(batch) == len(cases)
-        for params, quad in zip(cases, batch):
-            assert_same_quadrature(quad, lone_replay(params))
+        batch = {}
+        steady_state = exact._steady_state
+
+        def captured(params, quad):
+            batch[params] = quad
+            return steady_state(params, quad)
+        monkeypatch.setattr(exact, "_steady_state", captured)
+        assert len(exact_steady_states(cases)) == len(cases)
+        assert sorted(batch, key=cases.index) == cases
+        for params in cases:
+            assert_same_quadrature(batch[params], lone_replay(params))
 
     @pytest.mark.slow
     @settings(max_examples=25, deadline=None)
@@ -526,9 +531,10 @@ class TestBatchedQuadrature:
     def test_window_bounds_running_replays(self, monkeypatch):
         """Of 2 _WINDOW + 3 points, at most _WINDOW replays run at once
         (started and not yet finished), every point runs once, and a
-        finished replay is released before the next round evaluates.
-        The last point takes the fewest rounds (12 against 15), so it
-        finishes, and must be released, while earlier ones still run."""
+        finished replay and its _Quadrature are released before the next
+        round evaluates.  The last point takes the fewest rounds (12
+        against 15), so it finishes, and must be released, while earlier
+        ones still run."""
         points = [with_k(RESONANT_STRONG, float(k))
                   for k in np.logspace(-9, 2, 2 * exact._WINDOW + 2)]
         points.append(with_k(WIDE_GAP, 0.01))
@@ -538,11 +544,12 @@ class TestBatchedQuadrature:
 
         def checked(*args):
             finished = [params for event, params in log if event == "finish"]
-            assert all(refs[params]() is None for params in finished)
+            assert all(ref() is None for params in finished
+                       for ref in refs[params])
             released[:] = finished
             return gk21(*args)
         monkeypatch.setattr(exact, "_gk21", checked)
-        _integrate_batch(points)
+        exact_steady_states(points)
         running = peak = 0
         for event, _ in log:
             running += 1 if event == "start" else -1
