@@ -23,6 +23,10 @@ PHYSICALITY_TOL = 1e-9
 #: finite one.  The kernel's rounding there is up to about 1e-8 of the
 #: conditional entropy; the frozen benchmark cells were searched at it.
 _S_HOMODYNE = 1e9
+#: below this share of nu_max, the eigensolve cannot resolve nu_min
+_RESOLVED = 1e-4
+#: gaussian_discord's largest stack that it measures on numpy scalars
+_MAX_SCALAR = 3
 
 
 class NonPhysicalStateError(ValueError):
@@ -48,9 +52,11 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
     has eigenvalues +-2 nu.  Its eigensolve is accurate to rounding even
     near pure states, where the invariant formula
     nu^2 = (D +- sqrt(D^2 - 4 det G))/2 loses about half the digits.
-    Factoring 2G rather than G keeps the vacuum exact: nu = 1/2.  The
-    stack takes one cholesky and one eigvalsh call.  A matrix that is not
-    positive definite, or not finite, is no covariance; it gets zeros.
+    Factoring 2G rather than G keeps the vacuum exact: nu = 1/2.  Where
+    nu_min < _RESOLVED nu_max, as when the nodes differ vastly in scale,
+    nu_min is sqrt(det G) / nu_max = prod diag L / (4 nu_max) instead.
+    The stack takes one cholesky and one eigvalsh call.  A matrix that is
+    not positive definite, or not finite, is no covariance; it gets zeros.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 3 or gamma.shape[1:] != (4, 4):
@@ -70,6 +76,9 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
                 low[i], bad[i], any_bad = np.eye(4), True, True
     herm = 1j * (np.swapaxes(low, 1, 2) @ SYMPLECTIC_FORM @ low)
     nus = 0.5 * np.linalg.eigvalsh(herm)[:, 2:][:, ::-1]
+    if (lost := nus[:, 1] < _RESOLVED * nus[:, 0]).any():
+        nus[lost, 1] = np.diagonal(low[lost], axis1=1, axis2=2).prod(
+            axis=1) / (4.0 * nus[lost, 0])
     if any_bad:
         nus[bad] = 0.0
     return nus
@@ -199,40 +208,37 @@ def _entries(x: np.ndarray, seeds: np.ndarray) -> tuple:
 def _conditional_entropies(a, b, c, s, phi):
     """Entropy of the unmeasured node after measuring with seeds (s, phi).
 
-    Vectorized over a stack of blocks (n, 2, 2) with seeds (n, k); the
-    conditional covariance is the Schur
-    complement A - C (B + G_m)^-1 C^T and its entropy only needs its
-    determinant.
+    Vectorized over a stack of blocks (n, 2, 2) with seeds (n, k), or on
+    numpy scalars, with blocks as entries (11, 12, 21, 22), to the same
+    bits: x * x, since a numpy scalar's x ** 2 is libm's pow.  The
+    conditional covariance is the Schur complement A - C (B + G_m)^-1 C^T
+    and its entropy only needs its determinant.
     """
+    if isinstance(s, np.ndarray):
+        a, b, c = (_entries(x, s) for x in (a, b, c))
+    (a11, a12, _, a22), (b11, b12, _, b22), (c11, c12, c21, c22) = a, b, c
     co = np.cos(phi)
     si = np.sin(phi)
-    co2, si2 = co**2, si**2
+    co2, si2 = co * co, si * si
     # seed entries of 0.5 R diag(s, 1/s) R^T
     m11 = 0.5 * (s * co2 + si2 / s)
     m22 = 0.5 * (s * si2 + co2 / s)
     m12 = 0.5 * (s - 1.0 / s) * co * si
-    b11, b12, _, b22 = _entries(b, s)
     t11 = b11 + m11
     t22 = b22 + m22
     t12 = b12 + m12
-    det_t = t11 * t22 - t12**2
+    det_t = t11 * t22 - t12 * t12
     # C T^-1 C^T entries via the 2x2 adjugate; (u, v) = adj(T) (c21, c22)
-    c11, c12, c21, c22 = _entries(c, s)
     u = t22 * c21 - t12 * c22
     v = t11 * c22 - t12 * c21
     q11 = (c11 * (t22 * c11 - t12 * c12) + c12 * (t11 * c12 - t12 * c11)) / det_t
     q22 = (c21 * u + c22 * v) / det_t
     q12 = (c11 * u + c12 * v) / det_t
-    a11, a12, _, a22 = _entries(a, s)
-    det_cond = np.clip((a11 - q11) * (a22 - q22) - (a12 - q12)**2, 0.25,
-                       None)
-    nu = np.sqrt(det_cond)
+    r12 = a12 - q12
+    nu = np.sqrt(np.maximum((a11 - q11) * (a22 - q22) - r12 * r12, 0.25))
     up = nu + 0.5
     dn = nu - 0.5
-    out = up * np.log(up)
-    pos = dn > 0.0
-    out[pos] -= dn[pos] * np.log(dn[pos])
-    return out
+    return up * np.log(up) - dn * np.log(dn + (dn == 0.0))
 
 
 def _seed_form(x) -> tuple:
@@ -243,9 +249,20 @@ def _seed_form(x) -> tuple:
     return (x11 + x22) / 2, (x22 - x11) / 2, -x12
 
 
-def _optimal_seeds(a, b, c) -> tuple:
+def _seed_tail(fraction, form_b, form_d) -> tuple:
+    """(s, phi) at tau = fraction[0] / fraction[1], elementwise."""
+    tau = np.divide(*fraction)
+    q0, q1, q2 = (tau * x - y for x, y in zip(form_b, form_d))
+    # |(m1, m2)| = sinh(ln s) on the hyperboloid
+    sinh = np.hypot(q1, q2) / np.sqrt(q0 * q0 - q1 * q1 - q2 * q2)
+    return (np.minimum(np.exp(np.arcsinh(sinh)), _S_HOMODYNE),
+            0.5 * np.arctan2(-q2, -q1))
+
+
+def _optimal_seeds(a, b, c, lone=False):
     """(s, phi) arrays (..., 2) of the two candidates for the optimal
-    measurement on blocks (..., 2, 2).
+    measurement on blocks (..., 2, 2); if lone, a list of each block's two
+    (s, phi) pairs on numpy scalars, with the same bits.
 
     Everything is written in D = C^T A^-1 C, so weak correlations do not
     cancel.  det(cond) = det A (1 - tau(m)) with the linear-fractional
@@ -280,17 +297,17 @@ def _optimal_seeds(a, b, c) -> tuple:
         fractions.append(((t + root_h, 2.0 * det_b),
                           (2.0 * quad_c, quad_b + root_g)))
         forms.append((_seed_form(bb), _seed_form(dd)))
-    fractions = np.array(fractions).reshape(b.shape[:-2] + (2, 2))
-    forms = np.array(forms).reshape(b.shape[:-2] + (2, 1, 3))
+    if lone:
+        with np.errstate(all="ignore"):
+            return [((_S_HOMODYNE, _seed_tail(h, *f)[1]), _seed_tail(g, *f))
+                    for (h, g), f in zip(fractions, forms)]
+    fractions = np.array(fractions).reshape(-1, 2, 2).transpose(2, 0, 1)
+    forms = np.array(forms).reshape(-1, 2, 3).transpose(1, 2, 0)[..., None]
     with np.errstate(all="ignore"):
-        tau = fractions[..., 0] / fractions[..., 1]
-        q = tau[..., None] * forms[..., 0, :, :] - forms[..., 1, :, :]
-        # |(m1, m2)| = sinh(ln s) on the hyperboloid
-        sinh = np.hypot(q[..., 1], q[..., 2]) / np.sqrt(
-            q[..., 0]**2 - q[..., 1]**2 - q[..., 2]**2)
-        s = np.minimum(np.exp(np.arcsinh(sinh)), _S_HOMODYNE)
+        s, phi = _seed_tail(fractions, *forms)
+    s = s.reshape(b.shape[:-2] + (2,))
     s[..., 0] = _S_HOMODYNE
-    return s, 0.5 * np.arctan2(-q[..., 2], -q[..., 1])
+    return s, phi.reshape(s.shape)
 
 
 def gaussian_discord(states: StateStack,
@@ -301,12 +318,20 @@ def gaussian_discord(states: StateStack,
     Q = S(G_B) - S(G_AB) + min_m S(A | m) over pure single-mode Gaussian
     measurement seeds, which is optimal among all measurements (Pirandola
     et al., PRL 113, 140405 (2014)).  The minimum is the smaller of the
-    kernel's values at the two closed-form candidates of _optimal_seeds.
+    kernel's values at the two closed-form candidates of _optimal_seeds,
+    state by state on numpy scalars in a stack of up to _MAX_SCALAR.
     """
     ok = states.physical[:states.measured]
     a, b, c = _blocks(states.covariances[:states.measured][ok],
                       measured_node)
-    cond = _conditional_entropies(a, b, c, *_optimal_seeds(a, b, c))
+    if states.measured > _MAX_SCALAR:
+        cond = _conditional_entropies(a, b, c, *_optimal_seeds(a, b, c))
+    else:
+        cond = np.array([[_conditional_entropies(*x, *seed) for seed in seeds]
+                         for *x, seeds in zip(
+                             *(y.reshape(-1, 4).tolist() for y in (a, b, c)),
+                             _optimal_seeds(a, b, c, lone=True))]
+                        ).reshape(-1, 2)
     s, s_c, s_h = states.entropies
     s_b = s_c if measured_node == "c" else s_h
     q = np.full(len(ok), np.nan)

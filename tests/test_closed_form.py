@@ -29,6 +29,13 @@ POINTS = (pathlib.Path(__file__).resolve().parent.parent
 STRESS = ((1e-2, 1.0, 1e3), (1.0, 1e6, 1e8), (1.0, 1e100, 1e8),
           (1e16, 1e100, 1e16), (1.0, 3.9999, 16.0))
 
+#: a seed-7 accepted_points draw whose nodes differ in scale by about 1e21:
+#: entries from 1.6e-78 to 3.6e49, nu = 1.38e32 and 3.98e11
+NODES_APART = WireParams(omega_c=1e-8, omega_h=3.1474802669472116e-8,
+                         k=1.0000000000000001e-36, t_c=7.292122770443734e-64,
+                         t_h=0.5219092745892863, lambda_sq=1e100,
+                         cutoff=0.5219092745892863)
+
 
 @functools.cache
 def sample_points() -> tuple:
@@ -151,6 +158,7 @@ class TestCovariance:
     @settings(max_examples=100, deadline=None)
     @given(accepted_points())
     @example(WIDEST_SPREAD)
+    @example(NODES_APART)
     def test_finite_and_physical_up_to_the_bounds(self, params):
         """At the draws of test_compare.py::TestDomain::
         test_up_to_the_bounds, T down to 1e-300 omega and lambda^2 up to
@@ -163,3 +171,18 @@ class TestCovariance:
             gamma = covariance([params])
         assert np.isfinite(gamma).all()
         gaussian.StateStack(gamma).check(0)
+
+    def test_spectrum_where_the_nodes_differ_in_scale(self):
+        """Both symplectic eigenvalues of NODES_APART's covariance within
+        1e-14 of a 200-digit eigensolve of J G.  eigvalsh alone read
+        nu_min = 3.98e11 as 1.31e16, or below 1/2."""
+        gamma = covariance([NODES_APART])
+        with mp.workdps(200):
+            evals = mp.eig(mp.matrix(gaussian.SYMPLECTIC_FORM.tolist())
+                           * mp.matrix(gamma[0].tolist()),
+                           left=False, right=False)
+            ref = sorted((float(abs(mp.im(e))) for e in evals),
+                         reverse=True)[::2]
+        assert ref[1] == pytest.approx(3.980985557e11, rel=1e-10)
+        assert gaussian.StateStack(gamma).nus[0] == pytest.approx(ref,
+                                                                  rel=1e-14)

@@ -218,7 +218,7 @@ class TestEquilibriumMatsubara:
                      (1, 3)):
             assert abs(res.covariance[i, j] - oracle[i, j]) <= tol, (i, j)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the quadrature "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the quadrature "
                        "stops at 100 cutoff and drops lambda^2/(2 pi 1e4) "
                        "of each <P_a^2>")
     def test_momentum_variances(self, pair):

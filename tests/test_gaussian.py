@@ -147,6 +147,29 @@ class TestSymplecticEigenvalues:
                 == nu.tobytes()
         assert np.all(nus[[2, 5]] == 0.0) and np.all(nus[[0, 1, 3, 4, 6]] > 0)
 
+    @seed(19)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-20.0, 20.0),
+           st.floats(-20.0, 20.0), st.floats(0.0, 20.0))
+    def test_local_scaling_keeps_both_spectra(self, state_seed, log_s, log_t,
+                                              log_noise):
+        """nu(S G S) = nu(G), for the state and its partial transpose, with
+        the local symplectic S = diag(s, 1/s, t, 1/t) and s, t over
+        10^+-20, within 8 eps / _RESOLVED relative: eigvalsh's error
+        eps nu_max is at most eps nu_min / _RESOLVED where it gives nu_min.
+        Thermal noise up to 1e20 on one node spreads nu_max / nu_min up to
+        about 1e20; eigvalsh alone missed nu_min there by up to 1e10 eps."""
+        rng = np.random.default_rng(state_seed)
+        gamma = random_physical_covariance(rng, mix=rng.uniform(0.01, 2.0))
+        node = 2 * rng.integers(0, 2)
+        gamma[[node, node + 1], [node, node + 1]] += 10.0**log_noise
+        s, t = 10.0**log_s, 10.0**log_t
+        scale = np.diag([s, 1.0 / s, t, 1.0 / t])
+        stack = gaussian.StateStack([gamma, scale @ gamma @ scale])
+        bound = 8.0 * np.finfo(float).eps / gaussian._RESOLVED
+        for nus in (stack.nus, stack.transposed_nus):
+            assert np.max(np.abs(nus[1] / nus[0] - 1.0)) <= bound
+
 
 class TestPhysicality:
     def test_vacuum_is_physical(self):
@@ -370,6 +393,62 @@ class TestStackInvariance:
             assert [bits(getattr(report, key)) for key in measures] == \
                 [bits(v[i]) for v in measures.values()]
             assert bits(report.discord_arrow) == bits(q)
+
+
+#: a product state, whose finite-squeezing candidate is 0/0 = NaN, a
+#: state below the bound and the vacuum
+MODE_EDGES = [np.diag([1.0, 1.0, 2.0, 2.0]), 0.4 * np.eye(4),
+              0.5 * np.eye(4)]
+
+
+class TestEvaluationModes:
+    """gaussian_discord measures up to _MAX_SCALAR states one by one on
+    numpy scalars, and a larger stack on arrays, with the same bits."""
+
+    @staticmethod
+    def array_stacks(monkeypatch) -> list:
+        """A list that grows by the stack size at each array evaluation."""
+        sizes = []
+        kernel = gaussian._conditional_entropies
+
+        def counted(a, b, c, s, phi):
+            if isinstance(s, np.ndarray):
+                sizes.append(len(a))
+            return kernel(a, b, c, s, phi)
+        monkeypatch.setattr(gaussian, "_conditional_entropies", counted)
+        return sizes
+
+    def test_pool_alone_equals_the_pool_stack(self, monkeypatch):
+        """Each of the 448 pool states measured alone is bit for bit the
+        same state in one stack of all of them, on both nodes."""
+        sizes = self.array_stacks(monkeypatch)
+        covs = np.array([gamma for _, gamma, _ in pool_states()])
+        stack = gaussian.StateStack(covs)
+        for node in "ch":
+            lone = [alone(gaussian.gaussian_discord, g, node) for g in covs]
+            assert gaussian.gaussian_discord(stack, node).tobytes() == \
+                np.array(lone).tobytes()
+        assert len(covs) == 448 and sizes == [stack.physical.sum()] * 2
+
+    def test_stacks_either_side_of_the_threshold(self, monkeypatch):
+        """Stacks of exactly 3 and 4 measured states, with a product and a
+        non-physical state, give each state's discord alone, and no numpy
+        warning; only the stacks of 4 take arrays."""
+        assert gaussian._MAX_SCALAR == 3
+        sizes = self.array_stacks(monkeypatch)
+        pool = [gamma for _, gamma, _ in pool_states()[440:]]
+        for covs, measured in ((MODE_EDGES + pool[:2], 3),
+                               (MODE_EDGES[:2] + pool[:2], 4),
+                               (pool[4:8], 4)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                stack = gaussian.StateStack(covs, measured=measured)
+                for node in "ch":
+                    lone = [alone(gaussian.gaussian_discord, g, node)
+                            for g in covs[:measured]]
+                    assert gaussian.gaussian_discord(stack, node).tobytes() \
+                        == np.array(lone).tobytes()
+        assert sizes == [3, 3, 4, 4]
 
 
 class TestEntropy:
