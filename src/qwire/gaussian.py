@@ -25,8 +25,8 @@ PHYSICALITY_TOL = 1e-9
 _S_HOMODYNE = 1e9
 #: below this share of nu_max, the eigensolve cannot resolve nu_min
 _RESOLVED = 1e-4
-#: gaussian_discord's largest stack that it measures on numpy scalars
-_MAX_SCALAR = 3
+#: gaussian_discord's largest stack that it measures state by state
+_MAX_SCALAR = 4
 
 
 class NonPhysicalStateError(ValueError):
@@ -198,24 +198,21 @@ def _blocks(gamma: np.ndarray, measured_node: str):
     raise ValueError("measured_node must be 'c' or 'h'")
 
 
-def _entries(x: np.ndarray, seeds: np.ndarray) -> tuple:
-    """Entries 11, 12, 21, 22 of a stack of blocks (n, 2, 2), each
-    repeated to the seeds' shape (n, k): numpy is slower on a broadcast
-    than on arrays of equal shape."""
-    return tuple(x.reshape(-1, 4).T[:, :, None].repeat(seeds.shape[-1], 2))
+def _block_entries(gamma: np.ndarray, measured_node: str) -> np.ndarray:
+    """Entries 11, 12, 21, 22 of the blocks A, B, C and D = C^T A^-1 C of
+    a stack (n, 4, 4), as an array (n, 4 blocks, 4 entries)."""
+    a, b, c = _blocks(gamma, measured_node)
+    d = np.swapaxes(c, 1, 2) @ np.linalg.solve(a, c)
+    return np.concatenate((a, b, c, d), axis=1).reshape(-1, 4, 4)
 
 
 def _conditional_entropies(a, b, c, s, phi):
-    """Entropy of the unmeasured node after measuring with seeds (s, phi).
-
-    Vectorized over a stack of blocks (n, 2, 2) with seeds (n, k), or on
-    numpy scalars, with blocks as entries (11, 12, 21, 22), to the same
-    bits: x * x, since a numpy scalar's x ** 2 is libm's pow.  The
+    """Entropy of the unmeasured node after measuring with seeds (s, phi),
+    elementwise on the entries (11, 12, 21, 22) of the blocks a, b, c:
+    x * x, since x ** 2 is libm's pow on a float but not on an array.  The
     conditional covariance is the Schur complement A - C (B + G_m)^-1 C^T
     and its entropy only needs its determinant.
     """
-    if isinstance(s, np.ndarray):
-        a, b, c = (_entries(x, s) for x in (a, b, c))
     (a11, a12, _, a22), (b11, b12, _, b22), (c11, c12, c21, c22) = a, b, c
     co = np.cos(phi)
     si = np.sin(phi)
@@ -241,31 +238,27 @@ def _conditional_entropies(a, b, c, s, phi):
     return up * np.log(up) - dn * np.log(dn + (dn == 0.0))
 
 
-def _seed_form(x) -> tuple:
+def _seed_form(x11, x12, x21, x22) -> tuple:
     """l(X) with det(X + G_m) = det X + 1/4 + l(X).m for the seed
     coordinates m = (m11 + m22, m11 - m22, 2 m12), which lie on the
-    hyperboloid m0^2 - m1^2 - m2^2 = 1; X is a 2x2 nested list."""
-    (x11, x12), (_, x22) = x
+    hyperboloid m0^2 - m1^2 - m2^2 = 1; elementwise on X's entries."""
     return (x11 + x22) / 2, (x22 - x11) / 2, -x12
 
 
-def _seed_tail(fraction, form_b, form_d) -> tuple:
-    """(s, phi) at tau = fraction[0] / fraction[1], elementwise."""
-    tau = np.divide(*fraction)
-    q0, q1, q2 = (tau * x - y for x, y in zip(form_b, form_d))
-    # |(m1, m2)| = sinh(ln s) on the hyperboloid
-    sinh = np.hypot(q1, q2) / np.sqrt(q0 * q0 - q1 * q1 - q2 * q2)
-    return (np.minimum(np.exp(np.arcsinh(sinh)), _S_HOMODYNE),
-            0.5 * np.arctan2(-q2, -q1))
+def _seed_angle(numerator, denominator, form_b, form_d) -> tuple:
+    """q = tau l(B) - l(D) at tau = numerator / denominator, and the
+    seed's angle phi, elementwise."""
+    tau = np.divide(numerator, denominator)
+    q = tuple(tau * x - y for x, y in zip(form_b, form_d))
+    return q, 0.5 * np.arctan2(-q[2], -q[1])
 
 
-def _optimal_seeds(a, b, c, lone=False):
-    """(s, phi) arrays (..., 2) of the two candidates for the optimal
-    measurement on blocks (..., 2, 2); if lone, a list of each block's two
-    (s, phi) pairs on numpy scalars, with the same bits.
+def _optimal_seeds(b, d) -> tuple:
+    """The (s, phi) of the two candidates for the optimal measurement,
+    homodyne first, elementwise on the entries of B and D = C^T A^-1 C.
 
-    Everything is written in D = C^T A^-1 C, so weak correlations do not
-    cancel.  det(cond) = det A (1 - tau(m)) with the linear-fractional
+    Everything is written in D, so weak correlations do not cancel.
+    det(cond) = det A (1 - tau(m)) with the linear-fractional
     tau = (beta + l(D).m) / (alpha + l(B).m), alpha = det B + 1/4,
     beta = T - det D and T = tr(adj(B) D).  Its supremum over the
     hyperboloid is either the homodyne limit, the larger root of
@@ -274,40 +267,37 @@ def _optimal_seeds(a, b, c, lone=False):
     (the two branches of Adesso and Datta, PRL 105, 030501 (2010)).  The
     seed is m ~ (q0, -q1, -q2) with q = tau l(B) - l(D).  A candidate that
     does not exist, as in a product state, comes out as NaN.
-
-    The algebra of each block is in floats, where ** 2 is libm's pow: an
-    array's ** 2 is the rounded product, which differs in the last bit.
     """
-    d = np.swapaxes(c, -1, -2) @ np.linalg.solve(a, c)
-    fractions, forms = [], []
-    for bb, dd in zip(b.reshape(-1, 2, 2).tolist(),
-                      d.reshape(-1, 2, 2).tolist()):
-        (b11, b12), (b21, b22) = bb
-        (d11, d12), (d21, d22) = dd
-        det_b = b11 * b22 - b12 * b21
-        det_d = d11 * d22 - d12 * d21
-        t = b22 * d11 + b11 * d22 - b12 * (d12 + d21)
-        alpha = det_b + 0.25
-        beta = t - det_d
-        quad_b = 2.0 * alpha * beta - t
-        quad_c = beta * beta - det_d
-        root_h = math.sqrt(max(t * t - 4.0 * det_b * det_d, 0.0))
-        root_g = math.sqrt(max(quad_b * quad_b
-                               - 4.0 * (det_b - 0.25)**2 * quad_c, 0.0))
-        fractions.append(((t + root_h, 2.0 * det_b),
-                          (2.0 * quad_c, quad_b + root_g)))
-        forms.append((_seed_form(bb), _seed_form(dd)))
-    if lone:
-        with np.errstate(all="ignore"):
-            return [((_S_HOMODYNE, _seed_tail(h, *f)[1]), _seed_tail(g, *f))
-                    for (h, g), f in zip(fractions, forms)]
-    fractions = np.array(fractions).reshape(-1, 2, 2).transpose(2, 0, 1)
-    forms = np.array(forms).reshape(-1, 2, 3).transpose(1, 2, 0)[..., None]
-    with np.errstate(all="ignore"):
-        s, phi = _seed_tail(fractions, *forms)
-    s = s.reshape(b.shape[:-2] + (2,))
-    s[..., 0] = _S_HOMODYNE
-    return s, phi.reshape(s.shape)
+    (b11, b12, b21, b22), (d11, d12, d21, d22) = b, d
+    det_b = b11 * b22 - b12 * b21
+    det_d = d11 * d22 - d12 * d21
+    t = b22 * d11 + b11 * d22 - b12 * (d12 + d21)
+    alpha = det_b + 0.25
+    beta = t - det_d
+    quad_b = 2.0 * alpha * beta - t
+    quad_c = beta * beta - det_d
+    root_h = np.sqrt(np.maximum(t * t - 4.0 * det_b * det_d, 0.0))
+    # libm's pow per element, on a float and on an array alike, as the
+    # frozen benchmark cells were computed: the rounded product x * x, and
+    # np.power on AVX-512 hosts, differ in the last bit on a few blocks.
+    # Re-freezing those cells lets this become x * x.
+    square = np.float_power(det_b - 0.25, 2.0)
+    root_g = np.sqrt(np.maximum(quad_b * quad_b - 4.0 * square * quad_c,
+                                0.0))
+    forms = _seed_form(*b), _seed_form(*d)
+    phi_h = _seed_angle(t + root_h, 2.0 * det_b, *forms)[1]
+    (q0, q1, q2), phi_g = _seed_angle(2.0 * quad_c, quad_b + root_g, *forms)
+    # |(m1, m2)| = sinh(ln s) on the hyperboloid
+    sinh = np.hypot(q1, q2) / np.sqrt(q0 * q0 - q1 * q1 - q2 * q2)
+    return ((_S_HOMODYNE, phi_h),
+            (np.minimum(np.exp(np.arcsinh(sinh)), _S_HOMODYNE), phi_g))
+
+
+def _min_conditional_entropy(a, b, c, d):
+    """min_m S(A | m): the smaller kernel value at the two candidate
+    seeds, elementwise on the entries of A, B, C and D = C^T A^-1 C."""
+    return np.fmin(*(_conditional_entropies(a, b, c, *seed)
+                     for seed in _optimal_seeds(b, d)))
 
 
 def gaussian_discord(states: StateStack,
@@ -317,25 +307,23 @@ def gaussian_discord(states: StateStack,
 
     Q = S(G_B) - S(G_AB) + min_m S(A | m) over pure single-mode Gaussian
     measurement seeds, which is optimal among all measurements (Pirandola
-    et al., PRL 113, 140405 (2014)).  The minimum is the smaller of the
-    kernel's values at the two closed-form candidates of _optimal_seeds,
-    state by state on numpy scalars in a stack of up to _MAX_SCALAR.
+    et al., PRL 113, 140405 (2014)).  _min_conditional_entropy gives the
+    minimum, once on arrays of the stack's entries, or state by state on
+    floats in a stack of up to _MAX_SCALAR, with the same bits.
     """
     ok = states.physical[:states.measured]
-    a, b, c = _blocks(states.covariances[:states.measured][ok],
-                      measured_node)
-    if states.measured > _MAX_SCALAR:
-        cond = _conditional_entropies(a, b, c, *_optimal_seeds(a, b, c))
-    else:
-        cond = np.array([[_conditional_entropies(*x, *seed) for seed in seeds]
-                         for *x, seeds in zip(
-                             *(y.reshape(-1, 4).tolist() for y in (a, b, c)),
-                             _optimal_seeds(a, b, c, lone=True))]
-                        ).reshape(-1, 2)
+    entries = _block_entries(states.covariances[:states.measured][ok],
+                             measured_node)
+    with np.errstate(all="ignore"):  # a missing candidate is NaN
+        if states.measured > _MAX_SCALAR:
+            cond = _min_conditional_entropy(*entries.transpose(1, 2, 0))
+        else:
+            cond = np.array([_min_conditional_entropy(*x)
+                             for x in entries.tolist()])
     s, s_c, s_h = states.entropies
     s_b = s_c if measured_node == "c" else s_h
     q = np.full(len(ok), np.nan)
-    q[ok] = np.maximum(s_b[ok] - s[ok] + np.fmin(*cond.T), 0.0)
+    q[ok] = np.maximum(s_b[ok] - s[ok] + cond, 0.0)
     return q
 
 

@@ -32,15 +32,16 @@ from .results import SteadyStateResult
 class GmeCoefficients:
     """The baths at the two normal modes, indexed s = 0 (+) and 1 (-).
 
-    omegas[s] = Omega_s, j[s] = J(Omega_s), n[a][s] = n_a(Omega_s) and
-    weights[a][s] = w^a_s with a = 0 (c) and 1 (h); occ[s] = occ_s.
+    omegas[s] = Omega_s, j[s] = J(Omega_s), n[a][s] = n_a(Omega_s) with
+    a = 0 (c) and 1 (h), and occ[s] = occ_s = sum_a w^a_s n_a(Omega_s),
+    with the bath weights w^a_s = cos^2 for (c, +) and (h, -) and sin^2
+    for the other two.
     """
 
     modes: NormalModes
     omegas: tuple
     j: tuple
     n: tuple
-    weights: tuple
     occ: tuple
 
 
@@ -54,8 +55,7 @@ def gme_coefficients(params: WireParams) -> GmeCoefficients:
     return GmeCoefficients(
         modes=modes, omegas=omegas,
         j=tuple(spectral_density(om, params) for om in omegas), n=n,
-        weights=w, occ=tuple(w[0][s] * n[0][s] + w[1][s] * n[1][s]
-                             for s in (0, 1)))
+        occ=tuple(w[0][s] * n[0][s] + w[1][s] * n[1][s] for s in (0, 1)))
 
 
 def gme_normal_mode_covariance(coeffs: GmeCoefficients) -> np.ndarray:

@@ -288,9 +288,12 @@ def gme_heat_currents_per_bath(coeffs) -> tuple:
 
     with each mode's excess over the bath formed as the product
     occ_s - n_a = w^b_s (n_b - n_a), b the other bath, so that the O(k^2)
-    excess does not cancel against occ_s.
+    excess does not cancel against occ_s.  The bath weights w^a_s are
+    cos^2 for (c, +) and (h, -) and sin^2 for the other two.
     """
-    w, n, j = coeffs.weights, coeffs.n, coeffs.j
+    m = coeffs.modes
+    w = (m.cos_sq, m.sin_sq), (m.sin_sq, m.cos_sq)
+    n, j = coeffs.n, coeffs.j
     return tuple(-sum(w[a][s] * j[s] * (w[b][s] * (n[b][s] - n[a][s]))
                       for s in (0, 1))
                  for a, b in ((0, 1), (1, 0)))
@@ -582,8 +585,8 @@ def _grid_starts(a, b, c) -> tuple:
     phi_vals = np.linspace(0.0, math.pi, _N_ANGLE, endpoint=False)
     s_grid, phi_grid = np.meshgrid(s_vals, phi_vals, indexing="ij")
     cond = _conditional_entropies(
-        a[None], b[None], c[None], s_grid.reshape(1, -1),
-        phi_grid.reshape(1, -1)).reshape(s_grid.shape)
+        a.ravel(), b.ravel(), c.ravel(), s_grid.ravel(),
+        phi_grid.ravel()).reshape(s_grid.shape)
     flat_order = np.argsort(cond, axis=None)
     seeds = []
     for flat in flat_order[:40]:
@@ -608,10 +611,8 @@ def scipy_polish(a, b, c, starts) -> list:
     def cost(z):
         if abs(z[0]) > log_cap:
             return 1e6 + abs(z[0])
-        val = _conditional_entropies(a[None], b[None], c[None],
-                                     np.array([[math.exp(z[0])]]),
-                                     np.array([[z[1]]]))
-        out = float(val[0, 0])
+        out = float(_conditional_entropies(a.ravel(), b.ravel(), c.ravel(),
+                                           math.exp(z[0]), z[1]))
         return out if math.isfinite(out) else 1e6
 
     return [float(minimize(cost, np.array(start), method="Nelder-Mead",

@@ -279,11 +279,10 @@ class TestAcceptance:
         worst_q = 0.0
         for k in np.logspace(-4, -2, 5):
             gamma = exact_steady_state(at_k(FIG1B, k)).covariance
-            a, b, c = gaussian._blocks(gamma, "h")
-            closed = np.fmin(*gaussian._conditional_entropies(
-                a[None], b[None], c[None],
-                *gaussian._optimal_seeds(a[None], b[None], c[None])).T)[0]
-            search = oracles.min_conditional_entropy(a, b, c)
+            closed = gaussian._min_conditional_entropy(
+                *gaussian._block_entries(gamma[None], "h").tolist()[0])
+            search = oracles.min_conditional_entropy(
+                *gaussian._blocks(gamma, "h"))
             worst_q = max(worst_q, abs(closed - search))
         ok = worst_s <= 1e-6 and worst_f <= 1e-6 and worst_q <= 1e-6
         report(9, ok, f"entropy err {worst_s:.2e}, fidelity err "

@@ -126,16 +126,27 @@ class TestConfig:
         cfg.write_text("# comment only line\n"
                        "omega_c = 1.5   # trailing comment\n"
                        "\n"
-                       "scenario = fig1a\n"
-                       "jobs = 2\n")
+                       "scenario = fig1a\n")
         values = load_config(str(cfg))
-        assert values == {"omega_c": 1.5, "scenario": "fig1a", "jobs": 2}
+        assert values == {"omega_c": 1.5, "scenario": "fig1a"}
 
     def test_unknown_key_is_an_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("omega_c = 1\nbogus = 2\n")
         with pytest.raises(CliError, match=r":2: unknown key 'bogus'"):
             load_config(str(cfg))
+
+    def test_jobs_is_an_unknown_key(self, tmp_path, capsys):
+        """Only the sweep flag --jobs is left; a file's jobs exits 1."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = fig1a\njobs = 2\n")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg),
+                           "--log-grid", "1e-2:1e-1:2",
+                           "-o", str(tmp_path / "rows.csv"))
+        assert code == 1
+        assert strict_json(err.strip().splitlines()[-1]) == {
+            "error": "invalid_arguments",
+            "message": f"{cfg}:2: unknown key 'jobs'"}
 
     def test_malformed_line_names_line_number(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -157,9 +168,8 @@ class TestConfig:
 
     def test_sweep_reads_the_file_once(self, tmp_path, capsys,
                                        monkeypatch):
-        """The file's jobs key is accepted, and has no effect."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("scenario = fig1a\nlog_grid = 1e-2:1e-1:2\njobs = 2\n")
+        cfg.write_text("scenario = fig1a\nlog_grid = 1e-2:1e-1:2\n")
         reads = []
 
         def counted_load(path):
@@ -275,6 +285,17 @@ class TestSteady:
         assert local["qdot_c"] is None
         assert local["covariance"] == [[None] * 4] * 4
         assert "synthetic failure" in local["diagnostics"]["error"]
+
+    def test_a_raising_solver_is_no_solver_failure(self, capsys,
+                                                   monkeypatch):
+        """Exit 2 means a failed exact quadrature, which only validate
+        reports: an exception inside steady propagates as it is."""
+        def boom(params):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setitem(compare._SOLVERS, "local", boom)
+        with pytest.raises(RuntimeError, match="synthetic failure"):
+            run(capsys, "steady", "--scenario", "fig1a", "--k", "0.01")
 
     def test_non_physical_state_is_reported_not_fatal(self, capsys):
         # the Redfield state here has nu_min - 1/2 = -5.4e-8

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from qwire import (WireParams, correlation_report, exact_steady_state,
                    gme_steady_state, lme_steady_state, redfield_steady_state,
-                   solve_all)
-from qwire import gaussian
+                   solve_all, sweep)
+from qwire import cli, gaussian
 import oracles
 from conftest import (NEAR_DEGENERATE, RESONANT_STRONG, WIDE_GAP, alone,
                       count_spectra, pair_fidelity, pool_states, with_k)
@@ -57,12 +57,10 @@ def finite_squeezing_states() -> list:
 
 
 def min_conditional_entropy(gamma, node: str) -> float:
-    """The library's minimum of S(A | m): its kernel at its seeds, on a
-    stack of one state."""
-    a, b, c = gaussian._blocks(gamma[None], node)
-    cond = gaussian._conditional_entropies(a, b, c,
-                                           *gaussian._optimal_seeds(a, b, c))
-    return float(np.fmin(*cond.T)[0])
+    """The library's minimum of S(A | m): its kernel at its seeds, on the
+    floats of a lone state."""
+    entries = gaussian._block_entries(gamma[None], node).tolist()[0]
+    return float(gaussian._min_conditional_entropy(*entries))
 
 
 class TestSymplecticEigenvalues:
@@ -403,52 +401,66 @@ MODE_EDGES = [np.diag([1.0, 1.0, 2.0, 2.0]), 0.4 * np.eye(4),
 
 class TestEvaluationModes:
     """gaussian_discord measures up to _MAX_SCALAR states one by one on
-    numpy scalars, and a larger stack on arrays, with the same bits."""
+    floats, and a larger stack on arrays, with the same bits."""
 
     @staticmethod
     def array_stacks(monkeypatch) -> list:
         """A list that grows by the stack size at each array evaluation."""
         sizes = []
-        kernel = gaussian._conditional_entropies
+        chain = gaussian._min_conditional_entropy
 
-        def counted(a, b, c, s, phi):
-            if isinstance(s, np.ndarray):
-                sizes.append(len(a))
-            return kernel(a, b, c, s, phi)
-        monkeypatch.setattr(gaussian, "_conditional_entropies", counted)
+        def counted(a, b, c, d):
+            if isinstance(a, np.ndarray):
+                sizes.append(a.shape[-1])
+            return chain(a, b, c, d)
+        monkeypatch.setattr(gaussian, "_min_conditional_entropy", counted)
         return sizes
+
+    @staticmethod
+    def assert_stack_equals_each_state_alone(covs, measured=None):
+        stack = gaussian.StateStack(covs, measured=measured)
+        for node in "ch":
+            lone = [alone(gaussian.gaussian_discord, g, node)
+                    for g in covs[:measured]]
+            assert gaussian.gaussian_discord(stack, node).tobytes() == \
+                np.array(lone).tobytes()
+        return stack
 
     def test_pool_alone_equals_the_pool_stack(self, monkeypatch):
         """Each of the 448 pool states measured alone is bit for bit the
         same state in one stack of all of them, on both nodes."""
         sizes = self.array_stacks(monkeypatch)
         covs = np.array([gamma for _, gamma, _ in pool_states()])
-        stack = gaussian.StateStack(covs)
-        for node in "ch":
-            lone = [alone(gaussian.gaussian_discord, g, node) for g in covs]
-            assert gaussian.gaussian_discord(stack, node).tobytes() == \
-                np.array(lone).tobytes()
+        stack = self.assert_stack_equals_each_state_alone(covs)
         assert len(covs) == 448 and sizes == [stack.physical.sum()] * 2
 
+    def test_sweep_stack_equals_each_state_alone(self, monkeypatch):
+        """The fig1a sweep's 240 model states, in the one stack that
+        `qwire sweep` measures, give each state's discord alone, bit for
+        bit, on both nodes; the pool holds frozen states only."""
+        args = cli.build_parser().parse_args(["sweep", "--scenario", "fig1a"])
+        scenario = cli.resolve_scenario(args, {}, need_grid=True)
+        rows = sweep(scenario.params, scenario.axis, scenario.grid)
+        covs = np.array([res.covariance for row in rows
+                         for res in row.results])
+        sizes = self.array_stacks(monkeypatch)
+        stack = self.assert_stack_equals_each_state_alone(covs)
+        assert len(covs) == 240 and sizes == [stack.physical.sum()] * 2
+
     def test_stacks_either_side_of_the_threshold(self, monkeypatch):
-        """Stacks of exactly 3 and 4 measured states, with a product and a
+        """Stacks of exactly 4 and 5 measured states, with a product and a
         non-physical state, give each state's discord alone, and no numpy
-        warning; only the stacks of 4 take arrays."""
-        assert gaussian._MAX_SCALAR == 3
+        warning; only the stacks of 5 take arrays."""
+        assert gaussian._MAX_SCALAR == 4
         sizes = self.array_stacks(monkeypatch)
         pool = [gamma for _, gamma, _ in pool_states()[440:]]
-        for covs, measured in ((MODE_EDGES + pool[:2], 3),
-                               (MODE_EDGES[:2] + pool[:2], 4),
-                               (pool[4:8], 4)):
+        for covs, measured in ((MODE_EDGES + pool[:2], 4),
+                               (MODE_EDGES[:2] + pool[:3], 5),
+                               (pool[3:8], 5)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                stack = gaussian.StateStack(covs, measured=measured)
-                for node in "ch":
-                    lone = [alone(gaussian.gaussian_discord, g, node)
-                            for g in covs[:measured]]
-                    assert gaussian.gaussian_discord(stack, node).tobytes() \
-                        == np.array(lone).tobytes()
-        assert sizes == [3, 3, 4, 4]
+                self.assert_stack_equals_each_state_alone(covs, measured)
+        assert sizes == [4, 4, 5, 5]
 
 
 class TestEntropy:
