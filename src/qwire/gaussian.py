@@ -34,13 +34,13 @@ class NonPhysicalStateError(ValueError):
 
 
 #: the two-mode symplectic form, block diagonal in [[0, 1], [-1, 0]], the
-#: partial transpose diag(1, -1, 1, 1) that flips the cold momentum, and a
-#: term of the fidelity; all read-only
+#: signs whose product with G is its partial transpose P G P with
+#: P = diag(1, -1, 1, 1), and a term of the fidelity; all read-only
 SYMPLECTIC_FORM = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
                             [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
-_PARTIAL_TRANSPOSE = np.diag([1.0, -1.0, 1.0, 1.0])
+_PT_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
 _QUARTER = np.eye(4) / 4.0
-for _m in (SYMPLECTIC_FORM, _PARTIAL_TRANSPOSE, _QUARTER):
+for _m in (SYMPLECTIC_FORM, _PT_SIGNS, _QUARTER):
     _m.setflags(write=False)
 
 
@@ -124,9 +124,7 @@ class StateStack:
         if g.ndim != 3 or g.shape[1:] != (4, 4):
             raise ValueError("expected a stack of 4x4 covariance matrices")
         m = self.measured = len(g) if measured is None else measured
-        p = _PARTIAL_TRANSPOSE
-        with np.errstate(invalid="ignore"):  # 0 inf: no spectrum either way
-            nus = symplectic_eigenvalues(np.concatenate((g, p @ g[:m] @ p)))
+        nus = symplectic_eigenvalues(np.concatenate((g, g[:m] * _PT_SIGNS)))
         self.nus, self.transposed_nus = nus[:len(g)], nus[len(g):]
         #: each state's reason for failing the check, None if it passes
         self.reasons = [_reason(*args) for args in zip(

@@ -25,9 +25,10 @@ def _bath_drift_diffusion(params: WireParams, alpha: str) -> tuple:
     """Drift and diffusion that the dissipator of bath alpha adds: its node
     relaxes at the rate -Delta~ and is heated with
     Sigma~ = -Delta~ (2n + 1)."""
-    x, om = (0, params.omega_c) if alpha == "c" else (2, params.omega_h)
+    x, om, t = ((0, params.omega_c, params.t_c) if alpha == "c"
+                else (2, params.omega_h, params.t_h))
     delta = _local_drift(params, om)
-    sigma = -delta * (2.0 * occupation(om, params.temperature(alpha)) + 1.0)
+    sigma = -delta * (2.0 * occupation(om, t) + 1.0)
     a, d = np.zeros((2, 4, 4))
     a[x, x] = a[x + 1, x + 1] = delta / 2.0
     d[x, x] = sigma / (2.0 * om)

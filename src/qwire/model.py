@@ -73,13 +73,6 @@ class WireParams:
                 raise ValueError(f"{name} must be at most {MAX_RATIO:g}, "
                                  f"got {ratio!r}")
 
-    def temperature(self, node: str) -> float:
-        if node == "c":
-            return self.t_c
-        if node == "h":
-            return self.t_h
-        raise ValueError(f"unknown node {node!r}")
-
 
 @dataclass(frozen=True)
 class NormalModes:

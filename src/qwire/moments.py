@@ -39,8 +39,3 @@ def covariance(y: np.ndarray) -> np.ndarray:
     """The symmetric 4x4 covariance of the moment vector y."""
     return (y / _W)[_SLOT]
 
-
-def moments(gamma: np.ndarray) -> np.ndarray:
-    """The moment vector y of the 4x4 covariance gamma."""
-    return _W * gamma[_I, _J]
-

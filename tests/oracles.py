@@ -3,17 +3,18 @@
 Almost everything here works on truncated Fock-space matrices and
 deliberately avoids the covariance-level formulas of the package, so
 agreement between the two is meaningful evidence of correctness.  The
-exceptions are the last five sections: the drift and diffusion of the
-global equation, whose fixed point the closed-form global state is, and
-its currents bath by bath; the local heat current solved from its moment
-equations in mpmath; the dissipation kernel, quad_vec evaluating the
-exact solver's integrands node by node, the reference of its numpy
-replay, the equal-temperature covariance as Matsubara sums in mpmath,
-and the whole covariance and current as a sum over the poles of the
-Langevin integrands with digamma weights; the grid search with a scipy
-Nelder-Mead polish and the 60-digit Adesso-Datta closed form, the two
-references of the closed-form discord; and the paper's large-k limit of
-the global log-negativity at resonant nodes.
+exceptions are the last five sections: the moment vector of a
+covariance, the drift and diffusion of the global equation, whose fixed
+point the closed-form global state is, and its currents bath by bath;
+the local heat current solved from its moment equations in mpmath; the
+dissipation kernel, quad_vec evaluating the exact solver's integrands
+node by node, the reference of its numpy replay, the equal-temperature
+covariance as Matsubara sums in mpmath, and the whole covariance and
+current as a sum over the poles of the Langevin integrands with digamma
+weights; the grid search with a scipy Nelder-Mead polish and the
+60-digit Adesso-Datta closed form, the two references of the closed-form
+discord; and the paper's large-k limit of the global log-negativity at
+resonant nodes.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def mode_rates(params, modes) -> dict:
     for (c, +) and (h, -) and sin^2 for the other two."""
     out = {}
     for a in "ch":
-        t = params.temperature(a)
+        t = params.t_c if a == "c" else params.t_h
         for s, om in (("+", modes.omega_plus), ("-", modes.omega_minus)):
             w = modes.cos_sq if (a == "c") == (s == "+") else modes.sin_sq
             out[a, s] = (w * decay_rate(-om, t, params) / (2.0 * om),
@@ -263,7 +264,15 @@ def thermal_product_gibbs(n_c: float, n_h: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# global moment equations
+# moment equations
+
+def moments(gamma: np.ndarray) -> np.ndarray:
+    """The moment vector y of the 4x4 covariance gamma, in the order and
+    with the weights of qwire.moments.MOMENTS: the inverse of
+    qwire.moments.covariance."""
+    from qwire.moments import MOMENTS
+    return np.array([w * gamma[i, j] for i, j, w in MOMENTS])
+
 
 def gme_drift_diffusion(coeffs) -> tuple:
     """Drift A and diffusion D over (eta_+, Pi_+, eta_-, Pi_-) of the

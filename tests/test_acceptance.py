@@ -19,7 +19,7 @@ from qwire import (WireParams, gme_steady_state, lme_steady_state,
 from qwire.gme import (gme_coefficients, gme_heat_currents,
                        gme_normal_mode_covariance)
 from qwire import gaussian
-from qwire.moments import moment_equations, moments
+from qwire.moments import moment_equations
 import oracles
 from conftest import DATA_DIR, alone, pair_fidelity
 from test_lme import local_residual
@@ -53,7 +53,7 @@ def closed_form_residuals(params) -> tuple:
     k = 10 (s = -5.9e-9) that ratio reads 1.5e-11, and 2.3e-11 with a
     40-digit readback."""
     coeffs = gme_coefficients(params)
-    y = moments(gme_normal_mode_covariance(coeffs))
+    y = oracles.moments(gme_normal_mode_covariance(coeffs))
     m, c = moment_equations(*oracles.gme_drift_diffusion(coeffs))
     b_mat, b_vec = closed_form_system(params)
     y4 = redfield_averages(params)

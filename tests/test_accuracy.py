@@ -67,10 +67,10 @@ from qwire.gme import gme_coefficients
 from qwire.lme import lme_drift_diffusion, lme_steady_state
 from qwire.model import (normal_modes, rotation_matrix,
                          secular_validity_margin)
-from qwire.moments import MOMENTS, moment_equations, moments
+from qwire.moments import MOMENTS, moment_equations
 from qwire.redfield import redfield_steady_state
 from conftest import pair_fidelity, pool_states
-from oracles import gme_drift_diffusion
+from oracles import gme_drift_diffusion, moments
 
 DIGITS = 50
 

@@ -212,6 +212,15 @@ class TestPhysicality:
             assert abs(stack.nus[0, -1] - 0.5) < 1e-12
 
 
+def fig1a_sweep_states() -> np.ndarray:
+    """The fig1a sweep's 240 model states, in the one stack that
+    `qwire sweep` measures."""
+    args = cli.build_parser().parse_args(["sweep", "--scenario", "fig1a"])
+    scenario = cli.resolve_scenario(args, {}, need_grid=True)
+    rows = sweep(scenario.params, scenario.axis, scenario.grid)
+    return np.array([res.covariance for row in rows for res in row.results])
+
+
 class TestStateStack:
     def test_report_takes_one_spectrum(self, monkeypatch):
         """The state, the exact state and the state's partial transpose in
@@ -273,6 +282,19 @@ class TestStateStack:
         with pytest.raises(gaussian.NonPhysicalStateError,
                            match="^smallest symplectic"):
             correlation_report(0.5 * np.eye(4), 0.4 * np.eye(4))
+
+    def test_partial_transpose_is_a_sign_flip(self):
+        """The partial transposes P G P, P = diag(1, -1, 1, 1), that the
+        stack forms by flipping the signs of G's cold momentum row and
+        column have the spectra of the matrix products, bit for bit, on
+        the 448 pool states and on the fig1a sweep's 240 model states."""
+        p = np.diag([1.0, -1.0, 1.0, 1.0])
+        pool = np.array([gamma for _, gamma, _ in pool_states()])
+        for covs in (pool, fig1a_sweep_states()):
+            stack = gaussian.StateStack(covs)
+            m = stack.measured
+            expected = gaussian.symplectic_eigenvalues(p @ covs[:m] @ p)
+            assert stack.transposed_nus.tobytes() == expected.tobytes()
 
     def test_rejects_wrong_shape(self):
         for covs in (np.eye(4), np.zeros((2, 2, 2)), np.zeros((3, 4, 3))):
@@ -438,11 +460,7 @@ class TestEvaluationModes:
         """The fig1a sweep's 240 model states, in the one stack that
         `qwire sweep` measures, give each state's discord alone, bit for
         bit, on both nodes; the pool holds frozen states only."""
-        args = cli.build_parser().parse_args(["sweep", "--scenario", "fig1a"])
-        scenario = cli.resolve_scenario(args, {}, need_grid=True)
-        rows = sweep(scenario.params, scenario.axis, scenario.grid)
-        covs = np.array([res.covariance for row in rows
-                         for res in row.results])
+        covs = fig1a_sweep_states()
         sizes = self.array_stacks(monkeypatch)
         stack = self.assert_stack_equals_each_state_alone(covs)
         assert len(covs) == 240 and sizes == [stack.physical.sum()] * 2

@@ -10,12 +10,12 @@ import pytest
 from qwire import WireParams, normal_modes, occupation
 from qwire.gme import (GmeCoefficients, gme_coefficients, gme_heat_currents,
                        gme_normal_mode_covariance, gme_steady_state)
-from qwire.moments import moment_equations, moments
+from qwire.moments import moment_equations
 from qwire import gaussian
 from conftest import WIDE_GAP, swapped, with_k
 from oracles import (destroy, dissipator_adjoint, extract_affine_dynamics,
                      gme_drift_diffusion, gme_heat_currents_per_bath,
-                     mode_rates, quadratures)
+                     mode_rates, moments, quadratures)
 
 OFF_RESONANT = WireParams(1.0, 1.3, 0.4, 0.8, 1.6, 0.05, 50.0)
 
@@ -84,7 +84,7 @@ class TestCoefficients:
                             (2, "-", nm.omega_minus)):
             delta = sigma = 0.0
             for alpha in ("c", "h"):
-                t = params.temperature(alpha)
+                t = params.t_c if alpha == "c" else params.t_h
                 weight = (nm.cos_sq if (alpha == "c") == (sign == "+")
                           else 1 - nm.cos_sq)
                 w_neg, w_pos = rates[alpha, sign]

@@ -12,11 +12,11 @@ import pytest
 from qwire import WireParams, occupation
 from qwire.lme import (lme_drift_diffusion, lme_heat_currents,
                        lme_steady_state, _bath_drift_diffusion)
-from qwire.moments import MOMENTS, covariance, moment_equations, moments
+from qwire.moments import MOMENTS, covariance, moment_equations
 from qwire import gaussian
 from conftest import WIDE_GAP, with_k
 from oracles import (decay_rate, destroy, dissipator_adjoint, embed,
-                     extract_affine_dynamics, local_current_mpmath,
+                     extract_affine_dynamics, local_current_mpmath, moments,
                      quadratures)
 
 OFF_RESONANT = WireParams(1.0, 1.3, 0.4, 0.8, 1.6, 0.05, 50.0)
@@ -47,8 +47,8 @@ class TestGeneratorOracle:
              + (p.omega_c**2 * xc @ xc + p.omega_h**2 * xh @ xh) / 2
              + p.k / 2 * ((xc - xh) @ (xc - xh)))
         rates = {}
-        for alpha, om, a_op in (("c", p.omega_c, a_c), ("h", p.omega_h, a_h)):
-            t = p.temperature(alpha)
+        for alpha, om, t, a_op in (("c", p.omega_c, p.t_c, a_c),
+                                   ("h", p.omega_h, p.t_h, a_h)):
             rates[alpha] = (decay_rate(om, t, p) / (2 * om),
                             decay_rate(-om, t, p) / (2 * om), a_op)
         ops = [xc @ xc, pc @ pc, xc @ pc + pc @ xc,

@@ -56,7 +56,6 @@ class TestValidation:
         assert (q.omega_c, q.omega_h, q.t_c, q.t_h) == (
             p.omega_h, p.omega_c, p.t_h, p.t_c)
         assert (q.k, q.lambda_sq, q.cutoff) == (p.k, p.lambda_sq, p.cutoff)
-        assert q.temperature("c") == p.temperature("h")
 
 
 class TestNormalModes:

@@ -86,7 +86,7 @@ def full_mode_dynamics(params: WireParams, dims=(12, 12)) -> tuple:
     def gen(o):
         out = 1j * (h @ o - o @ h)
         for alpha in ("c", "h"):
-            t = params.temperature(alpha)
+            t = params.t_c if alpha == "c" else params.t_h
             lp, lm = jump[(alpha, "+")], jump[(alpha, "-")]
             lpd, lmd = lp.T.conj(), lm.T.conj()
             for sign, om in (("+", om_p), ("-", om_m)):
