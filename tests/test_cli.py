@@ -506,17 +506,17 @@ class TestSweepCommand:
         rows = out_path.read_text().splitlines()[1:]
         assert [row.split(",")[col] for row in rows] == ["nan", "nan"]
 
-    def test_quadrature_failure_is_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_quadrature_failure_is_exit_2(self, tmp_path, capsys, jobs):
         """Only validate exits 2 where the exact quadrature fails.  sweep
         and steady complete with exit 0, NaN (null) exact cells and the
         QuadratureError as the exact method's reason; the first failing
-        point of the grid, k = 2154.43..., names its error estimate.  The
-        sweep passes --jobs 2, which is accepted and has no effect."""
+        point of the grid, k = 2154.43..., names its error estimate."""
         flags = [f"--{key.replace('_', '-')}={value!r}" for key, value
                  in dataclasses.asdict(NARROW_CUTOFF).items() if key != "k"]
         out_path = tmp_path / "rows.csv"
         code, _, err = run(capsys, "sweep", "--scenario", "fig1a", *flags,
-                           "--log-grid", "1e3:1e4:4", "--jobs", "2",
+                           "--log-grid", "1e3:1e4:4", "--jobs", jobs,
                            "-o", str(out_path))
         assert code == 0
         failed = [w for w in map(strict_json, err.strip().splitlines()[1:])
