@@ -1,12 +1,12 @@
 """Command-line front end: presets, config parsing, sweeps, CSV/JSON output.
 
-steady and validate format or check the row of a sweep of one point.
-validate checks each state's physicality and nothing else; no check
-reads a measure of one node, so validate takes no --measured-node.
+steady and validate format or check the row of a sweep of one point and
+ignore axis and log_grid, which are sweep keys.  validate checks each
+state's physicality and nothing else; no check reads a measure of one
+node, so validate takes no --measured-node.
 Exit codes: 0 success, 1 invalid arguments or config (a parameter or grid
 point outside WireParams' domain too), 2 solver failure (a failed exact
-quadrature), 3 physicality-check failure.  Errors go to stderr as
-single-line JSON.
+quadrature), 3 physicality-check failure.  Errors: one stderr JSON line.
 steady and sweep report a failed method in their output and exit 0; only
 validate exits 2 or 3, and it prints its checks unless a solver failed.
 """
@@ -153,7 +153,8 @@ def load_config(path: str | None) -> dict:
 
 def resolve_scenario(args: argparse.Namespace, config: dict,
                      need_grid: bool) -> Scenario:
-    """Merge preset defaults, config file values and flags (flags win)."""
+    """Merge preset defaults, config file values and flags (flags win);
+    only need_grid (sweep) reads and checks the axis and log_grid keys."""
     name = args.scenario or config.get("scenario") or "custom"
     if name != "custom" and name not in PRESETS:
         raise CliError(f"unknown scenario {name!r}; "
@@ -166,22 +167,21 @@ def resolve_scenario(args: argparse.Namespace, config: dict,
         if flag is not None:
             values[key] = flag
 
-    axis = getattr(args, "axis", None) or config.get("axis") or "k"
-    if axis not in SWEEP_AXES:
-        raise CliError(f"unknown sweep axis {axis!r}; "
-                       f"choose from {', '.join(SWEEP_AXES)}")
-    grid_text = getattr(args, "log_grid", None) or config.get("log_grid")
-    if grid_text:
-        grid = parse_log_grid(grid_text)
-    elif need_grid and axis == "k" and grid_range is not None:
-        grid = parse_log_grid(f"{grid_range[0]}:{grid_range[1]}:60")
-    elif need_grid:
-        raise CliError("no grid: give --log-grid start:stop:npoints")
-    else:
-        grid = []
-
-    if need_grid and axis in _PARAM_KEYS and values.get(axis) is None:
-        values[axis] = grid[0]  # placeholder, replaced at every grid point
+    axis, grid = "k", []
+    if need_grid:
+        axis = args.axis or config.get("axis") or "k"
+        if axis not in SWEEP_AXES:
+            raise CliError(f"unknown sweep axis {axis!r}; "
+                           f"choose from {', '.join(SWEEP_AXES)}")
+        grid_text = args.log_grid or config.get("log_grid")
+        if grid_text:
+            grid = parse_log_grid(grid_text)
+        elif axis == "k" and grid_range is not None:
+            grid = parse_log_grid(f"{grid_range[0]}:{grid_range[1]}:60")
+        else:
+            raise CliError("no grid: give --log-grid start:stop:npoints")
+        if axis in _PARAM_KEYS and values.get(axis) is None:
+            values[axis] = grid[0]  # placeholder, replaced at every grid point
     missing = [k for k in _PARAM_KEYS if values.get(k) is None]
     if missing:
         raise CliError(f"missing parameters: {', '.join(missing)} "

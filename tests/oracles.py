@@ -50,10 +50,6 @@ def quadratures(omega: float, dim: int) -> tuple:
     return x, p
 
 
-def sym(op: np.ndarray) -> np.ndarray:
-    return (op + op.T.conj()) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # adjoint GKLS machinery
 
@@ -95,12 +91,6 @@ def dissipator_adjoint(l_op: np.ndarray, o: np.ndarray) -> np.ndarray:
     return ld @ o @ l_op - 0.5 * (ldl @ o + o @ ldl)
 
 
-def cross_adjoint(l1: np.ndarray, l2: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """L1+ O L2 - O L1+ L2: one half of a non-secular cross channel."""
-    l1d = l1.T.conj()
-    return l1d @ o @ l2 - o @ (l1d @ l2)
-
-
 def extract_affine_dynamics(apply_gen, ops: list, dims: tuple,
                             edge: int = 4) -> tuple:
     """Recover dO_i/dt = sum_j M_ij O_j + c_i from a numeric generator.
@@ -135,59 +125,7 @@ def _inner_indices(dims: tuple, edge: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# density-matrix reference computations
-
-def gibbs_state(g_matrix: np.ndarray, dim: int) -> tuple:
-    """Gaussian state exp(-R G R/2)/Z in a two-mode Fock space.
-
-    Returns (rho, quadrature list R) with R = (x1, p1, x2, p2) built at
-    unit frequency.
-    """
-    dims = (dim, dim)
-    x1, p1 = quadratures(1.0, dim)
-    x2, p2 = quadratures(1.0, dim)
-    r_ops = [embed(x1, 0, dims), embed(p1, 0, dims),
-             embed(x2, 1, dims), embed(p2, 1, dims)]
-    g = np.asarray(g_matrix, dtype=float)
-    h = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            h += 0.5 * g[i, j] * sym(r_ops[i] @ r_ops[j])
-    evals, evecs = np.linalg.eigh(h)
-    weights = np.exp(-(evals - evals.min()))
-    weights /= weights.sum()
-    rho = (evecs * weights) @ evecs.T.conj()
-    return rho, r_ops
-
-
-def covariance_of(rho: np.ndarray, r_ops: list) -> np.ndarray:
-    """Symmetrized second moments <{R_i, R_j}>/2 from a density matrix."""
-    gamma = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            val = np.trace(rho @ sym(r_ops[i] @ r_ops[j])).real
-            gamma[i, j] = gamma[j, i] = val
-    return gamma
-
-
-def entropy_of(rho: np.ndarray) -> float:
-    """Von Neumann entropy (nats) from the eigenvalues of rho."""
-    evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > 1e-300]
-    return float(-np.sum(evals * np.log(evals)))
-
-
-def fidelity_of(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2."""
-    evals, evecs = np.linalg.eigh(rho1)
-    sqrt1 = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T.conj()
-    inner = sqrt1 @ rho2 @ sqrt1
-    mu = np.linalg.eigvalsh(inner)
-    return float(np.sum(np.sqrt(np.clip(mu, 0.0, None)))**2)
-
-
-# ---------------------------------------------------------------------------
-# spectral (eigenbasis) forms of the same computations
+# density-matrix reference computations, in the eigenbasis
 #
 # For dimensions around 60 per mode the dense density matrix no longer fits
 # comfortably in memory; these functions carry the Gibbs state as its
@@ -206,11 +144,8 @@ def sparse_quadratures(dim: int) -> list:
 
 
 def gibbs_spectrum(g_matrix: np.ndarray, dim: int) -> tuple:
-    """Eigen-decomposition (weights, vectors) of exp(-R G R/2)/Z.
-
-    Agrees with gibbs_state up to the basis ordering; rho would be
-    (vectors * weights) @ vectors.conj().T.
-    """
+    """Eigen-decomposition (weights, vectors) of exp(-R G R/2)/Z; rho
+    would be (vectors * weights) @ vectors.conj().T."""
     r_ops = sparse_quadratures(dim)
     g = np.asarray(g_matrix, dtype=float)
     h = None
@@ -218,7 +153,7 @@ def gibbs_spectrum(g_matrix: np.ndarray, dim: int) -> tuple:
         s_i = sum(g[i, j] * r_ops[j] for j in range(4))
         term = (r_ops[i] @ s_i).toarray()
         h = term if h is None else h + term
-    h = (h + h.conj().T) / 4.0  # 1/2 for sym, 1/2 from the exponent
+    h = (h + h.conj().T) / 4.0  # 1/2 to symmetrize, 1/2 from the exponent
     evals, evecs = np.linalg.eigh(h)
     del h
     weights = np.exp(-(evals - evals.min()))

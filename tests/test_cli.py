@@ -120,6 +120,10 @@ class TestPresets:
         assert set(doc["scenarios"]) == set(EXPECTED_PRESETS) | {"custom"}
 
 
+#: a config whose omega_h grid reaches past the fig1a cutoff
+SWEEP_KEYS = "scenario = fig1a\naxis = omega_h\nlog_grid = 1:1e9:5\n"
+
+
 class TestConfig:
     def test_full_grammar(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -181,6 +185,33 @@ class TestConfig:
                          "-o", str(tmp_path / "rows.csv"))
         assert code == 0
         assert reads == [str(cfg)]
+
+    @pytest.mark.parametrize("command", ["steady", "validate"])
+    def test_point_commands_ignore_the_sweep_keys(self, tmp_path, capsys,
+                                                  command):
+        """axis and log_grid are sweep keys: with them in the config, and
+        grid points that are no wire, steady and validate print what the
+        preset prints, echoing axis k and no grid."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SWEEP_KEYS)
+        given = run(capsys, command, "--config", str(cfg), "--k", "0.01")
+        preset = run(capsys, command, "--scenario", "fig1a", "--k", "0.01")
+        assert given == preset
+        assert preset[0] == 0
+        echoed = strict_json(preset[2].splitlines()[0])["resolved_scenario"]
+        assert (echoed["axis"], echoed["grid"]) == ("k", [])
+
+    def test_sweep_checks_the_config_grid(self, tmp_path, capsys):
+        """The same config still fails a sweep: each grid point must be a
+        wire."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SWEEP_KEYS)
+        code, out, err = run(capsys, "sweep", "--config", str(cfg),
+                             "--k", "0.01")
+        assert (code, out) == (1, "")
+        assert [strict_json(line) for line in err.splitlines()] == [
+            {"error": "invalid_arguments",
+             "message": "cutoff must exceed both node frequencies"}]
 
     def test_repeated_key_is_an_error(self, tmp_path, capsys):
         """A key set twice exits 1 with both of its lines named."""
