@@ -66,22 +66,30 @@ def _measures(states, partners, measured_node: str) -> dict:
     mi = gaussian.mutual_information(states)
     q = gaussian.gaussian_discord(states, measured_node)
     return {"fidelity_to_exact": gaussian.fidelity(states, partners),
-            "mutual_info": mi, "discord": q,
-            "classical": np.maximum(mi - q, 0.0),
+            "mutual_info": mi, "discord": q, "classical": _classical(mi, q),
             "log_neg": gaussian.log_negativity(states)}
+
+
+def _classical(mi, q):
+    # the classical correlation I - Q, clamped at zero, elementwise
+    return np.maximum(mi - q, 0.0)
 
 
 def correlation_report(covariance, exact,
                        measured_node: str = "h") -> gaussian.CorrelationReport:
     """Correlation measures of one state plus its fidelity to the exact
-    one, a stack of one with its partner.  Raises NonPhysicalStateError if
-    either state is non-physical."""
+    one: a stack of one measured state and its partner, so each measure
+    walks it on floats.  Raises NonPhysicalStateError if either state is
+    non-physical, before measured_node is read."""
     states = gaussian.StateStack([covariance, exact], measured=1)
     states.check(0)
     states.check(1)
-    values = _measures(states, [1], measured_node).values()
-    return gaussian.CorrelationReport(*(float(v[0]) for v in values),
-                                      measured_node=measured_node)
+    mi = float(gaussian.mutual_information(states)[0])
+    q = float(gaussian.gaussian_discord(states, measured_node)[0])
+    return gaussian.CorrelationReport(
+        float(gaussian.fidelity(states, [1])[0]), mi, q,
+        float(_classical(mi, q)), float(gaussian.log_negativity(states)[0]),
+        measured_node)
 
 
 def _point_metrics(points: list, measured_node: str) -> list:

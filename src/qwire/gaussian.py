@@ -6,7 +6,10 @@ All entropic quantities are in nats.  The four measures take a StateStack
 and return one value per state, NaN where the state fails the
 physicality check; the stack's reasons say why, and StateStack.check
 raises NonPhysicalStateError with the reason.  A stack takes one
-symplectic spectrum call.
+symplectic spectrum call.  The measures walk a stack of up to _MAX_SCALAR
+measured states, such as correlation_report's one, state by state on
+floats, and a larger one, such as a sweep's, on arrays; the two containers
+share each formula as an elementwise helper and give the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ PHYSICALITY_TOL = 1e-9
 _S_HOMODYNE = 1e9
 #: below this share of nu_max, the eigensolve cannot resolve nu_min
 _RESOLVED = 1e-4
-#: gaussian_discord's largest stack that it measures state by state
+#: the largest stack of measured states that the measures walk state by
+#: state on floats; a larger one takes arrays, which cost less from 5
+#: states on (fidelity and one node's discord, measured in process)
 _MAX_SCALAR = 4
 
 
@@ -61,9 +66,10 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 3 or gamma.shape[1:] != (4, 4):
         raise ValueError("expected a stack of 4x4 covariance matrices")
-    bad = ~np.isfinite(gamma).all(axis=(1, 2))
     work = 2.0 * gamma
-    if any_bad := bad.any():
+    bad = np.zeros(len(gamma), bool)
+    if any_bad := not np.isfinite(gamma).all():
+        bad = ~np.isfinite(gamma).all(axis=(1, 2))
         work[bad] = np.eye(4)
     try:
         low = np.linalg.cholesky(work)
@@ -74,8 +80,8 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
                 low[i] = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 low[i], bad[i], any_bad = np.eye(4), True, True
-    herm = 1j * (np.swapaxes(low, 1, 2) @ SYMPLECTIC_FORM @ low)
-    nus = 0.5 * np.linalg.eigvalsh(herm)[:, 2:][:, ::-1]
+    herm = 1j * (low.transpose(0, 2, 1) @ SYMPLECTIC_FORM @ low)
+    nus = 0.5 * np.linalg.eigvalsh(herm)[:, :1:-1]
     if (lost := nus[:, 1] < _RESOLVED * nus[:, 0]).any():
         nus[lost, 1] = np.diagonal(low[lost], axis1=1, axis2=2).prod(
             axis=1) / (4.0 * nus[lost, 0])
@@ -126,10 +132,16 @@ class StateStack:
         m = self.measured = len(g) if measured is None else measured
         nus = symplectic_eigenvalues(np.concatenate((g, g[:m] * _PT_SIGNS)))
         self.nus, self.transposed_nus = nus[:len(g)], nus[len(g):]
+        # the states' spectra, then the partial transposes', as floats
+        self._spectra = nus.tolist()
         #: each state's reason for failing the check, None if it passes
-        self.reasons = [_reason(*args) for args in zip(
-            labels or [""] * len(g), g, self.nus[:, -1].tolist())]
-        self.physical = np.array([r is None for r in self.reasons], bool)
+        self.reasons = [_reason(label, gamma, nu[1]) for label, gamma, nu
+                        in zip(labels or [""] * len(g), g, self._spectra)]
+
+    @cached_property
+    def physical(self) -> np.ndarray:
+        """Whether each state passes the check."""
+        return np.array([r is None for r in self.reasons], bool)
 
     def check(self, i: int) -> None:
         """Raise NonPhysicalStateError, with its reason, if state i fails."""
@@ -138,20 +150,19 @@ class StateStack:
 
     @cached_property
     def entropies(self) -> tuple:
-        """(S(G_ch), S(G_c), S(G_h)) of the measured states."""
+        """(S(G_ch), S(G_c), S(G_h)) of the measured states, float lists."""
         m = self.measured
-        g = self.covariances[:m]
-        nodes = np.concatenate((g[:, :2, :2], g[:, 2:, 2:])).reshape(-1, 4)
-        s = np.array([_entropy(nus) for nus in self.nus[:m].tolist()]
-                     + [_entropy((_node_nu(*x),)) for x in nodes.tolist()])
-        return s[:m], s[m:2 * m], s[2 * m:]
+        rows = self.covariances[:m].tolist()
+        return ([_entropy(nus) for nus in self._spectra[:m]],
+                *([_entropy((_node_nu(r[i][i], r[i][i + 1], r[i + 1][i],
+                                      r[i + 1][i + 1]),)) for r in rows]
+                  for i in (0, 2)))
 
 
 def mutual_information(states: StateStack) -> np.ndarray:
     """I = S(G_c) + S(G_h) - S(G_ch) of each measured state."""
-    s, s_c, s_h = states.entropies
-    return np.where(states.physical[:states.measured], s_c + s_h - s,
-                    np.nan)
+    return np.array([s_c + s_h - s if r is None else math.nan for
+                     s, s_c, s_h, r in zip(*states.entropies, states.reasons)])
 
 
 def fidelity(states: StateStack, partners) -> np.ndarray:
@@ -164,43 +175,56 @@ def fidelity(states: StateStack, partners) -> np.ndarray:
     over both spectra (Williamson; Marian & Marian, PRA 86, 022340 (2012)).
     It is NaN where either state fails the physicality check.
     """
+    m, g, nus, reasons = (states.measured, states.covariances,
+                          states._spectra, states.reasons)
+    if m <= _MAX_SCALAR:
+        return np.array([
+            _fidelity(*np.linalg.det(_fidelity_matrices(g[i], g[j])).tolist(),
+                      _det_products(*nus[i], *nus[j]))
+            if reasons[i] is None and reasons[j] is None else math.nan
+            for i, j in zip(range(m), partners)])
     partners = np.asarray(partners, dtype=int)
-    ok = states.physical[:states.measured] & states.physical[partners]
-    g1 = states.covariances[:states.measured][ok]
-    g2 = states.covariances[partners[ok]]
-    jj = SYMPLECTIC_FORM
-    a, b = np.linalg.det(np.stack((g1 + g2,
-                                   (jj @ g1) @ (jj @ g2) - _QUARTER)))
-    nu = np.concatenate((states.nus[:states.measured][ok],
-                         states.nus[partners[ok]]), axis=1)
-    q = (nu - 0.5) * (nu + 0.5)
-    b, c = 16.0 * b, 16.0 * (q[:, 0] * q[:, 1] * q[:, 2] * q[:, 3])
-    f = np.full(len(ok), np.nan)
-    f[ok] = [_fidelity(*abc) for abc in zip(a.tolist(), b.tolist(),
-                                            c.tolist())]
+    ok = states.physical[:m] & states.physical[partners]
+    a, b = np.linalg.det(_fidelity_matrices(g[:m][ok], g[partners[ok]]))
+    nu = np.concatenate((states.nus[:m][ok], states.nus[partners[ok]]), 1)
+    f = np.full(m, np.nan)
+    f[ok] = [_fidelity(*abc) for abc in zip(
+        a.tolist(), b.tolist(), _det_products(*nu.T).tolist())]
     return f
 
 
+def _fidelity_matrices(g1, g2) -> np.ndarray:
+    # G1 + G2 and (J G1)(J G2) - 1/4, of two states or two stacks
+    jj = SYMPLECTIC_FORM
+    return np.array((g1 + g2, (jj @ g1) @ (jj @ g2) - _QUARTER))
+
+
+def _det_products(*nus):
+    # prod_k (nu_k^2 - 1/4) over both spectra, elementwise
+    q0, q1, q2, q3 = ((nu - 0.5) * (nu + 0.5) for nu in nus)
+    return q0 * q1 * q2 * q3
+
+
 def _fidelity(a: float, b: float, c: float) -> float:
-    # negatives under the square roots, from round-off or from a nu that
-    # the check lets sit below 1/2, are clamped to zero
-    x = math.sqrt(max(b, 0.0)) + math.sqrt(max(c, 0.0))
+    # b and c without their factor 2^4; negatives under the square roots,
+    # from round-off or from a nu that the check lets sit below 1/2, are
+    # clamped to zero
+    x = math.sqrt(max(16.0 * b, 0.0)) + math.sqrt(max(16.0 * c, 0.0))
     return min((x + math.sqrt(max(x * x - a, 0.0))) / a, 1.0)
 
 
 def _blocks(gamma: np.ndarray, measured_node: str):
+    # measured_node is 'c' or 'h', as gaussian_discord checks
     if measured_node == "h":
         return gamma[..., :2, :2], gamma[..., 2:, 2:], gamma[..., :2, 2:]
-    if measured_node == "c":
-        return gamma[..., 2:, 2:], gamma[..., :2, :2], gamma[..., 2:, :2]
-    raise ValueError("measured_node must be 'c' or 'h'")
+    return gamma[..., 2:, 2:], gamma[..., :2, :2], gamma[..., 2:, :2]
 
 
 def _block_entries(gamma: np.ndarray, measured_node: str) -> np.ndarray:
     """Entries 11, 12, 21, 22 of the blocks A, B, C and D = C^T A^-1 C of
     a stack (n, 4, 4), as an array (n, 4 blocks, 4 entries)."""
     a, b, c = _blocks(gamma, measured_node)
-    d = np.swapaxes(c, 1, 2) @ np.linalg.solve(a, c)
+    d = c.transpose(0, 2, 1) @ np.linalg.solve(a, c)
     return np.concatenate((a, b, c, d), axis=1).reshape(-1, 4, 4)
 
 
@@ -245,9 +269,11 @@ def _seed_form(x11, x12, x21, x22) -> tuple:
 
 def _seed_angle(numerator, denominator, form_b, form_d) -> tuple:
     """q = tau l(B) - l(D) at tau = numerator / denominator, and the
-    seed's angle phi, elementwise."""
-    tau = np.divide(numerator, denominator)
-    q = tuple(tau * x - y for x, y in zip(form_b, form_d))
+    seed's angle phi, elementwise.  On floats, one of the two is a numpy
+    scalar (it holds a root), so a zero denominator gives inf or NaN."""
+    tau = numerator / denominator
+    q = (tau * form_b[0] - form_d[0], tau * form_b[1] - form_d[1],
+         tau * form_b[2] - form_d[2])
     return q, 0.5 * np.arctan2(-q[2], -q[1])
 
 
@@ -294,8 +320,9 @@ def _optimal_seeds(b, d) -> tuple:
 def _min_conditional_entropy(a, b, c, d):
     """min_m S(A | m): the smaller kernel value at the two candidate
     seeds, elementwise on the entries of A, B, C and D = C^T A^-1 C."""
-    return np.fmin(*(_conditional_entropies(a, b, c, *seed)
-                     for seed in _optimal_seeds(b, d)))
+    homodyne, general = _optimal_seeds(b, d)
+    return np.fmin(_conditional_entropies(a, b, c, *homodyne),
+                   _conditional_entropies(a, b, c, *general))
 
 
 def gaussian_discord(states: StateStack,
@@ -309,20 +336,28 @@ def gaussian_discord(states: StateStack,
     minimum, once on arrays of the stack's entries, or state by state on
     floats in a stack of up to _MAX_SCALAR, with the same bits.
     """
-    ok = states.physical[:states.measured]
-    entries = _block_entries(states.covariances[:states.measured][ok],
-                             measured_node)
-    with np.errstate(all="ignore"):  # a missing candidate is NaN
-        if states.measured > _MAX_SCALAR:
-            cond = _min_conditional_entropy(*entries.transpose(1, 2, 0))
-        else:
-            cond = np.array([_min_conditional_entropy(*x)
-                             for x in entries.tolist()])
+    if measured_node not in ("c", "h"):
+        raise ValueError("measured_node must be 'c' or 'h'")
+    m, g = states.measured, states.covariances
     s, s_c, s_h = states.entropies
-    s_b = s_c if measured_node == "c" else s_h
-    q = np.full(len(ok), np.nan)
-    q[ok] = np.maximum(s_b[ok] - s[ok] + cond, 0.0)
+    s_b = s_h if measured_node == "h" else s_c
+    with np.errstate(all="ignore"):  # a missing candidate is NaN
+        if m <= _MAX_SCALAR:
+            return np.array([_discord(b - t, _min_conditional_entropy(
+                *_block_entries(g[i:i + 1], measured_node).tolist()[0]))
+                if r is None else math.nan for i, (t, b, r) in
+                enumerate(zip(s, s_b, states.reasons))])
+        ok = states.physical[:m]
+        entries = _block_entries(g[:m][ok], measured_node)
+        q = np.full(m, np.nan)
+        q[ok] = _discord(np.subtract(s_b, s)[ok], _min_conditional_entropy(
+            *entries.transpose(1, 2, 0)))
     return q
+
+
+def _discord(gap, cond):
+    # S(G_B) - S(G_AB) + min_m S(A | m), clamped at zero, elementwise
+    return np.maximum(gap + cond, 0.0)
 
 
 def log_negativity(states: StateStack) -> np.ndarray:
@@ -330,9 +365,9 @@ def log_negativity(states: StateStack) -> np.ndarray:
     spectrum of its partial transpose G~ = P G P with
     P = diag(1, -1, 1, 1)."""
     return np.array([sum(max(0.0, -math.log(2.0 * nu)) for nu in nus)
-                     if ok else math.nan for nus, ok in
-                     zip(states.transposed_nus.tolist(),
-                         states.physical[:states.measured])])
+                     if r is None else math.nan for nus, r in
+                     zip(states._spectra[len(states.covariances):],
+                         states.reasons)])
 
 
 @dataclass(frozen=True)

@@ -413,6 +413,8 @@ class TestStackInvariance:
             assert [bits(getattr(report, key)) for key in measures] == \
                 [bits(v[i]) for v in measures.values()]
             assert bits(report.discord_arrow) == bits(q)
+            assert bits(report.classical_arrow) == bits(np.maximum(
+                measures["mutual_information"][i] - discord[node][i], 0.0))
 
 
 #: a product state, whose finite-squeezing candidate is 0/0 = NaN, a
@@ -422,43 +424,68 @@ MODE_EDGES = [np.diag([1.0, 1.0, 2.0, 2.0]), 0.4 * np.eye(4),
 
 
 class TestEvaluationModes:
-    """gaussian_discord measures up to _MAX_SCALAR states one by one on
-    floats, and a larger stack on arrays, with the same bits."""
+    """The measures walk a stack of up to _MAX_SCALAR measured states state
+    by state on floats, and take arrays in a larger one, with the same
+    bits.  Mutual information and log-negativity are float tails in both."""
 
     @staticmethod
     def array_stacks(monkeypatch) -> list:
-        """A list that grows by the stack size at each array evaluation."""
+        """A list that grows by the stack size at each array evaluation of
+        the discord chain or of the fidelity's determinants."""
         sizes = []
         chain = gaussian._min_conditional_entropy
+        matrices = gaussian._fidelity_matrices
 
-        def counted(a, b, c, d):
+        def counted_chain(a, b, c, d):
             if isinstance(a, np.ndarray):
                 sizes.append(a.shape[-1])
             return chain(a, b, c, d)
-        monkeypatch.setattr(gaussian, "_min_conditional_entropy", counted)
+
+        def counted_matrices(g1, g2):
+            if g1.ndim == 3:
+                sizes.append(len(g1))
+            return matrices(g1, g2)
+        monkeypatch.setattr(gaussian, "_min_conditional_entropy",
+                            counted_chain)
+        monkeypatch.setattr(gaussian, "_fidelity_matrices", counted_matrices)
         return sizes
 
     @staticmethod
-    def assert_stack_equals_each_state_alone(covs, measured=None):
-        stack = gaussian.StateStack(covs, measured=measured)
-        for node in "ch":
-            lone = [alone(gaussian.gaussian_discord, g, node)
-                    for g in covs[:measured]]
-            assert gaussian.gaussian_discord(stack, node).tobytes() == \
-                np.array(lone).tobytes()
+    def assert_stack_equals_each_state_alone(states, partners=None):
+        """Every measure of each state in one stack of the states (and
+        after them their partners, if given) is bit for bit that of the
+        state alone; its fidelity, that of the state and its partner."""
+        m = len(states)
+        covs = np.array(list(states) + list(partners or []))
+        stack = gaussian.StateStack(covs, measured=m)
+        measures = {node: lambda stack, node=node:
+                    gaussian.gaussian_discord(stack, node) for node in "ch"}
+        measures.update(mi=gaussian.mutual_information,
+                        log_neg=gaussian.log_negativity)
+        for key, measure in measures.items():
+            lone = [alone(measure, g) for g in states]
+            assert measure(stack).tobytes() == np.array(lone).tobytes(), key
+        if partners is not None:
+            lone = [pair_fidelity(g, e) for g, e in zip(states, partners)]
+            fid = gaussian.fidelity(stack, range(m, 2 * m))
+            assert fid.tobytes() == np.array(lone).tobytes()
         return stack
 
     def test_pool_alone_equals_the_pool_stack(self, monkeypatch):
-        """Each of the 448 pool states measured alone is bit for bit the
-        same state in one stack of all of them, on both nodes."""
+        """Each of the 448 pool states measured alone, and its fidelity to
+        its own exact state, is bit for bit the same state in one stack of
+        all of them and their exact states."""
         sizes = self.array_stacks(monkeypatch)
-        covs = np.array([gamma for _, gamma, _ in pool_states()])
-        stack = self.assert_stack_equals_each_state_alone(covs)
-        assert len(covs) == 448 and sizes == [stack.physical.sum()] * 2
+        pool = pool_states()
+        stack = self.assert_stack_equals_each_state_alone(
+            [g for _, g, _ in pool], [e for _, _, e in pool])
+        ok = stack.physical[:448]
+        assert len(pool) == 448 and sizes == [ok.sum()] * 2 + [
+            (ok & stack.physical[448:]).sum()]
 
     def test_sweep_stack_equals_each_state_alone(self, monkeypatch):
         """The fig1a sweep's 240 model states, in the one stack that
-        `qwire sweep` measures, give each state's discord alone, bit for
+        `qwire sweep` measures, give each state's measures alone, bit for
         bit, on both nodes; the pool holds frozen states only."""
         covs = fig1a_sweep_states()
         sizes = self.array_stacks(monkeypatch)
@@ -466,19 +493,23 @@ class TestEvaluationModes:
         assert len(covs) == 240 and sizes == [stack.physical.sum()] * 2
 
     def test_stacks_either_side_of_the_threshold(self, monkeypatch):
-        """Stacks of exactly 4 and 5 measured states, with a product and a
-        non-physical state, give each state's discord alone, and no numpy
-        warning; only the stacks of 5 take arrays."""
-        assert gaussian._MAX_SCALAR == 4
+        """Stacks of exactly _MAX_SCALAR and one more measured states, with
+        a product and a non-physical state, give each state's measures
+        alone, and no numpy warning; only the larger stacks take arrays."""
+        n = gaussian._MAX_SCALAR
+        assert n == 4
         sizes = self.array_stacks(monkeypatch)
-        pool = [gamma for _, gamma, _ in pool_states()[440:]]
-        for covs, measured in ((MODE_EDGES + pool[:2], 4),
-                               (MODE_EDGES[:2] + pool[:3], 5),
-                               (pool[3:8], 5)):
+        pool = pool_states()[-2 * n - 1:]
+        states = [g for _, g, _ in pool]
+        exact = [e for _, _, e in pool]
+        for covs, partners in ((MODE_EDGES + states[:n - 3], exact[:n]),
+                               (MODE_EDGES[:2] + states[:n - 1],
+                                exact[:n + 1]),
+                               (states[n:2 * n + 1], exact[n:2 * n + 1])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                self.assert_stack_equals_each_state_alone(covs, measured)
-        assert sizes == [4, 4, 5, 5]
+                self.assert_stack_equals_each_state_alone(covs, partners)
+        assert sizes == [n, n, n, n + 1, n + 1, n + 1]
 
 
 class TestEntropy:
@@ -654,6 +685,26 @@ class TestDiscord:
         with pytest.raises(ValueError):
             gaussian.gaussian_discord(gaussian.StateStack([gamma]),
                                       measured_node="x")
+
+    def test_report_checks_the_states_before_the_node(self):
+        """A report of a non-physical state, or of a non-physical exact
+        state, raises NonPhysicalStateError before it reads the node; a
+        report of two physical states, and the discord of a stack in either
+        container, raise ValueError for an unknown node, even where no
+        state is physical."""
+        vacuum, below = 0.5 * np.eye(4), 0.4 * np.eye(4)
+        for pair in ((below, vacuum), (vacuum, below)):
+            with pytest.raises(gaussian.NonPhysicalStateError):
+                correlation_report(*pair, "x")
+        message = "^measured_node must be 'c' or 'h'$"
+        with pytest.raises(ValueError, match=message) as raised:
+            correlation_report(vacuum, vacuum, "x")
+        assert type(raised.value) is ValueError
+        for n in (1, gaussian._MAX_SCALAR + 1):
+            for state in (vacuum, below):
+                with pytest.raises(ValueError, match=message):
+                    gaussian.gaussian_discord(
+                        gaussian.StateStack([state] * n), "x")
 
 
 class TestLogNegativity:
