@@ -70,9 +70,9 @@ def _measures(states, partners, measured_node: str) -> dict:
             "log_neg": gaussian.log_negativity(states)}
 
 
-def _classical(mi, q):
-    # the classical correlation I - Q, clamped at zero, elementwise
-    return np.maximum(mi - q, 0.0)
+def _classical(mi, q, xp=np):
+    # the classical correlation I - Q, clamped at zero, elementwise in xp
+    return xp.maximum(mi - q, 0.0)
 
 
 def correlation_report(covariance, exact,
@@ -88,8 +88,8 @@ def correlation_report(covariance, exact,
     q = float(gaussian.gaussian_discord(states, measured_node)[0])
     return gaussian.CorrelationReport(
         float(gaussian.fidelity(states, [1])[0]), mi, q,
-        float(_classical(mi, q)), float(gaussian.log_negativity(states)[0]),
-        measured_node)
+        _classical(mi, q, gaussian._FLOATS),
+        float(gaussian.log_negativity(states)[0]), measured_node)
 
 
 def _point_metrics(points: list, measured_node: str) -> list:

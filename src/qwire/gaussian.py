@@ -6,10 +6,9 @@ All entropic quantities are in nats.  The four measures take a StateStack
 and return one value per state, NaN where the state fails the
 physicality check; the stack's reasons say why, and StateStack.check
 raises NonPhysicalStateError with the reason.  A stack takes one
-symplectic spectrum call.  The measures walk a stack of up to _MAX_SCALAR
-measured states, such as correlation_report's one, state by state on
-floats, and a larger one, such as a sweep's, on arrays; the two containers
-share each formula as an elementwise helper and give the same bits.
+symplectic spectrum pass.  It and the measures walk a small stack state
+by state on floats (xp = _FLOATS: numpy's bits from math and Python), a
+larger one on arrays (xp = numpy), through the same elementwise helpers.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,12 +26,11 @@ PHYSICALITY_TOL = 1e-9
 #: finite one.  The kernel's rounding there is up to about 1e-8 of the
 #: conditional entropy; the frozen benchmark cells were searched at it.
 _S_HOMODYNE = 1e9
-#: below this share of nu_max, the eigensolve cannot resolve nu_min
-_RESOLVED = 1e-4
-#: the largest stack of measured states that the measures walk state by
-#: state on floats; a larger one takes arrays, which cost less from 5
-#: states on (fidelity and one node's discord, measured in process)
+#: the most states (measured ones, for the measures) walked one by one on
+#: floats; arrays cost less from 5 on (fidelity and one node's discord)
 _MAX_SCALAR = 4
+_FLOATS = SimpleNamespace(sqrt=math.sqrt, maximum=max, minimum=min,
+                          fmin=lambda x, y: y if x != x or y < x else x)
 
 
 class NonPhysicalStateError(ValueError):
@@ -51,53 +50,64 @@ for _m in (SYMPLECTIC_FORM, _PT_SIGNS, _QUARTER):
 
 def symplectic_eigenvalues(gamma) -> np.ndarray:
     """Symplectic spectra (m, 2), descending, of a stack of 4x4
-    covariance matrices (m, 4, 4).
-
-    With the Cholesky factor 2G = L L^T, the Hermitian matrix i L^T J L
-    has eigenvalues +-2 nu.  Its eigensolve is accurate to rounding even
-    near pure states, where the invariant formula
-    nu^2 = (D +- sqrt(D^2 - 4 det G))/2 loses about half the digits.
-    Factoring 2G rather than G keeps the vacuum exact: nu = 1/2.  Where
-    nu_min < _RESOLVED nu_max, as when the nodes differ vastly in scale,
-    nu_min is sqrt(det G) / nu_max = prod diag L / (4 nu_max) instead.
-    The stack takes one cholesky and one eigvalsh call.  A matrix that is
-    not positive definite, or not finite, is no covariance; it gets zeros.
-    """
+    covariance matrices (m, 4, 4), from one _spectra pass."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 3 or gamma.shape[1:] != (4, 4):
         raise ValueError("expected a stack of 4x4 covariance matrices")
-    work = 2.0 * gamma
-    bad = np.zeros(len(gamma), bool)
-    if any_bad := not np.isfinite(gamma).all():
-        bad = ~np.isfinite(gamma).all(axis=(1, 2))
-        work[bad] = np.eye(4)
+    return np.array(_spectra(gamma.reshape(-1, 16).tolist() if len(gamma)
+                             <= _MAX_SCALAR else gamma, 0)).reshape(-1, 2)
+
+
+def _spectra(g, m: int) -> list:
+    """The spectra of a stack, then of its first m's partial transposes:
+    on floats for a list of row-major rows, else on arrays (n, 4, 4)."""
+    if isinstance(g, list):
+        return ([_float_spectrum(r, 1.0) for r in g]
+                + [_float_spectrum(r, -1.0) for r in g[:m]])
+    i, j = np.tril_indices(4)
+    with np.errstate(all="ignore"):
+        nus = np.array(_spectrum(*np.concatenate(
+            (g, g[:m] * _PT_SIGNS))[:, i, j].T, np))
+    nus[:, ~((0.0 < nus[1]) & (nus[0] < np.inf))] = 0.0
+    return nus.T.tolist()
+
+
+def _spectrum(g00, g10, g11, g20, g21, g22, g30, g31, g32, g33, xp):
+    """(nu_max, nu_min) of G from its lower entries, elementwise in xp:
+    with 2G = L L^T and a..f = K01, K02, K03, K12, K13, K23 of L^T J L,
+    2(nu_max +- nu_min) = sqrt(sum k^2 +- 2 det L), sums of squares that
+    cannot cancel (Serafini et al., J. Phys. B 37, L21 (2004))."""
+    l00 = xp.sqrt(2.0 * g00)
+    l10, l20, l30 = 2.0 * g10 / l00, 2.0 * g20 / l00, 2.0 * g30 / l00
+    l11 = xp.sqrt(2.0 * g11 - l10 * l10)
+    l21, l31 = (2.0 * g21 - l20 * l10) / l11, (2.0 * g31 - l30 * l10) / l11
+    l22 = xp.sqrt(2.0 * g22 - l20 * l20 - l21 * l21)
+    l32 = (2.0 * g32 - l30 * l20 - l31 * l21) / l22
+    l33 = xp.sqrt(2.0 * g33 - l30 * l30 - l31 * l31 - l32 * l32)
+    a = l00 * l11 + l20 * l31 - l30 * l21
+    b, c, d = l20 * l32 - l30 * l22, l20 * l33, l21 * l32 - l31 * l22
+    e, f = l21 * l33, l22 * l33
+    plus = (a + f) * (a + f) + (b - e) * (b - e) + (c + d) * (c + d)
+    minus = (a - f) * (a - f) + (b + e) * (b + e) + (c - d) * (c - d)
+    nu_max = (xp.sqrt(plus) + xp.sqrt(minus)) / 4.0
+    return nu_max, l00 * l11 * l22 * l33 / (4.0 * nu_max)
+
+
+def _float_spectrum(r: list, s: float):
+    # a float row's spectrum, or for s = -1.0 its partial transpose's
     try:
-        low = np.linalg.cholesky(work)
-    except np.linalg.LinAlgError:  # raised for the whole stack
-        low = np.empty_like(work)
-        for i, matrix in enumerate(work):
-            try:
-                low[i] = np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                low[i], bad[i], any_bad = np.eye(4), True, True
-    herm = 1j * (low.transpose(0, 2, 1) @ SYMPLECTIC_FORM @ low)
-    nus = 0.5 * np.linalg.eigvalsh(herm)[:, :1:-1]
-    if (lost := nus[:, 1] < _RESOLVED * nus[:, 0]).any():
-        nus[lost, 1] = np.diagonal(low[lost], axis1=1, axis2=2).prod(
-            axis=1) / (4.0 * nus[lost, 0])
-    if any_bad:
-        nus[bad] = 0.0
-    return nus
+        nus = _spectrum(r[0], s * r[4], r[5], r[8], s * r[9], r[10], r[12],
+                        s * r[13], r[14], r[15], _FLOATS)
+    except (ValueError, ZeroDivisionError):
+        return 0.0, 0.0
+    return nus if 0.0 < nus[1] and nus[0] < math.inf else (0.0, 0.0)
 
 
-def _entropy(nus) -> float:
-    # sum of (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2), nu >= 1/2
-    out = 0
-    for nu in nus:
-        nu = max(nu, 0.5)
-        up, dn = nu + 0.5, nu - 0.5
-        out += up * math.log(up) - (dn * math.log(dn) if dn > 0.0 else 0.0)
-    return out
+def _entropy(nu: float) -> float:
+    # (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2), nu >= 1/2, per mode
+    nu = max(nu, 0.5)
+    up, dn = nu + 0.5, nu - 0.5
+    return up * math.log(up) - (dn * math.log(dn) if dn > 0.0 else 0.0)
 
 
 def _node_nu(x11: float, x12: float, x21: float, x22: float) -> float:
@@ -122,21 +132,25 @@ class StateStack:
     state's reason for failing the physicality check.  The measures take
     the first `measured` states, all by default; the others are only
     checked, as fidelity partners.  The spectra of the states and of the
-    measured ones' partial transposes take the stack's one call; a node's
-    symplectic eigenvalue is sqrt(det) of its 2x2 block."""
+    measured ones' partial transposes take the stack's one _spectra pass."""
 
     def __init__(self, covariances, labels=None, measured=None):
         g = self.covariances = np.asarray(covariances, dtype=float)
         if g.ndim != 3 or g.shape[1:] != (4, 4):
             raise ValueError("expected a stack of 4x4 covariance matrices")
         m = self.measured = len(g) if measured is None else measured
-        nus = symplectic_eigenvalues(np.concatenate((g, g[:m] * _PT_SIGNS)))
-        self.nus, self.transposed_nus = nus[:len(g)], nus[len(g):]
-        # the states' spectra, then the partial transposes', as floats
-        self._spectra = nus.tolist()
+        # the states' row-major rows and spectra, all as floats
+        rows = self._rows = g.reshape(-1, 16).tolist()
+        self._spectra = _spectra(rows if len(g) <= _MAX_SCALAR else g, m)
         #: each state's reason for failing the check, None if it passes
         self.reasons = [_reason(label, gamma, nu[1]) for label, gamma, nu
                         in zip(labels or [""] * len(g), g, self._spectra)]
+
+    #: the spectra (n, 2) and the partial transposes' (m, 2), when read
+    nus = cached_property(lambda self: np.array(
+        self._spectra[:len(self._rows)]).reshape(-1, 2))
+    transposed_nus = cached_property(lambda self: np.array(
+        self._spectra[len(self._rows):]).reshape(-1, 2))
 
     @cached_property
     def physical(self) -> np.ndarray:
@@ -152,11 +166,10 @@ class StateStack:
     def entropies(self) -> tuple:
         """(S(G_ch), S(G_c), S(G_h)) of the measured states, float lists."""
         m = self.measured
-        rows = self.covariances[:m].tolist()
-        return ([_entropy(nus) for nus in self._spectra[:m]],
-                *([_entropy((_node_nu(r[i][i], r[i][i + 1], r[i + 1][i],
-                                      r[i + 1][i + 1]),)) for r in rows]
-                  for i in (0, 2)))
+        return ([_entropy(nu_max) + _entropy(nu_min)
+                 for nu_max, nu_min in self._spectra[:m]],
+                *([_entropy(_node_nu(r[i], r[i + 1], r[i + 4], r[i + 5]))
+                   for r in self._rows[:m]] for i in (0, 10)))
 
 
 def mutual_information(states: StateStack) -> np.ndarray:
@@ -220,15 +233,18 @@ def _blocks(gamma: np.ndarray, measured_node: str):
     return gamma[..., 2:, 2:], gamma[..., :2, :2], gamma[..., 2:, :2]
 
 
-def _block_entries(gamma: np.ndarray, measured_node: str) -> np.ndarray:
-    """Entries 11, 12, 21, 22 of the blocks A, B, C and D = C^T A^-1 C of
-    a stack (n, 4, 4), as an array (n, 4 blocks, 4 entries)."""
-    a, b, c = _blocks(gamma, measured_node)
-    d = c.transpose(0, 2, 1) @ np.linalg.solve(a, c)
-    return np.concatenate((a, b, c, d), axis=1).reshape(-1, 4, 4)
+#: the row-major indices of A's, B's and C's entries 11, 12, 21, 22
+_ROW_BLOCKS = {node: [block.ravel().tolist() for block in _blocks(
+    np.arange(16).reshape(4, 4), node)] for node in "ch"}
 
 
-def _conditional_entropies(a, b, c, s, phi):
+def _d_block(gamma: np.ndarray, measured_node: str) -> np.ndarray:
+    # D = C^T A^-1 C of a state (4, 4) or of a stack (n, 4, 4)
+    a, _, c = _blocks(gamma, measured_node)
+    return np.swapaxes(c, -1, -2) @ np.linalg.solve(a, c)
+
+
+def _conditional_entropies(a, b, c, s, phi, xp):
     """Entropy of the unmeasured node after measuring with seeds (s, phi),
     elementwise on the entries (11, 12, 21, 22) of the blocks a, b, c:
     x * x, since x ** 2 is libm's pow on a float but not on an array.  The
@@ -254,7 +270,7 @@ def _conditional_entropies(a, b, c, s, phi):
     q22 = (c21 * u + c22 * v) / det_t
     q12 = (c11 * u + c12 * v) / det_t
     r12 = a12 - q12
-    nu = np.sqrt(np.maximum((a11 - q11) * (a22 - q22) - r12 * r12, 0.25))
+    nu = xp.sqrt(xp.maximum((a11 - q11) * (a22 - q22) - r12 * r12, 0.25))
     up = nu + 0.5
     dn = nu - 0.5
     return up * np.log(up) - dn * np.log(dn + (dn == 0.0))
@@ -277,7 +293,7 @@ def _seed_angle(numerator, denominator, form_b, form_d) -> tuple:
     return q, 0.5 * np.arctan2(-q[2], -q[1])
 
 
-def _optimal_seeds(b, d) -> tuple:
+def _optimal_seeds(b, d, xp) -> tuple:
     """The (s, phi) of the two candidates for the optimal measurement,
     homodyne first, elementwise on the entries of B and D = C^T A^-1 C.
 
@@ -300,13 +316,13 @@ def _optimal_seeds(b, d) -> tuple:
     beta = t - det_d
     quad_b = 2.0 * alpha * beta - t
     quad_c = beta * beta - det_d
-    root_h = np.sqrt(np.maximum(t * t - 4.0 * det_b * det_d, 0.0))
+    root_h = np.sqrt(xp.maximum(t * t - 4.0 * det_b * det_d, 0.0))
     # libm's pow per element, on a float and on an array alike, as the
     # frozen benchmark cells were computed: the rounded product x * x, and
     # np.power on AVX-512 hosts, differ in the last bit on a few blocks.
     # Re-freezing those cells lets this become x * x.
     square = np.float_power(det_b - 0.25, 2.0)
-    root_g = np.sqrt(np.maximum(quad_b * quad_b - 4.0 * square * quad_c,
+    root_g = np.sqrt(xp.maximum(quad_b * quad_b - 4.0 * square * quad_c,
                                 0.0))
     forms = _seed_form(*b), _seed_form(*d)
     phi_h = _seed_angle(t + root_h, 2.0 * det_b, *forms)[1]
@@ -314,15 +330,15 @@ def _optimal_seeds(b, d) -> tuple:
     # |(m1, m2)| = sinh(ln s) on the hyperboloid
     sinh = np.hypot(q1, q2) / np.sqrt(q0 * q0 - q1 * q1 - q2 * q2)
     return ((_S_HOMODYNE, phi_h),
-            (np.minimum(np.exp(np.arcsinh(sinh)), _S_HOMODYNE), phi_g))
+            (xp.minimum(np.exp(np.arcsinh(sinh)), _S_HOMODYNE), phi_g))
 
 
-def _min_conditional_entropy(a, b, c, d):
+def _min_conditional_entropy(a, b, c, d, xp):
     """min_m S(A | m): the smaller kernel value at the two candidate
     seeds, elementwise on the entries of A, B, C and D = C^T A^-1 C."""
-    homodyne, general = _optimal_seeds(b, d)
-    return np.fmin(_conditional_entropies(a, b, c, *homodyne),
-                   _conditional_entropies(a, b, c, *general))
+    homodyne, general = _optimal_seeds(b, d, xp)
+    return xp.fmin(_conditional_entropies(a, b, c, *homodyne, xp),
+                   _conditional_entropies(a, b, c, *general, xp))
 
 
 def gaussian_discord(states: StateStack,
@@ -332,9 +348,7 @@ def gaussian_discord(states: StateStack,
 
     Q = S(G_B) - S(G_AB) + min_m S(A | m) over pure single-mode Gaussian
     measurement seeds, which is optimal among all measurements (Pirandola
-    et al., PRL 113, 140405 (2014)).  _min_conditional_entropy gives the
-    minimum, once on arrays of the stack's entries, or state by state on
-    floats in a stack of up to _MAX_SCALAR, with the same bits.
+    et al., PRL 113, 140405 (2014)), from _min_conditional_entropy.
     """
     if measured_node not in ("c", "h"):
         raise ValueError("measured_node must be 'c' or 'h'")
@@ -344,30 +358,31 @@ def gaussian_discord(states: StateStack,
     with np.errstate(all="ignore"):  # a missing candidate is NaN
         if m <= _MAX_SCALAR:
             return np.array([_discord(b - t, _min_conditional_entropy(
-                *_block_entries(g[i:i + 1], measured_node).tolist()[0]))
-                if r is None else math.nan for i, (t, b, r) in
-                enumerate(zip(s, s_b, states.reasons))])
+                *([row[k] for k in ks] for ks in _ROW_BLOCKS[measured_node]),
+                _d_block(gamma, measured_node).ravel().tolist(), _FLOATS),
+                _FLOATS) if r is None else math.nan for row, gamma, t, b, r
+                in zip(states._rows, g, s, s_b, states.reasons)])
         ok = states.physical[:m]
-        entries = _block_entries(g[:m][ok], measured_node)
+        rows = g[:m][ok].reshape(-1, 16)
+        d = _d_block(g[:m][ok], measured_node).reshape(-1, 4).T
         q = np.full(m, np.nan)
         q[ok] = _discord(np.subtract(s_b, s)[ok], _min_conditional_entropy(
-            *entries.transpose(1, 2, 0)))
+            *(rows[:, ks].T for ks in _ROW_BLOCKS[measured_node]), d, np), np)
     return q
 
 
-def _discord(gap, cond):
+def _discord(gap, cond, xp):
     # S(G_B) - S(G_AB) + min_m S(A | m), clamped at zero, elementwise
-    return np.maximum(gap + cond, 0.0)
+    return xp.maximum(gap + cond, 0.0)
 
 
 def log_negativity(states: StateStack) -> np.ndarray:
     """Logarithmic negativity of each measured state, from the symplectic
     spectrum of its partial transpose G~ = P G P with
     P = diag(1, -1, 1, 1)."""
-    return np.array([sum(max(0.0, -math.log(2.0 * nu)) for nu in nus)
-                     if r is None else math.nan for nus, r in
-                     zip(states._spectra[len(states.covariances):],
-                         states.reasons)])
+    return np.array([max(0.0, -math.log(2.0 * hi)) + max(0.0, -math.log(
+        2.0 * lo)) if r is None else math.nan for (hi, lo), r in zip(
+            states._spectra[len(states._rows):], states.reasons)])
 
 
 @dataclass(frozen=True)

@@ -80,14 +80,15 @@ def pair_fidelity(g1, g2) -> float:
 
 
 def count_spectra(monkeypatch) -> list:
-    """A list that grows by one at every symplectic spectrum taken."""
+    """A list that grows at every spectrum pass taken, by the shape
+    (n + m, 4, 4) of the n matrices and m partial transposes in it."""
     spectra = []
-    spectrum = gaussian.symplectic_eigenvalues
+    spectrum = gaussian._spectra
 
-    def counted(gamma):
-        spectra.append(gamma.shape)
-        return spectrum(gamma)
-    monkeypatch.setattr(gaussian, "symplectic_eigenvalues", counted)
+    def counted(g, m):
+        spectra.append((len(g) + m, 4, 4))
+        return spectrum(g, m)
+    monkeypatch.setattr(gaussian, "_spectra", counted)
     return spectra
 
 

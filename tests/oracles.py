@@ -530,7 +530,7 @@ def _grid_starts(a, b, c) -> tuple:
     s_grid, phi_grid = np.meshgrid(s_vals, phi_vals, indexing="ij")
     cond = _conditional_entropies(
         a.ravel(), b.ravel(), c.ravel(), s_grid.ravel(),
-        phi_grid.ravel()).reshape(s_grid.shape)
+        phi_grid.ravel(), np).reshape(s_grid.shape)
     flat_order = np.argsort(cond, axis=None)
     seeds = []
     for flat in flat_order[:40]:
@@ -556,7 +556,7 @@ def scipy_polish(a, b, c, starts) -> list:
         if abs(z[0]) > log_cap:
             return 1e6 + abs(z[0])
         out = float(_conditional_entropies(a.ravel(), b.ravel(), c.ravel(),
-                                           math.exp(z[0]), z[1]))
+                                           math.exp(z[0]), z[1], np))
         return out if math.isfinite(out) else 1e6
 
     return [float(minimize(cost, np.array(start), method="Nelder-Mead",

@@ -23,6 +23,7 @@ from qwire.moments import moment_equations
 import oracles
 from conftest import DATA_DIR, alone, pair_fidelity
 from test_lme import local_residual
+from test_gaussian import min_conditional_entropy
 from test_redfield import closed_form_system, redfield_averages
 
 pytestmark = pytest.mark.acceptance
@@ -279,8 +280,7 @@ class TestAcceptance:
         worst_q = 0.0
         for k in np.logspace(-4, -2, 5):
             gamma = exact_steady_state(at_k(FIG1B, k)).covariance
-            closed = gaussian._min_conditional_entropy(
-                *gaussian._block_entries(gamma[None], "h").tolist()[0])
+            closed = min_conditional_entropy(gamma, "h")
             search = oracles.min_conditional_entropy(
                 *gaussian._blocks(gamma, "h"))
             worst_q = max(worst_q, abs(closed - search))

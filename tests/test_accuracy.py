@@ -28,11 +28,15 @@ differences of two near-equal mode variances.
 
 The measures are checked against 50-digit evaluations of their formulas
 on the float states.  A node's symplectic eigenvalue, sqrt(x11 x22 - x12
-x21), carries the Rounded bound of that expression.  The fidelity's twin
-takes det(G + iJ/2) from a complex LU rather than from the symplectic
-spectrum, as the library does, and its bound (fidelity_twin) adds the
-backward errors of numpy's LU determinants and of the symplectic
-eigensolve, each from its textbook bound, to the roundings of the
+x21), carries the Rounded bound of that expression.  The two-mode
+spectrum's twin takes nu_max^2 as the larger root of x^2 - Delta x +
+det G and nu_min^2 = det G / nu_max^2, from an mp LU, rather than the
+library's Cholesky factor, and its bound (spectrum_errors) adds the
+Cholesky factor's backward error to the roundings of the closed form.
+The fidelity's twin takes det(G + iJ/2) from a complex LU rather than
+from the symplectic spectrum, as the library does, and its bound
+(fidelity_twin) adds the backward errors of numpy's LU determinants and
+of the spectrum, each from its textbook bound, to the roundings of the
 closed form.
 
 The local and the global state are also checked against their defining
@@ -46,7 +50,10 @@ covariance, every X-X and P-P entry of the Redfield covariance, the
 whole local and global covariance against their moment equations, both
 closed-form hot currents (also where n_h - n_c cancels), every
 node's symplectic eigenvalue of the physical pool states and of random
-states, and the fidelity of every state of the fig1a, fig1b and strongly
+states, both two-mode symplectic eigenvalues and the log-negativity of
+every pool state, of its partial transpose, of the nodes 1e21 apart in
+scale and of near-pure squeezed states, and the fidelity of every state
+of the fig1a, fig1b and strongly
 coupled fig2c sweeps and of the pool to its exact partner.  The Redfield
 X-P entries carry the time-reversed coherence (CHANGES.md FOUND) and
 wait for its fix.
@@ -69,8 +76,11 @@ from qwire.model import (normal_modes, rotation_matrix,
                          secular_validity_margin)
 from qwire.moments import MOMENTS, moment_equations
 from qwire.redfield import redfield_steady_state
-from conftest import pair_fidelity, pool_states
+import closed_form
+from conftest import alone, pair_fidelity, pool_states
 from oracles import gme_drift_diffusion, moments
+from test_closed_form import NODES_APART
+from test_gaussian import squeezed_state
 
 DIGITS = 50
 
@@ -439,27 +449,107 @@ def test_node_spectrum_within_its_rounding_bound(source):
 def spectrum_errors(gamma: np.ndarray, u: float) -> list:
     """A bound on the absolute error of each symplectic eigenvalue that
     gaussian.symplectic_eigenvalues returns, first order in u.  Each of
-    its three steps adds its own:
+    its steps adds its own:
 
-    - cholesky(2G) is exact for 2G + E with |E| <= 5u |L||L^T| (Higham,
-      Accuracy and Stability of Numerical Algorithms, Thm 10.3, n + 1 =
-      5).  The spectrum is monotone in G (Loewner order) and of degree
-      one, so nu moves by at most eta nu, with eta = || |W| |E| |W| ||_2
-      and W = (2G)^(-1/2);
-    - the product (L^T J) L is exact in J and adds |F| <= 4u |L^T||J||L|;
-    - eigvalsh is backward stable, |d lambda| <= p u ||H||_2 (LAPACK
-      Users' Guide, 4.7), with p taken as n^2 = 16.
-    The Hermitian matrix's eigenvalues are +-2 nu, so the last two halve.
+    - the Cholesky factor of 2G, entry by entry, is exact for 2G + E with
+      |E| <= 5u |L||L^T| (Higham, Accuracy and Stability of Numerical
+      Algorithms, Thm 10.3, n + 1 = 5).  The spectrum is monotone in G
+      (Loewner order) and of degree one, so nu moves by at most eta nu,
+      with eta = || |L^-1| |E| |L^-T| ||_2, which bounds the spectral
+      radius of (2G)^-1 E and does not change when G is scaled;
+    - each entry of K = L^T J L sums at most three products, so |F| <=
+      3u |L^T||J||L|, and i K is Hermitian with eigenvalues +-2 nu, so
+      nu_max moves by at most ||F||_2 / 2 (Weyl);
+    - nu_max = (sqrt(plus) + sqrt(minus)) / 4 rounds by 4.5u of itself:
+      each sum of three squares by 5u, its root by 3.5u, the sum by u;
+    - nu_min = det L / (4 nu_max) is exactly nu_min of G + E/2 where
+      nu_max is exact for that L, so it carries eta, nu_max's relative
+      error from the last two steps, and 4u for the product of L's
+      diagonal and the quotient.
     """
     low = np.linalg.cholesky(2.0 * gamma)
-    w, v = np.linalg.eigh(2.0 * gamma)
-    inv_sqrt = np.abs((v / np.sqrt(w)) @ v.T)
-    eta = 5 * np.linalg.norm(inv_sqrt @ np.abs(low) @ np.abs(low.T)
-                             @ inv_sqrt, 2)
+    inv = np.abs(scipy.linalg.solve_triangular(low, np.eye(4), lower=True))
+    eta = 5 * np.linalg.norm(inv @ np.abs(low) @ np.abs(low.T) @ inv.T, 2)
     jj = np.abs(gaussian.SYMPLECTIC_FORM)
-    product = 4 * np.linalg.norm(np.abs(low.T) @ jj @ np.abs(low), 2)
-    nus = gaussian.symplectic_eigenvalues(gamma[None])[0]
-    return [u * (nu * eta + (product + 16 * 2 * nus[0]) / 2) for nu in nus]
+    weyl = 3 * np.linalg.norm(np.abs(low.T) @ jj @ np.abs(low), 2) / 2
+    nu_max, nu_min = gaussian.symplectic_eigenvalues(gamma[None])[0]
+    return [u * (nu_max * (eta + 4.5) + weyl),
+            u * nu_min * (eta + 8.5 + weyl / nu_max)]
+
+
+def spectrum_twin(gamma: np.ndarray) -> list:
+    """Both symplectic eigenvalues of the float matrix at 50 digits:
+    nu_max^2 is the larger root of x^2 - Delta x + det G, with Delta =
+    det A + det B + 2 det C of its blocks (Serafini, Illuminati & De
+    Siena, J. Phys. B 37, L21 (2004)), and nu_min^2 = det G / nu_max^2,
+    which does not cancel; det G from an mp LU."""
+    with mp.workdps(DIGITS):
+        g = mp_rows(gamma)
+        det_g = lu_det(g)
+        delta = (g[0][0] * g[1][1] - g[0][1] * g[1][0] + g[2][2] * g[3][3]
+                 - g[2][3] * g[3][2]
+                 + 2 * (g[0][2] * g[1][3] - g[0][3] * g[1][2]))
+        square = (delta + mp.sqrt(max(delta**2 - 4 * det_g, 0))) / 2
+        return [mp.sqrt(square), mp.sqrt(det_g / square)]
+
+
+#: P = diag(1, -1, 1, 1), whose P G P is G's partial transpose
+PARTIAL_TRANSPOSE = np.diag([1.0, -1.0, 1.0, 1.0])
+
+
+def spectrum_states(source: str) -> list:
+    """Every pool state, or the nodes 1e21 apart in scale (NODES_APART),
+    or two-mode squeezed states whose nu_min - 1/2 runs down to 1e-10,
+    with squeezings up to e^1.2."""
+    if source == "pool":
+        return [gamma for _, gamma, _ in pool_states()]
+    if source == "nodes-apart":
+        return [closed_form.covariance([NODES_APART])[0]]
+    return [squeezed_state(r, 0.7, -0.4, 0.3, (0.5 + 2e-8, 0.5 + 10.0**-j))
+            for r in (0.0, 0.5, 1.2) for j in range(1, 11)]
+
+
+@pytest.mark.parametrize("source", ("pool", "nodes-apart", "squeezed"))
+def test_two_mode_spectrum_within_its_rounding_bound(source):
+    """Both symplectic eigenvalues of each state and of its partial
+    transpose lie within their derived bound (spectrum_errors) of the
+    50-digit twin."""
+    u = np.finfo(float).eps / 2
+    misses = []
+    for gamma in (g for state in spectrum_states(source) for g in (
+            state, PARTIAL_TRANSPOSE @ state @ PARTIAL_TRANSPOSE)):
+        nus = gaussian.symplectic_eigenvalues(gamma[None])[0]
+        for nu, ref, bound in zip(nus, spectrum_twin(gamma),
+                                  spectrum_errors(gamma, u)):
+            if not abs(mp.mpf(nu) - ref) <= bound:
+                misses.append(f"nu = {nu!r}, twin {mp.nstr(ref, 17)}, "
+                              f"bound {bound:.3g}")
+    assert not misses, misses
+
+
+@pytest.mark.parametrize("source", ("pool", "nodes-apart", "squeezed"))
+def test_log_negativity_within_its_rounding_bound(source):
+    """E_N = sum max(0, -ln 2 nu) over the partial transpose's spectrum
+    lies within its bound of the 50-digit twin: each nu below 1/2 adds
+    its spectrum_errors bound over nu, and the log's ulp, and the sum
+    rounds once."""
+    u = np.finfo(float).eps / 2
+    misses = []
+    for gamma in spectrum_states(source):
+        pt = PARTIAL_TRANSPOSE @ gamma @ PARTIAL_TRANSPOSE
+        errs, ref, bound = spectrum_errors(pt, u), mp.mpf(0), mp.mpf(0)
+        with mp.workdps(DIGITS):
+            for nu, err in zip(spectrum_twin(pt), errs):
+                if nu - err < 0.5:
+                    term = max(0, -mp.log(2 * nu))
+                    ref += term
+                    bound += err / (nu - err) + 2 * u * term
+            bound += u * ref
+        e_n = alone(gaussian.log_negativity, gamma)
+        if not abs(mp.mpf(e_n) - ref) <= bound:
+            misses.append(f"E_N = {e_n!r}, twin {mp.nstr(ref, 17)}, "
+                          f"bound {mp.nstr(bound, 3)}")
+    assert not misses, misses
 
 
 def det_error(m: np.ndarray, formed: np.ndarray, u: float) -> float:
